@@ -70,6 +70,8 @@ class Deployment:
 
     @property
     def slot_count(self) -> int:
+        if not self.links:
+            raise ValueError("deployment has no links")
         return next(iter(self.links.values())).slot_count
 
     def __repr__(self) -> str:

@@ -1,9 +1,11 @@
 import pytest
 
 from hpavsim import (
+    Deployment,
     DirectedLink,
     GeneratorProfile,
     SSPolicy,
+    Tonemap,
     build_decision_table,
     diff_vector,
     eligible_indices,
@@ -141,12 +143,8 @@ class TestDecisionTable:
             {("n1", "n2"): 0, ("n2", "n1"): 0, ("n3", "n4"): 0, ("n4", "n3"): 0}, 1
         )
         links = dict(dep.links)
-        from hpavsim import Tonemap
-
         links[DirectedLink("n1", "n2")] = Tonemap([primary])
         links[DirectedLink("n3", "n4")] = Tonemap([secondary])
-        from hpavsim import Deployment
-
         dep = Deployment(dep.nodes, links)
         cap_15 = 15 / SUBCARRIER_COUNT
         table = build_decision_table(dep, SSPolicy(beta=2, top_m=1, max_share_fraction=cap_15))
@@ -155,6 +153,35 @@ class TestDecisionTable:
         # stored in ascending order
         assert alloc.shared_indices == tuple(range(1, 6)) + tuple(range(11, 21))
         assert alloc.gain == 10 * 9 + 5 * 4
+
+    def test_share_cap_cuts_inside_a_mixed_bucket(self):
+        # the diff-3 bucket mixes three primary levels; the cap keeps all five
+        # diff-9 subcarriers, then the 12 lowest-index diff-3 ones
+        primary = [0] * SUBCARRIER_COUNT
+        secondary = [0] * SUBCARRIER_COUNT
+        for j, (p, s) in {
+            **{j: (1, 4) for j in range(101, 111)},
+            **{j: (5, 8) for j in range(1, 11)},
+            **{j: (7, 10) for j in range(50, 56)},
+            **{j: (0, 9) for j in range(200, 205)},
+            **{j: (2, 4) for j in range(300, 321)},
+        }.items():
+            primary[j - 1], secondary[j - 1] = p, s
+        dep = deployment_from_levels(
+            {("n1", "n2"): 0, ("n2", "n1"): 0, ("n3", "n4"): 0, ("n4", "n3"): 0}, 1
+        )
+        links = dict(dep.links)
+        links[DirectedLink("n1", "n2")] = Tonemap([primary])
+        links[DirectedLink("n3", "n4")] = Tonemap([secondary])
+        dep = Deployment(dep.nodes, links)
+        policy = SSPolicy(beta=2, top_m=1, max_share_fraction=17 / SUBCARRIER_COUNT)
+        table = build_decision_table(dep, policy)
+        (alloc,) = table.entries[(DirectedLink("n1", "n2"), 1)]
+        assert alloc.shared_indices == (
+            tuple(range(1, 11)) + (50, 51) + tuple(range(200, 205))
+        )
+        assert alloc.gain == 5 * 9 + 12 * 3
+        assert tables_equal(table, brute_force_table(dep, policy))
 
     def test_allocations_validate_disjointness_and_positive_gain(self):
         with pytest.raises(ValueError, match="shares a node"):
@@ -185,6 +212,89 @@ class TestDecisionTable:
         first = lines[1].split(",")
         num_shared = int(first[7])
         assert len(first) == 8 + num_shared
+
+
+EIGHT_NODE_PROFILES = {
+    "complementary": GeneratorProfile(
+        "complementary", base_quality=6, asymmetry_noise=2, seed=21
+    ),
+    "interference-notched": GeneratorProfile(
+        "interference-notched",
+        base_quality=6,
+        notch_count=4,
+        notch_width=40,
+        asymmetry_noise=2,
+        seed=22,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def eight_node_deployments():
+    return {
+        kind: generate_deployment(8, profile, slot_count=1)
+        for kind, profile in EIGHT_NODE_PROFILES.items()
+    }
+
+
+def random_level_deployment(n_nodes, slot_count, seed):
+    """Deployment whose tonemaps draw every subcarrier uniformly from 0..10."""
+    rng = SplitMix64(seed, 0)
+    nodes = [f"n{i}" for i in range(1, n_nodes + 1)]
+    links = {
+        DirectedLink(tx, rx): Tonemap(
+            [
+                [rng.randbelow(11) for _ in range(SUBCARRIER_COUNT)]
+                for _ in range(slot_count)
+            ]
+        )
+        for tx in nodes
+        for rx in nodes
+        if tx != rx
+    }
+    return Deployment(nodes, links)
+
+
+class TestDecisionTableOracle:
+    @pytest.mark.parametrize("beta", (0, 2, 6, 10, 11))
+    @pytest.mark.parametrize("kind", sorted(EIGHT_NODE_PROFILES))
+    def test_eight_nodes_match_brute_force(self, eight_node_deployments, kind, beta):
+        dep = eight_node_deployments[kind]
+        for cap in (1.0, 0.5, 0.05):
+            policy = SSPolicy(beta=beta, top_m=3, max_share_fraction=cap)
+            table = build_decision_table(dep, policy)
+            assert tables_equal(table, brute_force_table(dep, policy)), (kind, beta, cap)
+
+    def test_all_eleven_levels_match_brute_force(self):
+        dep = random_level_deployment(5, 3, seed=31)
+        levels = {v for tmap in dep.links.values() for slot in tmap.slots for v in slot}
+        assert levels == set(range(11))
+        for beta in (0, 1, 3, 5, 7, 9):
+            for cap in (1.0, 0.3):
+                policy = SSPolicy(beta=beta, top_m=3, max_share_fraction=cap)
+                table = build_decision_table(dep, policy)
+                assert tables_equal(table, brute_force_table(dep, policy)), (beta, cap)
+
+
+class TestDecisionTableInputGuard:
+    @pytest.mark.parametrize(
+        "bad_slot",
+        (
+            (11,) + (0,) * (SUBCARRIER_COUNT - 1),
+            (0,) * (SUBCARRIER_COUNT - 1) + (-1,),
+            (0,) * (SUBCARRIER_COUNT - 1),
+        ),
+        ids=("level-11", "level-minus-1", "916-long"),
+    )
+    def test_malformed_slot_names_link_and_slot(self, bad_slot):
+        dep = deployment_from_levels(
+            {("n1", "n2"): 2, ("n2", "n1"): 2, ("n3", "n4"): 8, ("n4", "n3"): 8}, 3
+        )
+        links = dict(dep.links)
+        good = (8,) * SUBCARRIER_COUNT
+        links[DirectedLink("n3", "n4")] = Tonemap([good, bad_slot, good])
+        with pytest.raises(ValueError, match=r"link n3->n4 slot 2"):
+            build_decision_table(Deployment(dep.nodes, links), SSPolicy())
 
 
 class TestPolicy:

@@ -229,6 +229,13 @@ class TestHelpers:
         with pytest.raises(ValueError, match="slot_count"):
             dep.check()
 
+    def test_slot_count_of_empty_deployment(self):
+        dep = Deployment(("a", "b"), {})
+        with pytest.raises(ValueError, match="deployment has no links"):
+            dep.slot_count
+        with pytest.raises(ValueError, match="deployment has no links"):
+            build_decision_table(dep, SSPolicy())
+
     def test_deployment_from_levels_fixture_valid(self):
         dep = deployment_from_levels({("a", "b"): 10, ("b", "a"): 2})
         dep.check()
