@@ -41,6 +41,20 @@ is in progress, the window runs the SS mechanism:
 The AC-line-cycle slot of a window (selecting the per-slot tonemap and table
 entry) is the sub-interval of ac_cycle_us containing the window's start.
 
+Spectrum accounting
+-------------------
+Tonemaps and table allocations are static within a run, so spectrum is
+counted in integer modulation totals (bits per symbol summed over subcarriers)
+rather than recomputed per frame. Each (primary link, slot) gets a window plan
+the first time an SS window opens for it: its flow-backed candidates (cut to
+policy.top_m), each with the secondary's total over its shared indices and the
+primary's complement total (the primary's full-slot total minus its total over
+those indices). Full-slot totals are cached per (link, slot). A success window
+then adds integers to per-link sums; the run sets each LinkTally's
+sf_primary and sf_secondary once, as Fraction(sum, 9170), which equals the sum
+of the per-frame fractions exactly. An event's spectrum_fraction is the
+frame's total / 9170, the correctly rounded float of that fraction.
+
 Determinism: a run is a pure function of its arguments. All randomness comes
 from two splitmix64 streams (stream 0: global contention, stream 1: secondary
 contention), stations are processed in node-identifier order everywhere, and
@@ -55,7 +69,9 @@ import io
 
 from .rng import SplitMix64
 from .sharing import SSAllocation, SSDecisionTable, SSPolicy
-from .tonemap import SUBCARRIER_COUNT, DirectedLink, spectrum_fraction
+from .tonemap import (
+    MAX_MODULATION_TOTAL, SUBCARRIER_COUNT, DirectedLink, modulation_total,
+)
 from .traceio import Deployment
 
 EVENT_TX_START = "tx_start"
@@ -69,12 +85,6 @@ EVENT_REEVAL_END = "reeval_end"
 
 ROLE_PRIMARY = "primary"
 ROLE_SECONDARY = "secondary"
-
-MODE_GLOBAL = "global-contention"
-MODE_PRIMARY_ACTIVE = "primary-active"
-MODE_SECONDARY_CANDIDATE = "secondary-candidate"
-MODE_SECONDARY_CONTENDING = "secondary-contending"
-MODE_SECONDARY_ACTIVE = "secondary-active"
 
 _ALL_SUBCARRIERS = tuple(range(1, SUBCARRIER_COUNT + 1))
 
@@ -127,7 +137,6 @@ class StationState:
     stage: int = 0
     bc: int = 0
     dc: int = 0
-    mode: str = MODE_GLOBAL
 
     @property
     def link(self) -> DirectedLink:
@@ -179,17 +188,25 @@ class SimReportRaw:
 
 
 class _Candidate:
-    """Window-local secondary-side state for one table allocation."""
+    """Window-local secondary-side state for one table allocation.
 
-    __slots__ = ("alloc", "station", "phase", "stage", "bc", "dc")
+    s_total is the secondary's modulation total over the shared indices and
+    p_total the primary's total over the rest of the slot.
+    """
+
+    __slots__ = ("alloc", "station", "s_total", "p_total", "phase", "stage", "bc", "dc")
 
     WAITING = 0
     CONTENDING = 1
     ACTIVE = 2
 
-    def __init__(self, alloc: SSAllocation, station: StationState):
+    def __init__(
+        self, alloc: SSAllocation, station: StationState, s_total: int, p_total: int
+    ):
         self.alloc = alloc
         self.station = station
+        self.s_total = s_total
+        self.p_total = p_total
         self.phase = _Candidate.WAITING
         self.stage = 0
         self.bc = 0
@@ -236,6 +253,13 @@ class _Engine:
             s.bc = self.global_rng.randbelow(mac.cw_schedule[0])
         self.station_by_link = {s.link: s for s in self.stations}
         self.tallies = {s.link: LinkTally() for s in self.stations}
+        # summed modulation totals of successful frames, per link
+        self.p_totals = {link: 0 for link in self.tallies}
+        self.s_totals = {link: 0 for link in self.tallies}
+        self.full_totals: Dict[Tuple[DirectedLink, int], int] = {}
+        self.plans: Dict[Tuple[DirectedLink, int], Tuple[tuple, ...]] = {}
+        self.slot_count = deployment.slot_count
+        self.slot_width = mac.ac_cycle_us / self.slot_count
         self.events: Optional[List[SimEvent]] = [] if collect_events else None
         self.t = 0.0
         self.idle_us = 0.0
@@ -283,7 +307,6 @@ class _Engine:
             s.stage = min(s.stage + 1, len(self.mac.cw_schedule) - 1)
             s.bc = self.global_rng.randbelow(self.mac.cw_schedule[s.stage])
             s.dc = self.mac.dc_schedule[s.stage]
-            s.mode = MODE_GLOBAL
             self._emit(
                 time_us=busy_until, event=EVENT_STAGE_ADVANCE, node=s.node,
                 link=s.link, stage=s.stage, bc=s.bc, dc=s.dc,
@@ -292,16 +315,44 @@ class _Engine:
         self.t = busy_until
 
     def _ac_slot(self, now: float) -> int:
-        width = self.mac.ac_cycle_us / self.deployment.slot_count
-        k = 1 + int((now % self.mac.ac_cycle_us) / width)
-        return min(k, self.deployment.slot_count)
+        k = 1 + int((now % self.mac.ac_cycle_us) / self.slot_width)
+        return min(k, self.slot_count)
+
+    def _full_total(self, link: DirectedLink, k: int) -> int:
+        key = (link, k)
+        total = self.full_totals.get(key)
+        if total is None:
+            total = modulation_total(self.deployment.links[link], k, _ALL_SUBCARRIERS)
+            self.full_totals[key] = total
+        return total
+
+    def _window_plan(self, p_link: DirectedLink, k: int) -> Tuple[tuple, ...]:
+        """(alloc, station, s_total, p_total) per flow-backed candidate."""
+        plan = self.plans.get((p_link, k))
+        if plan is None:
+            allocations = self.table.candidates(p_link, k)
+            if self.policy is not None:
+                allocations = allocations[: self.policy.top_m]
+            p_map = self.deployment.links[p_link]
+            p_full = self._full_total(p_link, k)
+            entries = []
+            for alloc in allocations:
+                station = self.station_by_link.get(alloc.secondary)
+                if station is None:  # only flow-backed candidates can engage
+                    continue
+                s_total = modulation_total(
+                    self.deployment.links[alloc.secondary], k, alloc.shared_indices
+                )
+                p_shared = modulation_total(p_map, k, set(alloc.shared_indices))
+                entries.append((alloc, station, s_total, p_full - p_shared))
+            plan = self.plans[(p_link, k)] = tuple(entries)
+        return plan
 
     # -- window handlers ---------------------------------------------------
 
     def _collision_window(self, ready: List[StationState]) -> None:
         start = self.t
         for s in sorted(ready, key=lambda s: s.node):
-            s.mode = MODE_PRIMARY_ACTIVE
             self._emit(
                 time_us=start, event=EVENT_TX_START, node=s.node, link=s.link,
                 role=ROLE_PRIMARY, stage=s.stage, bc=s.bc, dc=s.dc,
@@ -322,27 +373,18 @@ class _Engine:
             self._emit(time_us=start, event=EVENT_REEVAL_START)
         ss_on = self.table is not None and not reeval
 
-        tx.mode = MODE_PRIMARY_ACTIVE
         self._emit(
             time_us=start, event=EVENT_TX_START, node=tx.node, link=p_link,
             role=ROLE_PRIMARY, stage=tx.stage, bc=tx.bc, dc=tx.dc,
         )
         self._sense_busy([tx], start)
 
-        candidates: List[_Candidate] = []
-        if ss_on:
-            allocations = self.table.candidates(p_link, k)
-            if self.policy is not None:
-                allocations = allocations[: self.policy.top_m]
-            for alloc in allocations:
-                station = self.station_by_link.get(alloc.secondary)
-                if station is not None:  # only flow-backed candidates can engage
-                    cand = _Candidate(alloc, station)
-                    station.mode = MODE_SECONDARY_CANDIDATE
-                    candidates.append(cand)
+        candidates: List[_Candidate] = (
+            [_Candidate(*entry) for entry in self._window_plan(p_link, k)]
+            if ss_on else []
+        )
 
         engaged: Optional[_Candidate] = None
-        shared_union: set = set()
         aborted = False
         slot_us = mac.slot_duration_us
         wait = mac.rank_wait_slots_per_rank
@@ -363,8 +405,6 @@ class _Engine:
                         key=lambda c: (c.alloc.secondary.tx, c.alloc.secondary.rx),
                     )
                     engaged.phase = _Candidate.ACTIVE
-                    engaged.station.mode = MODE_SECONDARY_ACTIVE
-                    shared_union.update(engaged.alloc.shared_indices)
                     self._emit(
                         time_us=boundary, event=EVENT_SS_ENGAGE,
                         node=engaged.station.node, link=engaged.alloc.secondary,
@@ -376,7 +416,6 @@ class _Engine:
                             c.stage = 0
                             c.bc = self.secondary_rng.randbelow(mac.cw_schedule[0])
                             c.dc = mac.dc_schedule[0]
-                            c.station.mode = MODE_SECONDARY_CONTENDING
                 else:
                     for c in candidates:
                         if c.phase == _Candidate.CONTENDING and c.bc > 0:
@@ -391,13 +430,10 @@ class _Engine:
                         role=ROLE_SECONDARY,
                     )
                 for s in sorted(bargers, key=lambda s: s.node):
-                    s.mode = MODE_PRIMARY_ACTIVE
                     self._emit(
                         time_us=boundary, event=EVENT_TX_START, node=s.node,
                         link=s.link, role=ROLE_PRIMARY, stage=s.stage, bc=s.bc, dc=s.dc,
                     )
-                for c in candidates:
-                    c.station.mode = MODE_GLOBAL
                 self._finish_collision(
                     [tx] + bargers, start, boundary + mac.collision_duration_us
                 )
@@ -414,38 +450,27 @@ class _Engine:
 
         if engaged is not None:
             s_link = engaged.alloc.secondary
-            s_sf = spectrum_fraction(
-                self.deployment.links[s_link], k, engaged.alloc.shared_indices
-            )
-            tally = self.tallies[s_link]
-            tally.successes_secondary += 1
-            tally.sf_secondary += s_sf
+            self.tallies[s_link].successes_secondary += 1
+            self.s_totals[s_link] += engaged.s_total
             self._emit(
                 time_us=end, event=EVENT_TX_END_SUCCESS, node=engaged.station.node,
-                link=s_link, role=ROLE_SECONDARY, spectrum_fraction=float(s_sf),
+                link=s_link, role=ROLE_SECONDARY,
+                spectrum_fraction=engaged.s_total / MAX_MODULATION_TOTAL,
             )
-        for c in candidates:
-            c.station.mode = MODE_GLOBAL
-
-        p_active = (
-            _ALL_SUBCARRIERS
-            if not shared_union
-            else [j for j in _ALL_SUBCARRIERS if j not in shared_union]
-        )
-        p_sf = spectrum_fraction(self.deployment.links[p_link], k, p_active)
-        tally = self.tallies[p_link]
-        tally.successes_primary += 1
-        tally.sf_primary += p_sf
+            p_total = engaged.p_total
+        else:
+            p_total = self._full_total(p_link, k)
+        self.tallies[p_link].successes_primary += 1
+        self.p_totals[p_link] += p_total
         # saturated: the transmitter resets to stage 0 and redraws for the
         # next frame at the moment its transmission completes
         tx.stage = 0
         tx.bc = self.global_rng.randbelow(mac.cw_schedule[0])
         tx.dc = mac.dc_schedule[0]
-        tx.mode = MODE_GLOBAL
         self._emit(
             time_us=end, event=EVENT_TX_END_SUCCESS, node=tx.node, link=p_link,
             role=ROLE_PRIMARY, stage=tx.stage, bc=tx.bc, dc=tx.dc,
-            spectrum_fraction=float(p_sf),
+            spectrum_fraction=p_total / MAX_MODULATION_TOTAL,
         )
         if reeval:
             self._emit(time_us=end, event=EVENT_REEVAL_END)
@@ -467,6 +492,9 @@ class _Engine:
                 self._success_window(ready[0])
             else:
                 self._collision_window(ready)
+        for link, tally in self.tallies.items():
+            tally.sf_primary = Fraction(self.p_totals[link], MAX_MODULATION_TOTAL)
+            tally.sf_secondary = Fraction(self.s_totals[link], MAX_MODULATION_TOTAL)
         return SimReportRaw(
             tallies=self.tallies,
             total_sim_time_us=self.t,

@@ -175,11 +175,10 @@ def asymmetry(t_ab: Tonemap, t_ba: Tonemap) -> Fraction:
     return Fraction(total, t_ab.slot_count)
 
 
-def spectrum_fraction(t: Tonemap, slot_index: int, active_subcarriers) -> Fraction:
-    """Fraction of the maximum modulation total carried by ``active_subcarriers``.
+def modulation_total(t: Tonemap, slot_index: int, active_subcarriers) -> int:
+    """Summed modulation of ``active_subcarriers`` (1-based) in one slot.
 
-    ``active_subcarriers`` is any iterable of 1-based indices; the result is
-    exact (a Fraction in [0, 1]) so that disjoint index sets add exactly.
+    Raises ValueError for an index outside 1..917.
     """
     slot = t.slot(slot_index)
     total = 0
@@ -187,4 +186,15 @@ def spectrum_fraction(t: Tonemap, slot_index: int, active_subcarriers) -> Fracti
         if not 1 <= j <= SUBCARRIER_COUNT:
             raise ValueError(f"subcarrier index {j} out of range 1..{SUBCARRIER_COUNT}")
         total += slot[j - 1]
-    return Fraction(total, MAX_MODULATION_TOTAL)
+    return total
+
+
+def spectrum_fraction(t: Tonemap, slot_index: int, active_subcarriers) -> Fraction:
+    """Fraction of the maximum modulation total carried by ``active_subcarriers``.
+
+    ``active_subcarriers`` is any iterable of 1-based indices; the result is
+    exact (a Fraction in [0, 1]) so that disjoint index sets add exactly.
+    """
+    return Fraction(
+        modulation_total(t, slot_index, active_subcarriers), MAX_MODULATION_TOTAL
+    )

@@ -137,9 +137,18 @@ class GeneratorProfile:
             )
 
 
+def _nearest_legal(value) -> int:
+    return min(LEGAL_MODULATIONS, key=lambda lv: (abs(lv - value), lv))
+
+
+# _nearest_legal of the integers 0..10, the generator's hot inputs
+_SNAPPED = {v: _nearest_legal(v) for v in range(MAX_MODULATION + 1)}
+
+
 def snap_legal(value) -> int:
     """Nearest HPAV-legal modulation level; ties resolve to the lower level."""
-    return min(LEGAL_MODULATIONS, key=lambda lv: (abs(lv - value), lv))
+    snapped = _SNAPPED.get(value)
+    return _nearest_legal(value) if snapped is None else snapped
 
 
 def _ladder_shift(value: int, steps: int) -> int:

@@ -1,6 +1,17 @@
+from collections import defaultdict
+from fractions import Fraction
+
 import pytest
 
-from hpavsim import Deployment, DirectedLink, Tonemap
+from hpavsim import Deployment, DirectedLink, Tonemap, spectrum_fraction
+from hpavsim.macsim import (
+    EVENT_SS_ABORT,
+    EVENT_SS_ENGAGE,
+    EVENT_TX_END_SUCCESS,
+    EVENT_TX_START,
+    ROLE_PRIMARY,
+    ROLE_SECONDARY,
+)
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
 
@@ -60,6 +71,64 @@ def tables_equal(table, oracle):
             ):
                 return False
     return True
+
+
+def rebuild_spectrum_tallies(report, deployment, table, mac, policy):
+    """Independent replay of a run's spectrum accounting from its event log.
+
+    Every success frame's fraction is recomputed with ``spectrum_fraction``:
+    an engaged secondary over its allocation's shared indices, the primary
+    over the complement of them found by set difference (the full slot when
+    nothing engaged). The window's AC slot comes from the primary's
+    ``tx_start`` time; an engaged secondary must be among the window's first
+    ``policy.top_m`` table candidates (all of them with ``policy`` None).
+    Also checks each success event's ``spectrum_fraction`` against its frame.
+    Returns {link: (sf_primary, sf_secondary)} for links with any spectrum.
+    """
+    width = mac.ac_cycle_us / deployment.slot_count
+    sf_primary = defaultdict(Fraction)
+    sf_secondary = defaultdict(Fraction)
+    window = None
+    engaged = None
+    for e in report.events:
+        if e.event == EVENT_TX_START and e.role == ROLE_PRIMARY:
+            k = min(1 + int((e.time_us % mac.ac_cycle_us) / width), deployment.slot_count)
+            window = (e.link, k)
+            engaged = None
+        elif e.event == EVENT_SS_ENGAGE:
+            candidates = table.candidates(*window)
+            if policy is not None:
+                candidates = candidates[: policy.top_m]
+            engaged = next(a for a in candidates if a.secondary == e.link)
+        elif e.event == EVENT_SS_ABORT:
+            engaged = None
+        elif e.event == EVENT_TX_END_SUCCESS:
+            link, k = window
+            if e.role == ROLE_SECONDARY:
+                assert e.link == engaged.secondary
+                sf = spectrum_fraction(deployment.links[e.link], k, engaged.shared_indices)
+                sf_secondary[e.link] += sf
+            else:
+                assert e.link == link
+                shared = set(engaged.shared_indices) if engaged is not None else set()
+                active = [j for j in range(1, SUBCARRIER_COUNT + 1) if j not in shared]
+                sf = spectrum_fraction(deployment.links[link], k, active)
+                sf_primary[link] += sf
+            assert e.spectrum_fraction == float(sf)
+    return {
+        link: (sf_primary[link], sf_secondary[link])
+        for link in set(sf_primary) | set(sf_secondary)
+        if sf_primary[link] or sf_secondary[link]
+    }
+
+
+def report_spectrum_tallies(report):
+    """{link: (sf_primary, sf_secondary)} for links that carried any spectrum."""
+    return {
+        link: (t.sf_primary, t.sf_secondary)
+        for link, t in report.tallies.items()
+        if t.sf_primary or t.sf_secondary
+    }
 
 
 @pytest.fixture

@@ -27,8 +27,14 @@ from hpavsim.macsim import (
     SimReportRaw,
 )
 from hpavsim.rng import SplitMix64
+from hpavsim.sharing import SSAllocation, SSDecisionTable
 
-from conftest import CORPUS_FLOWS, CORPUS_PROFILE_KW
+from conftest import (
+    CORPUS_FLOWS,
+    CORPUS_PROFILE_KW,
+    rebuild_spectrum_tallies,
+    report_spectrum_tallies,
+)
 
 
 MAC = MacParams()
@@ -356,6 +362,81 @@ class TestReevaluation:
                 )
                 checked += 1
         assert checked > 0
+
+
+class TestSpectrumAccounting:
+    """Tallies equal a replay of the event log through spectrum_fraction."""
+
+    def check(self, dep, table, mac, policy, flows, duration_us, seed):
+        report = run_simulation(
+            dep, table, mac, policy, flows, duration_us, seed, collect_events=True
+        )
+        rebuilt = rebuild_spectrum_tallies(report, dep, table, mac, policy)
+        assert rebuilt == report_spectrum_tallies(report)
+        return report
+
+    @staticmethod
+    def count(report, event):
+        return sum(1 for e in report.events if e.event == event)
+
+    def test_ss_on_with_engagements(self):
+        dep, table, policy = ss_scenario(seed=4)
+        report = self.check(dep, table, MAC, policy, list(CORPUS_FLOWS), 400_000, 4)
+        assert self.count(report, EVENT_SS_ENGAGE) > 0
+        assert all(
+            isinstance(t.sf_primary, Fraction) for t in report.tallies.values()
+        )
+
+    def test_ss_off(self):
+        dep = complementary_corpus(2)
+        self.check(dep, None, MAC, None, list(CORPUS_FLOWS), 300_000, 2)
+
+    def test_dense_ring_with_aborts_barges_and_reevaluation(self):
+        dep = generate_deployment(8, GeneratorProfile(
+            "complementary", base_quality=6, asymmetry_noise=2, seed=3))
+        policy = SSPolicy(beta=2, top_m=2)
+        table = build_decision_table(dep, policy)
+        ring = [DirectedLink(f"n{i}", f"n{i % 8 + 1}") for i in range(1, 9)]
+        mac = MacParams(reeval_period_us=100_000.0)
+        report = self.check(dep, table, mac, policy, ring, 300_000, 3)
+        assert self.count(report, EVENT_SS_ABORT) > 0
+        assert self.count(report, EVENT_TX_END_COLLISION) > 0
+        assert self.count(report, EVENT_REEVAL_START) > 0
+
+    def test_reeval_period(self):
+        dep, table, policy = ss_scenario(seed=2)
+        mac = MacParams(reeval_period_us=50_000.0)
+        report = self.check(dep, table, mac, policy, list(CORPUS_FLOWS), 400_000, 2)
+        assert self.count(report, EVENT_REEVAL_START) >= 7
+
+    def test_run_top_m_below_table_top_m(self):
+        dep, table, _ = ss_scenario(seed=1, top_m=2)
+        assert max(len(c) for c in table.entries.values()) == 2
+        run_policy = SSPolicy(beta=2, top_m=1)
+        report = self.check(dep, table, MAC, run_policy, list(CORPUS_FLOWS), 300_000, 1)
+        assert self.count(report, EVENT_SS_ENGAGE) > 0
+
+    def test_candidates_without_flows(self):
+        dep, table, policy = ss_scenario(seed=1)
+        flows = [DirectedLink("n1", "n3"), DirectedLink("n2", "n4")]
+        assert any(
+            alloc.secondary not in flows
+            for (primary, _), cands in table.entries.items() if primary in flows
+            for alloc in cands
+        )
+        report = self.check(dep, table, MAC, policy, flows, 300_000, 1)
+        assert self.count(report, EVENT_SS_ENGAGE) > 0
+
+    @pytest.mark.parametrize("bad_index", [0, 918])
+    def test_allocation_index_out_of_range(self, bad_index):
+        dep = complementary_corpus(1)
+        primary, secondary = DirectedLink("n1", "n3"), DirectedLink("n2", "n4")
+        alloc = SSAllocation(primary, secondary, 1, (5, bad_index), gain=1, rank=1)
+        table = SSDecisionTable(
+            {(primary, k): (alloc,) for k in range(1, dep.slot_count + 1)}
+        )
+        with pytest.raises(ValueError, match="out of range"):
+            run_simulation(dep, table, MAC, None, [primary, secondary], 100_000, 1)
 
 
 class TestNormalizedThroughput:

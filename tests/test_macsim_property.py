@@ -1,0 +1,77 @@
+"""Property test: MAC runs conserve time, repeat exactly, and tally spectrum
+as the event-log replay in ``conftest.rebuild_spectrum_tallies`` does."""
+
+import math
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hpavsim import (
+    Deployment, DirectedLink, MacParams, SSPolicy, Tonemap, build_decision_table,
+    event_log_csv, run_simulation,
+)
+from hpavsim.tonemap import SUBCARRIER_COUNT
+
+from conftest import rebuild_spectrum_tallies, report_spectrum_tallies
+
+
+@st.composite
+def scenarios(draw):
+    """A 4- or 5-node deployment (each link drawing its subcarriers from its
+    own small palette of levels), at most one flow per transmitter, and the
+    SS knobs."""
+    nodes = tuple(f"n{i}" for i in range(1, draw(st.integers(4, 5)) + 1))
+    links = [DirectedLink(tx, rx) for tx in nodes for rx in nodes if tx != rx]
+    slot_count = draw(st.integers(1, 3))
+    palettes = draw(
+        st.lists(
+            st.lists(st.integers(0, 10), min_size=1, max_size=4),
+            min_size=len(links),
+            max_size=len(links),
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dep = Deployment(nodes, {
+        link: Tonemap(
+            [rng.choices(palette, k=SUBCARRIER_COUNT) for _ in range(slot_count)]
+        )
+        for link, palette in zip(links, palettes)
+    })
+    # per transmitter: no flow, or a flow to one of the other nodes
+    targets = draw(
+        st.lists(st.integers(0, len(nodes) - 1), min_size=len(nodes), max_size=len(nodes))
+    )
+    flows = [
+        DirectedLink(tx, [n for n in nodes if n != tx][t - 1])
+        for tx, t in zip(nodes, targets) if t > 0
+    ]
+    if not flows:
+        flows = [DirectedLink(nodes[0], nodes[1])]
+    table_policy = SSPolicy(beta=draw(st.integers(0, 6)), top_m=draw(st.integers(1, 3)))
+    run_policy = draw(st.one_of(
+        st.none(), st.builds(SSPolicy, beta=st.just(0), top_m=st.integers(1, 3))
+    ))
+    reeval = draw(st.one_of(st.none(), st.sampled_from([20_000.0, 50_000.0])))
+    return dep, flows, table_policy, run_policy, MacParams(reeval_period_us=reeval)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1))
+def test_run_invariants(scenario, seed):
+    dep, flows, table_policy, run_policy, mac = scenario
+    table = build_decision_table(dep, table_policy)
+    for t, policy in ((None, None), (table, run_policy)):
+        args = (dep, t, mac, policy, flows, 120_000, seed)
+        report = run_simulation(*args, collect_events=True)
+        # float µs accumulate in different orders, so equal up to rounding
+        assert math.isclose(
+            report.idle_us + report.busy_us, report.total_sim_time_us, rel_tol=1e-9
+        )
+        again = run_simulation(*args, collect_events=True)
+        assert again.tallies == report.tallies
+        assert event_log_csv(again) == event_log_csv(report)
+        assert (
+            rebuild_spectrum_tallies(report, dep, t, mac, policy)
+            == report_spectrum_tallies(report)
+        )

@@ -1,0 +1,53 @@
+"""Pinned SplitMix64 outputs: the stream every trace and run depends on."""
+
+import pytest
+
+from hpavsim.rng import SplitMix64
+
+# (seed, stream) -> first 8 next_u64 words. Seed 0, stream 0 starts the state
+# at 0, so its words are the reference splitmix64 sequence for seed 0.
+FIRST_WORDS = {
+    (0, 0): [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+        0xF88BB8A8724C81EC, 0x1B39896A51A8749B, 0x53CB9F0C747EA2EA,
+        0x2C829ABE1F4532E1, 0xC584133AC916AB3C,
+    ],
+    (42, 0): [
+        0x989B3F130A063869, 0x290DB4BF2570DED7, 0x2A990BE63A01B2D5,
+        0x0C4B6B24EF01890E, 0xFB16A06E52EC10A7, 0x3C30FC5FD50692C3,
+        0x4782C4B4C4FDF7C9, 0x272404A0A3926552,
+    ],
+    (2**64 + 7, 3): [
+        0x18E67AD713B9AE26, 0xBD096DE231226E57, 0x925BA0DF3F06C898,
+        0x0755FEB103625927, 0x90A0E7A90F2F0A85, 0xBAEC489E69352940,
+        0x3777C91E657F24CA, 0x867B74B79CD8D3F5,
+    ],
+}
+
+BOUNDS = (1, 2, 3, 8, 10, 64, 100, 1000, 2**40 + 1, 7)
+# (seed, stream) -> randbelow(n) for n in BOUNDS, then the next next_u64 word
+DRAWS = {
+    (0, 0): ([0, 1, 0, 7, 1, 60, 67, 166, 950206020873, 6], 9665182471527586683),
+    (42, 0): ([0, 1, 1, 6, 7, 3, 73, 338, 679283657933, 4], 16347796136573169428),
+    (2**64 + 7, 3): ([0, 0, 0, 7, 5, 0, 74, 971, 744401163593, 1], 6815483089125854536),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FIRST_WORDS, key=str))
+def test_first_words_pinned(key):
+    rng = SplitMix64(*key)
+    assert [rng.next_u64() for _ in range(8)] == FIRST_WORDS[key]
+
+
+@pytest.mark.parametrize("key", sorted(DRAWS, key=str))
+def test_randbelow_draws_pinned(key):
+    # rejected draws must advance the state exactly as accepted ones do
+    rng = SplitMix64(*key)
+    draws, next_word = DRAWS[key]
+    assert [rng.randbelow(n) for n in BOUNDS] == draws
+    assert rng.next_u64() == next_word
+
+
+def test_randbelow_rejects_empty_range():
+    with pytest.raises(ValueError):
+        SplitMix64(1).randbelow(0)

@@ -13,7 +13,7 @@ from hpavsim import (
     serialize_trace,
     validate_tonemap,
 )
-from hpavsim.traceio import LEGAL_MODULATIONS, snap_legal
+from hpavsim.traceio import _SNAPPED, LEGAL_MODULATIONS, snap_legal
 
 from conftest import deployment_from_levels
 
@@ -217,6 +217,15 @@ class TestHelpers:
         assert snap_legal(9) == 8
         assert snap_legal(10) == 10
         assert snap_legal(0) == 0
+
+    def test_snap_lookup_matches_nearest_level_rule(self):
+        def nearest_ties_down(v):
+            return min(LEGAL_MODULATIONS, key=lambda lv: (abs(lv - v), lv))
+
+        for v in list(range(11)) + [-3, 12, 5.5]:
+            assert snap_legal(v) == nearest_ties_down(v), v
+        assert sorted(_SNAPPED) == list(range(11))
+        assert (snap_legal(-3), snap_legal(12), snap_legal(5.5)) == (0, 10, 6)
 
     def test_deployment_check_rejects_mixed_slot_counts(self):
         dep = Deployment(
