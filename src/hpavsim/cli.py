@@ -14,15 +14,17 @@ import sys
 from typing import Dict, List, Optional
 
 from .macsim import MacParams, event_log_csv, normalized_throughput, run_simulation
-from .metrics import (
-    asymmetry_distribution,
-    compare_runs,
-    fairness_csv,
-    fairness_report,
-)
+from .metrics import compare_runs, fairness_csv, fairness_report
 from .routing import best_route, build_graph, route_csv
 from .sharing import SSPolicy, build_decision_table
-from .tonemap import DirectedLink, PhyParams, asymmetry, expected_throughput, phy_rate
+from .tonemap import (
+    MAX_MODULATION_TOTAL,
+    DirectedLink,
+    PhyParams,
+    asymmetry,
+    expected_throughput,
+    phy_rate,
+)
 from .traceio import (
     Deployment,
     GeneratorProfile,
@@ -246,7 +248,7 @@ def cmd_generate(args, config) -> int:
 
 
 def cmd_analyze(args, config) -> int:
-    deployment = load_trace(args.trace) if args.trace else _resolve_deployment(args, config)
+    deployment = _resolve_deployment(args, config)
     params = PhyParams()
     slot_count = deployment.slot_count
     header = ["link_tx", "link_rx", "expected_throughput_bps"] + [
@@ -261,11 +263,12 @@ def cmd_analyze(args, config) -> int:
     _write(_pick(args, config, "out", str), "\n".join(lines) + "\n")
 
     pairs = sorted({tuple(sorted((l.tx, l.rx))) for l in deployment.links})
-    normalized = asymmetry_distribution(deployment)
     asym_lines = ["node_a,node_b,asymmetry,normalized"]
-    for (a, b), norm in zip(pairs, normalized):
+    for a, b in pairs:
         value = asymmetry(deployment.links[DirectedLink(a, b)],
                           deployment.links[DirectedLink(b, a)])
+        # the normalized column is metrics.asymmetry_distribution's expression
+        norm = float(value / MAX_MODULATION_TOTAL)
         asym_lines.append(f"{a},{b},{float(value)!r},{norm!r}")
     _write(args.asym_out, "\n".join(asym_lines) + "\n")
     return EXIT_OK
@@ -360,7 +363,7 @@ def cmd_sweep(args, config) -> int:
 def cmd_route(args, config) -> int:
     if args.src == args.dst:
         raise _UsageError("--src and --dst must differ")
-    deployment = load_trace(args.trace) if args.trace else _resolve_deployment(args, config)
+    deployment = _resolve_deployment(args, config)
     graph = build_graph(deployment, PhyParams(), args.min_rate)
     for name in (args.src, args.dst):
         if name not in graph.nodes:

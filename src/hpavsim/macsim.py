@@ -61,7 +61,7 @@ contention), stations are processed in node-identifier order everywhere, and
 simultaneous events are emitted in that same order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -137,10 +137,10 @@ class StationState:
     stage: int = 0
     bc: int = 0
     dc: int = 0
+    link: DirectedLink = field(init=False)  # node -> target, built once
 
-    @property
-    def link(self) -> DirectedLink:
-        return DirectedLink(self.node, self.target)
+    def __post_init__(self):
+        self.link = DirectedLink(self.node, self.target)
 
 
 @dataclass
@@ -524,7 +524,10 @@ def run_simulation(
     A window that starts before ``duration_us`` runs to completion, so
     ``total_sim_time_us`` in the report may exceed the request by up to one
     busy period; all throughput figures normalize by the actual total.
+
+    Raises ValueError if the deployment fails ``Deployment.check()``.
     """
+    deployment.check()
     return _Engine(
         deployment, table, mac, policy, flows, duration_us, seed, collect_events
     ).run()

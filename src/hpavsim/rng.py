@@ -10,6 +10,12 @@ the ordinal of a directed link) so generation order never matters.
 Name/version recorded in trace metadata: ``splitmix64`` / ``1``.
 """
 
+import sys
+from array import array
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate, compress
+
 ALGORITHM_NAME = "splitmix64"
 ALGORITHM_VERSION = "1"
 
@@ -27,6 +33,21 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# most words randbelow_many mixes in one batch
+_BATCH = 2048
+
+
+@lru_cache(maxsize=1)
+def _lane_constants():
+    """``(ones, steps)`` over _BATCH 128-bit lanes: lane i holds 1 in ``ones``
+    and (i + 1) * gamma mod 2^64 in ``steps``."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _BATCH, "little")
+    steps = b"".join(
+        ((i * _GAMMA) & _MASK64).to_bytes(16, "little") for i in range(1, _BATCH + 1)
+    )
+    return ones, int.from_bytes(steps, "little")
+
+
 class SplitMix64:
     """One deterministic stream of 64-bit words.
 
@@ -40,8 +61,8 @@ class SplitMix64:
         # mix, nearby (seed, stream) pairs would start on overlapping walks.
         self._state = _mix64((seed & _MASK64) ^ _mix64((stream * _GAMMA) & _MASK64))
 
-    # next_u64 and randbelow inline _mix64: they are the simulator's and the
-    # generator's hottest calls, and the state is already a 64-bit word.
+    # next_u64 and randbelow inline _mix64: they are the simulator's hottest
+    # calls, and the state is already a 64-bit word.
 
     def next_u64(self) -> int:
         z = self._state = (self._state + _GAMMA) & _MASK64
@@ -66,8 +87,45 @@ class SplitMix64:
                 self._state = z
                 return v
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], inclusive."""
-        if hi < lo:
-            raise ValueError("randint() requires lo <= hi")
-        return lo + self.randbelow(hi - lo + 1)
+    def randbelow_many(self, n: int, count: int) -> list:
+        """``count`` successive ``randbelow(n)`` draws, leaving the state where
+        those calls would.
+
+        The next counter states are mixed a batch at a time, each word in its
+        own 128-bit lane of one int: a few big-int operations per batch in
+        place of a dozen int operations per word. A 64-bit word times a 64-bit
+        constant fits in its lane, and every shift is masked back to 64 bits
+        before the next multiply, so no lane disturbs another.
+        """
+        if n <= 0:
+            raise ValueError("randbelow() requires n >= 1")
+        if n == 1:
+            return [0] * count
+        bound = min(n, 1 << 64)  # words are 64-bit: a larger n rejects none
+        mask = (1 << (bound - 1).bit_length()) - 1
+        all_ones, all_steps = _lane_constants()
+        z = self._state
+        draws = []
+        while len(draws) < count:
+            need = count - len(draws)
+            # the expected number of words for `need` draws, and a few spare
+            lanes = min(_BATCH, need * (mask + 1) // bound + 16)
+            keep = (1 << (128 * lanes)) - 1
+            ones = all_ones & keep
+            low64 = ones * _MASK64
+            w = (z * ones + (all_steps & keep)) & low64  # lane i: z + (i+1) gamma
+            w = (((w ^ (w >> 30)) & low64) * _MIX1) & low64
+            w = (((w ^ (w >> 27)) & low64) * _MIX2) & low64
+            w = (w ^ (w >> 31)) & (ones * mask)
+            # bit 64 of a lane of w + (2^64 - bound) is set iff its word is rejected
+            rejected = ((w + ones * ((1 << 64) - bound)) >> 64) & ones
+            accepted = (rejected ^ ones).to_bytes(16 * lanes, "little")[::16]
+            words = array("Q", w.to_bytes(16 * lanes, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            ranks = list(accumulate(accepted))
+            used = bisect_left(ranks, need) + 1 if ranks[-1] >= need else lanes
+            draws += compress(words[: 2 * used : 2], accepted)
+            z = (z + used * _GAMMA) & _MASK64
+        self._state = z
+        return draws

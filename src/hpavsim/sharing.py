@@ -28,11 +28,9 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .tonemap import MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink
+from .tonemap import MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink, is_valid_slot
 from .traceio import Deployment
 
-# the valid modulation bytes 0..10
-_LEVELS = bytes(range(MAX_MODULATION + 1))
 # _LEVEL_BITS[v] translates a modulation byte to b"1" if it equals v, else b"0"
 _LEVEL_BITS = tuple(
     bytes(0x31 if b == v else 0x30 for b in range(256))
@@ -131,7 +129,7 @@ def gain(primary_map: Sequence[int], secondary_map: Sequence[int], indices) -> i
     return total
 
 
-def _slot_masks(link: DirectedLink, k: int, vec: Sequence[int]):
+def _slot_masks(link: DirectedLink, k: int, vec: bytes):
     """Level masks of one tonemap slot; bit ``j - 1`` stands for subcarrier ``j``.
 
     Returns ``(eq, ge, levels)``: ``eq[v]`` marks the subcarriers at level
@@ -140,16 +138,12 @@ def _slot_masks(link: DirectedLink, k: int, vec: Sequence[int]):
     ``sum(v * (m & x).bit_count() for v, m in levels)`` is the modulation
     total over the subcarriers in ``x``.
     """
-    try:
-        raw = bytes(vec)
-    except (TypeError, ValueError):
-        raw = b""
-    if len(raw) != SUBCARRIER_COUNT or raw.translate(None, _LEVELS):
+    if not is_valid_slot(vec):
         raise ValueError(
             f"link {link} slot {k}: expected {SUBCARRIER_COUNT} modulation "
             f"values in 0..{MAX_MODULATION}"
         )
-    raw = raw[::-1]  # subcarrier 1 becomes the last, least significant, digit
+    raw = vec[::-1]  # subcarrier 1 becomes the last, least significant, digit
     eq = [int(raw.translate(table), 2) for table in _LEVEL_BITS]
     ge = [0] * (MAX_MODULATION + 2)
     for v in range(MAX_MODULATION, -1, -1):

@@ -14,11 +14,19 @@ is a function of tonemaps:
 All operations are pure; all types are immutable after construction.
 Subcarrier and slot indices are 1-based in every public signature, matching
 the trace file format.
+
+A slot is stored as a 917-byte ``bytes`` object whenever every value is an
+int in 0..255, which covers every valid map, so that summing, indexing and
+validating a slot run in C. A slot holding anything else (a negative
+value, 256 or more, a float) stays a tuple, so that malformed maps can still
+be built and :func:`validate_tonemap` can report on them. Two tonemaps are
+equal, and hash equal, exactly when their slots hold the same int values.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from operator import sub
+from typing import Iterable, Optional, Union
 
 SUBCARRIER_COUNT = 917
 MAX_MODULATION = 10
@@ -30,27 +38,34 @@ DEFAULT_SLOT_COUNT = 5
 
 FEC_RATES = (Fraction(1, 2), Fraction(16, 21))
 
+# the valid modulation values 0..10, as bytes
+_LEVELS = bytes(range(MAX_MODULATION + 1))
+
 
 @dataclass(frozen=True)
 class Tonemap:
     """Per-subcarrier modulation map for one directed link.
 
     ``slots[k-1][j-1]`` is the modulation of subcarrier ``j`` during AC-cycle
-    sub-interval ``k``. Construction does not validate (so malformed maps can
-    be represented and reported on); use :func:`validate_tonemap`.
+    sub-interval ``k``. A slot is ``bytes`` when all its values are ints in
+    0..255 and a tuple otherwise, whatever sequence it was built from; maps
+    built from a list, tuple, ``bytes`` or ``bytearray`` of the same ints
+    are therefore equal, while a map with a float entry equals no int map.
+    Construction does not validate (so malformed maps can be represented and
+    reported on); use :func:`validate_tonemap`.
     """
 
     slots: tuple
 
     def __init__(self, slots: Iterable[Iterable[int]]):
-        object.__setattr__(self, "slots", tuple(tuple(s) for s in slots))
+        object.__setattr__(self, "slots", tuple(map(_as_slot, slots)))
 
     @property
     def slot_count(self) -> int:
         return len(self.slots)
 
-    def slot(self, k: int) -> tuple:
-        """Modulation vector of 1-based slot ``k``."""
+    def slot(self, k: int) -> Union[bytes, tuple]:
+        """Modulation vector of 1-based slot ``k``: ``bytes`` for a valid map."""
         if not 1 <= k <= len(self.slots):
             raise ValueError(f"slot index {k} out of range 1..{len(self.slots)}")
         return self.slots[k - 1]
@@ -63,6 +78,16 @@ class Tonemap:
     def __repr__(self) -> str:
         # the full 917-wide vectors are useless in tracebacks
         return f"Tonemap(slot_count={len(self.slots)})"
+
+
+def _as_slot(values) -> Union[bytes, tuple]:
+    """``values`` as bytes if every entry is an int in 0..255, else as a tuple."""
+    if not isinstance(values, (bytes, bytearray)):
+        values = tuple(values)
+    try:
+        return bytes(values)
+    except (TypeError, ValueError):
+        return values
 
 
 @dataclass(frozen=True, order=True)
@@ -111,11 +136,24 @@ class PhyParams:
             raise ValueError("protocol_overhead must be in [0, 1)")
 
 
+def is_valid_slot(slot) -> bool:
+    """True if ``slot`` holds 917 modulation values in 0..10.
+
+    Only a ``bytes`` slot can: a Tonemap keeps a tuple only for non-byte values.
+    """
+    return (
+        isinstance(slot, bytes)
+        and len(slot) == SUBCARRIER_COUNT
+        and not slot.translate(None, _LEVELS)
+    )
+
+
 def validate_tonemap(t: Tonemap) -> Optional[str]:
     """Return None if ``t`` satisfies all invariants, else the first violation.
 
     Scan order is: slot count, then per slot the subcarrier count, then each
     modulation value; messages carry the 1-based slot/subcarrier position.
+    A slot is scanned value by value only if it is not valid.
     """
     if not 1 <= t.slot_count <= MAX_SLOT_COUNT:
         return f"slot count {t.slot_count} outside 1..{MAX_SLOT_COUNT}"
@@ -124,6 +162,8 @@ def validate_tonemap(t: Tonemap) -> Optional[str]:
             return (
                 f"subcarrier count {len(slot)} in slot {k}, expected {SUBCARRIER_COUNT}"
             )
+        if is_valid_slot(slot):
+            continue
         for j, v in enumerate(slot, start=1):
             if not isinstance(v, int) or not 0 <= v <= MAX_MODULATION:
                 return (
@@ -171,7 +211,7 @@ def asymmetry(t_ab: Tonemap, t_ba: Tonemap) -> Fraction:
         )
     total = 0
     for slot_ab, slot_ba in zip(t_ab.slots, t_ba.slots):
-        total += sum(abs(a - b) for a, b in zip(slot_ab, slot_ba))
+        total += sum(map(abs, map(sub, slot_ab, slot_ba)))
     return Fraction(total, t_ab.slot_count)
 
 

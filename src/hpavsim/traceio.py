@@ -24,6 +24,8 @@ to the HPAV-legal ladder {0,1,2,3,4,6,8,10}.
 
 import io
 from dataclasses import dataclass
+from itertools import compress, groupby
+from operator import add
 from typing import Dict, Tuple
 
 from .rng import ALGORITHM_NAME, ALGORITHM_VERSION, SplitMix64
@@ -199,7 +201,7 @@ def parse_trace(source) -> Deployment:
     known = set(nodes)
 
     metadata: Dict[str, str] = {}
-    slot_vectors: Dict[Tuple[DirectedLink, int], tuple] = {}
+    slot_vectors: Dict[Tuple[DirectedLink, int], bytes] = {}
     for line_no, line in content[4:]:
         fields = line.split(None, 1)
         if fields[0] == "meta":
@@ -269,12 +271,22 @@ def _parse_header_int(line_no: int, line: str, key: str) -> int:
         raise TraceFormatError(line_no, f"bad integer {parts[1]!r}") from None
 
 
-def _parse_values(line_no: int, values_s: str) -> tuple:
+# canonical decimal text of each valid modulation value 0..10
+_VALUE_OF_TEXT = {str(v): v for v in range(MAX_MODULATION + 1)}
+# modulation byte 0..10 -> one character, "A" standing in for "10"
+_VALUE_CHARS = bytes.maketrans(bytes(range(MAX_MODULATION + 1)), b"0123456789A")
+
+
+def _parse_values(line_no: int, values_s: str) -> bytes:
     tokens = values_s.split(",")
     if len(tokens) != SUBCARRIER_COUNT:
         raise TraceFormatError(
             line_no, f"subcarrier count {len(tokens)}, expected {SUBCARRIER_COUNT}"
         )
+    try:
+        return bytes(map(_VALUE_OF_TEXT.__getitem__, tokens))
+    except KeyError:  # a bad token, or a valid value in non-canonical form
+        pass
     values = []
     for tok in tokens:
         try:
@@ -284,7 +296,7 @@ def _parse_values(line_no: int, values_s: str) -> tuple:
         if not 0 <= v <= MAX_MODULATION:
             raise TraceFormatError(line_no, f"modulation value {v} out of range 0..{MAX_MODULATION}")
         values.append(v)
-    return tuple(values)
+    return bytes(values)
 
 
 def serialize_trace(deployment: Deployment) -> str:
@@ -304,7 +316,8 @@ def serialize_trace(deployment: Deployment) -> str:
     for link in sorted(deployment.links):
         tmap = deployment.links[link]
         for k in range(1, tmap.slot_count + 1):
-            values = ",".join(str(v) for v in tmap.slot(k))
+            chars = tmap.slot(k).translate(_VALUE_CHARS).decode("ascii")
+            values = ",".join(chars).replace("A", "10")
             out.write(f"link {link.tx} {link.rx} {k} {values}\n")
     return out.getvalue()
 
@@ -370,6 +383,7 @@ def generate_deployment(
     hi = snap_legal(min(MAX_MODULATION, profile.base_quality + 4))
     lo = snap_legal(max(0, profile.base_quality - 4))
     half = SUBCARRIER_COUNT // 2  # low band = 1..458, high band = 459..917
+    noise = profile.asymmetry_noise
 
     pair_notches: Dict[tuple, list] = {}
     links: Dict[DirectedLink, Tonemap] = {}
@@ -388,7 +402,7 @@ def generate_deployment(
             shift = 2 if node_index[link.tx] < node_index[link.rx] else -2
             base_row = [_ladder_shift(base, shift)] * SUBCARRIER_COUNT
         else:  # interference-notched
-            if profile.asymmetry_noise > 0:
+            if noise > 0:
                 notches = _draw_notches(rng, profile)
             else:
                 pair = tuple(sorted((link.tx, link.rx)))
@@ -401,24 +415,11 @@ def generate_deployment(
                 for j in range(start, start + width):
                     base_row[j] = 0
 
-        notched = {
-            j
-            for j in range(SUBCARRIER_COUNT)
-            if profile.profile_kind == "interference-notched" and base_row[j] == 0
-        }
-        slots = []
-        for _ in range(slot_count):
-            if profile.asymmetry_noise == 0:
-                slots.append(tuple(base_row))
-                continue
-            row = []
-            for j, b in enumerate(base_row):
-                if j in notched:
-                    row.append(0)
-                    continue
-                delta = rng.randint(-profile.asymmetry_noise, profile.asymmetry_noise)
-                row.append(snap_legal(min(MAX_MODULATION, max(0, b + delta))))
-            slots.append(tuple(row))
+        if noise == 0:
+            slots = [bytes(base_row)] * slot_count
+        else:
+            quiet_zeros = profile.profile_kind == "interference-notched"
+            slots = _noisy_slots(rng, base_row, noise, quiet_zeros, slot_count)
         links[link] = Tonemap(slots)
 
     metadata = {
@@ -434,6 +435,43 @@ def generate_deployment(
     deployment = Deployment(nodes, links, metadata)
     deployment.check()
     return deployment
+
+
+def _noisy_slots(rng: SplitMix64, base_row: list, noise: int, quiet_zeros: bool,
+                 slot_count: int) -> list:
+    """``slot_count`` rows of ``base_row`` (legal levels), each entry moved by a
+    uniform integer in -noise..noise, clamped to 0..10 and snapped to the ladder.
+
+    With ``quiet_zeros`` the zero entries draw nothing and stay 0. Each row
+    takes one batch of draws, in subcarrier order, so the stream is that of
+    one ``randbelow(2 * noise + 1)`` call per drawing entry.
+    """
+    # noisy[b + r] is the row value for base level b and draw r, which moves
+    # the entry by r - noise
+    noisy = [
+        snap_legal(min(MAX_MODULATION, max(0, i - noise)))
+        for i in range(MAX_MODULATION + 2 * noise + 1)
+    ]
+    drawn = [not (quiet_zeros and b == 0) for b in base_row]
+    drawn_base = list(compress(base_row, drawn))
+    runs = []  # maximal [start, end) runs of drawing entries
+    start = 0
+    for is_drawn, group in groupby(drawn):
+        end = start + sum(1 for _ in group)
+        if is_drawn:
+            runs.append((start, end))
+        start = end
+    slots = []
+    for _ in range(slot_count):
+        draws = rng.randbelow_many(2 * noise + 1, len(drawn_base))
+        values = bytes(map(noisy.__getitem__, map(add, drawn_base, draws)))
+        row = bytearray(len(base_row))
+        pos = 0
+        for start, end in runs:
+            row[start:end] = values[pos : pos + end - start]
+            pos += end - start
+        slots.append(row)
+    return slots
 
 
 def _draw_notches(rng: SplitMix64, profile: GeneratorProfile) -> list:

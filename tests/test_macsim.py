@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hpavsim import (
+    Deployment,
     DirectedLink,
     GeneratorProfile,
     MacParams,
@@ -13,6 +14,7 @@ from hpavsim import (
     normalized_throughput,
     run_simulation,
     spectrum_fraction,
+    Tonemap,
 )
 from hpavsim.macsim import (
     EVENT_REEVAL_END,
@@ -152,6 +154,18 @@ class TestBasicContract:
                 dep4, None, MAC, None,
                 [DirectedLink("n1", "n2"), DirectedLink("n1", "n3")], 1000, seed=1,
             )
+
+    def test_invalid_deployment_rejected(self):
+        dep = uniform_two_node()
+        link = DirectedLink("n1", "n2")
+        slots = [list(slot) for slot in dep.links[link].slots]
+        slots[2][10] = 11
+        bad_value = Deployment(dep.nodes, {**dep.links, link: Tonemap(slots)})
+        with pytest.raises(ValueError, match="value 11 at slot 3, subcarrier 11"):
+            run_simulation(bad_value, None, MAC, None, [link], 1000, seed=1)
+        no_reverse = Deployment(dep.nodes, {link: dep.links[link]})
+        with pytest.raises(ValueError, match="no reverse-direction tonemap"):
+            run_simulation(no_reverse, None, MAC, None, [link], 1000, seed=1)
 
     def test_unknown_link_in_throughput(self):
         dep = uniform_two_node()

@@ -48,6 +48,19 @@ def test_randbelow_draws_pinned(key):
     assert rng.next_u64() == next_word
 
 
+# n = 1 never draws; 8 is a power of two; 5 and 2^40 + 1 reject words; a
+# bound above 2^64 accepts every 64-bit word. 5000 draws span several batches.
+@pytest.mark.parametrize("n", [1, 8, 5, 2**40 + 1, 2**64 + 1, 2**70])
+@pytest.mark.parametrize("count", [0, 1, 917, 5000])
+def test_randbelow_many_is_successive_randbelow(n, count):
+    one, many = SplitMix64(42, 3), SplitMix64(42, 3)
+    expected = [one.randbelow(n) for _ in range(count)]
+    assert many.randbelow_many(n, count) == expected
+    assert many.next_u64() == one.next_u64()
+
+
 def test_randbelow_rejects_empty_range():
     with pytest.raises(ValueError):
         SplitMix64(1).randbelow(0)
+    with pytest.raises(ValueError):
+        SplitMix64(1).randbelow_many(0, 3)

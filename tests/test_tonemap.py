@@ -60,6 +60,38 @@ class TestValidate:
         assert "modulation out of range" in validate_tonemap(Tonemap(slots))
 
 
+class TestRepresentation:
+    def test_same_ints_from_any_sequence_equal_and_hash_equal(self):
+        values = [j % 11 for j in range(SUBCARRIER_COUNT)]
+        maps = [
+            Tonemap([values]),
+            Tonemap([tuple(values)]),
+            Tonemap([bytes(values)]),
+            Tonemap([bytearray(values)]),
+            Tonemap(iter([iter(values)])),
+        ]
+        for tmap in maps:
+            assert tmap == maps[0]
+            assert hash(tmap) == hash(maps[0])
+            assert type(tmap.slot(1)) is bytes
+            assert tmap.slot(1) == bytes(values)
+
+    def test_float_entry_map_equals_no_int_map(self):
+        floats = Tonemap([[1.0] * SUBCARRIER_COUNT])
+        assert type(floats.slot(1)) is tuple
+        assert floats != Tonemap.filled(1, slot_count=1)
+
+    @pytest.mark.parametrize("bad", [-1, 11, 256, 1.5])
+    def test_malformed_value_built_and_reported(self, bad):
+        slots = [[4] * SUBCARRIER_COUNT for _ in range(3)]
+        slots[1][99] = bad
+        tmap = Tonemap(slots)
+        assert list(tmap.slot(2)) == slots[1]
+        assert validate_tonemap(tmap) == (
+            f"modulation out of range: value {bad!r} at slot 2, subcarrier 100"
+        )
+
+
 class TestPhyRate:
     def test_full_modulation_reference_point(self):
         # 9170 bits * 16/21 / 46 us

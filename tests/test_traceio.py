@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hpavsim import (
@@ -87,6 +89,31 @@ class TestParse:
         bad = minimal_trace().replace("3,3", "11,3", 1)
         with pytest.raises(TraceFormatError, match="out of range"):
             parse_trace(bad)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("x", "bad modulation value 'x'"),
+            ("-1", "modulation value -1 out of range 0..10"),
+            ("11", "modulation value 11 out of range 0..10"),
+            ("300", "modulation value 300 out of range 0..10"),
+        ],
+    )
+    def test_bad_value_token_named_with_its_line(self, token, message):
+        lines = minimal_trace().splitlines()
+        values = ["3"] * 917
+        values[4] = token
+        lines[7] = "link a b 3 " + ",".join(values)
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace("\n".join(lines) + "\n")
+        assert err.value.line_number == 8
+        assert str(err.value) == f"line 8: {message}"
+
+    def test_non_canonical_integer_tokens_accepted(self):
+        values = ["3"] * 917
+        values[:2] = ["03", "+10"]
+        text = minimal_trace().replace(",".join(["3"] * 917), ",".join(values), 1)
+        assert parse_trace(text).links[DirectedLink("a", "b")].slot(1)[:3] == b"\x03\x0a\x03"
 
     def test_truncated_header(self):
         with pytest.raises(TraceFormatError, match="truncated header"):
@@ -208,6 +235,28 @@ class TestGenerator:
         assert dep.metadata["prng"] == "splitmix64/1"
         assert dep.metadata["seed"] == "31"
         assert dep.metadata["profile"] == "uniform"
+
+
+# sha256 of serialize_trace(generate_deployment(6, profile)), recorded when
+# slots were tuples of ints; the generator and the serializer must keep them.
+TRACE_DIGESTS = {
+    ("uniform", 0): "8cc9cc1ab19f9339cf8f432e16ab8f89590b0dd499c1385fc48b320263eb3238",
+    ("uniform", 2): "e787d2ce23795c6a662fce8fd23f5471bbf46f547b5f0f7bdecc2c3b4559461f",
+    ("complementary", 0): "837a3ddc73124066831c00555968c2d46b0a75a137dd88903bd93ebd7768782e",
+    ("complementary", 2): "aa47b3a89b86e97a4edc8253b0c2f5099ef3fcc473eb54727afb1d542a7963b2",
+    ("interference-notched", 0): "cd2321e932bc5310b7ac322e06741b7bf57f9576e7a1d553def2434d6bdce557",
+    ("interference-notched", 2): "adc6cbdc803905d7f4a853d77a0fcd4cd2a6e8f5fab398cf6d7979bcc325ba11",
+    ("asymmetric", 0): "4567ee853d7c94f1802a89b7f64a0f5472b213b4266bb77a6bafa4618d06571e",
+    ("asymmetric", 2): "ea5dc72b3a068c94116955b9c29343c49425978d152739e9b5c5937c4bcb7e80",
+}
+
+
+@pytest.mark.parametrize("kind, noise", sorted(TRACE_DIGESTS))
+def test_generated_trace_bytes_pinned(kind, noise):
+    knobs = {"notch_count": 4, "notch_width": 40} if kind == "interference-notched" else {}
+    profile = GeneratorProfile(kind, base_quality=6, asymmetry_noise=noise, seed=1234, **knobs)
+    text = serialize_trace(generate_deployment(6, profile))
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_DIGESTS[(kind, noise)]
 
 
 class TestHelpers:
