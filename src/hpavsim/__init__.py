@@ -9,7 +9,6 @@ from .macsim import (
     MacParams,
     SimEvent,
     SimReportRaw,
-    StationState,
     event_log_csv,
     normalized_throughput,
     run_simulation,
@@ -65,7 +64,7 @@ __all__ = [
     "load_trace", "parse_trace", "save_trace", "serialize_trace",
     "SSAllocation", "SSDecisionTable", "SSPolicy", "build_decision_table",
     "decision_table_csv", "diff_vector", "eligible_indices", "gain",
-    "MacParams", "SimEvent", "SimReportRaw", "StationState", "event_log_csv",
+    "MacParams", "SimEvent", "SimReportRaw", "event_log_csv",
     "normalized_throughput", "run_simulation",
     "FairnessReport", "GainReport", "asymmetry_distribution", "compare_runs",
     "fairness_report", "fsse", "jain_index", "stability_std",

@@ -193,13 +193,11 @@ def _resolve_profile(args, config) -> GeneratorProfile:
         raise _UsageError(str(exc)) from None
 
 
-def _resolve_deployment(args, config) -> Deployment:
-    trace = getattr(args, "trace", None)
-    if trace:
-        return load_trace(trace)
+def _generate(args, config) -> Deployment:
+    """The synthetic deployment the generator flags describe."""
     n_nodes = _pick(args, config, "nodes", int)
     if n_nodes is None:
-        raise _UsageError("either --trace or --nodes/--profile is required")
+        raise _UsageError("a generator --nodes (or --trace) is required")
     if n_nodes < 2:
         raise _UsageError("--nodes must be >= 2")
     profile = _resolve_profile(args, config)
@@ -208,6 +206,11 @@ def _resolve_deployment(args, config) -> Deployment:
         return generate_deployment(n_nodes, profile, slots)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _resolve_deployment(args, config) -> Deployment:
+    trace = getattr(args, "trace", None)
+    return load_trace(trace) if trace else _generate(args, config)
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -224,17 +227,7 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def cmd_generate(args, config) -> int:
-    n_nodes = _pick(args, config, "nodes", int)
-    if n_nodes is None:
-        raise _UsageError("--nodes is required")
-    if n_nodes < 2:
-        raise _UsageError("--nodes must be >= 2")
-    profile = _resolve_profile(args, config)
-    slots = _pick(args, config, "slots", int, 5)
-    try:
-        deployment = generate_deployment(n_nodes, profile, slots)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    deployment = _generate(args, config)
     out = _pick(args, config, "out", str)
     if out is None:
         raise _UsageError("--out trace path is required")
@@ -335,11 +328,11 @@ def cmd_simulate(args, config) -> int:
 
 def cmd_sweep(args, config) -> int:
     deployment, flows, duration, seed, mac, top_m, share = _scenario(args, config)
-    beta_text = args.beta if args.beta is not None else config.get("beta")
+    beta_text = _pick(args, config, "beta", str)
     if not beta_text:
         raise _UsageError("--beta list is required, e.g. 2,4,6,8")
     try:
-        betas = [int(b) for b in str(beta_text).split(",") if b.strip() != ""]
+        betas = [int(b) for b in beta_text.split(",") if b.strip() != ""]
     except ValueError:
         raise _UsageError(f"bad --beta list {beta_text!r}") from None
     if not betas:

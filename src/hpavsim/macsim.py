@@ -45,15 +45,18 @@ Spectrum accounting
 -------------------
 Tonemaps and table allocations are static within a run, so spectrum is
 counted in integer modulation totals (bits per symbol summed over subcarriers)
-rather than recomputed per frame. Each (primary link, slot) gets a window plan
-the first time an SS window opens for it: its flow-backed candidates (cut to
-policy.top_m), each with the secondary's total over its shared indices and the
-primary's complement total (the primary's full-slot total minus its total over
-those indices). Full-slot totals are cached per (link, slot). A success window
-then adds integers to per-link sums; the run sets each LinkTally's
-sf_primary and sf_secondary once, as Fraction(sum, 9170), which equals the sum
-of the per-frame fractions exactly. An event's spectrum_fraction is the
-frame's total / 9170, the correctly rounded float of that fraction.
+rather than recomputed per frame. At run start each station gets its
+full-slot total per AC slot and, in an SS run, a window plan per AC slot: its
+flow-backed candidates as primary (cut to policy.top_m, in table rank order),
+each with the secondary's total over its shared indices and the primary's
+complement total (its full-slot total minus its total over those indices).
+Building every plan up front validates every allocation used, so an
+out-of-range index raises ValueError before the first window. A success
+window then adds integers to the station's sums; the run sets each
+LinkTally's sf_primary and sf_secondary once, as Fraction(sum, 9170), which
+equals the sum of the per-frame fractions exactly. An event's
+spectrum_fraction is the frame's total / 9170, the correctly rounded float of
+that fraction.
 
 Determinism: a run is a pure function of its arguments. All randomness comes
 from two splitmix64 streams (stream 0: global contention, stream 1: secondary
@@ -69,9 +72,7 @@ import io
 
 from .rng import SplitMix64
 from .sharing import SSAllocation, SSDecisionTable, SSPolicy
-from .tonemap import (
-    MAX_MODULATION_TOTAL, SUBCARRIER_COUNT, DirectedLink, modulation_total,
-)
+from .tonemap import MAX_MODULATION_TOTAL, DirectedLink, modulation_total
 from .traceio import Deployment
 
 EVENT_TX_START = "tx_start"
@@ -85,8 +86,6 @@ EVENT_REEVAL_END = "reeval_end"
 
 ROLE_PRIMARY = "primary"
 ROLE_SECONDARY = "secondary"
-
-_ALL_SUBCARRIERS = tuple(range(1, SUBCARRIER_COUNT + 1))
 
 
 @dataclass(frozen=True)
@@ -129,21 +128,6 @@ class MacParams:
 
 
 @dataclass
-class StationState:
-    """Mutable per-station contention state."""
-
-    node: str
-    target: str  # saturated flow destination
-    stage: int = 0
-    bc: int = 0
-    dc: int = 0
-    link: DirectedLink = field(init=False)  # node -> target, built once
-
-    def __post_init__(self):
-        self.link = DirectedLink(self.node, self.target)
-
-
-@dataclass
 class LinkTally:
     """Raw per-link counters accumulated by a run."""
 
@@ -160,6 +144,31 @@ class LinkTally:
     @property
     def sf_total(self) -> Fraction:
         return self.sf_primary + self.sf_secondary
+
+
+@dataclass
+class StationState:
+    """Everything a run tracks for one station: contention state and tallies."""
+
+    node: str
+    target: str  # saturated flow destination
+    stage: int = 0
+    bc: int = 0
+    dc: int = 0
+    link: DirectedLink = field(init=False)  # node -> target, built once
+    tally: LinkTally = field(init=False, default_factory=LinkTally)
+    # summed modulation totals of its successful primary / secondary frames
+    p_sum: int = field(init=False, default=0)
+    s_sum: int = field(init=False, default=0)
+    # per AC slot: the full-slot modulation total and, in an SS run, the window
+    # plan as primary: (alloc, secondary's station index, s_total, p_total) per
+    # flow-backed candidate, in table rank order. An index, not the station,
+    # so that stations hold no reference cycle that would outlive the run.
+    full: Tuple[int, ...] = field(init=False, default=())
+    plans: Tuple[tuple, ...] = field(init=False, default=())
+
+    def __post_init__(self):
+        self.link = DirectedLink(self.node, self.target)
 
 
 @dataclass(frozen=True)
@@ -236,10 +245,8 @@ class _Engine:
             if flow.tx in seen_tx:
                 raise ValueError(f"station {flow.tx!r} has more than one flow")
             seen_tx.add(flow.tx)
-        self.deployment = deployment
-        self.table = table
         self.mac = mac
-        self.policy = policy
+        self.ss = table is not None
         self.duration_us = float(duration_us)
         self.global_rng = SplitMix64(seed, 0)
         self.secondary_rng = SplitMix64(seed, 1)
@@ -247,18 +254,30 @@ class _Engine:
             StationState(node=f.tx, target=f.rx)
             for f in sorted(flows, key=lambda f: f.tx)
         ]
+        links = deployment.links
         for s in self.stations:
             s.stage = 0
             s.dc = mac.dc_schedule[0]
             s.bc = self.global_rng.randbelow(mac.cw_schedule[0])
-        self.station_by_link = {s.link: s for s in self.stations}
-        self.tallies = {s.link: LinkTally() for s in self.stations}
-        # summed modulation totals of successful frames, per link
-        self.p_totals = {link: 0 for link in self.tallies}
-        self.s_totals = {link: 0 for link in self.tallies}
-        self.full_totals: Dict[Tuple[DirectedLink, int], int] = {}
-        self.plans: Dict[Tuple[DirectedLink, int], Tuple[tuple, ...]] = {}
+            s.full = tuple(map(sum, links[s.link].slots))
         self.slot_count = deployment.slot_count
+        if self.ss:
+            top_m = policy.top_m if policy is not None else None
+            station_index = {s.link: i for i, s in enumerate(self.stations)}
+            for p in self.stations:
+                plans = []
+                for k in range(1, self.slot_count + 1):
+                    plan = []
+                    for alloc in table.candidates(p.link, k)[:top_m]:
+                        i = station_index.get(alloc.secondary)
+                        if i is None:  # only flow-backed candidates can engage
+                            continue
+                        shared = alloc.shared_indices
+                        s_total = modulation_total(links[alloc.secondary], k, shared)
+                        p_shared = modulation_total(links[p.link], k, set(shared))
+                        plan.append((alloc, i, s_total, p.full[k - 1] - p_shared))
+                    plans.append(tuple(plan))
+                p.plans = tuple(plans)
         self.slot_width = mac.ac_cycle_us / self.slot_count
         self.events: Optional[List[SimEvent]] = [] if collect_events else None
         self.t = 0.0
@@ -266,7 +285,7 @@ class _Engine:
         self.busy_us = 0.0
         self.next_reeval = (
             mac.reeval_period_us
-            if (table is not None and mac.reeval_period_us is not None)
+            if (self.ss and mac.reeval_period_us is not None)
             else None
         )
 
@@ -298,7 +317,7 @@ class _Engine:
     ) -> None:
         colliders = sorted(colliders, key=lambda s: s.node)
         for s in colliders:
-            self.tallies[s.link].collisions += 1
+            s.tally.collisions += 1
             self._emit(
                 time_us=busy_until, event=EVENT_TX_END_COLLISION, node=s.node,
                 link=s.link, role=ROLE_PRIMARY, stage=s.stage, bc=s.bc, dc=s.dc,
@@ -317,36 +336,6 @@ class _Engine:
     def _ac_slot(self, now: float) -> int:
         k = 1 + int((now % self.mac.ac_cycle_us) / self.slot_width)
         return min(k, self.slot_count)
-
-    def _full_total(self, link: DirectedLink, k: int) -> int:
-        key = (link, k)
-        total = self.full_totals.get(key)
-        if total is None:
-            total = modulation_total(self.deployment.links[link], k, _ALL_SUBCARRIERS)
-            self.full_totals[key] = total
-        return total
-
-    def _window_plan(self, p_link: DirectedLink, k: int) -> Tuple[tuple, ...]:
-        """(alloc, station, s_total, p_total) per flow-backed candidate."""
-        plan = self.plans.get((p_link, k))
-        if plan is None:
-            allocations = self.table.candidates(p_link, k)
-            if self.policy is not None:
-                allocations = allocations[: self.policy.top_m]
-            p_map = self.deployment.links[p_link]
-            p_full = self._full_total(p_link, k)
-            entries = []
-            for alloc in allocations:
-                station = self.station_by_link.get(alloc.secondary)
-                if station is None:  # only flow-backed candidates can engage
-                    continue
-                s_total = modulation_total(
-                    self.deployment.links[alloc.secondary], k, alloc.shared_indices
-                )
-                p_shared = modulation_total(p_map, k, set(alloc.shared_indices))
-                entries.append((alloc, station, s_total, p_full - p_shared))
-            plan = self.plans[(p_link, k)] = tuple(entries)
-        return plan
 
     # -- window handlers ---------------------------------------------------
 
@@ -371,7 +360,7 @@ class _Engine:
         if reeval:
             self.next_reeval = start + mac.reeval_period_us
             self._emit(time_us=start, event=EVENT_REEVAL_START)
-        ss_on = self.table is not None and not reeval
+        ss_on = self.ss and not reeval
 
         self._emit(
             time_us=start, event=EVENT_TX_START, node=tx.node, link=p_link,
@@ -380,7 +369,10 @@ class _Engine:
         self._sense_busy([tx], start)
 
         candidates: List[_Candidate] = (
-            [_Candidate(*entry) for entry in self._window_plan(p_link, k)]
+            [
+                _Candidate(alloc, self.stations[i], s_total, p_total)
+                for alloc, i, s_total, p_total in tx.plans[k - 1]
+            ]
             if ss_on else []
         )
 
@@ -400,10 +392,7 @@ class _Engine:
                     or (c.phase == _Candidate.CONTENDING and c.bc == 0)
                 ]
                 if eligible:
-                    engaged = min(
-                        eligible,
-                        key=lambda c: (c.alloc.secondary.tx, c.alloc.secondary.rx),
-                    )
+                    engaged = min(eligible, key=lambda c: c.station.node)
                     engaged.phase = _Candidate.ACTIVE
                     self._emit(
                         time_us=boundary, event=EVENT_SS_ENGAGE,
@@ -449,19 +438,19 @@ class _Engine:
             return
 
         if engaged is not None:
-            s_link = engaged.alloc.secondary
-            self.tallies[s_link].successes_secondary += 1
-            self.s_totals[s_link] += engaged.s_total
+            secondary = engaged.station
+            secondary.tally.successes_secondary += 1
+            secondary.s_sum += engaged.s_total
             self._emit(
-                time_us=end, event=EVENT_TX_END_SUCCESS, node=engaged.station.node,
-                link=s_link, role=ROLE_SECONDARY,
+                time_us=end, event=EVENT_TX_END_SUCCESS, node=secondary.node,
+                link=engaged.alloc.secondary, role=ROLE_SECONDARY,
                 spectrum_fraction=engaged.s_total / MAX_MODULATION_TOTAL,
             )
             p_total = engaged.p_total
         else:
-            p_total = self._full_total(p_link, k)
-        self.tallies[p_link].successes_primary += 1
-        self.p_totals[p_link] += p_total
+            p_total = tx.full[k - 1]
+        tx.tally.successes_primary += 1
+        tx.p_sum += p_total
         # saturated: the transmitter resets to stage 0 and redraws for the
         # next frame at the moment its transmission completes
         tx.stage = 0
@@ -492,11 +481,11 @@ class _Engine:
                 self._success_window(ready[0])
             else:
                 self._collision_window(ready)
-        for link, tally in self.tallies.items():
-            tally.sf_primary = Fraction(self.p_totals[link], MAX_MODULATION_TOTAL)
-            tally.sf_secondary = Fraction(self.s_totals[link], MAX_MODULATION_TOTAL)
+        for s in self.stations:
+            s.tally.sf_primary = Fraction(s.p_sum, MAX_MODULATION_TOTAL)
+            s.tally.sf_secondary = Fraction(s.s_sum, MAX_MODULATION_TOTAL)
         return SimReportRaw(
-            tallies=self.tallies,
+            tallies={s.link: s.tally for s in self.stations},
             total_sim_time_us=self.t,
             requested_duration_us=self.duration_us,
             idle_us=self.idle_us,

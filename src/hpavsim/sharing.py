@@ -39,6 +39,9 @@ _LEVEL_BITS = tuple(
 # translates the binary digits b"0"/b"1" to the bytes 0/1
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _SUBCARRIERS = range(1, SUBCARRIER_COUNT + 1)
+# decimal text of each subcarrier index; a lookup is cheaper than str(j) per
+# index, and an index outside 1..917 raises KeyError instead of rendering
+_INDEX_TEXT = {j: str(j) for j in _SUBCARRIERS}
 
 
 @dataclass(frozen=True)
@@ -275,6 +278,6 @@ def decision_table_csv(table: SSDecisionTable) -> str:
                 str(alloc.gain),
                 str(len(alloc.shared_indices)),
             ]
-            row.extend(str(j) for j in alloc.shared_indices)
+            row.extend(map(_INDEX_TEXT.__getitem__, alloc.shared_indices))
             out.write(",".join(row) + "\n")
     return out.getvalue()

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,14 @@ def ss_scenario(seed, beta=2, top_m=2):
     policy = SSPolicy(beta=beta, top_m=top_m)
     table = build_decision_table(dep, policy)
     return dep, table, policy
+
+
+def dense_ring_scenario():
+    dep = generate_deployment(8, GeneratorProfile(
+        "complementary", base_quality=6, asymmetry_noise=2, seed=3))
+    policy = SSPolicy(beta=2, top_m=2)
+    ring = [DirectedLink(f"n{i}", f"n{i % 8 + 1}") for i in range(1, 9)]
+    return dep, build_decision_table(dep, policy), policy, ring
 
 
 class TestGoldenTrace:
@@ -406,11 +415,7 @@ class TestSpectrumAccounting:
         self.check(dep, None, MAC, None, list(CORPUS_FLOWS), 300_000, 2)
 
     def test_dense_ring_with_aborts_barges_and_reevaluation(self):
-        dep = generate_deployment(8, GeneratorProfile(
-            "complementary", base_quality=6, asymmetry_noise=2, seed=3))
-        policy = SSPolicy(beta=2, top_m=2)
-        table = build_decision_table(dep, policy)
-        ring = [DirectedLink(f"n{i}", f"n{i % 8 + 1}") for i in range(1, 9)]
+        dep, table, policy, ring = dense_ring_scenario()
         mac = MacParams(reeval_period_us=100_000.0)
         report = self.check(dep, table, mac, policy, ring, 300_000, 3)
         assert self.count(report, EVENT_SS_ABORT) > 0
@@ -441,16 +446,84 @@ class TestSpectrumAccounting:
         report = self.check(dep, table, MAC, policy, flows, 300_000, 1)
         assert self.count(report, EVENT_SS_ENGAGE) > 0
 
-    @pytest.mark.parametrize("bad_index", [0, 918])
-    def test_allocation_index_out_of_range(self, bad_index):
+    @pytest.mark.parametrize("bad_index, bad_slots, duration_us", [
+        pytest.param(0, "all", 100_000, id="0"),
+        pytest.param(918, "all", 100_000, id="918"),
+        # plans are built at run start, so a bad allocation in a slot the run
+        # never reaches (1000 us is inside the first AC slot) still raises
+        pytest.param(918, "last", 1000, id="918-last-slot-only"),
+    ])
+    def test_allocation_index_out_of_range(self, bad_index, bad_slots, duration_us):
         dep = complementary_corpus(1)
+        last = dep.slot_count
         primary, secondary = DirectedLink("n1", "n3"), DirectedLink("n2", "n4")
-        alloc = SSAllocation(primary, secondary, 1, (5, bad_index), gain=1, rank=1)
-        table = SSDecisionTable(
-            {(primary, k): (alloc,) for k in range(1, dep.slot_count + 1)}
-        )
+        good = SSAllocation(primary, secondary, 1, (5, 6), gain=1, rank=1)
+        bad = SSAllocation(primary, secondary, 1, (5, bad_index), gain=1, rank=1)
+        table = SSDecisionTable({
+            (primary, k): (bad if bad_slots == "all" or k == last else good,)
+            for k in range(1, last + 1)
+        })
         with pytest.raises(ValueError, match="out of range"):
-            run_simulation(dep, table, MAC, None, [primary, secondary], 100_000, 1)
+            run_simulation(dep, table, MAC, None, [primary, secondary], duration_us, 1)
+
+
+def engine_digest(report):
+    """sha256 of a run's event-log CSV plus its times and exact tallies."""
+    lines = [event_log_csv(report)]
+    lines += [repr(report.total_sim_time_us), repr(report.idle_us), repr(report.busy_us)]
+    for link, t in report.tallies.items():
+        lines.append(
+            f"{link.tx},{link.rx},{t.successes_primary},{t.successes_secondary},"
+            f"{t.collisions},{t.sf_primary},{t.sf_secondary}"
+        )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestEngineDigest:
+    """Byte-exact engine output for fixed runs.
+
+    The digests were recorded from the engine that kept its run state in
+    link-keyed maps; any drift in event order, RNG use, spectrum totals or
+    tallies shows here.
+    """
+
+    # ss_on and policy_none agree: the table keeps 2 candidates per entry and
+    # a run without a policy uses all of them
+    EXPECTED = {
+        "ss_off": "7ea4afa2d892f3fbfea3882a5264cbb0abf7e3970e5f772fc1c23f7155145ff5",
+        "ss_on": "2ca6758c9495d4264a53cd789e3af95d813c4e63fc2d47135061fc71b3e8a6bf",
+        "policy_none": "2ca6758c9495d4264a53cd789e3af95d813c4e63fc2d47135061fc71b3e8a6bf",
+        "run_top_m_1": "f705d45565708845e2bbd76e26756d934b679ee1289d4af83523a73834457eab",
+        "dense_ring": "c649f2d931f083d48b44a87e1a90ab6a20d78611829bb0cdfd1e52865dd366f7",
+        "no_rank_wait": "77e6f557e00f5049b50600ea41ad53b340c95d15714e5a126c67ea6074bf95ba",
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXPECTED))
+    def test_digest(self, case):
+        mac = MAC
+        flows = list(CORPUS_FLOWS)
+        if case == "ss_off":
+            dep, table, policy = complementary_corpus(2), None, None
+        elif case == "dense_ring":
+            dep, table, policy, flows = dense_ring_scenario()
+            mac = MacParams(reeval_period_us=100_000.0)
+        elif case == "no_rank_wait":
+            # both flow-backed candidates of every window are eligible at
+            # once, so the engagement tie-break decides
+            dep, table, policy = ss_scenario(seed=4, top_m=2)
+            flows = [DirectedLink("n1", "n3"), DirectedLink("n3", "n1"),
+                     DirectedLink("n2", "n4"), DirectedLink("n4", "n2")]
+            mac = MacParams(rank_wait_slots_per_rank=0)
+        else:
+            dep, table, policy = ss_scenario(seed=4, top_m=2)
+            if case == "policy_none":
+                policy = None
+            elif case == "run_top_m_1":
+                policy = SSPolicy(beta=2, top_m=1)
+        report = run_simulation(
+            dep, table, mac, policy, flows, 300_000, 3, collect_events=True
+        )
+        assert engine_digest(report) == self.EXPECTED[case]
 
 
 class TestNormalizedThroughput:

@@ -204,14 +204,24 @@ class TestDecisionTable:
         dep = generate_deployment(
             4, GeneratorProfile("complementary", base_quality=6, asymmetry_noise=2, seed=4)
         )
-        text = decision_table_csv(build_decision_table(dep, SSPolicy(beta=2, top_m=1)))
-        lines = text.splitlines()
+        table = build_decision_table(dep, SSPolicy(beta=2, top_m=1))
+        lines = decision_table_csv(table).splitlines()
         assert lines[0] == (
             "primary_tx,primary_rx,slot,rank,secondary_tx,secondary_rx,gain,num_shared,indices"
         )
         first = lines[1].split(",")
         num_shared = int(first[7])
         assert len(first) == 8 + num_shared
+        expected = [
+            ",".join(
+                [p.tx, p.rx, str(k), str(a.rank), a.secondary.tx, a.secondary.rx,
+                 str(a.gain), str(len(a.shared_indices))]
+                + [str(j) for j in a.shared_indices]
+            )
+            for (p, k), allocs in sorted(table.entries.items())
+            for a in allocs
+        ]
+        assert lines[1:] == expected
 
 
 EIGHT_NODE_PROFILES = {
