@@ -21,7 +21,6 @@ from .metrics import (
     fairness_report,
     fsse,
     jain_index,
-    stability_std,
 )
 from .routing import LinkGraph, Route, best_route, build_graph
 from .sharing import (
@@ -30,9 +29,6 @@ from .sharing import (
     SSPolicy,
     build_decision_table,
     decision_table_csv,
-    diff_vector,
-    eligible_indices,
-    gain,
 )
 from .tonemap import (
     DirectedLink,
@@ -63,10 +59,10 @@ __all__ = [
     "Deployment", "GeneratorProfile", "TraceFormatError", "generate_deployment",
     "load_trace", "parse_trace", "save_trace", "serialize_trace",
     "SSAllocation", "SSDecisionTable", "SSPolicy", "build_decision_table",
-    "decision_table_csv", "diff_vector", "eligible_indices", "gain",
+    "decision_table_csv",
     "MacParams", "SimEvent", "SimReportRaw", "event_log_csv",
     "normalized_throughput", "run_simulation",
     "FairnessReport", "GainReport", "asymmetry_distribution", "compare_runs",
-    "fairness_report", "fsse", "jain_index", "stability_std",
+    "fairness_report", "fsse", "jain_index",
     "LinkGraph", "Route", "best_route", "build_graph",
 ]

@@ -274,7 +274,7 @@ class _Engine:
                             continue
                         shared = alloc.shared_indices
                         s_total = modulation_total(links[alloc.secondary], k, shared)
-                        p_shared = modulation_total(links[p.link], k, set(shared))
+                        p_shared = modulation_total(links[p.link], k, shared)
                         plan.append((alloc, i, s_total, p.full[k - 1] - p_shared))
                     plans.append(tuple(plan))
                 p.plans = tuple(plans)

@@ -161,20 +161,3 @@ def asymmetry_distribution(deployment: Deployment) -> List[float]:
             raise ValueError(f"missing reverse link for pair {a}-{b}")
         values.append(float(asymmetry(forward, backward) / MAX_MODULATION_TOTAL))
     return values
-
-
-def stability_std(series: Sequence[float], window: int) -> List[float]:
-    """Population standard deviation over consecutive non-overlapping windows.
-
-    A trailing partial window is ignored.
-    """
-    if window < 2:
-        raise ValueError("window must be >= 2 samples")
-    if len(series) < window:
-        raise ValueError("series shorter than one window")
-    out = []
-    for start in range(0, len(series) - window + 1, window):
-        chunk = series[start : start + window]
-        mean = sum(chunk) / window
-        out.append(math.sqrt(sum((x - mean) ** 2 for x in chunk) / window))
-    return out

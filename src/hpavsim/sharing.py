@@ -16,8 +16,7 @@ then costs a few dozen 917-bit ANDs, ORs and ``bit_count`` calls instead of a
 and the gain is the difference of the two modulation totals over it. A table
 for n nodes thus costs O(L^2 * slots) such operations, L = n(n-1), plus one
 mask build per (link, slot). Subcarrier index tuples are materialised only
-for the retained candidates. ``diff_vector``, ``eligible_indices`` and
-``gain`` are the same rules for a single pair, on plain vectors.
+for the retained candidates.
 
 Decisions are a pure function of (deployment, policy): node-order tie-breaks
 make the table deterministic, and per-slot decisions are independent.
@@ -26,7 +25,7 @@ make the table deterministic, and per-slot decisions are independent.
 import io
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .tonemap import MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink, is_valid_slot
 from .traceio import Deployment
@@ -105,31 +104,6 @@ class SSDecisionTable:
     def __repr__(self) -> str:
         populated = sum(1 for v in self.entries.values() if v)
         return f"SSDecisionTable(entries={len(self.entries)}, populated={populated})"
-
-
-def diff_vector(primary_map: Sequence[int], secondary_map: Sequence[int]) -> Tuple[int, ...]:
-    """Element-wise secondary-minus-primary modulation difference."""
-    if len(primary_map) != SUBCARRIER_COUNT or len(secondary_map) != SUBCARRIER_COUNT:
-        raise ValueError(
-            f"length mismatch: expected two vectors of {SUBCARRIER_COUNT}, "
-            f"got {len(primary_map)} and {len(secondary_map)}"
-        )
-    return tuple(s - p for p, s in zip(primary_map, secondary_map))
-
-
-def eligible_indices(diff: Sequence[int], beta: int) -> FrozenSet[int]:
-    """1-based indices whose difference is at least ``beta`` (inclusive)."""
-    return frozenset(j for j, d in enumerate(diff, start=1) if d >= beta)
-
-
-def gain(primary_map: Sequence[int], secondary_map: Sequence[int], indices) -> int:
-    """Modulation total the secondary adds minus what the primary gives up."""
-    total = 0
-    for j in indices:
-        if not 1 <= j <= SUBCARRIER_COUNT:
-            raise ValueError(f"subcarrier index {j} out of range 1..{SUBCARRIER_COUNT}")
-        total += secondary_map[j - 1] - primary_map[j - 1]
-    return total
 
 
 def _slot_masks(link: DirectedLink, k: int, vec: bytes):

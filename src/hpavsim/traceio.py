@@ -139,18 +139,9 @@ class GeneratorProfile:
             )
 
 
-def _nearest_legal(value) -> int:
-    return min(LEGAL_MODULATIONS, key=lambda lv: (abs(lv - value), lv))
-
-
-# _nearest_legal of the integers 0..10, the generator's hot inputs
-_SNAPPED = {v: _nearest_legal(v) for v in range(MAX_MODULATION + 1)}
-
-
 def snap_legal(value) -> int:
     """Nearest HPAV-legal modulation level; ties resolve to the lower level."""
-    snapped = _SNAPPED.get(value)
-    return _nearest_legal(value) if snapped is None else snapped
+    return min(LEGAL_MODULATIONS, key=lambda lv: (abs(lv - value), lv))
 
 
 def _ladder_shift(value: int, steps: int) -> int:
@@ -384,6 +375,12 @@ def generate_deployment(
     lo = snap_legal(max(0, profile.base_quality - 4))
     half = SUBCARRIER_COUNT // 2  # low band = 1..458, high band = 459..917
     noise = profile.asymmetry_noise
+    # noisy[b + r] is the value of an entry at base level b after draw r,
+    # which moves it by r - noise, clamps it to 0..10 and snaps it
+    noisy = [
+        snap_legal(min(MAX_MODULATION, max(0, i - noise)))
+        for i in range(MAX_MODULATION + 2 * noise + 1)
+    ]
 
     pair_notches: Dict[tuple, list] = {}
     links: Dict[DirectedLink, Tonemap] = {}
@@ -419,7 +416,7 @@ def generate_deployment(
             slots = [bytes(base_row)] * slot_count
         else:
             quiet_zeros = profile.profile_kind == "interference-notched"
-            slots = _noisy_slots(rng, base_row, noise, quiet_zeros, slot_count)
+            slots = _noisy_slots(rng, base_row, noisy, quiet_zeros, slot_count)
         links[link] = Tonemap(slots)
 
     metadata = {
@@ -437,21 +434,16 @@ def generate_deployment(
     return deployment
 
 
-def _noisy_slots(rng: SplitMix64, base_row: list, noise: int, quiet_zeros: bool,
+def _noisy_slots(rng: SplitMix64, base_row: list, noisy: list, quiet_zeros: bool,
                  slot_count: int) -> list:
-    """``slot_count`` rows of ``base_row`` (legal levels), each entry moved by a
-    uniform integer in -noise..noise, clamped to 0..10 and snapped to the ladder.
+    """``slot_count`` rows of ``base_row`` (legal levels), each entry at base
+    level b with a uniform draw r in 0..2 * noise becoming ``noisy[b + r]``.
 
     With ``quiet_zeros`` the zero entries draw nothing and stay 0. Each row
     takes one batch of draws, in subcarrier order, so the stream is that of
     one ``randbelow(2 * noise + 1)`` call per drawing entry.
     """
-    # noisy[b + r] is the row value for base level b and draw r, which moves
-    # the entry by r - noise
-    noisy = [
-        snap_legal(min(MAX_MODULATION, max(0, i - noise)))
-        for i in range(MAX_MODULATION + 2 * noise + 1)
-    ]
+    span = len(noisy) - MAX_MODULATION  # 2 * noise + 1 draw values
     drawn = [not (quiet_zeros and b == 0) for b in base_row]
     drawn_base = list(compress(base_row, drawn))
     runs = []  # maximal [start, end) runs of drawing entries
@@ -463,7 +455,7 @@ def _noisy_slots(rng: SplitMix64, base_row: list, noise: int, quiet_zeros: bool,
         start = end
     slots = []
     for _ in range(slot_count):
-        draws = rng.randbelow_many(2 * noise + 1, len(drawn_base))
+        draws = rng.randbelow_many(span, len(drawn_base))
         values = bytes(map(noisy.__getitem__, map(add, drawn_base, draws)))
         row = bytearray(len(base_row))
         pos = 0

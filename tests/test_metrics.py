@@ -13,7 +13,6 @@ from hpavsim import (
     fsse,
     generate_deployment,
     jain_index,
-    stability_std,
 )
 from hpavsim.macsim import LinkTally, SimReportRaw
 from hpavsim.metrics import fairness_csv, gain_links_csv, gain_summary_csv
@@ -174,24 +173,3 @@ class TestAsymmetryDistribution:
         )
         values = asymmetry_distribution(dep)
         assert values and all(0.0 <= v <= 1.0 for v in values)
-
-
-class TestStabilityStd:
-    def test_constant_series(self):
-        assert stability_std([7.0] * 10, 5) == [0.0, 0.0]
-
-    def test_two_sample_window(self):
-        assert stability_std([0.0, 10.0], 2) == [5.0]
-
-    def test_alternating_series(self):
-        series = [2.0, 8.0] * 6
-        assert stability_std(series, 2) == [3.0] * 6
-
-    def test_partial_tail_ignored(self):
-        assert len(stability_std([1.0] * 7, 3)) == 2
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            stability_std([1.0, 2.0], 1)
-        with pytest.raises(ValueError):
-            stability_std([1.0], 2)

@@ -7,9 +7,6 @@ from hpavsim import (
     SSPolicy,
     Tonemap,
     build_decision_table,
-    diff_vector,
-    eligible_indices,
-    gain,
     generate_deployment,
 )
 from hpavsim.rng import SplitMix64
@@ -23,74 +20,19 @@ def vec(*head, fill=0):
     return tuple(head) + (fill,) * (SUBCARRIER_COUNT - len(head))
 
 
-class TestDiffVector:
-    def test_identical_vectors(self):
-        v = vec(5, 5, 5)
-        assert diff_vector(v, v) == (0,) * SUBCARRIER_COUNT
-
-    def test_worked_example(self):
-        primary = vec(10, 10, 2, 0)
-        secondary = vec(2, 2, 8, 6)
-        d = diff_vector(primary, secondary)
-        assert d[:4] == (-8, -8, 6, 6)
-        assert set(d[4:]) == {0}
-
-    def test_antisymmetry(self):
-        rng = SplitMix64(5, 0)
-        a = tuple(rng.randbelow(11) for _ in range(SUBCARRIER_COUNT))
-        b = tuple(rng.randbelow(11) for _ in range(SUBCARRIER_COUNT))
-        assert diff_vector(a, b) == tuple(-x for x in diff_vector(b, a))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            diff_vector((0,) * 916, (0,) * SUBCARRIER_COUNT)
+PRIMARY = DirectedLink("n1", "n2")
 
 
-class TestEligibleIndices:
-    def test_worked_example(self):
-        d = vec(-8, -8, 6, 6)
-        assert eligible_indices(d, 2) & {1, 2, 3, 4} == {3, 4}
-
-    def test_beta_above_max_empty(self):
-        assert eligible_indices(vec(-8, -8, 6, 6), 7) == frozenset()
-
-    def test_zero_beta_on_zero_vector_is_inclusive(self):
-        assert len(eligible_indices((0,) * SUBCARRIER_COUNT, 0)) == SUBCARRIER_COUNT
-
-    def test_monotone_shrinking_in_beta(self):
-        rng = SplitMix64(6, 0)
-        d = tuple(rng.randbelow(21) - 10 for _ in range(SUBCARRIER_COUNT))
-        previous = eligible_indices(d, 0)
-        for beta in range(1, 11):
-            current = eligible_indices(d, beta)
-            assert current <= previous
-            previous = current
-
-
-class TestGain:
-    def test_worked_example(self):
-        primary = vec(10, 10, 2, 0)
-        secondary = vec(2, 2, 8, 6)
-        assert gain(primary, secondary, {3, 4}) == 12
-
-    def test_empty_indices(self):
-        assert gain(vec(1), vec(9), ()) == 0
-
-    def test_equal_maps_zero(self):
-        v = vec(4, 4, 4, 4)
-        assert gain(v, v, range(1, 5)) == 0
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            gain(vec(), vec(), [0])
-
-    def test_equals_diff_vector_sum(self):
-        rng = SplitMix64(8, 0)
-        p = tuple(rng.randbelow(11) for _ in range(SUBCARRIER_COUNT))
-        s = tuple(rng.randbelow(11) for _ in range(SUBCARRIER_COUNT))
-        d = diff_vector(p, s)
-        indices = eligible_indices(d, 3)
-        assert gain(p, s, indices) == sum(d[j - 1] for j in indices)
+def pair_deployment(primary, secondary):
+    """One-slot 4-node deployment: n1->n2 carries ``primary``, n3->n4
+    ``secondary``, and every other link is all zeros."""
+    dep = deployment_from_levels(
+        {("n1", "n2"): 0, ("n2", "n1"): 0, ("n3", "n4"): 0, ("n4", "n3"): 0}, 1
+    )
+    links = dict(dep.links)
+    links[PRIMARY] = Tonemap([primary])
+    links[DirectedLink("n3", "n4")] = Tonemap([secondary])
+    return Deployment(dep.nodes, links)
 
 
 class TestDecisionTable:
@@ -117,6 +59,23 @@ class TestDecisionTable:
             for policy in (SSPolicy(2, 2), SSPolicy(6, 1), SSPolicy(4, 3, 0.3)):
                 table = build_decision_table(dep, policy)
                 assert tables_equal(table, brute_force_table(dep, policy))
+        # hand-checked answers for n1->n2: the worked example at beta 2 and 7,
+        # then the inclusive beta boundary, subcarrier 1 exactly beta better
+        # and 2 only beta - 1 better (at beta 0 the equal ones are shared too)
+        worked = (vec(10, 10, 2, 0), vec(2, 2, 8, 6))
+        all_but_2 = (1,) + tuple(range(3, SUBCARRIER_COUNT + 1))
+        for (primary, secondary), beta, expected in (
+            (worked, 2, [((3, 4), 12)]),
+            (worked, 7, []),
+            ((vec(4, 4), vec(6, 5)), 2, [((1,), 2)]),
+            ((vec(4, 4), vec(6, 3)), 0, [(all_but_2, 2)]),
+        ):
+            dep = pair_deployment(primary, secondary)
+            policy = SSPolicy(beta=beta, top_m=1)
+            table = build_decision_table(dep, policy)
+            assert tables_equal(table, brute_force_table(dep, policy))
+            found = [(a.shared_indices, a.gain) for a in table.candidates(PRIMARY, 1)]
+            assert found == expected, (beta, expected)
 
     def test_raising_beta_never_raises_gain_or_count(self):
         dep = generate_deployment(
@@ -139,16 +98,10 @@ class TestDecisionTable:
         secondary = tuple(
             5 if j < 10 else (10 if j < 20 else 0) for j in range(SUBCARRIER_COUNT)
         )
-        dep = deployment_from_levels(
-            {("n1", "n2"): 0, ("n2", "n1"): 0, ("n3", "n4"): 0, ("n4", "n3"): 0}, 1
-        )
-        links = dict(dep.links)
-        links[DirectedLink("n1", "n2")] = Tonemap([primary])
-        links[DirectedLink("n3", "n4")] = Tonemap([secondary])
-        dep = Deployment(dep.nodes, links)
+        dep = pair_deployment(primary, secondary)
         cap_15 = 15 / SUBCARRIER_COUNT
         table = build_decision_table(dep, SSPolicy(beta=2, top_m=1, max_share_fraction=cap_15))
-        (alloc,) = table.entries[(DirectedLink("n1", "n2"), 1)]
+        (alloc,) = table.entries[(PRIMARY, 1)]
         # all ten 9-diff indices kept, then the five lowest-index 4-diff ones,
         # stored in ascending order
         assert alloc.shared_indices == tuple(range(1, 6)) + tuple(range(11, 21))
@@ -167,16 +120,10 @@ class TestDecisionTable:
             **{j: (2, 4) for j in range(300, 321)},
         }.items():
             primary[j - 1], secondary[j - 1] = p, s
-        dep = deployment_from_levels(
-            {("n1", "n2"): 0, ("n2", "n1"): 0, ("n3", "n4"): 0, ("n4", "n3"): 0}, 1
-        )
-        links = dict(dep.links)
-        links[DirectedLink("n1", "n2")] = Tonemap([primary])
-        links[DirectedLink("n3", "n4")] = Tonemap([secondary])
-        dep = Deployment(dep.nodes, links)
+        dep = pair_deployment(primary, secondary)
         policy = SSPolicy(beta=2, top_m=1, max_share_fraction=17 / SUBCARRIER_COUNT)
         table = build_decision_table(dep, policy)
-        (alloc,) = table.entries[(DirectedLink("n1", "n2"), 1)]
+        (alloc,) = table.entries[(PRIMARY, 1)]
         assert alloc.shared_indices == (
             tuple(range(1, 11)) + (50, 51) + tuple(range(200, 205))
         )
