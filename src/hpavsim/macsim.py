@@ -20,19 +20,21 @@ When a decision table is supplied and exactly one transmission (the P-Link)
 is in progress, the window runs the SS mechanism:
 
 * The transmission announces its link; the ranked secondary candidates whose
-  links carry a configured flow wait rank * rank_wait_slots_per_rank slots,
-  then the first one engages: it transmits on its allocated subcarriers until
-  the window closes and is tallied as one secondary success. The remaining
-  candidates fall into an independent shared-band CSMA instance (fresh stage-0
-  draws from a dedicated RNG stream, same CW/DC schedules).
+  links carry a configured flow wait rank * rank_wait_slots_per_rank slot
+  boundaries (at least one), then the first one engages (ties go to the
+  lowest node identifier) if its boundary falls before the window closes: it
+  transmits on its allocated subcarriers until the window closes and is
+  tallied as one secondary success. The candidates that lose stay silent for
+  the rest of the window.
 * The primary's spectrum fraction for the window excludes the indices granted
   to whoever engaged; with no engagement it keeps the full spectrum.
 * A station whose global BC sits at 0 during an SS window (possible only via
   a stage-escalation redraw when the window opened) claims the full spectrum
-  at the next slot boundary: an engaged S-Link aborts first (its in-flight
-  frame is lost and tallied as neither success nor collision), then the new
-  attempt collides with the P-Link per the normal rules. Without SS such a
-  station simply waits for the medium to go idle.
+  at the first slot boundary: an S-Link that engaged there aborts first (its
+  in-flight frame is lost and tallied as neither success nor collision), an
+  engagement still pending never happens, and the new attempt collides with
+  the P-Link per the normal rules. Without SS such a station simply waits for
+  the medium to go idle.
 * When reeval_period_us is set, one P-Link transmission per period runs with
   SS suspended (full-spectrum, no secondary), modeling the periodic
   full-spectrum re-evaluation; tonemaps are static in a run, so the
@@ -46,22 +48,22 @@ Spectrum accounting
 Tonemaps and table allocations are static within a run, so spectrum is
 counted in integer modulation totals (bits per symbol summed over subcarriers)
 rather than recomputed per frame. At run start each station gets its
-full-slot total per AC slot and, in an SS run, a window plan per AC slot: its
-flow-backed candidates as primary (cut to policy.top_m, in table rank order),
-each with the secondary's total over its shared indices and the primary's
-complement total (its full-slot total minus its total over those indices).
-Building every plan up front validates every allocation used, so an
-out-of-range index raises ValueError before the first window. A success
-window then adds integers to the station's sums; the run sets each
-LinkTally's sf_primary and sf_secondary once, as Fraction(sum, 9170), which
-equals the sum of the per-frame fractions exactly. An event's
+full-slot total per AC slot and, in an SS run, a window plan per AC slot:
+the one flow-backed candidate (among the first policy.top_m) that engages
+when it is the primary, with its wait, the secondary's total over the shared
+indices and the primary's complement total (its full-slot total minus its
+total over those indices). Totals are computed for every flow-backed
+candidate, so an out-of-range index raises ValueError before the first
+window. A success window then adds integers to the station's sums; the run
+sets each LinkTally's sf_primary and sf_secondary once, as Fraction(sum,
+9170), which equals the sum of the per-frame fractions exactly. An event's
 spectrum_fraction is the frame's total / 9170, the correctly rounded float of
 that fraction.
 
 Determinism: a run is a pure function of its arguments. All randomness comes
-from two splitmix64 streams (stream 0: global contention, stream 1: secondary
-contention), stations are processed in node-identifier order everywhere, and
-simultaneous events are emitted in that same order.
+from one splitmix64 stream (stream 0: global contention), stations are
+processed in node-identifier order everywhere, and simultaneous events are
+emitted in that same order.
 """
 
 from dataclasses import dataclass, field
@@ -71,7 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import io
 
 from .rng import SplitMix64
-from .sharing import SSAllocation, SSDecisionTable, SSPolicy
+from .sharing import SSDecisionTable, SSPolicy
 from .tonemap import MAX_MODULATION_TOTAL, DirectedLink, modulation_total
 from .traceio import Deployment
 
@@ -161,11 +163,12 @@ class StationState:
     p_sum: int = field(init=False, default=0)
     s_sum: int = field(init=False, default=0)
     # per AC slot: the full-slot modulation total and, in an SS run, the window
-    # plan as primary: (alloc, secondary's station index, s_total, p_total) per
-    # flow-backed candidate, in table rank order. An index, not the station,
-    # so that stations hold no reference cycle that would outlive the run.
+    # plan as primary: the candidate that engages, as (first eligible slot
+    # boundary, node, station index, s_total, p_total), or None. An index, not
+    # the station, so that stations hold no reference cycle that would outlive
+    # the run.
     full: Tuple[int, ...] = field(init=False, default=())
-    plans: Tuple[tuple, ...] = field(init=False, default=())
+    plans: Tuple[Optional[tuple], ...] = field(init=False, default=())
 
     def __post_init__(self):
         self.link = DirectedLink(self.node, self.target)
@@ -196,32 +199,6 @@ class SimReportRaw:
     events: Optional[List[SimEvent]] = None
 
 
-class _Candidate:
-    """Window-local secondary-side state for one table allocation.
-
-    s_total is the secondary's modulation total over the shared indices and
-    p_total the primary's total over the rest of the slot.
-    """
-
-    __slots__ = ("alloc", "station", "s_total", "p_total", "phase", "stage", "bc", "dc")
-
-    WAITING = 0
-    CONTENDING = 1
-    ACTIVE = 2
-
-    def __init__(
-        self, alloc: SSAllocation, station: StationState, s_total: int, p_total: int
-    ):
-        self.alloc = alloc
-        self.station = station
-        self.s_total = s_total
-        self.p_total = p_total
-        self.phase = _Candidate.WAITING
-        self.stage = 0
-        self.bc = 0
-        self.dc = 0
-
-
 class _Engine:
     def __init__(
         self,
@@ -249,7 +226,6 @@ class _Engine:
         self.ss = table is not None
         self.duration_us = float(duration_us)
         self.global_rng = SplitMix64(seed, 0)
-        self.secondary_rng = SplitMix64(seed, 1)
         self.stations = [
             StationState(node=f.tx, target=f.rx)
             for f in sorted(flows, key=lambda f: f.tx)
@@ -263,6 +239,7 @@ class _Engine:
         self.slot_count = deployment.slot_count
         if self.ss:
             top_m = policy.top_m if policy is not None else None
+            wait = mac.rank_wait_slots_per_rank
             station_index = {s.link: i for i, s in enumerate(self.stations)}
             for p in self.stations:
                 plans = []
@@ -275,8 +252,10 @@ class _Engine:
                         shared = alloc.shared_indices
                         s_total = modulation_total(links[alloc.secondary], k, shared)
                         p_shared = modulation_total(links[p.link], k, shared)
-                        plan.append((alloc, i, s_total, p.full[k - 1] - p_shared))
-                    plans.append(tuple(plan))
+                        plan.append((max(1, alloc.rank * wait), alloc.secondary.tx,
+                                     i, s_total, p.full[k - 1] - p_shared))
+                    # the first eligible boundary wins, then the lowest node
+                    plans.append(min(plan, key=lambda c: c[:2], default=None))
                 p.plans = tuple(plans)
         self.slot_width = mac.ac_cycle_us / self.slot_count
         self.events: Optional[List[SimEvent]] = [] if collect_events else None
@@ -295,11 +274,14 @@ class _Engine:
         if self.events is not None:
             self.events.append(SimEvent(**kwargs))
 
-    def _sense_busy(self, transmitting: Sequence[StationState], now: float) -> None:
-        """One sensed-busy event for every station not transmitting."""
-        busy = set(id(s) for s in transmitting)
+    def _sense_busy(self, now: float) -> None:
+        """One sensed-busy event for every station not transmitting.
+
+        Called as the medium turns busy, before any redraw: the transmitters
+        are exactly the stations whose BC is 0.
+        """
         for s in self.stations:
-            if id(s) in busy:
+            if s.bc == 0:
                 continue
             if s.dc == 0:
                 s.stage = min(s.stage + 1, len(self.mac.cw_schedule) - 1)
@@ -346,14 +328,13 @@ class _Engine:
                 time_us=start, event=EVENT_TX_START, node=s.node, link=s.link,
                 role=ROLE_PRIMARY, stage=s.stage, bc=s.bc, dc=s.dc,
             )
-        self._sense_busy(ready, start)
+        self._sense_busy(start)
         self._finish_collision(ready, start, start + self.mac.collision_duration_us)
 
     def _success_window(self, tx: StationState) -> None:
         mac = self.mac
         start = self.t
         end = start + mac.success_duration_us
-        p_link = tx.link
         k = self._ac_slot(start)
 
         reeval = self.next_reeval is not None and start >= self.next_reeval
@@ -363,90 +344,55 @@ class _Engine:
         ss_on = self.ss and not reeval
 
         self._emit(
-            time_us=start, event=EVENT_TX_START, node=tx.node, link=p_link,
+            time_us=start, event=EVENT_TX_START, node=tx.node, link=tx.link,
             role=ROLE_PRIMARY, stage=tx.stage, bc=tx.bc, dc=tx.dc,
         )
-        self._sense_busy([tx], start)
+        self._sense_busy(start)
 
-        candidates: List[_Candidate] = (
-            [
-                _Candidate(alloc, self.stations[i], s_total, p_total)
-                for alloc, i, s_total, p_total in tx.plans[k - 1]
-            ]
-            if ss_on else []
-        )
-
-        engaged: Optional[_Candidate] = None
-        aborted = False
+        # Global BCs stay frozen for the whole window, so the stations that
+        # barge are fixed at the first boundary and the plan's candidate is
+        # the one that engages, unless a barger pre-empts it.
+        secondary = None
         slot_us = mac.slot_duration_us
-        wait = mac.rank_wait_slots_per_rank
-        i = 1
-        while ss_on and start + i * slot_us < end:
-            boundary = start + i * slot_us
-            # shared-band transitions first, then global BC expiry (so an
-            # expiring candidate aborts an in-flight frame, its own included)
-            if engaged is None:
-                eligible = [
-                    c for c in candidates
-                    if (c.phase == _Candidate.WAITING and i >= c.alloc.rank * wait)
-                    or (c.phase == _Candidate.CONTENDING and c.bc == 0)
-                ]
-                if eligible:
-                    engaged = min(eligible, key=lambda c: c.station.node)
-                    engaged.phase = _Candidate.ACTIVE
+        first = start + slot_us
+        if ss_on and first < end:
+            plan = tx.plans[k - 1]
+            bargers = [s for s in self.stations if s.bc == 0 and s is not tx]
+            if plan is not None:
+                e = plan[0]
+                boundary = start + e * slot_us
+                if boundary < end and (e == 1 or not bargers):
+                    _, _, i, s_total, p_total = plan
+                    secondary = self.stations[i]
                     self._emit(
                         time_us=boundary, event=EVENT_SS_ENGAGE,
-                        node=engaged.station.node, link=engaged.alloc.secondary,
-                        role=ROLE_SECONDARY,
+                        node=secondary.node, link=secondary.link, role=ROLE_SECONDARY,
                     )
-                    for c in candidates:
-                        if c.phase == _Candidate.WAITING:
-                            c.phase = _Candidate.CONTENDING
-                            c.stage = 0
-                            c.bc = self.secondary_rng.randbelow(mac.cw_schedule[0])
-                            c.dc = mac.dc_schedule[0]
-                else:
-                    for c in candidates:
-                        if c.phase == _Candidate.CONTENDING and c.bc > 0:
-                            c.bc -= 1  # shared band idle, secondary backoff runs
-            bargers = [s for s in self.stations if s is not tx and s.bc == 0]
             if bargers:
-                if engaged is not None:
+                if secondary is not None:
                     # in-flight secondary frame is lost: neither success nor collision
                     self._emit(
-                        time_us=boundary, event=EVENT_SS_ABORT,
-                        node=engaged.station.node, link=engaged.alloc.secondary,
-                        role=ROLE_SECONDARY,
+                        time_us=first, event=EVENT_SS_ABORT, node=secondary.node,
+                        link=secondary.link, role=ROLE_SECONDARY,
                     )
-                for s in sorted(bargers, key=lambda s: s.node):
+                for s in bargers:
                     self._emit(
-                        time_us=boundary, event=EVENT_TX_START, node=s.node,
+                        time_us=first, event=EVENT_TX_START, node=s.node,
                         link=s.link, role=ROLE_PRIMARY, stage=s.stage, bc=s.bc, dc=s.dc,
                     )
                 self._finish_collision(
-                    [tx] + bargers, start, boundary + mac.collision_duration_us
+                    [tx] + bargers, start, first + mac.collision_duration_us
                 )
-                aborted = True
-                break
-            if engaged is not None or not candidates:
-                # frozen shared band and no possible BC expiry: nothing else
-                # can happen until the window closes
-                break
-            i += 1
+                return
 
-        if aborted:
-            return
-
-        if engaged is not None:
-            secondary = engaged.station
+        if secondary is not None:
             secondary.tally.successes_secondary += 1
-            secondary.s_sum += engaged.s_total
+            secondary.s_sum += s_total
             self._emit(
                 time_us=end, event=EVENT_TX_END_SUCCESS, node=secondary.node,
-                link=engaged.alloc.secondary, role=ROLE_SECONDARY,
-                spectrum_fraction=engaged.s_total / MAX_MODULATION_TOTAL,
+                link=secondary.link, role=ROLE_SECONDARY,
+                spectrum_fraction=s_total / MAX_MODULATION_TOTAL,
             )
-            p_total = engaged.p_total
         else:
             p_total = tx.full[k - 1]
         tx.tally.successes_primary += 1
@@ -457,7 +403,7 @@ class _Engine:
         tx.bc = self.global_rng.randbelow(mac.cw_schedule[0])
         tx.dc = mac.dc_schedule[0]
         self._emit(
-            time_us=end, event=EVENT_TX_END_SUCCESS, node=tx.node, link=p_link,
+            time_us=end, event=EVENT_TX_END_SUCCESS, node=tx.node, link=tx.link,
             role=ROLE_PRIMARY, stage=tx.stage, bc=tx.bc, dc=tx.dc,
             spectrum_fraction=p_total / MAX_MODULATION_TOTAL,
         )

@@ -128,27 +128,6 @@ def compare_runs(base: SimReportRaw, ss: SimReportRaw, mac: MacParams) -> GainRe
     )
 
 
-def gain_summary_csv(report: GainReport) -> str:
-    out = io.StringIO()
-    out.write("metric,value\n")
-    for name in (
-        "aggregate_base", "aggregate_ss", "aggregate_gain_pct",
-        "jfi_base", "jfi_ss", "jfi_delta",
-        "fsse_base", "fsse_ss", "fsse_delta",
-    ):
-        out.write(f"{name},{getattr(report, name)!r}\n")
-    return out.getvalue()
-
-
-def gain_links_csv(report: GainReport) -> str:
-    out = io.StringIO()
-    out.write("link_tx,link_rx,base,ss,gain_pct\n")
-    for link in sorted(report.per_link):
-        g = report.per_link[link]
-        out.write(f"{link.tx},{link.rx},{g.base!r},{g.ss!r},{g.gain_pct!r}\n")
-    return out.getvalue()
-
-
 def asymmetry_distribution(deployment: Deployment) -> List[float]:
     """Normalized (0..1) asymmetry of every traced unordered node pair,
     ordered by pair identifiers."""

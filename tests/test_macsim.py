@@ -482,9 +482,10 @@ def engine_digest(report):
 class TestEngineDigest:
     """Byte-exact engine output for fixed runs.
 
-    The digests were recorded from the engine that kept its run state in
-    link-keyed maps; any drift in event order, RNG use, spectrum totals or
-    tallies shows here.
+    The digests were recorded from earlier engines: long_rank_wait from the
+    one that stepped every SS window slot by slot, the rest from the one that
+    kept its run state in link-keyed maps. Any drift in event order, RNG use,
+    spectrum totals or tallies shows here.
     """
 
     # ss_on and policy_none agree: the table keeps 2 candidates per entry and
@@ -495,6 +496,7 @@ class TestEngineDigest:
         "policy_none": "2ca6758c9495d4264a53cd789e3af95d813c4e63fc2d47135061fc71b3e8a6bf",
         "run_top_m_1": "f705d45565708845e2bbd76e26756d934b679ee1289d4af83523a73834457eab",
         "dense_ring": "c649f2d931f083d48b44a87e1a90ab6a20d78611829bb0cdfd1e52865dd366f7",
+        "long_rank_wait": "dc4fbfb10c50cd45c09ad4350c1bf22ce53e2735305308d7f446b9b34c2a0b33",
         "no_rank_wait": "77e6f557e00f5049b50600ea41ad53b340c95d15714e5a126c67ea6074bf95ba",
     }
 
@@ -507,6 +509,11 @@ class TestEngineDigest:
         elif case == "dense_ring":
             dep, table, policy, flows = dense_ring_scenario()
             mac = MacParams(reeval_period_us=100_000.0)
+        elif case == "long_rank_wait":
+            # a rank-2 wait of 80 boundaries outlasts the 70-boundary window,
+            # so only rank-1 candidates engage, each 40 slots in (24 times)
+            dep, table, policy, flows = dense_ring_scenario()
+            mac = MacParams(rank_wait_slots_per_rank=40, reeval_period_us=100_000.0)
         elif case == "no_rank_wait":
             # both flow-backed candidates of every window are eligible at
             # once, so the engagement tie-break decides

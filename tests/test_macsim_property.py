@@ -1,5 +1,6 @@
-"""Property test: MAC runs conserve time, repeat exactly, and tally spectrum
-as the event-log replay in ``conftest.rebuild_spectrum_tallies`` does."""
+"""Property test: MAC runs conserve time, repeat exactly, engage secondaries
+only inside their window, and tally spectrum as the event-log replay in
+``conftest.rebuild_spectrum_tallies`` does."""
 
 import math
 import random
@@ -11,6 +12,7 @@ from hpavsim import (
     Deployment, DirectedLink, MacParams, SSPolicy, Tonemap, build_decision_table,
     event_log_csv, run_simulation,
 )
+from hpavsim.macsim import EVENT_SS_ENGAGE, EVENT_TX_START, ROLE_PRIMARY
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
 from conftest import rebuild_spectrum_tallies, report_spectrum_tallies
@@ -53,7 +55,10 @@ def scenarios(draw):
         st.none(), st.builds(SSPolicy, beta=st.just(0), top_m=st.integers(1, 3))
     ))
     reeval = draw(st.one_of(st.none(), st.sampled_from([20_000.0, 50_000.0])))
-    return dep, flows, table_policy, run_policy, MacParams(reeval_period_us=reeval)
+    # 40 and 80 push rank-2 and rank-1 waits past the 70-boundary window
+    wait = draw(st.sampled_from([0, 1, 2, 40, 80]))
+    mac = MacParams(rank_wait_slots_per_rank=wait, reeval_period_us=reeval)
+    return dep, flows, table_policy, run_policy, mac
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -71,6 +76,13 @@ def test_run_invariants(scenario, seed):
         again = run_simulation(*args, collect_events=True)
         assert again.tallies == report.tallies
         assert event_log_csv(again) == event_log_csv(report)
+        window_start = None
+        for e in report.events:
+            if e.event == EVENT_TX_START and e.role == ROLE_PRIMARY:
+                window_start = e.time_us
+            elif e.event == EVENT_SS_ENGAGE:
+                # the engagement precedes any barger's tx_start in its window
+                assert window_start < e.time_us < window_start + mac.success_duration_us
         assert (
             rebuild_spectrum_tallies(report, dep, t, mac, policy)
             == report_spectrum_tallies(report)

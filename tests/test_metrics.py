@@ -15,7 +15,7 @@ from hpavsim import (
     jain_index,
 )
 from hpavsim.macsim import LinkTally, SimReportRaw
-from hpavsim.metrics import fairness_csv, gain_links_csv, gain_summary_csv
+from hpavsim.metrics import fairness_csv
 
 from conftest import deployment_from_levels
 
@@ -116,12 +116,6 @@ class TestCompareRuns:
         ss = report_from_sf({link: 0.5}, total_us=2000.0)
         with pytest.raises(ValueError, match="duration"):
             compare_runs(base, ss, MAC)
-
-    def test_csv_headers(self):
-        link = DirectedLink("a", "b")
-        gain = compare_runs(report_from_sf({link: 0.5}), report_from_sf({link: 0.5}), MAC)
-        assert gain_summary_csv(gain).splitlines()[0] == "metric,value"
-        assert gain_links_csv(gain).splitlines()[0] == "link_tx,link_rx,base,ss,gain_pct"
 
 
 class TestFairnessReport:
