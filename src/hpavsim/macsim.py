@@ -60,6 +60,10 @@ sets each LinkTally's sf_primary and sf_secondary once, as Fraction(sum,
 spectrum_fraction is the frame's total / 9170, the correctly rounded float of
 that fraction.
 
+With collect_events=True a run also returns its events in emission order as
+SimEvent tuples, which event_log_csv renders; with it False the engine builds
+no event at all.
+
 Determinism: a run is a pure function of its arguments. All randomness comes
 from one splitmix64 stream (stream 0: global contention), stations are
 processed in node-identifier order everywhere, and simultaneous events are
@@ -68,9 +72,7 @@ emitted in that same order.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import io
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rng import SplitMix64
 from .sharing import SSDecisionTable, SSPolicy
@@ -174,8 +176,13 @@ class StationState:
         self.link = DirectedLink(self.node, self.target)
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One engine event; the fields are in event-log CSV column order.
+
+    The engine builds events only when run_simulation is called with
+    collect_events=True.
+    """
+
     time_us: float
     event: str
     node: Optional[str] = None
@@ -270,16 +277,13 @@ class _Engine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _emit(self, **kwargs) -> None:
-        if self.events is not None:
-            self.events.append(SimEvent(**kwargs))
-
     def _sense_busy(self, now: float) -> None:
         """One sensed-busy event for every station not transmitting.
 
         Called as the medium turns busy, before any redraw: the transmitters
         are exactly the stations whose BC is 0.
         """
+        log = self.events
         for s in self.stations:
             if s.bc == 0:
                 continue
@@ -287,31 +291,29 @@ class _Engine:
                 s.stage = min(s.stage + 1, len(self.mac.cw_schedule) - 1)
                 s.bc = self.global_rng.randbelow(self.mac.cw_schedule[s.stage])
                 s.dc = self.mac.dc_schedule[s.stage]
-                self._emit(
-                    time_us=now, event=EVENT_STAGE_ADVANCE, node=s.node, link=s.link,
-                    stage=s.stage, bc=s.bc, dc=s.dc,
-                )
+                if log is not None:
+                    log.append(SimEvent(now, EVENT_STAGE_ADVANCE, s.node, s.link, None,
+                                        s.stage, s.bc, s.dc))
             else:
                 s.dc -= 1  # BC stays frozen for this busy period
 
     def _finish_collision(
         self, colliders: List[StationState], window_start: float, busy_until: float
     ) -> None:
+        log = self.events
         colliders = sorted(colliders, key=lambda s: s.node)
         for s in colliders:
             s.tally.collisions += 1
-            self._emit(
-                time_us=busy_until, event=EVENT_TX_END_COLLISION, node=s.node,
-                link=s.link, role=ROLE_PRIMARY, stage=s.stage, bc=s.bc, dc=s.dc,
-            )
+            if log is not None:
+                log.append(SimEvent(busy_until, EVENT_TX_END_COLLISION, s.node, s.link,
+                                    ROLE_PRIMARY, s.stage, s.bc, s.dc))
         for s in colliders:
             s.stage = min(s.stage + 1, len(self.mac.cw_schedule) - 1)
             s.bc = self.global_rng.randbelow(self.mac.cw_schedule[s.stage])
             s.dc = self.mac.dc_schedule[s.stage]
-            self._emit(
-                time_us=busy_until, event=EVENT_STAGE_ADVANCE, node=s.node,
-                link=s.link, stage=s.stage, bc=s.bc, dc=s.dc,
-            )
+            if log is not None:
+                log.append(SimEvent(busy_until, EVENT_STAGE_ADVANCE, s.node, s.link,
+                                    None, s.stage, s.bc, s.dc))
         self.busy_us += busy_until - window_start
         self.t = busy_until
 
@@ -323,16 +325,17 @@ class _Engine:
 
     def _collision_window(self, ready: List[StationState]) -> None:
         start = self.t
-        for s in sorted(ready, key=lambda s: s.node):
-            self._emit(
-                time_us=start, event=EVENT_TX_START, node=s.node, link=s.link,
-                role=ROLE_PRIMARY, stage=s.stage, bc=s.bc, dc=s.dc,
-            )
+        log = self.events
+        if log is not None:
+            for s in sorted(ready, key=lambda s: s.node):
+                log.append(SimEvent(start, EVENT_TX_START, s.node, s.link, ROLE_PRIMARY,
+                                    s.stage, s.bc, s.dc))
         self._sense_busy(start)
         self._finish_collision(ready, start, start + self.mac.collision_duration_us)
 
     def _success_window(self, tx: StationState) -> None:
         mac = self.mac
+        log = self.events
         start = self.t
         end = start + mac.success_duration_us
         k = self._ac_slot(start)
@@ -340,13 +343,13 @@ class _Engine:
         reeval = self.next_reeval is not None and start >= self.next_reeval
         if reeval:
             self.next_reeval = start + mac.reeval_period_us
-            self._emit(time_us=start, event=EVENT_REEVAL_START)
+            if log is not None:
+                log.append(SimEvent(start, EVENT_REEVAL_START))
         ss_on = self.ss and not reeval
 
-        self._emit(
-            time_us=start, event=EVENT_TX_START, node=tx.node, link=tx.link,
-            role=ROLE_PRIMARY, stage=tx.stage, bc=tx.bc, dc=tx.dc,
-        )
+        if log is not None:
+            log.append(SimEvent(start, EVENT_TX_START, tx.node, tx.link, ROLE_PRIMARY,
+                                tx.stage, tx.bc, tx.dc))
         self._sense_busy(start)
 
         # Global BCs stay frozen for the whole window, so the stations that
@@ -364,22 +367,18 @@ class _Engine:
                 if boundary < end and (e == 1 or not bargers):
                     _, _, i, s_total, p_total = plan
                     secondary = self.stations[i]
-                    self._emit(
-                        time_us=boundary, event=EVENT_SS_ENGAGE,
-                        node=secondary.node, link=secondary.link, role=ROLE_SECONDARY,
-                    )
+                    if log is not None:
+                        log.append(SimEvent(boundary, EVENT_SS_ENGAGE, secondary.node,
+                                            secondary.link, ROLE_SECONDARY))
             if bargers:
-                if secondary is not None:
-                    # in-flight secondary frame is lost: neither success nor collision
-                    self._emit(
-                        time_us=first, event=EVENT_SS_ABORT, node=secondary.node,
-                        link=secondary.link, role=ROLE_SECONDARY,
-                    )
-                for s in bargers:
-                    self._emit(
-                        time_us=first, event=EVENT_TX_START, node=s.node,
-                        link=s.link, role=ROLE_PRIMARY, stage=s.stage, bc=s.bc, dc=s.dc,
-                    )
+                # an in-flight secondary frame is lost: neither success nor collision
+                if log is not None:
+                    if secondary is not None:
+                        log.append(SimEvent(first, EVENT_SS_ABORT, secondary.node,
+                                            secondary.link, ROLE_SECONDARY))
+                    for s in bargers:
+                        log.append(SimEvent(first, EVENT_TX_START, s.node, s.link,
+                                            ROLE_PRIMARY, s.stage, s.bc, s.dc))
                 self._finish_collision(
                     [tx] + bargers, start, first + mac.collision_duration_us
                 )
@@ -388,11 +387,10 @@ class _Engine:
         if secondary is not None:
             secondary.tally.successes_secondary += 1
             secondary.s_sum += s_total
-            self._emit(
-                time_us=end, event=EVENT_TX_END_SUCCESS, node=secondary.node,
-                link=secondary.link, role=ROLE_SECONDARY,
-                spectrum_fraction=s_total / MAX_MODULATION_TOTAL,
-            )
+            if log is not None:
+                log.append(SimEvent(end, EVENT_TX_END_SUCCESS, secondary.node,
+                                    secondary.link, ROLE_SECONDARY, None, None, None,
+                                    s_total / MAX_MODULATION_TOTAL))
         else:
             p_total = tx.full[k - 1]
         tx.tally.successes_primary += 1
@@ -402,13 +400,11 @@ class _Engine:
         tx.stage = 0
         tx.bc = self.global_rng.randbelow(mac.cw_schedule[0])
         tx.dc = mac.dc_schedule[0]
-        self._emit(
-            time_us=end, event=EVENT_TX_END_SUCCESS, node=tx.node, link=tx.link,
-            role=ROLE_PRIMARY, stage=tx.stage, bc=tx.bc, dc=tx.dc,
-            spectrum_fraction=p_total / MAX_MODULATION_TOTAL,
-        )
-        if reeval:
-            self._emit(time_us=end, event=EVENT_REEVAL_END)
+        if log is not None:
+            log.append(SimEvent(end, EVENT_TX_END_SUCCESS, tx.node, tx.link, ROLE_PRIMARY,
+                                tx.stage, tx.bc, tx.dc, p_total / MAX_MODULATION_TOTAL))
+            if reeval:
+                log.append(SimEvent(end, EVENT_REEVAL_END))
         self.busy_us += end - start
         self.t = end
 
@@ -479,27 +475,30 @@ def normalized_throughput(report: SimReportRaw, link: DirectedLink, mac: MacPara
 
 
 def event_log_csv(report: SimReportRaw) -> str:
-    """Event log as CSV; requires the run to have collected events."""
+    """Event log as CSV; requires the run to have collected events.
+
+    A None field renders empty and any other value as str renders it (repr
+    for time_us and spectrum_fraction), so a stage, bc or dc of 0 renders 0.
+    """
     if report.events is None:
         raise ValueError("run_simulation(collect_events=True) required for an event log")
-    out = io.StringIO()
-    out.write("time_us,event,node,link_tx,link_rx,role,stage,bc,dc,spectrum_fraction\n")
-    for e in report.events:
-        out.write(
-            ",".join(
-                [
-                    repr(e.time_us),
-                    e.event,
-                    e.node or "",
-                    e.link.tx if e.link else "",
-                    e.link.rx if e.link else "",
-                    e.role or "",
-                    "" if e.stage is None else str(e.stage),
-                    "" if e.bc is None else str(e.bc),
-                    "" if e.dc is None else str(e.dc),
-                    "" if e.spectrum_fraction is None else repr(e.spectrum_fraction),
-                ]
-            )
-            + "\n"
+    rows = ["time_us,event,node,link_tx,link_rx,role,stage,bc,dc,spectrum_fraction\n"]
+    # Float repr dominates the cost. Events of one instant come in a row and
+    # share their time object, and a run has few distinct spectrum fractions:
+    # equal nonzero floats have one repr, but 0.0 and -0.0 do not.
+    fracs = {}
+    last = stamp = None
+    for t, event, node, link, role, stage, bc, dc, sf in report.events:
+        if t is not last:
+            last, stamp = t, repr(t)
+        frac = "" if sf is None else fracs.get(sf)
+        if frac is None:
+            frac = repr(sf)
+            if sf:
+                fracs[sf] = frac
+        rows.append(
+            f"{stamp},{event},{node or ''},{link.tx if link else ''},"
+            f"{link.rx if link else ''},{role or ''},{'' if stage is None else stage},"
+            f"{'' if bc is None else bc},{'' if dc is None else dc},{frac}\n"
         )
-    return out.getvalue()
+    return "".join(rows)

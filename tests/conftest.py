@@ -122,6 +122,11 @@ def rebuild_spectrum_tallies(report, deployment, table, mac, policy):
     }
 
 
+def run_times(report):
+    """A run's total, idle and busy times as reprs, to compare them exactly."""
+    return repr(report.total_sim_time_us), repr(report.idle_us), repr(report.busy_us)
+
+
 def report_spectrum_tallies(report):
     """{link: (sf_primary, sf_secondary)} for links that carried any spectrum."""
     return {

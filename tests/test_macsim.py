@@ -1,4 +1,5 @@
 import hashlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hpavsim import (
     run_simulation,
     spectrum_fraction,
     Tonemap,
+    macsim,
 )
 from hpavsim.macsim import (
     EVENT_REEVAL_END,
@@ -26,7 +28,10 @@ from hpavsim.macsim import (
     EVENT_TX_END_COLLISION,
     EVENT_TX_END_SUCCESS,
     EVENT_TX_START,
+    ROLE_PRIMARY,
+    ROLE_SECONDARY,
     LinkTally,
+    SimEvent,
     SimReportRaw,
 )
 from hpavsim.rng import SplitMix64
@@ -37,6 +42,7 @@ from conftest import (
     CORPUS_PROFILE_KW,
     rebuild_spectrum_tallies,
     report_spectrum_tallies,
+    run_times,
 )
 
 
@@ -531,6 +537,10 @@ class TestEngineDigest:
             dep, table, mac, policy, flows, 300_000, 3, collect_events=True
         )
         assert engine_digest(report) == self.EXPECTED[case]
+        # the event log never changes a run
+        quiet = run_simulation(dep, table, mac, policy, flows, 300_000, 3)
+        assert quiet.tallies == report.tallies
+        assert run_times(quiet) == run_times(report)
 
 
 class TestNormalizedThroughput:
@@ -565,6 +575,31 @@ class TestNormalizedThroughput:
         )
 
 
+def oracle_event_log_csv(report):
+    """Independent event-log renderer: one str per field, joined per row."""
+    out = io.StringIO()
+    out.write("time_us,event,node,link_tx,link_rx,role,stage,bc,dc,spectrum_fraction\n")
+    for e in report.events:
+        out.write(
+            ",".join(
+                [
+                    repr(e.time_us),
+                    e.event,
+                    e.node or "",
+                    e.link.tx if e.link else "",
+                    e.link.rx if e.link else "",
+                    e.role or "",
+                    "" if e.stage is None else str(e.stage),
+                    "" if e.bc is None else str(e.bc),
+                    "" if e.dc is None else str(e.dc),
+                    "" if e.spectrum_fraction is None else repr(e.spectrum_fraction),
+                ]
+            )
+            + "\n"
+        )
+    return out.getvalue()
+
+
 class TestEventLog:
     def test_csv_columns_and_event_vocabulary(self):
         dep, table, policy = ss_scenario(seed=1)
@@ -586,6 +621,54 @@ class TestEventLog:
             assert fields[1] in allowed
         times = [float(l.split(",")[0]) for l in lines[1:]]
         assert times == sorted(times)
+
+    def test_matches_per_field_oracle(self):
+        a, b = DirectedLink("n1", "n2"), DirectedLink("n3", "n4")
+        later = float("35.84")  # equal to the literal, but another object
+        events = [
+            SimEvent(0.0, EVENT_REEVAL_START),
+            SimEvent(0.0, EVENT_TX_START, "n1", a, ROLE_PRIMARY, 0, 0, 0),
+            SimEvent(-0.0, EVENT_STAGE_ADVANCE, "n3", b, None, 1, 9, 1),
+            SimEvent(35.84, EVENT_SS_ENGAGE, "n3", b, ROLE_SECONDARY),
+            SimEvent(later, EVENT_SS_ABORT, "n3", b, ROLE_SECONDARY),
+            SimEvent(later, "custom", None, a, None, None, 0, None, 0.0),
+            SimEvent(later, "custom", "n1", None, ROLE_PRIMARY, 2, None, 0, -0.0),
+            SimEvent(2578.48, EVENT_TX_END_SUCCESS, "n3", b, ROLE_SECONDARY,
+                     None, None, None, 0.25),
+            SimEvent(2578.48, EVENT_TX_END_SUCCESS, "n1", a, ROLE_PRIMARY,
+                     0, 3, 0, 0.4569247546346783),
+            SimEvent(2578.48, EVENT_TX_END_SUCCESS, "n1", a, ROLE_PRIMARY,
+                     0, 3, 0, 0.25),
+            SimEvent(2614.32, EVENT_TX_END_COLLISION, "n1", a, ROLE_PRIMARY,
+                     3, 63, 15, 1e-05),
+            SimEvent(2614.32, EVENT_REEVAL_END, spectrum_fraction=0.0),
+        ]
+        report = SimReportRaw({}, 2614.32, 2614.32, 0.0, 2614.32, events=events)
+        text = event_log_csv(report)
+        assert text == oracle_event_log_csv(report)
+        assert text.splitlines()[2:4] == [
+            "0.0,tx_start,n1,n1,n2,primary,0,0,0,",
+            "-0.0,stage_advance,n3,n3,n4,,1,9,1,",
+        ]
+
+        dep, table, policy, ring = dense_ring_scenario()
+        report = run_simulation(
+            dep, table, MacParams(reeval_period_us=100_000.0), policy, ring, 300_000, 3,
+            collect_events=True,
+        )
+        assert event_log_csv(report) == oracle_event_log_csv(report)
+
+    def test_no_event_built_without_collection(self, monkeypatch):
+        def refuse(*fields):
+            raise RuntimeError("event built")
+
+        dep, table, policy, ring = dense_ring_scenario()
+        args = (dep, table, MacParams(reeval_period_us=100_000.0), policy, ring, 300_000, 3)
+        expected = run_simulation(*args)
+        monkeypatch.setattr(macsim, "SimEvent", refuse)
+        assert run_simulation(*args).tallies == expected.tallies
+        with pytest.raises(RuntimeError, match="event built"):
+            run_simulation(*args, collect_events=True)
 
     def test_log_requires_collection(self):
         dep = uniform_two_node()
