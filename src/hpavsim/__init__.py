@@ -38,7 +38,6 @@ from .tonemap import (
     expected_throughput,
     phy_rate,
     spectrum_fraction,
-    validate_tonemap,
 )
 from .traceio import (
     Deployment,
@@ -55,7 +54,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DirectedLink", "PhyParams", "Tonemap", "asymmetry", "expected_throughput",
-    "phy_rate", "spectrum_fraction", "validate_tonemap",
+    "phy_rate", "spectrum_fraction",
     "Deployment", "GeneratorProfile", "TraceFormatError", "generate_deployment",
     "load_trace", "parse_trace", "save_trace", "serialize_trace",
     "SSAllocation", "SSDecisionTable", "SSPolicy", "build_decision_table",

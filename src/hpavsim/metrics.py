@@ -134,9 +134,7 @@ def asymmetry_distribution(deployment: Deployment) -> List[float]:
     pairs = sorted({tuple(sorted((l.tx, l.rx))) for l in deployment.links})
     values = []
     for a, b in pairs:
-        forward = deployment.links.get(DirectedLink(a, b))
-        backward = deployment.links.get(DirectedLink(b, a))
-        if forward is None or backward is None:
-            raise ValueError(f"missing reverse link for pair {a}-{b}")
+        forward = deployment.links[DirectedLink(a, b)]
+        backward = deployment.links[DirectedLink(b, a)]
         values.append(float(asymmetry(forward, backward) / MAX_MODULATION_TOTAL))
     return values

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, List, Tuple
 
-from .tonemap import MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink, is_valid_slot
+from .tonemap import MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink
 from .traceio import Deployment
 
 # _LEVEL_BITS[v] translates a modulation byte to b"1" if it equals v, else b"0"
@@ -106,7 +106,7 @@ class SSDecisionTable:
         return f"SSDecisionTable(entries={len(self.entries)}, populated={populated})"
 
 
-def _slot_masks(link: DirectedLink, k: int, vec: bytes):
+def _slot_masks(vec: bytes):
     """Level masks of one tonemap slot; bit ``j - 1`` stands for subcarrier ``j``.
 
     Returns ``(eq, ge, levels)``: ``eq[v]`` marks the subcarriers at level
@@ -115,11 +115,6 @@ def _slot_masks(link: DirectedLink, k: int, vec: bytes):
     ``sum(v * (m & x).bit_count() for v, m in levels)`` is the modulation
     total over the subcarriers in ``x``.
     """
-    if not is_valid_slot(vec):
-        raise ValueError(
-            f"link {link} slot {k}: expected {SUBCARRIER_COUNT} modulation "
-            f"values in 0..{MAX_MODULATION}"
-        )
     raw = vec[::-1]  # subcarrier 1 becomes the last, least significant, digit
     eq = [int(raw.translate(table), 2) for table in _LEVEL_BITS]
     ge = [0] * (MAX_MODULATION + 2)
@@ -156,17 +151,14 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
     positive gain are sorted by descending gain, ties by the secondary's
     (tx, rx), and truncated to ``top_m``.
 
-    Raises ValueError if the deployment has no links or a tonemap slot is
-    not 917 modulation values in 0..10.
+    Raises nothing of its own: a Deployment and an SSPolicy are checked when
+    they are built.
     """
     beta = policy.beta
     cap = int(policy.max_share_fraction * SUBCARRIER_COUNT)
     slots = range(1, deployment.slot_count + 1)
     links = sorted(deployment.links)
-    masks = [
-        [_slot_masks(link, k, deployment.links[link].slot(k)) for k in slots]
-        for link in links
-    ]
+    masks = [list(map(_slot_masks, deployment.links[link].slots)) for link in links]
     entries: Dict[Tuple[DirectedLink, int], Tuple[SSAllocation, ...]] = {}
     for primary, p_masks in zip(links, masks):
         secondaries = [

@@ -15,18 +15,15 @@ All operations are pure; all types are immutable after construction.
 Subcarrier and slot indices are 1-based in every public signature, matching
 the trace file format.
 
-A slot is stored as a 917-byte ``bytes`` object whenever every value is an
-int in 0..255, which covers every valid map, so that summing, indexing and
-validating a slot run in C. A slot holding anything else (a negative
-value, 256 or more, a float) stays a tuple, so that malformed maps can still
-be built and :func:`validate_tonemap` can report on them. Two tonemaps are
-equal, and hash equal, exactly when their slots hold the same int values.
+A map is valid by construction: every slot is 917 ``bytes`` in 0..10, so
+summing and indexing a slot run in C, and two maps are equal, and hash
+equal, exactly when they hold the same values.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Optional, Union
+from typing import Iterable, Tuple
 
 SUBCARRIER_COUNT = 917
 MAX_MODULATION = 10
@@ -47,25 +44,33 @@ class Tonemap:
     """Per-subcarrier modulation map for one directed link.
 
     ``slots[k-1][j-1]`` is the modulation of subcarrier ``j`` during AC-cycle
-    sub-interval ``k``. A slot is ``bytes`` when all its values are ints in
-    0..255 and a tuple otherwise, whatever sequence it was built from; maps
-    built from a list, tuple, ``bytes`` or ``bytearray`` of the same ints
-    are therefore equal, while a map with a float entry equals no int map.
-    Construction does not validate (so malformed maps can be represented and
-    reported on); use :func:`validate_tonemap`.
+    sub-interval ``k``, each slot stored as ``bytes`` whatever sequence of
+    ints it was built from. Construction raises ValueError naming the first
+    violation: slot count outside 1..6, then per slot a subcarrier count
+    other than 917 or a value that is not an int in 0..10.
     """
 
-    slots: tuple
+    slots: Tuple[bytes, ...]
 
     def __init__(self, slots: Iterable[Iterable[int]]):
-        object.__setattr__(self, "slots", tuple(map(_as_slot, slots)))
+        rows = [v if isinstance(v, (bytes, bytearray)) else tuple(v) for v in slots]
+        try:
+            checked = tuple(map(bytes, rows))
+        except (TypeError, ValueError):
+            checked = ()
+        if not 1 <= len(checked) <= MAX_SLOT_COUNT or any(
+            len(slot) != SUBCARRIER_COUNT or slot.translate(None, _LEVELS)
+            for slot in checked
+        ):
+            raise ValueError(_first_violation(rows))
+        object.__setattr__(self, "slots", checked)
 
     @property
     def slot_count(self) -> int:
         return len(self.slots)
 
-    def slot(self, k: int) -> Union[bytes, tuple]:
-        """Modulation vector of 1-based slot ``k``: ``bytes`` for a valid map."""
+    def slot(self, k: int) -> bytes:
+        """Modulation vector of 1-based slot ``k``."""
         if not 1 <= k <= len(self.slots):
             raise ValueError(f"slot index {k} out of range 1..{len(self.slots)}")
         return self.slots[k - 1]
@@ -80,14 +85,17 @@ class Tonemap:
         return f"Tonemap(slot_count={len(self.slots)})"
 
 
-def _as_slot(values) -> Union[bytes, tuple]:
-    """``values`` as bytes if every entry is an int in 0..255, else as a tuple."""
-    if not isinstance(values, (bytes, bytearray)):
-        values = tuple(values)
-    try:
-        return bytes(values)
-    except (TypeError, ValueError):
-        return values
+def _first_violation(rows: list) -> str:
+    """The first broken invariant of a map's slot rows, 1-based positions."""
+    if not 1 <= len(rows) <= MAX_SLOT_COUNT:
+        return f"slot count {len(rows)} outside 1..{MAX_SLOT_COUNT}"
+    for k, row in enumerate(rows, start=1):
+        if len(row) != SUBCARRIER_COUNT:
+            return f"subcarrier count {len(row)} in slot {k}, expected {SUBCARRIER_COUNT}"
+        for j, v in enumerate(row, start=1):
+            if not isinstance(v, int) or not 0 <= v <= MAX_MODULATION:
+                return f"modulation out of range: value {v!r} at slot {k}, subcarrier {j}"
+    raise AssertionError("no violation in a map that failed its checks")
 
 
 @dataclass(frozen=True, order=True)
@@ -134,42 +142,6 @@ class PhyParams:
             raise ValueError("symbol_interval_us must be positive")
         if not 0.0 <= self.protocol_overhead < 1.0:
             raise ValueError("protocol_overhead must be in [0, 1)")
-
-
-def is_valid_slot(slot) -> bool:
-    """True if ``slot`` holds 917 modulation values in 0..10.
-
-    Only a ``bytes`` slot can: a Tonemap keeps a tuple only for non-byte values.
-    """
-    return (
-        isinstance(slot, bytes)
-        and len(slot) == SUBCARRIER_COUNT
-        and not slot.translate(None, _LEVELS)
-    )
-
-
-def validate_tonemap(t: Tonemap) -> Optional[str]:
-    """Return None if ``t`` satisfies all invariants, else the first violation.
-
-    Scan order is: slot count, then per slot the subcarrier count, then each
-    modulation value; messages carry the 1-based slot/subcarrier position.
-    A slot is scanned value by value only if it is not valid.
-    """
-    if not 1 <= t.slot_count <= MAX_SLOT_COUNT:
-        return f"slot count {t.slot_count} outside 1..{MAX_SLOT_COUNT}"
-    for k, slot in enumerate(t.slots, start=1):
-        if len(slot) != SUBCARRIER_COUNT:
-            return (
-                f"subcarrier count {len(slot)} in slot {k}, expected {SUBCARRIER_COUNT}"
-            )
-        if is_valid_slot(slot):
-            continue
-        for j, v in enumerate(slot, start=1):
-            if not isinstance(v, int) or not 0 <= v <= MAX_MODULATION:
-                return (
-                    f"modulation out of range: value {v!r} at slot {k}, subcarrier {j}"
-                )
-    return None
 
 
 def phy_rate(t: Tonemap, slot_index: int, params: PhyParams) -> float:

@@ -36,7 +36,6 @@ from .tonemap import (
     SUBCARRIER_COUNT,
     DirectedLink,
     Tonemap,
-    validate_tonemap,
 )
 
 FORMAT_NAME = "plctm"
@@ -59,21 +58,42 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Deployment:
-    """Node set plus a tonemap for every traced directed link."""
+    """Node set plus a tonemap for every traced directed link.
+
+    Construction raises ValueError on the first broken invariant: fewer than
+    2 nodes, a duplicate node, no links, tonemaps that disagree on
+    slot_count, a link naming an unlisted node or a link without its
+    reverse.
+    """
 
     nodes: Tuple[str, ...]
     links: Dict[DirectedLink, Tonemap]
     metadata: Dict[str, str]
 
     def __init__(self, nodes, links, metadata=None):
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "links", dict(links))
+        nodes = tuple(nodes)
+        links = dict(links)
+        if len(nodes) < 2:
+            raise ValueError("deployment needs at least 2 nodes")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("duplicate node identifiers")
+        if not links:
+            raise ValueError("deployment has no links")
+        slot_counts = {t.slot_count for t in links.values()}
+        if len(slot_counts) != 1:
+            raise ValueError(f"tonemaps disagree on slot_count: {sorted(slot_counts)}")
+        known = set(nodes)
+        for link in links:
+            if link.tx not in known or link.rx not in known:
+                raise ValueError(f"link {link} uses a node missing from the node list")
+            if link.reversed() not in links:
+                raise ValueError(f"link {link} has no reverse-direction tonemap")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "links", links)
         object.__setattr__(self, "metadata", dict(metadata or {}))
 
     @property
     def slot_count(self) -> int:
-        if not self.links:
-            raise ValueError("deployment has no links")
         return next(iter(self.links.values())).slot_count
 
     def __repr__(self) -> str:
@@ -81,27 +101,6 @@ class Deployment:
             f"Deployment(nodes={list(self.nodes)!r}, links={len(self.links)}, "
             f"metadata={self.metadata!r})"
         )
-
-    def check(self) -> None:
-        """Raise ValueError on the first violated deployment invariant."""
-        if len(self.nodes) < 2:
-            raise ValueError("deployment needs at least 2 nodes")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("duplicate node identifiers")
-        if not self.links:
-            raise ValueError("deployment has no links")
-        slot_counts = {t.slot_count for t in self.links.values()}
-        if len(slot_counts) != 1:
-            raise ValueError(f"tonemaps disagree on slot_count: {sorted(slot_counts)}")
-        known = set(self.nodes)
-        for link, tmap in self.links.items():
-            if link.tx not in known or link.rx not in known:
-                raise ValueError(f"link {link} uses a node missing from the node list")
-            if link.reversed() not in self.links:
-                raise ValueError(f"link {link} has no reverse-direction tonemap")
-            problem = validate_tonemap(tmap)
-            if problem is not None:
-                raise ValueError(f"link {link}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,9 @@ def _ladder_shift(value: int, steps: int) -> int:
 def parse_trace(source) -> Deployment:
     """Parse PLCTM v1 text (a string or a text stream) into a Deployment.
 
-    Raises TraceFormatError naming the offending line for malformed input;
-    the returned deployment satisfies every deployment invariant.
+    Raises TraceFormatError naming the offending line for malformed input,
+    or line 0 when the links, once read, break a Deployment invariant (a
+    link without its reverse).
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -230,11 +230,7 @@ def parse_trace(source) -> Deployment:
             raise TraceFormatError(line_no, f"unrecognized line {line!r}")
 
     links: Dict[DirectedLink, Tonemap] = {}
-    seen_links = sorted({link for link, _ in slot_vectors})
-    if not seen_links:
-        raise TraceFormatError(0, "trace contains no link lines")
-    seen_set = set(seen_links)
-    for link in seen_links:
+    for link in sorted({link for link, _ in slot_vectors}):
         slots = []
         for k in range(1, slot_count + 1):
             try:
@@ -244,12 +240,12 @@ def parse_trace(source) -> Deployment:
                     0, f"link {link} is missing slot {k} of {slot_count}"
                 ) from None
         links[link] = Tonemap(slots)
-        if link.reversed() not in seen_set:
-            raise TraceFormatError(0, f"link {link} has no reverse-direction tonemap")
-
-    deployment = Deployment(nodes, links, metadata)
-    deployment.check()
-    return deployment
+    if not links:
+        raise TraceFormatError(0, "trace contains no link lines")
+    try:
+        return Deployment(nodes, links, metadata)
+    except ValueError as exc:
+        raise TraceFormatError(0, str(exc)) from None
 
 
 def _parse_header_int(line_no: int, line: str, key: str) -> int:
@@ -291,12 +287,12 @@ def _parse_values(line_no: int, values_s: str) -> bytes:
 
 
 def serialize_trace(deployment: Deployment) -> str:
-    """Canonical PLCTM v1 text for a valid deployment.
+    """Canonical PLCTM v1 text of a deployment.
 
     Nodes keep their listed order; meta lines sort by key; link lines sort by
-    (tx, rx) then slot. Equal deployments serialize byte-identically.
+    (tx, rx) then slot. Equal deployments serialize byte-identically. Raises
+    nothing of its own: a Deployment is valid once built.
     """
-    deployment.check()
     out = io.StringIO()
     out.write(f"{FORMAT_NAME} {FORMAT_VERSION}\n")
     out.write(f"slots {deployment.slot_count}\n")
@@ -429,9 +425,7 @@ def generate_deployment(
         "notch_count": str(profile.notch_count),
         "notch_width": str(profile.notch_width),
     }
-    deployment = Deployment(nodes, links, metadata)
-    deployment.check()
-    return deployment
+    return Deployment(nodes, links, metadata)
 
 
 def _noisy_slots(rng: SplitMix64, base_row: list, noisy: list, quiet_zeros: bool,

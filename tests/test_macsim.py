@@ -175,12 +175,11 @@ class TestBasicContract:
         link = DirectedLink("n1", "n2")
         slots = [list(slot) for slot in dep.links[link].slots]
         slots[2][10] = 11
-        bad_value = Deployment(dep.nodes, {**dep.links, link: Tonemap(slots)})
+        # an invalid map or deployment cannot be built, so it never reaches a run
         with pytest.raises(ValueError, match="value 11 at slot 3, subcarrier 11"):
-            run_simulation(bad_value, None, MAC, None, [link], 1000, seed=1)
-        no_reverse = Deployment(dep.nodes, {link: dep.links[link]})
+            Tonemap(slots)
         with pytest.raises(ValueError, match="no reverse-direction tonemap"):
-            run_simulation(no_reverse, None, MAC, None, [link], 1000, seed=1)
+            Deployment(dep.nodes, {link: dep.links[link]})
 
     def test_unknown_link_in_throughput(self):
         dep = uniform_two_node()

@@ -233,27 +233,6 @@ class TestDecisionTableOracle:
                 assert tables_equal(table, brute_force_table(dep, policy)), (beta, cap)
 
 
-class TestDecisionTableInputGuard:
-    @pytest.mark.parametrize(
-        "bad_slot",
-        (
-            (11,) + (0,) * (SUBCARRIER_COUNT - 1),
-            (0,) * (SUBCARRIER_COUNT - 1) + (-1,),
-            (0,) * (SUBCARRIER_COUNT - 1),
-        ),
-        ids=("level-11", "level-minus-1", "916-long"),
-    )
-    def test_malformed_slot_names_link_and_slot(self, bad_slot):
-        dep = deployment_from_levels(
-            {("n1", "n2"): 2, ("n2", "n1"): 2, ("n3", "n4"): 8, ("n4", "n3"): 8}, 3
-        )
-        links = dict(dep.links)
-        good = (8,) * SUBCARRIER_COUNT
-        links[DirectedLink("n3", "n4")] = Tonemap([good, bad_slot, good])
-        with pytest.raises(ValueError, match=r"link n3->n4 slot 2"):
-            build_decision_table(Deployment(dep.nodes, links), SSPolicy())
-
-
 class TestPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from hpavsim import (
     expected_throughput,
     phy_rate,
     spectrum_fraction,
-    validate_tonemap,
 )
 from hpavsim.rng import SplitMix64
 from hpavsim.tonemap import MAX_MODULATION_TOTAL, SUBCARRIER_COUNT
@@ -35,29 +34,61 @@ def random_tonemap(rng, slot_count=5):
 
 class TestValidate:
     def test_maximal_map_ok(self):
-        assert validate_tonemap(Tonemap.filled(10)) is None
+        assert Tonemap.filled(10).slot(1) == bytes([10]) * SUBCARRIER_COUNT
 
     def test_modulation_out_of_range(self):
         slots = [[10] * SUBCARRIER_COUNT for _ in range(5)]
         slots[2][41] = 11
-        message = validate_tonemap(Tonemap(slots))
-        assert "modulation out of range" in message
-        assert "slot 3" in message and "subcarrier 42" in message
+        with pytest.raises(ValueError, match="modulation out of range") as err:
+            Tonemap(slots)
+        assert "slot 3" in str(err.value) and "subcarrier 42" in str(err.value)
 
     def test_short_subcarrier_vector(self):
         slots = [[10] * SUBCARRIER_COUNT, [10] * (SUBCARRIER_COUNT - 1)]
-        message = validate_tonemap(Tonemap(slots))
-        assert "subcarrier count 916" in message and "slot 2" in message
+        with pytest.raises(ValueError, match="subcarrier count 916") as err:
+            Tonemap(slots)
+        assert "slot 2" in str(err.value)
 
     def test_slot_count_bounds(self):
-        assert "slot count" in validate_tonemap(Tonemap([]))
-        too_many = Tonemap([[0] * SUBCARRIER_COUNT] * 7)
-        assert "slot count" in validate_tonemap(too_many)
+        with pytest.raises(ValueError, match="slot count"):
+            Tonemap([])
+        with pytest.raises(ValueError, match="slot count"):
+            Tonemap([[0] * SUBCARRIER_COUNT] * 7)
 
     def test_negative_value_rejected(self):
         slots = [[0] * SUBCARRIER_COUNT]
         slots[0][0] = -1
-        assert "modulation out of range" in validate_tonemap(Tonemap(slots))
+        with pytest.raises(ValueError, match="modulation out of range"):
+            Tonemap(slots)
+
+    @pytest.mark.parametrize(
+        "bad_slot",
+        (
+            (11,) + (0,) * (SUBCARRIER_COUNT - 1),
+            (0,) * (SUBCARRIER_COUNT - 1) + (-1,),
+            (0,) * (SUBCARRIER_COUNT - 1),
+            bytes([11]) + bytes(SUBCARRIER_COUNT - 1),
+            bytearray([11]) + bytes(SUBCARRIER_COUNT - 1),
+        ),
+        ids=(
+            "level-11", "level-minus-1", "916-long", "level-11-bytes", "level-11-bytearray"
+        ),
+    )
+    def test_malformed_middle_slot_names_slot(self, bad_slot):
+        good = (8,) * SUBCARRIER_COUNT
+        with pytest.raises(ValueError, match="slot 2"):
+            Tonemap([good, bad_slot, good])
+
+    def test_scan_order_slot_count_then_length_then_values(self):
+        bad_value = [0] * SUBCARRIER_COUNT
+        bad_value[5] = 11
+        short = [0] * (SUBCARRIER_COUNT - 1)
+        with pytest.raises(ValueError, match="slot count 7"):
+            Tonemap([bad_value] + [short] * 6)
+        with pytest.raises(ValueError, match="value 11 at slot 1, subcarrier 6"):
+            Tonemap([bad_value, short])
+        with pytest.raises(ValueError, match="subcarrier count 916 in slot 1"):
+            Tonemap([[11] + short[1:], bad_value])
 
 
 class TestRepresentation:
@@ -76,18 +107,17 @@ class TestRepresentation:
             assert type(tmap.slot(1)) is bytes
             assert tmap.slot(1) == bytes(values)
 
-    def test_float_entry_map_equals_no_int_map(self):
-        floats = Tonemap([[1.0] * SUBCARRIER_COUNT])
-        assert type(floats.slot(1)) is tuple
-        assert floats != Tonemap.filled(1, slot_count=1)
+    def test_float_entry_map_rejected(self):
+        with pytest.raises(ValueError, match="value 1.0 at slot 1, subcarrier 1"):
+            Tonemap([[1.0] * SUBCARRIER_COUNT])
 
     @pytest.mark.parametrize("bad", [-1, 11, 256, 1.5])
     def test_malformed_value_built_and_reported(self, bad):
         slots = [[4] * SUBCARRIER_COUNT for _ in range(3)]
         slots[1][99] = bad
-        tmap = Tonemap(slots)
-        assert list(tmap.slot(2)) == slots[1]
-        assert validate_tonemap(tmap) == (
+        with pytest.raises(ValueError) as err:
+            Tonemap(slots)
+        assert str(err.value) == (
             f"modulation out of range: value {bad!r} at slot 2, subcarrier 100"
         )
 

@@ -13,7 +13,6 @@ from hpavsim import (
     generate_deployment,
     parse_trace,
     serialize_trace,
-    validate_tonemap,
 )
 from hpavsim.traceio import LEGAL_MODULATIONS, snap_legal
 
@@ -144,9 +143,9 @@ class TestSerialize:
         assert len(link_lines) == 12 * dep.slot_count
 
     def test_invalid_deployment_rejected(self):
-        dep = Deployment(("a", "b"), {DirectedLink("a", "b"): Tonemap.filled(1)})
+        # nothing invalid can reach serialize_trace: the constructor refuses it
         with pytest.raises(ValueError, match="reverse"):
-            serialize_trace(dep)
+            Deployment(("a", "b"), {DirectedLink("a", "b"): Tonemap.filled(1)})
 
 
 class TestGenerator:
@@ -178,7 +177,6 @@ class TestGenerator:
             dep = generate_deployment(3, profile)
             assert len(dep.links) == 6
             for tmap in dep.links.values():
-                assert validate_tonemap(tmap) is None
                 assert all(
                     v in LEGAL_MODULATIONS for slot in tmap.slots for v in slot
                 )
@@ -276,24 +274,34 @@ class TestHelpers:
         assert (snap_legal(-3), snap_legal(12), snap_legal(5.5)) == (0, 10, 6)
 
     def test_deployment_check_rejects_mixed_slot_counts(self):
-        dep = Deployment(
-            ("a", "b"),
-            {
-                DirectedLink("a", "b"): Tonemap.filled(1, 5),
-                DirectedLink("b", "a"): Tonemap.filled(1, 4),
-            },
-        )
+        links = {
+            DirectedLink("a", "b"): Tonemap.filled(1, 5),
+            DirectedLink("b", "a"): Tonemap.filled(1, 4),
+        }
         with pytest.raises(ValueError, match="slot_count"):
-            dep.check()
+            Deployment(("a", "b"), links)
 
     def test_slot_count_of_empty_deployment(self):
-        dep = Deployment(("a", "b"), {})
         with pytest.raises(ValueError, match="deployment has no links"):
-            dep.slot_count
-        with pytest.raises(ValueError, match="deployment has no links"):
-            build_decision_table(dep, SSPolicy())
+            Deployment(("a", "b"), {})
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            (("a",), "at least 2 nodes"),
+            (("a", "b", "a"), "duplicate node identifiers"),
+            (("a", "c"), "link a->b uses a node missing from the node list"),
+        ],
+    )
+    def test_deployment_rejects_bad_node_list(self, nodes, message):
+        links = {
+            DirectedLink("a", "b"): Tonemap.filled(1),
+            DirectedLink("b", "a"): Tonemap.filled(1),
+        }
+        with pytest.raises(ValueError, match=message):
+            Deployment(nodes, links)
 
     def test_deployment_from_levels_fixture_valid(self):
         dep = deployment_from_levels({("a", "b"): 10, ("b", "a"): 2})
-        dep.check()
         assert dep.slot_count == 5
+        assert dep.nodes == ("a", "b") and len(dep.links) == 2
