@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     g = sub.add_parser("generate", help="write a synthetic PLCTM trace")
     add_config(g)
     add_generator(g)
-    g.add_argument("--out", help="output trace path (stdout if omitted)")
+    g.add_argument("--out", help="output trace path (required)")
 
     a = sub.add_parser("analyze", help="per-link rates and asymmetry of a trace")
     add_config(a)

@@ -22,7 +22,6 @@ equal, exactly when they hold the same values.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Iterable, Tuple
 
 SUBCARRIER_COUNT = 917
@@ -37,6 +36,8 @@ FEC_RATES = (Fraction(1, 2), Fraction(16, 21))
 
 # the valid modulation values 0..10, as bytes
 _LEVELS = bytes(range(MAX_MODULATION + 1))
+# byte 16 * hi + lo -> |hi - lo|, the per-subcarrier kernel of ``asymmetry``
+_NIBBLE_DISTANCE = bytes(abs((i >> 4) - (i & 15)) for i in range(256))
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,13 @@ def phy_rate(t: Tonemap, slot_index: int, params: PhyParams) -> float:
     """Effective PHY rate of one AC-cycle slot, in bits/second.
 
     sum of modulation bits per symbol, scaled by the FEC rate and the bit
-    error rate, divided by the symbol interval (converted to seconds).
+    error rate, divided by the symbol interval (converted to seconds). The
+    scaled sum is one int true division, correctly rounded, so the result is
+    the float of ``total_bits * fec_rate`` as an exact Fraction.
     """
-    total_bits = sum(t.slot(slot_index))
-    return float(
-        total_bits
-        * params.fec_rate
+    fec = params.fec_rate
+    return (
+        sum(t.slot(slot_index)) * fec.numerator / fec.denominator
         * (1.0 - params.bit_error_rate)
         / (params.symbol_interval_us * 1e-6)
     )
@@ -176,6 +178,12 @@ def asymmetry(t_ab: Tonemap, t_ba: Tonemap) -> Fraction:
     Exact rational result in [0, 9170]; normalize by 9170 for the [0, 1]
     presentation scale. Symmetric in its arguments and zero iff the maps are
     identical.
+
+    The distances are computed in C: each slot pair is packed into one int
+    whose byte j is ``16 * a[j] + b[j]``, and that byte is looked up in a
+    256-entry ``|hi - lo|`` table. Packing is exact only while every value
+    fits in a nibble (at most 15), so that no byte carries into the next;
+    the ``Tonemap`` constructor guarantees at most 10.
     """
     if t_ab.slot_count != t_ba.slot_count:
         raise ValueError(
@@ -183,7 +191,8 @@ def asymmetry(t_ab: Tonemap, t_ba: Tonemap) -> Fraction:
         )
     total = 0
     for slot_ab, slot_ba in zip(t_ab.slots, t_ba.slots):
-        total += sum(map(abs, map(sub, slot_ab, slot_ba)))
+        packed = (int.from_bytes(slot_ab, "little") << 4) + int.from_bytes(slot_ba, "little")
+        total += sum(packed.to_bytes(SUBCARRIER_COUNT, "little").translate(_NIBBLE_DISTANCE))
     return Fraction(total, t_ab.slot_count)
 
 

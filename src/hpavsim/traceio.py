@@ -258,22 +258,43 @@ def _parse_header_int(line_no: int, line: str, key: str) -> int:
         raise TraceFormatError(line_no, f"bad integer {parts[1]!r}") from None
 
 
-# canonical decimal text of each valid modulation value 0..10
-_VALUE_OF_TEXT = {str(v): v for v in range(MAX_MODULATION + 1)}
 # modulation byte 0..10 -> one character, "A" standing in for "10"
 _VALUE_CHARS = bytes.maketrans(bytes(range(MAX_MODULATION + 1)), b"0123456789A")
+# the inverse for the parser's fast path, ":" standing in for "10"
+_CHAR_DIGITS = b"0123456789:"
+_CHAR_VALUES = bytes.maketrans(_CHAR_DIGITS, bytes(range(MAX_MODULATION + 1)))
+# a canonical row: 917 one-character values at the even offsets, commas between
+_ROW_LENGTH = 2 * SUBCARRIER_COUNT - 1
+_ROW_COMMAS = "," * (SUBCARRIER_COUNT - 1)
 
 
 def _parse_values(line_no: int, values_s: str) -> bytes:
+    """The 917 modulation bytes of a link line's value field.
+
+    A canonical row (bare decimals 0..10, the form ``serialize_trace``
+    writes) is read by C-level string and bytes operations: with every "10"
+    turned into ":", it is one character per value. Any other row, including
+    a valid one that spells a value differently (``03``, ``+10``), goes to
+    ``_parse_tokens``; the fast path accepts only rows that it would read to
+    the same bytes, so the rows accepted and the errors raised are its own.
+    """
+    if ":" not in values_s:  # else a literal ":" would read as 10
+        row = values_s.replace("10", ":")
+        if len(row) == _ROW_LENGTH and row[1::2] == _ROW_COMMAS:
+            raw = row[::2].encode("ascii", "replace")
+            if not raw.translate(None, _CHAR_DIGITS):
+                return raw.translate(_CHAR_VALUES)
+    return _parse_tokens(line_no, values_s)
+
+
+def _parse_tokens(line_no: int, values_s: str) -> bytes:
+    """A value field read one ``int()`` per token, raising TraceFormatError
+    on a wrong token count or on the first bad value."""
     tokens = values_s.split(",")
     if len(tokens) != SUBCARRIER_COUNT:
         raise TraceFormatError(
             line_no, f"subcarrier count {len(tokens)}, expected {SUBCARRIER_COUNT}"
         )
-    try:
-        return bytes(map(_VALUE_OF_TEXT.__getitem__, tokens))
-    except KeyError:  # a bad token, or a valid value in non-canonical form
-        pass
     values = []
     for tok in tokens:
         try:
@@ -300,11 +321,13 @@ def serialize_trace(deployment: Deployment) -> str:
     out.write("nodes " + " ".join(deployment.nodes) + "\n")
     for key in sorted(deployment.metadata):
         out.write(f"meta {key} {deployment.metadata[key]}\n")
+    row = bytearray(_ROW_LENGTH)
+    row[1::2] = _ROW_COMMAS.encode("ascii")
     for link in sorted(deployment.links):
         tmap = deployment.links[link]
         for k in range(1, tmap.slot_count + 1):
-            chars = tmap.slot(k).translate(_VALUE_CHARS).decode("ascii")
-            values = ",".join(chars).replace("A", "10")
+            row[::2] = tmap.slot(k).translate(_VALUE_CHARS)
+            values = row.decode("ascii").replace("A", "10")
             out.write(f"link {link.tx} {link.rx} {k} {values}\n")
     return out.getvalue()
 

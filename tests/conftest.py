@@ -12,7 +12,7 @@ from hpavsim.macsim import (
     ROLE_PRIMARY,
     ROLE_SECONDARY,
 )
-from hpavsim.tonemap import SUBCARRIER_COUNT
+from hpavsim.tonemap import MAX_MODULATION, SUBCARRIER_COUNT
 
 
 def deployment_from_levels(levels, slot_count=5, nodes=None):
@@ -24,6 +24,53 @@ def deployment_from_levels(levels, slot_count=5, nodes=None):
     if nodes is None:
         nodes = sorted({n for pair in levels for n in pair})
     return Deployment(nodes, links)
+
+
+def phy_rate_oracle(tmap, k, params):
+    """``tonemap.phy_rate`` as it was first written, through the FEC rate as a
+    Fraction; the float result must match it exactly."""
+    total_bits = sum(tmap.slot(k))
+    return float(
+        total_bits
+        * params.fec_rate
+        * (1.0 - params.bit_error_rate)
+        / (params.symbol_interval_us * 1e-6)
+    )
+
+
+def expected_throughput_oracle(tmap, params):
+    rates = [phy_rate_oracle(tmap, k, params) for k in range(1, tmap.slot_count + 1)]
+    return (1.0 - params.protocol_overhead) * (sum(rates) / len(rates))
+
+
+def asymmetry_oracle(t_ab, t_ba):
+    """Brute-force summed |a - b| over every (slot, subcarrier), averaged over
+    slots."""
+    total = sum(
+        abs(a - b)
+        for slot_ab, slot_ba in zip(t_ab.slots, t_ba.slots)
+        for a, b in zip(slot_ab, slot_ba)
+    )
+    return Fraction(total, t_ab.slot_count)
+
+
+def parse_values_oracle(values_s):
+    """``(values, None)`` or ``(None, message)``: the PLCTM rules for a link
+    line's value field applied one ``int()`` per token, with the message the
+    reader's TraceFormatError must carry."""
+    tokens = values_s.split(",")
+    if len(tokens) != SUBCARRIER_COUNT:
+        return None, f"subcarrier count {len(tokens)}, expected {SUBCARRIER_COUNT}"
+    values = []
+    for tok in tokens:
+        try:
+            v = int(tok)
+        except ValueError:
+            return None, f"bad modulation value {tok!r}"
+        if not 0 <= v <= MAX_MODULATION:
+            return None, f"modulation value {v} out of range 0..{MAX_MODULATION}"
+        values.append(v)
+    return bytes(values), None
 
 
 def brute_force_table(deployment, policy):

@@ -46,6 +46,20 @@ class TestGenerate:
         assert run(gen_args(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_missing_out_usage_error(self, capsys):
+        # stdout carries the metadata summary, so the trace needs a path
+        rc = run(["generate", "--nodes", "2", "--profile", "uniform"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "hpavsim generate: error: --out trace path is required\n"
+
+    def test_out_help_says_required(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["generate", "--help"])
+        help_text = capsys.readouterr().out
+        assert "output trace path (required)" in help_text
+        assert "stdout" not in help_text
+
     def test_invalid_profile_usage_error(self, tmp_path):
         rc = run(["generate", "--nodes", "2", "--profile", "nope",
                   "--out", str(tmp_path / "x.plctm")])

@@ -12,7 +12,9 @@ from hpavsim import (
     spectrum_fraction,
 )
 from hpavsim.rng import SplitMix64
-from hpavsim.tonemap import MAX_MODULATION_TOTAL, SUBCARRIER_COUNT
+from hpavsim.tonemap import FEC_RATES, MAX_MODULATION_TOTAL, SUBCARRIER_COUNT
+
+from conftest import asymmetry_oracle, expected_throughput_oracle, phy_rate_oracle
 
 
 def rate_oracle(tmap, k, params):
@@ -217,6 +219,50 @@ class TestAsymmetry:
             assert 0 <= asymmetry(a, b) <= 9170
             assert asymmetry(a, c) <= asymmetry(a, b) + asymmetry(b, c)
             assert (asymmetry(a, b) == 0) == (a == b)
+
+
+def pin_maps():
+    """All-0, all-10 and random maps of every slot count, plus maps drawn
+    from the two ends of the range only."""
+    rng = SplitMix64(1010, 0)
+    maps = [Tonemap.filled(0), Tonemap.filled(10)]
+    maps += [random_tonemap(rng, slot_count) for slot_count in range(1, 7)]
+    maps += [
+        Tonemap([[10 * rng.randbelow(2) for _ in range(SUBCARRIER_COUNT)]] * 3)
+        for _ in range(2)
+    ]
+    return maps
+
+
+class TestKernelPins:
+    """The C-level kernels give exactly the floats and Fractions of the
+    per-value expressions they replaced."""
+
+    @pytest.mark.parametrize("fec", FEC_RATES)
+    @pytest.mark.parametrize("ber", [0.0, 0.1])
+    @pytest.mark.parametrize("symbol_us", [46.0, 92.0])
+    def test_rates_equal_the_fraction_expression(self, fec, ber, symbol_us):
+        params = PhyParams(fec_rate=fec, bit_error_rate=ber, symbol_interval_us=symbol_us)
+        for tmap in pin_maps():
+            for k in range(1, tmap.slot_count + 1):
+                assert phy_rate(tmap, k, params) == phy_rate_oracle(tmap, k, params)
+            assert expected_throughput(tmap, params) == expected_throughput_oracle(tmap, params)
+
+    def test_asymmetry_equals_brute_force(self):
+        maps = pin_maps()
+        for a in maps:
+            for b in maps:
+                if a.slot_count == b.slot_count:
+                    assert asymmetry(a, b) == asymmetry_oracle(a, b)
+
+    def test_extreme_maps_in_both_orders(self):
+        top, bottom = Tonemap.filled(10, 6), Tonemap.filled(0, 6)
+        assert asymmetry(top, bottom) == asymmetry(bottom, top) == 9170
+        assert asymmetry(top, top) == asymmetry(bottom, bottom) == 0
+
+    def test_asymmetry_slot_count_mismatch(self):
+        with pytest.raises(ValueError, match="slot_count mismatch: 6 vs 1"):
+            asymmetry(Tonemap.filled(10, 6), Tonemap.filled(0, 1))
 
 
 class TestSpectrumFraction:

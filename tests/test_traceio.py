@@ -14,6 +14,8 @@ from hpavsim import (
     parse_trace,
     serialize_trace,
 )
+from hpavsim import traceio
+from hpavsim.tonemap import SUBCARRIER_COUNT
 from hpavsim.traceio import LEGAL_MODULATIONS, snap_legal
 
 from conftest import deployment_from_levels
@@ -113,6 +115,33 @@ class TestParse:
         values[:2] = ["03", "+10"]
         text = minimal_trace().replace(",".join(["3"] * 917), ",".join(values), 1)
         assert parse_trace(text).links[DirectedLink("a", "b")].slot(1)[:3] == b"\x03\x0a\x03"
+
+    def test_canonical_rows_take_the_fast_path(self, monkeypatch):
+        # a fast path that silently stopped firing would pass every other
+        # correctness test and show only as a slowdown
+        def token_loop(line_no, values_s):
+            raise AssertionError(f"line {line_no} was read by the int() token loop")
+
+        knobs = {
+            "uniform": {},
+            "complementary": {"asymmetry_noise": 2},
+            "interference-notched": {"notch_count": 4, "notch_width": 40,
+                                     "asymmetry_noise": 1},
+            "asymmetric": {},
+        }
+        deployments = [
+            generate_deployment(4, GeneratorProfile(kind, base_quality=6, seed=9, **kw))
+            for kind, kw in knobs.items()
+        ]
+        every_level = [bytes((j + k) % 11 for j in range(SUBCARRIER_COUNT)) for k in range(11)]
+        deployments.append(Deployment(("a", "b"), {
+            DirectedLink("a", "b"): Tonemap(every_level[:6]),
+            DirectedLink("b", "a"): Tonemap(every_level[5:]),
+        }))
+        texts = [serialize_trace(dep) for dep in deployments]
+        monkeypatch.setattr(traceio, "_parse_tokens", token_loop)
+        for dep, text in zip(deployments, texts):
+            assert parse_trace(text) == dep
 
     def test_truncated_header(self):
         with pytest.raises(TraceFormatError, match="truncated header"):

@@ -1,15 +1,21 @@
-"""Property test: PLCTM text round-trips every valid deployment, not only
-generator output: parsing the canonical text gives the deployment back, and
-serializing again gives the same bytes."""
+"""Property tests of PLCTM text. It round-trips every valid deployment, not
+only generator output: parsing the canonical text gives the deployment back,
+and serializing again gives the same bytes. And the reader accepts and
+rejects a value field exactly as one int() per token would."""
 
 import random
 import string
 
-from hypothesis import Phase, given, settings
+import pytest
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from hpavsim import Deployment, DirectedLink, Tonemap, parse_trace, serialize_trace
+from hpavsim import (
+    Deployment, DirectedLink, Tonemap, TraceFormatError, parse_trace, serialize_trace,
+)
 from hpavsim.tonemap import MAX_SLOT_COUNT, SUBCARRIER_COUNT
+
+from conftest import parse_values_oracle
 
 # characters a whitespace-split field can hold
 TOKEN_CHARS = "".join(c for c in string.printable if not c.isspace())
@@ -50,3 +56,48 @@ def test_round_trip_on_arbitrary_valid_deployments(dep):
     parsed = parse_trace(text)
     assert parsed == dep
     assert serialize_trace(parsed) == text
+
+
+# int() reads these as values in 0..10, but they are not the writer's form
+NON_CANONICAL = ["03", "+10", "010", "-0", "00", "٣"]
+# ":" and "A" are the stand-ins for 10 inside the reader's and writer's
+# kernels; "3x3" puts a non-comma at a comma offset of a 916-value row
+INVALID = [":", "A", "1:", "", "x", "11", "3x3"]
+
+
+@st.composite
+def value_fields(draw):
+    """A link line's value field: a canonical row of 916-918 values, with
+    0-3 of its tokens replaced by non-canonical or invalid ones."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([range(11), (10,), (0, 1, 10)]))
+    count = SUBCARRIER_COUNT + draw(st.sampled_from([0, 0, -1, 1]))
+    tokens = [str(v) for v in rng.choices(levels, k=count)]
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, count - 1))
+        tokens[j] = draw(st.sampled_from(NON_CANONICAL + INVALID))
+    return ",".join(tokens)
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+@given(values_s=value_fields())
+@example(values_s=",".join(["10"] * 916 + [":"]))
+@example(values_s=",".join(["A"] + ["10"] * 916))
+@example(values_s=",".join(["3x3"] + ["10"] * 915))
+def test_parser_agrees_with_int_oracle(values_s):
+    reverse = ",".join(["3"] * SUBCARRIER_COUNT)
+    text = (
+        "plctm 1\nslots 1\nsubcarriers 917\nnodes a b\n"
+        f"link a b 1 {values_s}\nlink b a 1 {reverse}\n"
+    )
+    values, message = parse_values_oracle(values_s)
+    if message is None:
+        assert parse_trace(text).links[DirectedLink("a", "b")].slot(1) == values
+    else:
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace(text)
+        assert err.value.line_number == 5
+        assert str(err.value) == f"line 5: {message}"
