@@ -61,14 +61,9 @@ class SplitMix64:
         # mix, nearby (seed, stream) pairs would start on overlapping walks.
         self._state = _mix64((seed & _MASK64) ^ _mix64((stream * _GAMMA) & _MASK64))
 
-    # next_u64 and randbelow inline _mix64: they are the simulator's hottest
-    # calls, and the state is already a 64-bit word.
-
     def next_u64(self) -> int:
-        z = self._state = (self._state + _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix64(self._state)
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) via masked rejection (unbiased)."""
@@ -78,6 +73,7 @@ class SplitMix64:
             return 0
         mask = (1 << (n - 1).bit_length()) - 1
         z = self._state
+        # _mix64 inlined: the MAC engine draws every backoff through this call
         while True:
             z = (z + _GAMMA) & _MASK64
             v = ((z ^ (z >> 30)) * _MIX1) & _MASK64

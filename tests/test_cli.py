@@ -53,6 +53,16 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err == "hpavsim generate: error: --out trace path is required\n"
 
+    def test_missing_out_checked_before_generating(self, monkeypatch, capsys):
+        def generate_deployment(*args):
+            raise AssertionError("generated a deployment with no --out to write it to")
+
+        monkeypatch.setattr(cli, "generate_deployment", generate_deployment)
+        rc = run(["generate", "--nodes", "12", "--profile", "complementary",
+                  "--asymmetry-noise", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "hpavsim generate: error: --out trace path is required\n"
+
     def test_out_help_says_required(self, capsys):
         with pytest.raises(SystemExit):
             run(["generate", "--help"])
@@ -294,3 +304,63 @@ class TestConfig:
         out = tmp_path / "g.plctm"
         assert run(["generate", "--config", str(config), "--out", str(out)]) == 0
         assert load_trace(out).metadata["seed"] == "9"
+
+    @pytest.mark.parametrize("key, value", [("ss", "maybe"), ("nodes", "four")])
+    def test_bad_config_value_fails_as_the_flag_does(self, trace_path, tmp_path, capsys,
+                                                     key, value):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key} = {value}\n")
+        base = ["simulate", "--trace", str(trace_path), "--flows", FLOWS,
+                "--duration-us", "1000", "--out", str(tmp_path / "x.csv")]
+        errs = []
+        for extra in (["--config", str(config)], [f"--{key}", value]):
+            with pytest.raises(SystemExit) as exc:
+                run([*base, *extra])
+            assert exc.value.code == 1
+            errs.append(capsys.readouterr().err)
+        assert f"argument --{key}: invalid" in errs[0]
+        assert errs[0] == errs[1]
+
+    def test_generate_skips_keys_it_has_no_flag_for(self, tmp_path, capsys):
+        config = tmp_path / "all.cfg"
+        config.write_text(
+            "nodes = 4\nprofile = complementary\nbase_quality = 6\n"
+            f"asymmetry_noise = 2\nseed = 7\nflows = {FLOWS}\nduration_us = 1000\n"
+        )
+        from_config, from_flags = tmp_path / "c.plctm", tmp_path / "f.plctm"
+        assert run(["generate", "--config", str(config), "--out", str(from_config)]) == 0
+        assert run(gen_args(from_flags)) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+    def test_explicit_top_m_beats_config(self, trace_path, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"flows = {FLOWS}\nduration_us = 30000\nseed = 3\nss = on\ntop_m = 1\n")
+
+        def simulate(name, *extra):
+            out = tmp_path / f"{name}.csv"
+            assert run(["simulate", "--trace", str(trace_path), *extra, "--out", str(out),
+                        "--fairness-out", str(tmp_path / f"{name}-fair.csv")]) == 0
+            return out.read_bytes()
+
+        flags = ["--flows", FLOWS, "--duration-us", "30000", "--seed", "3", "--ss", "on"]
+        top_2 = simulate("flags", *flags, "--top-m", "2")
+        assert simulate("both", "--config", str(config), "--top-m", "2") == top_2
+        assert simulate("config", "--config", str(config)) != top_2
+
+    @pytest.mark.parametrize("command", [["analyze"], ["route", "--src", "n1", "--dst", "n2"]])
+    def test_trace_commands_need_trace_with_generator_config(self, tmp_path, capsys,
+                                                             command):
+        config = tmp_path / "gen.cfg"
+        config.write_text("nodes = 4\nprofile = complementary\nseed = 9\n")
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--config", str(config)])
+        assert exc.value.code == 1
+        assert "required: --trace" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, tmp_path):
+        cli._build_parser.cache_clear()
+        assert run(gen_args(tmp_path / "a.plctm")) == 0
+        assert run(gen_args(tmp_path / "b.plctm")) == 0
+        assert cli._build_parser.cache_info().misses == 1
