@@ -17,14 +17,13 @@ from functools import lru_cache
 from typing import List, Optional
 
 from .macsim import MacParams, event_log_csv, normalized_throughput, run_simulation
-from .metrics import compare_runs, fairness_csv, fairness_report
+from .metrics import compare_runs, fairness_csv, fairness_report, pair_asymmetries
 from .routing import best_route, build_graph, route_csv
 from .sharing import SSPolicy, build_decision_table
 from .tonemap import (
     MAX_MODULATION_TOTAL,
     DirectedLink,
     PhyParams,
-    asymmetry,
     expected_throughput,
     phy_rate,
 )
@@ -235,12 +234,8 @@ def cmd_analyze(args) -> int:
         lines.append(",".join(row))
     _write(args.out, "\n".join(lines) + "\n")
 
-    pairs = sorted({tuple(sorted((l.tx, l.rx))) for l in deployment.links})
     asym_lines = ["node_a,node_b,asymmetry,normalized"]
-    for a, b in pairs:
-        value = asymmetry(deployment.links[DirectedLink(a, b)],
-                          deployment.links[DirectedLink(b, a)])
-        # the normalized column is metrics.asymmetry_distribution's expression
+    for a, b, value in pair_asymmetries(deployment):
         norm = float(value / MAX_MODULATION_TOTAL)
         asym_lines.append(f"{a},{b},{float(value)!r},{norm!r}")
     _write(args.asym_out, "\n".join(asym_lines) + "\n")

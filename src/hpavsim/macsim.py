@@ -52,13 +52,12 @@ full-slot total per AC slot and, in an SS run, a window plan per AC slot:
 the one flow-backed candidate (among the first policy.top_m) that engages
 when it is the primary, with its wait, the secondary's total over the shared
 indices and the primary's complement total (its full-slot total minus its
-total over those indices). Totals are computed for every flow-backed
-candidate, so an out-of-range index raises ValueError before the first
-window. A success window then adds integers to the station's sums; the run
-sets each LinkTally's sf_primary and sf_secondary once, as Fraction(sum,
-9170), which equals the sum of the per-frame fractions exactly. An event's
-spectrum_fraction is the frame's total / 9170, the correctly rounded float of
-that fraction.
+total over those indices). An allocation's shared set is checked when the
+allocation is built, so a run meets no out-of-range index. A success window
+then adds integers to the station's sums; the run sets each LinkTally's
+sf_primary and sf_secondary once, as Fraction(sum, 9170), which equals the
+sum of the per-frame fractions exactly. An event's spectrum_fraction is the
+frame's total / 9170, the correctly rounded float of that fraction.
 
 With collect_events=True a run also returns its events in emission order as
 SimEvent tuples, which event_log_csv renders; with it False the engine builds
@@ -457,8 +456,8 @@ def run_simulation(
     busy period; all throughput figures normalize by the actual total.
 
     Raises ValueError for an empty flow list, a negative duration, a flow
-    over an untraced link, two flows from one station or a table allocation
-    index outside 1..917; the deployment was checked when it was built.
+    over an untraced link or two flows from one station; the deployment and
+    the table's allocations were checked when they were built.
     """
     return _Engine(
         deployment, table, mac, policy, flows, duration_us, seed, collect_events

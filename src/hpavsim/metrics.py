@@ -10,7 +10,8 @@ anchored to the worst-off node otherwise.
 import io
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from fractions import Fraction
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .macsim import MacParams, SimReportRaw, normalized_throughput
 from .tonemap import MAX_MODULATION_TOTAL, DirectedLink, asymmetry
@@ -128,13 +129,17 @@ def compare_runs(base: SimReportRaw, ss: SimReportRaw, mac: MacParams) -> GainRe
     )
 
 
-def asymmetry_distribution(deployment: Deployment) -> List[float]:
-    """Normalized (0..1) asymmetry of every traced unordered node pair,
-    ordered by pair identifiers."""
+def pair_asymmetries(deployment: Deployment) -> Iterator[Tuple[str, str, Fraction]]:
+    """``(a, b, asymmetry)`` of every traced unordered node pair, a < b,
+    ordered by pair identifiers; the asymmetry is exact."""
     pairs = sorted({tuple(sorted((l.tx, l.rx))) for l in deployment.links})
-    values = []
     for a, b in pairs:
         forward = deployment.links[DirectedLink(a, b)]
         backward = deployment.links[DirectedLink(b, a)]
-        values.append(float(asymmetry(forward, backward) / MAX_MODULATION_TOTAL))
-    return values
+        yield a, b, asymmetry(forward, backward)
+
+
+def asymmetry_distribution(deployment: Deployment) -> List[float]:
+    """Normalized (0..1) asymmetry of every traced unordered node pair,
+    ordered by pair identifiers."""
+    return [float(v / MAX_MODULATION_TOTAL) for _, _, v in pair_asymmetries(deployment)]

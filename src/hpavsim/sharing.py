@@ -15,8 +15,9 @@ then costs a few dozen 917-bit ANDs, ORs and ``bit_count`` calls instead of a
 917-step Python loop: the eligible set is ``OR_a (P_eq[a] & S_ge[a + beta])``
 and the gain is the difference of the two modulation totals over it. A table
 for n nodes thus costs O(L^2 * slots) such operations, L = n(n-1), plus one
-mask build per (link, slot). Subcarrier index tuples are materialised only
-for the retained candidates.
+mask build per (link, slot). A retained candidate keeps its eligible set as
+that mask (``SSAllocation.shared``); its index tuple is a derived view that
+neither the builder nor ``decision_table_csv`` builds.
 
 Decisions are a pure function of (deployment, policy): node-order tie-breaks
 make the table deterministic, and per-slot decisions are independent.
@@ -38,9 +39,9 @@ _LEVEL_BITS = tuple(
 # translates the binary digits b"0"/b"1" to the bytes 0/1
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _SUBCARRIERS = range(1, SUBCARRIER_COUNT + 1)
-# decimal text of each subcarrier index; a lookup is cheaper than str(j) per
-# index, and an index outside 1..917 raises KeyError instead of rendering
-_INDEX_TEXT = {j: str(j) for j in _SUBCARRIERS}
+# decimal text of each subcarrier index, in index order; selecting from it is
+# cheaper than str(j) per index
+_INDEX_STRINGS = tuple(map(str, _SUBCARRIERS))
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,18 @@ class SSPolicy:
 
 @dataclass(frozen=True)
 class SSAllocation:
-    """One ranked secondary candidate for a (primary link, slot) pair."""
+    """One ranked secondary candidate for a (primary link, slot) pair.
+
+    ``shared`` is the shared subcarrier set as a bitmask, bit ``j - 1`` for
+    subcarrier ``j``; ``shared_indices`` derives its ascending indices.
+    Construction raises ValueError for a secondary that shares a node with
+    the primary, a mask outside 1 .. 2**917 - 1, a gain <= 0 or a rank < 1.
+    """
 
     primary: DirectedLink
     secondary: DirectedLink
     slot: int
-    shared_indices: Tuple[int, ...]  # ascending 1-based subcarrier indices
+    shared: int
     gain: int
     rank: int
 
@@ -83,10 +90,17 @@ class SSAllocation:
             raise ValueError(
                 f"secondary {self.secondary} shares a node with primary {self.primary}"
             )
+        if not 0 < self.shared < 1 << SUBCARRIER_COUNT:
+            raise ValueError(f"shared mask out of range 1..2**{SUBCARRIER_COUNT} - 1")
         if self.gain <= 0:
             raise ValueError("retained candidates must have positive gain")
         if self.rank < 1:
             raise ValueError("rank is 1-based")
+
+    @property
+    def shared_indices(self) -> Tuple[int, ...]:
+        """Ascending 1-based indices of the shared subcarriers."""
+        return tuple(compress(_SUBCARRIERS, _mask_selectors(self.shared)))
 
 
 @dataclass(frozen=True)
@@ -136,10 +150,10 @@ def _lowest_bits(mask: int, count: int) -> int:
     return mask & ((1 << lo) - 1)
 
 
-def _mask_indices(mask: int) -> Tuple[int, ...]:
-    """Ascending 1-based subcarrier indices of the set bits of ``mask``."""
-    selectors = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
-    return tuple(compress(_SUBCARRIERS, selectors))
+def _mask_selectors(mask: int) -> bytes:
+    """One byte per subcarrier from index 1 up: 1 where ``mask`` has its bit,
+    else 0, ending at the highest set bit."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
 
 
 def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecisionTable:
@@ -212,7 +226,7 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
                     scored.append((g, secondary, kept))
             scored.sort(key=lambda item: (-item[0], item[1]))
             entries[(primary, slot)] = tuple(
-                SSAllocation(primary, secondary, slot, _mask_indices(kept), g, rank)
+                SSAllocation(primary, secondary, slot, kept, g, rank)
                 for rank, (g, secondary, kept) in enumerate(
                     scored[: policy.top_m], start=1
                 )
@@ -230,9 +244,7 @@ def decision_table_csv(table: SSDecisionTable) -> str:
     out.write(
         "primary_tx,primary_rx,slot,rank,secondary_tx,secondary_rx,gain,num_shared,indices\n"
     )
-    for (primary, slot), allocations in sorted(
-        table.entries.items(), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
+    for (primary, slot), allocations in sorted(table.entries.items()):
         for alloc in allocations:
             row = [
                 primary.tx,
@@ -242,8 +254,8 @@ def decision_table_csv(table: SSDecisionTable) -> str:
                 alloc.secondary.tx,
                 alloc.secondary.rx,
                 str(alloc.gain),
-                str(len(alloc.shared_indices)),
+                str(alloc.shared.bit_count()),
             ]
-            row.extend(map(_INDEX_TEXT.__getitem__, alloc.shared_indices))
+            row.extend(compress(_INDEX_STRINGS, _mask_selectors(alloc.shared)))
             out.write(",".join(row) + "\n")
     return out.getvalue()

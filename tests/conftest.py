@@ -12,6 +12,7 @@ from hpavsim.macsim import (
     ROLE_PRIMARY,
     ROLE_SECONDARY,
 )
+from hpavsim.sharing import SSAllocation
 from hpavsim.tonemap import MAX_MODULATION, SUBCARRIER_COUNT
 
 
@@ -103,6 +104,28 @@ def brute_force_table(deployment, policy):
                 for neg_g, tx, rx, idx in rows[: policy.top_m]
             )
     return table
+
+
+def brute_force_csv(oracle):
+    """The decision-table CSV of a ``brute_force_table`` result, written from
+    its index tuples with ``str(j)`` per index."""
+    lines = ["primary_tx,primary_rx,slot,rank,secondary_tx,secondary_rx,gain,"
+             "num_shared,indices"]
+    for primary, slot in sorted(oracle):
+        for rank, (secondary, g, indices) in enumerate(oracle[(primary, slot)], start=1):
+            row = [primary.tx, primary.rx, str(slot), str(rank), secondary.tx,
+                   secondary.rx, str(g), str(len(indices))]
+            lines.append(",".join(row + [str(j) for j in indices]))
+    return "".join(line + "\n" for line in lines)
+
+
+def ss_allocation(primary, secondary, slot, indices, gain=1, rank=1):
+    """An SSAllocation sharing the 1-based subcarrier ``indices``: bit
+    ``j - 1`` of its mask for each index ``j``."""
+    shared = 0
+    for j in indices:
+        shared |= 1 << (j - 1)
+    return SSAllocation(primary, secondary, slot, shared, gain, rank)
 
 
 def tables_equal(table, oracle):

@@ -35,7 +35,7 @@ from hpavsim.macsim import (
     SimReportRaw,
 )
 from hpavsim.rng import SplitMix64
-from hpavsim.sharing import SSAllocation, SSDecisionTable
+from hpavsim.sharing import SSAllocation
 
 from conftest import (
     CORPUS_FLOWS,
@@ -43,6 +43,7 @@ from conftest import (
     rebuild_spectrum_tallies,
     report_spectrum_tallies,
     run_times,
+    ss_allocation,
 )
 
 
@@ -451,25 +452,22 @@ class TestSpectrumAccounting:
         report = self.check(dep, table, MAC, policy, flows, 300_000, 1)
         assert self.count(report, EVENT_SS_ENGAGE) > 0
 
-    @pytest.mark.parametrize("bad_index, bad_slots, duration_us", [
-        pytest.param(0, "all", 100_000, id="0"),
-        pytest.param(918, "all", 100_000, id="918"),
-        # plans are built at run start, so a bad allocation in a slot the run
-        # never reaches (1000 us is inside the first AC slot) still raises
-        pytest.param(918, "last", 1000, id="918-last-slot-only"),
+    @pytest.mark.parametrize("shared, message", [
+        # an index tuple goes through the helper; index 0 has no mask bit, so
+        # the helper's shift by -1 fails before the constructor runs
+        pytest.param((5, 0), "negative shift count", id="0"),
+        pytest.param((5, 918), "out of range", id="918"),
+        pytest.param(0, "out of range", id="empty"),
+        pytest.param(1 << 917, "out of range", id="2**917"),
     ])
-    def test_allocation_index_out_of_range(self, bad_index, bad_slots, duration_us):
-        dep = complementary_corpus(1)
-        last = dep.slot_count
+    def test_allocation_index_out_of_range(self, shared, message):
+        # an allocation is checked when it is built, so no run meets a bad index
         primary, secondary = DirectedLink("n1", "n3"), DirectedLink("n2", "n4")
-        good = SSAllocation(primary, secondary, 1, (5, 6), gain=1, rank=1)
-        bad = SSAllocation(primary, secondary, 1, (5, bad_index), gain=1, rank=1)
-        table = SSDecisionTable({
-            (primary, k): (bad if bad_slots == "all" or k == last else good,)
-            for k in range(1, last + 1)
-        })
-        with pytest.raises(ValueError, match="out of range"):
-            run_simulation(dep, table, MAC, None, [primary, secondary], duration_us, 1)
+        with pytest.raises(ValueError, match=message):
+            if isinstance(shared, tuple):
+                ss_allocation(primary, secondary, 1, shared)
+            else:
+                SSAllocation(primary, secondary, 1, shared, gain=1, rank=1)
 
 
 def engine_digest(report):

@@ -1,7 +1,7 @@
 """Property test: MAC runs conserve time, repeat exactly, do not change when
-the event log is off, engage secondaries only inside their window, and tally
-spectrum as the event-log replay in ``conftest.rebuild_spectrum_tallies``
-does."""
+the event log is off, engage secondaries only inside their window, keep at
+most one secondary on the medium, and tally spectrum as the event-log replay
+in ``conftest.rebuild_spectrum_tallies`` does."""
 
 import math
 import random
@@ -13,7 +13,10 @@ from hpavsim import (
     Deployment, DirectedLink, MacParams, SSPolicy, Tonemap, build_decision_table,
     event_log_csv, run_simulation,
 )
-from hpavsim.macsim import EVENT_SS_ENGAGE, EVENT_TX_START, ROLE_PRIMARY
+from hpavsim.macsim import (
+    EVENT_SS_ABORT, EVENT_SS_ENGAGE, EVENT_TX_END_SUCCESS, EVENT_TX_START, ROLE_PRIMARY,
+    ROLE_SECONDARY,
+)
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
 from conftest import rebuild_spectrum_tallies, report_spectrum_tallies, run_times
@@ -84,12 +87,19 @@ def test_run_invariants(scenario, seed):
         assert quiet.tallies == report.tallies
         assert run_times(quiet) == run_times(report)
         window_start = None
+        active_secondary = 0
         for e in report.events:
             if e.event == EVENT_TX_START and e.role == ROLE_PRIMARY:
                 window_start = e.time_us
             elif e.event == EVENT_SS_ENGAGE:
                 # the engagement precedes any barger's tx_start in its window
                 assert window_start < e.time_us < window_start + mac.success_duration_us
+                active_secondary += 1
+            elif e.event == EVENT_SS_ABORT:
+                active_secondary -= 1
+            elif e.event == EVENT_TX_END_SUCCESS and e.role == ROLE_SECONDARY:
+                active_secondary -= 1
+            assert 0 <= active_secondary <= 1
         assert (
             rebuild_spectrum_tallies(report, dep, t, mac, policy)
             == report_spectrum_tallies(report)

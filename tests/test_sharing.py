@@ -13,7 +13,7 @@ from hpavsim.rng import SplitMix64
 from hpavsim.sharing import SSAllocation, decision_table_csv
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
-from conftest import brute_force_table, deployment_from_levels, tables_equal
+from conftest import brute_force_table, deployment_from_levels, ss_allocation, tables_equal
 
 
 def vec(*head, fill=0):
@@ -132,13 +132,9 @@ class TestDecisionTable:
 
     def test_allocations_validate_disjointness_and_positive_gain(self):
         with pytest.raises(ValueError, match="shares a node"):
-            SSAllocation(
-                DirectedLink("a", "b"), DirectedLink("b", "c"), 1, (1,), 5, 1
-            )
+            ss_allocation(DirectedLink("a", "b"), DirectedLink("b", "c"), 1, (1,), 5, 1)
         with pytest.raises(ValueError, match="positive gain"):
-            SSAllocation(
-                DirectedLink("a", "b"), DirectedLink("c", "d"), 1, (), 0, 1
-            )
+            ss_allocation(DirectedLink("a", "b"), DirectedLink("c", "d"), 1, (1,), 0, 1)
 
     def test_deterministic(self):
         dep = generate_deployment(
@@ -221,6 +217,20 @@ class TestDecisionTableOracle:
             policy = SSPolicy(beta=beta, top_m=3, max_share_fraction=cap)
             table = build_decision_table(dep, policy)
             assert tables_equal(table, brute_force_table(dep, policy)), (kind, beta, cap)
+
+    def test_hot_paths_build_no_index_tuples(self, eight_node_deployments, monkeypatch):
+        # the builder and the CSV work on masks; an index tuple built on
+        # either path would pass every correctness test and show only as a
+        # slowdown
+        def no_tuples(alloc):
+            raise AssertionError(f"index tuple built for {alloc.secondary}")
+
+        monkeypatch.setattr(SSAllocation, "shared_indices", property(no_tuples))
+        dep = eight_node_deployments["complementary"]
+        for cap in (1.0, 0.5):
+            table = build_decision_table(dep, SSPolicy(beta=2, top_m=3, max_share_fraction=cap))
+            assert any(table.entries.values())
+            assert decision_table_csv(table).count("\n") > 1
 
     def test_all_eleven_levels_match_brute_force(self):
         dep = random_level_deployment(5, 3, seed=31)

@@ -1,14 +1,17 @@
-"""Property test: the decision table equals the brute-force enumeration."""
+"""Property test: the decision table and its CSV equal the brute-force
+enumeration and a CSV written from its index tuples."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpavsim import Deployment, DirectedLink, SSPolicy, Tonemap, build_decision_table
+from hpavsim import (
+    Deployment, DirectedLink, SSPolicy, Tonemap, build_decision_table, decision_table_csv,
+)
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
-from conftest import brute_force_table, tables_equal
+from conftest import brute_force_csv, brute_force_table, tables_equal
 
 NODES = ("n1", "n2", "n3", "n4")
 LINKS = tuple(DirectedLink(tx, rx) for tx in NODES for rx in NODES if tx != rx)
@@ -46,4 +49,7 @@ def four_node_deployments(draw):
 )
 def test_table_matches_brute_force(dep, beta, top_m, cap):
     policy = SSPolicy(beta=beta, top_m=top_m, max_share_fraction=cap)
-    assert tables_equal(build_decision_table(dep, policy), brute_force_table(dep, policy))
+    table = build_decision_table(dep, policy)
+    oracle = brute_force_table(dep, policy)
+    assert tables_equal(table, oracle)
+    assert decision_table_csv(table) == brute_force_csv(oracle)
