@@ -79,7 +79,8 @@ def _build_parser() -> _Parser:
                        help="mean modulation level 0..10 (default %(default)s)")
         p.add_argument("--notch-count", type=int, default=0)
         p.add_argument("--notch-width", type=int, default=0)
-        p.add_argument("--asymmetry-noise", type=int, default=0)
+        p.add_argument("--asymmetry-noise", type=int, default=0,
+                       help="max per-subcarrier perturbation 0..10 (default %(default)s)")
         p.add_argument("--slots", type=int, default=5,
                        help="AC-cycle sub-intervals (default %(default)s)")
         p.add_argument("--seed", type=int, default=0, help="64-bit seed (default %(default)s)")

@@ -7,14 +7,16 @@ below, which is why trace files and simulation runs seeded with it stay
 reproducible across ports. Streams are split by a caller-chosen index (e.g.
 the ordinal of a directed link) so generation order never matters.
 
+``randbelow`` draws one value, as the MAC engine needs. ``randbelow_bytes``
+draws a run of values below n <= 256 at once, as the deployment generator
+needs: it mixes the words of a batch together in one big int and does every
+per-draw step with C-level ``bytes`` operations, giving the same values and
+leaving the same state as that many ``randbelow`` calls.
+
 Name/version recorded in trace metadata: ``splitmix64`` / ``1``.
 """
 
-import sys
-from array import array
-from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, compress
 
 ALGORITHM_NAME = "splitmix64"
 ALGORITHM_VERSION = "1"
@@ -33,19 +35,22 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# most words randbelow_many mixes in one batch
+# most words randbelow_bytes mixes in one batch
 _BATCH = 2048
+
+# _LOW_BITS[k] maps a byte to its low k bits
+_LOW_BITS = [bytes(i & ((1 << k) - 1) for i in range(256)) for k in range(9)]
 
 
 @lru_cache(maxsize=1)
 def _lane_constants():
-    """``(ones, steps)`` over _BATCH 128-bit lanes: lane i holds 1 in ``ones``
-    and (i + 1) * gamma mod 2^64 in ``steps``."""
+    """``(ones, low64, steps)`` over _BATCH 128-bit lanes: lane i holds 1 in
+    ``ones``, 2^64 - 1 in ``low64`` and (i + 1) * gamma mod 2^64 in ``steps``."""
     ones = int.from_bytes((b"\x01" + bytes(15)) * _BATCH, "little")
     steps = b"".join(
         ((i * _GAMMA) & _MASK64).to_bytes(16, "little") for i in range(1, _BATCH + 1)
     )
-    return ones, int.from_bytes(steps, "little")
+    return ones, ones * _MASK64, int.from_bytes(steps, "little")
 
 
 class SplitMix64:
@@ -83,45 +88,53 @@ class SplitMix64:
                 self._state = z
                 return v
 
-    def randbelow_many(self, n: int, count: int) -> list:
-        """``count`` successive ``randbelow(n)`` draws, leaving the state where
-        those calls would.
+    def randbelow_bytes(self, n: int, count: int) -> bytes:
+        """``count`` successive ``randbelow(n)`` draws as bytes, for
+        1 <= n <= 256, leaving the state where those calls would.
 
         The next counter states are mixed a batch at a time, each word in its
         own 128-bit lane of one int: a few big-int operations per batch in
         place of a dozen int operations per word. A 64-bit word times a 64-bit
         constant fits in its lane, and every shift is masked back to 64 bits
-        before the next multiply, so no lane disturbs another.
+        before the next multiply, so no lane disturbs another. A draw needs
+        only its word's low byte: one slice takes every lane's, one
+        ``translate`` masks them and a second drops the rejected ones.
         """
-        if n <= 0:
-            raise ValueError("randbelow() requires n >= 1")
+        if not 1 <= n <= 256:
+            raise ValueError("randbelow_bytes() requires 1 <= n <= 256")
         if n == 1:
-            return [0] * count
-        bound = min(n, 1 << 64)  # words are 64-bit: a larger n rejects none
-        mask = (1 << (bound - 1).bit_length()) - 1
-        all_ones, all_steps = _lane_constants()
+            return bytes(count)
+        bits = (n - 1).bit_length()
+        low_bits = _LOW_BITS[bits]
+        rejected = bytes(range(n, 256))
+        all_ones, all_low64, all_steps = _lane_constants()
         z = self._state
-        draws = []
-        while len(draws) < count:
-            need = count - len(draws)
+        chunks = []
+        need = count
+        while need:
             # the expected number of words for `need` draws, and a few spare
-            lanes = min(_BATCH, need * (mask + 1) // bound + 16)
+            lanes = min(_BATCH, (need << bits) // n + 16)
             keep = (1 << (128 * lanes)) - 1
-            ones = all_ones & keep
-            low64 = ones * _MASK64
-            w = (z * ones + (all_steps & keep)) & low64  # lane i: z + (i+1) gamma
+            low64 = all_low64 & keep
+            w = (z * (all_ones & keep) + (all_steps & keep)) & low64  # lane i: z + (i+1) gamma
             w = (((w ^ (w >> 30)) & low64) * _MIX1) & low64
             w = (((w ^ (w >> 27)) & low64) * _MIX2) & low64
-            w = (w ^ (w >> 31)) & (ones * mask)
-            # bit 64 of a lane of w + (2^64 - bound) is set iff its word is rejected
-            rejected = ((w + ones * ((1 << 64) - bound)) >> 64) & ones
-            accepted = (rejected ^ ones).to_bytes(16 * lanes, "little")[::16]
-            words = array("Q", w.to_bytes(16 * lanes, "little"))
-            if sys.byteorder == "big":
-                words.byteswap()
-            ranks = list(accumulate(accepted))
-            used = bisect_left(ranks, need) + 1 if ranks[-1] >= need else lanes
-            draws += compress(words[: 2 * used : 2], accepted)
+            masked = (w ^ (w >> 31)).to_bytes(16 * lanes, "little")[::16].translate(low_bits)
+            accepted = masked.translate(None, rejected)
+            used = lanes
+            if len(accepted) >= need:
+                # walk back from the last lane to the one that gave draw `need`
+                spare = len(accepted) - need
+                while True:
+                    used -= 1
+                    if masked[used] < n:
+                        if not spare:
+                            break
+                        spare -= 1
+                used += 1
+                accepted = accepted[:need]
+            chunks.append(accepted)
+            need -= len(accepted)
             z = (z + used * _GAMMA) & _MASK64
         self._state = z
-        return draws
+        return b"".join(chunks)

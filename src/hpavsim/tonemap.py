@@ -201,13 +201,15 @@ def modulation_total(t: Tonemap, slot_index: int, active_subcarriers) -> int:
 
     Raises ValueError for an index outside 1..917.
     """
-    slot = t.slot(slot_index)
-    total = 0
-    for j in active_subcarriers:
-        if not 1 <= j <= SUBCARRIER_COUNT:
-            raise ValueError(f"subcarrier index {j} out of range 1..{SUBCARRIER_COUNT}")
-        total += slot[j - 1]
-    return total
+    # a pad byte in front makes each 1-based index its own offset
+    padded_slot = b"\0" + t.slot(slot_index)
+    indices = tuple(active_subcarriers)
+    if indices:
+        low, high = min(indices), max(indices)
+        if low < 1 or high > SUBCARRIER_COUNT:
+            bad = low if low < 1 else high
+            raise ValueError(f"subcarrier index {bad} out of range 1..{SUBCARRIER_COUNT}")
+    return sum(map(padded_slot.__getitem__, indices))
 
 
 def spectrum_fraction(t: Tonemap, slot_index: int, active_subcarriers) -> Fraction:

@@ -24,8 +24,7 @@ to the HPAV-legal ladder {0,1,2,3,4,6,8,10}.
 
 import io
 from dataclasses import dataclass
-from itertools import compress, groupby
-from operator import add
+from itertools import groupby
 from typing import Dict, Tuple
 
 from .rng import ALGORITHM_NAME, ALGORITHM_VERSION, SplitMix64
@@ -111,7 +110,8 @@ class GeneratorProfile:
     base_quality       mean modulation level, 0-10
     notch_count        zeroed interference bands per map (notched profile)
     notch_width        subcarriers per band
-    asymmetry_noise    max per-subcarrier, per-direction perturbation in bits
+    asymmetry_noise    max per-subcarrier, per-direction perturbation in bits,
+                       0-10
     seed               64-bit generator seed
     """
 
@@ -129,8 +129,11 @@ class GeneratorProfile:
             )
         if not 0 <= self.base_quality <= MAX_MODULATION:
             raise ValueError("base_quality must be in 0..10")
-        if self.notch_count < 0 or self.notch_width < 0 or self.asymmetry_noise < 0:
-            raise ValueError("notch_count, notch_width, asymmetry_noise must be >= 0")
+        if self.notch_count < 0 or self.notch_width < 0:
+            raise ValueError("notch_count, notch_width must be >= 0")
+        # a wider perturbation means nothing on the 0..10 ladder
+        if not 0 <= self.asymmetry_noise <= MAX_MODULATION:
+            raise ValueError("asymmetry_noise must be in 0..10")
         if self.notch_count * self.notch_width > SUBCARRIER_COUNT:
             raise ValueError(
                 f"infeasible notch layout: {self.notch_count} x {self.notch_width} "
@@ -370,7 +373,8 @@ def generate_deployment(
                              the reverse
 
     asymmetry_noise > 0 perturbs every (slot, subcarrier) of every direction
-    independently by up to that many bits, then snaps back to the legal ladder.
+    independently by up to that many bits, then snaps back to the legal ladder;
+    the notched profile's zeroed bands are the exception and stay 0.
     """
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
@@ -394,12 +398,15 @@ def generate_deployment(
     lo = snap_legal(max(0, profile.base_quality - 4))
     half = SUBCARRIER_COUNT // 2  # low band = 1..458, high band = 459..917
     noise = profile.asymmetry_noise
+    span = 2 * noise + 1  # draw values 0..2 * noise
     # noisy[b + r] is the value of an entry at base level b after draw r,
-    # which moves it by r - noise, clamps it to 0..10 and snaps it
-    noisy = [
+    # which moves it by r - noise, clamps it to 0..10 and snaps it; level b
+    # maps its draws through noise_tables[b]
+    noisy = bytes(
         snap_legal(min(MAX_MODULATION, max(0, i - noise)))
-        for i in range(MAX_MODULATION + 2 * noise + 1)
-    ]
+        for i in range(MAX_MODULATION + span)
+    )
+    noise_tables = [noisy[b : b + span].ljust(256, b"\0") for b in range(MAX_MODULATION + 1)]
 
     pair_notches: Dict[tuple, list] = {}
     links: Dict[DirectedLink, Tonemap] = {}
@@ -409,11 +416,8 @@ def generate_deployment(
         if profile.profile_kind == "uniform":
             base_row = [base] * SUBCARRIER_COUNT
         elif profile.profile_kind == "complementary":
-            own_low_band = node_index[link.tx] % 2 == 0
-            base_row = [
-                hi if ((j < half) == own_low_band) else lo
-                for j in range(SUBCARRIER_COUNT)
-            ]
+            low_band, high_band = (hi, lo) if node_index[link.tx] % 2 == 0 else (lo, hi)
+            base_row = [low_band] * half + [high_band] * (SUBCARRIER_COUNT - half)
         elif profile.profile_kind == "asymmetric":
             shift = 2 if node_index[link.tx] < node_index[link.rx] else -2
             base_row = [_ladder_shift(base, shift)] * SUBCARRIER_COUNT
@@ -435,7 +439,7 @@ def generate_deployment(
             slots = [bytes(base_row)] * slot_count
         else:
             quiet_zeros = profile.profile_kind == "interference-notched"
-            slots = _noisy_slots(rng, base_row, noisy, quiet_zeros, slot_count)
+            slots = _noisy_slots(rng, base_row, noise_tables, span, quiet_zeros, slot_count)
         links[link] = Tonemap(slots)
 
     metadata = {
@@ -451,35 +455,34 @@ def generate_deployment(
     return Deployment(nodes, links, metadata)
 
 
-def _noisy_slots(rng: SplitMix64, base_row: list, noisy: list, quiet_zeros: bool,
-                 slot_count: int) -> list:
+def _noisy_slots(rng: SplitMix64, base_row: list, noise_tables: list, span: int,
+                 quiet_zeros: bool, slot_count: int) -> list:
     """``slot_count`` rows of ``base_row`` (legal levels), each entry at base
-    level b with a uniform draw r in 0..2 * noise becoming ``noisy[b + r]``.
+    level b with a uniform draw r in 0..span - 1 becoming
+    ``noise_tables[b][r]``.
 
-    With ``quiet_zeros`` the zero entries draw nothing and stay 0. Each row
+    With ``quiet_zeros`` the zero entries draw nothing and stay 0. A row
     takes one batch of draws, in subcarrier order, so the stream is that of
-    one ``randbelow(2 * noise + 1)`` call per drawing entry.
+    one ``randbelow(span)`` call per drawing entry; each run of equal base
+    level maps its share of the batch through its level's table.
     """
-    span = len(noisy) - MAX_MODULATION  # 2 * noise + 1 draw values
-    drawn = [not (quiet_zeros and b == 0) for b in base_row]
-    drawn_base = list(compress(base_row, drawn))
-    runs = []  # maximal [start, end) runs of drawing entries
-    start = 0
-    for is_drawn, group in groupby(drawn):
-        end = start + sum(1 for _ in group)
-        if is_drawn:
-            runs.append((start, end))
-        start = end
+    runs = []  # (length, table) per run of equal level; None draws nothing
+    for level, group in groupby(base_row):
+        quiet = quiet_zeros and level == 0
+        runs.append((len(list(group)), None if quiet else noise_tables[level]))
+    drawn = sum(length for length, table in runs if table is not None)
     slots = []
     for _ in range(slot_count):
-        draws = rng.randbelow_many(span, len(drawn_base))
-        values = bytes(map(noisy.__getitem__, map(add, drawn_base, draws)))
-        row = bytearray(len(base_row))
+        draws = rng.randbelow_bytes(span, drawn)
+        parts = []
         pos = 0
-        for start, end in runs:
-            row[start:end] = values[pos : pos + end - start]
-            pos += end - start
-        slots.append(row)
+        for length, table in runs:
+            if table is None:
+                parts.append(bytes(length))
+            else:
+                parts.append(draws[pos : pos + length].translate(table))
+                pos += length
+        slots.append(b"".join(parts))
     return slots
 
 

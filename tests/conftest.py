@@ -12,8 +12,10 @@ from hpavsim.macsim import (
     ROLE_PRIMARY,
     ROLE_SECONDARY,
 )
+from hpavsim.rng import SplitMix64
 from hpavsim.sharing import SSAllocation
 from hpavsim.tonemap import MAX_MODULATION, SUBCARRIER_COUNT
+from hpavsim.traceio import LEGAL_MODULATIONS, snap_legal
 
 
 def deployment_from_levels(levels, slot_count=5, nodes=None):
@@ -72,6 +74,61 @@ def parse_values_oracle(values_s):
             return None, f"modulation value {v} out of range 0..{MAX_MODULATION}"
         values.append(v)
     return bytes(values), None
+
+
+def reference_generator_slots(n_nodes, profile, slot_count):
+    """``{link: [slot bytes]}`` of ``generate_deployment(n_nodes, profile,
+    slot_count)``, written out plainly: base rows as lists, notch bands by
+    gap sampling, and one ``SplitMix64.randbelow(2 * noise + 1)`` per drawing
+    (slot, subcarrier) entry, in subcarrier order."""
+    nodes = [f"n{i + 1}" for i in range(n_nodes)]
+    links = sorted(DirectedLink(a, b) for a in nodes for b in nodes if a != b)
+    pairs = sorted({tuple(sorted((link.tx, link.rx))) for link in links})
+    noise, kind = profile.asymmetry_noise, profile.profile_kind
+    base = snap_legal(profile.base_quality)
+    hi = snap_legal(min(MAX_MODULATION, profile.base_quality + 4))
+    lo = snap_legal(max(0, profile.base_quality - 4))
+
+    def notch_bands(rng):
+        count, width = profile.notch_count, profile.notch_width
+        if count == 0 or width == 0:
+            return []
+        cuts = sorted(rng.randbelow(SUBCARRIER_COUNT - count * width + 1) for _ in range(count))
+        return [(cut + i * width, width) for i, cut in enumerate(cuts)]
+
+    out = {}
+    for ordinal, link in enumerate(links):
+        rng = SplitMix64(profile.seed, ordinal)
+        tx, rx = nodes.index(link.tx), nodes.index(link.rx)
+        if kind == "uniform":
+            row = [base] * SUBCARRIER_COUNT
+        elif kind == "complementary":
+            row = [hi if (j < SUBCARRIER_COUNT // 2) == (tx % 2 == 0) else lo
+                   for j in range(SUBCARRIER_COUNT)]
+        elif kind == "asymmetric":
+            step = LEGAL_MODULATIONS.index(base) + (2 if tx < rx else -2)
+            row = [LEGAL_MODULATIONS[max(0, min(len(LEGAL_MODULATIONS) - 1, step))]] * SUBCARRIER_COUNT
+        else:
+            if noise:
+                bands = notch_bands(rng)
+            else:
+                pair = tuple(sorted((link.tx, link.rx)))
+                bands = notch_bands(SplitMix64(profile.seed, len(links) + pairs.index(pair)))
+            row = [base] * SUBCARRIER_COUNT
+            for start, width in bands:
+                row[start : start + width] = [0] * width
+        slots = []
+        for _ in range(slot_count):
+            values = []
+            for b in row:
+                if noise == 0 or (kind == "interference-notched" and b == 0):
+                    values.append(b)
+                else:
+                    r = rng.randbelow(2 * noise + 1)
+                    values.append(snap_legal(min(MAX_MODULATION, max(0, b + r - noise))))
+            slots.append(bytes(values))
+        out[link] = slots
+    return out
 
 
 def brute_force_table(deployment, policy):

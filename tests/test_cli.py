@@ -70,6 +70,20 @@ class TestGenerate:
         assert "output trace path (required)" in help_text
         assert "stdout" not in help_text
 
+    def test_noise_above_ladder_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.plctm"
+        rc = run(["generate", "--nodes", "2", "--profile", "uniform",
+                  "--asymmetry-noise", "11", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "hpavsim generate: error: asymmetry_noise must be in 0..10\n"
+        assert not out.exists()
+
+    def test_noise_help_gives_range(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["generate", "--help"])
+        assert "perturbation 0..10" in capsys.readouterr().out
+
     def test_invalid_profile_usage_error(self, tmp_path):
         rc = run(["generate", "--nodes", "2", "--profile", "nope",
                   "--out", str(tmp_path / "x.plctm")])

@@ -48,19 +48,33 @@ def test_randbelow_draws_pinned(key):
     assert rng.next_u64() == next_word
 
 
-# n = 1 never draws; 8 is a power of two; 5 and 2^40 + 1 reject words; a
-# bound above 2^64 accepts every 64-bit word. 5000 draws span several batches.
-@pytest.mark.parametrize("n", [1, 8, 5, 2**40 + 1, 2**64 + 1, 2**70])
+# n = 1 never draws; 2, 8 and 256 are powers of two; 3, 5, 21 and 255 reject
+# words. 917 draws are a tonemap row; 5000 draws span several batches.
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 21, 255, 256])
 @pytest.mark.parametrize("count", [0, 1, 917, 5000])
-def test_randbelow_many_is_successive_randbelow(n, count):
-    one, many = SplitMix64(42, 3), SplitMix64(42, 3)
-    expected = [one.randbelow(n) for _ in range(count)]
-    assert many.randbelow_many(n, count) == expected
-    assert many.next_u64() == one.next_u64()
+def test_randbelow_bytes_is_successive_randbelow(n, count):
+    one, batched = SplitMix64(42, 3), SplitMix64(42, 3)
+    # single draws before and after the batch, so it must start and end on
+    # the state those calls leave
+    for rng in (one, batched):
+        rng.next_u64()
+        rng.randbelow(7)
+    expected = bytes(one.randbelow(n) for _ in range(count))
+    assert batched.randbelow_bytes(n, count) == expected
+    assert batched.randbelow(n) == one.randbelow(n)
+    assert batched.next_u64() == one.next_u64()
+    # a second batch starts where the single draws left off
+    expected = bytes(one.randbelow(n) for _ in range(count))
+    assert batched.randbelow_bytes(n, count) == expected
+    assert batched.next_u64() == one.next_u64()
 
 
 def test_randbelow_rejects_empty_range():
     with pytest.raises(ValueError):
         SplitMix64(1).randbelow(0)
-    with pytest.raises(ValueError):
-        SplitMix64(1).randbelow_many(0, 3)
+
+
+@pytest.mark.parametrize("n", [0, 257])
+def test_randbelow_bytes_rejects_bound_outside_a_byte(n):
+    with pytest.raises(ValueError, match="1 <= n <= 256"):
+        SplitMix64(1).randbelow_bytes(n, 3)

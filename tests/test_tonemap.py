@@ -12,7 +12,9 @@ from hpavsim import (
     spectrum_fraction,
 )
 from hpavsim.rng import SplitMix64
-from hpavsim.tonemap import FEC_RATES, MAX_MODULATION_TOTAL, SUBCARRIER_COUNT
+from hpavsim.tonemap import (
+    FEC_RATES, MAX_MODULATION_TOTAL, SUBCARRIER_COUNT, modulation_total,
+)
 
 from conftest import asymmetry_oracle, expected_throughput_oracle, phy_rate_oracle
 
@@ -283,6 +285,13 @@ class TestSpectrumFraction:
             spectrum_fraction(Tonemap.filled(1), 1, [918])
         with pytest.raises(ValueError, match="out of range"):
             spectrum_fraction(Tonemap.filled(1), 1, [0])
+
+    def test_negative_index_raises_rather_than_wrapping(self):
+        # -1 would otherwise read the slot's last subcarrier
+        tmap = Tonemap.filled(3)
+        with pytest.raises(ValueError, match="subcarrier index -1 out of range"):
+            modulation_total(tmap, 1, [5, -1, 7])
+        assert modulation_total(tmap, 1, [5, 917, 7]) == 9
 
     def test_additive_over_disjoint_sets(self):
         rng = SplitMix64(15, 0)

@@ -253,6 +253,11 @@ class TestGenerator:
         with pytest.raises(ValueError, match="infeasible notch layout"):
             GeneratorProfile("interference-notched", notch_count=100, notch_width=10)
 
+    @pytest.mark.parametrize("noise", [-1, 11])
+    def test_noise_off_the_ladder_rejected(self, noise):
+        with pytest.raises(ValueError, match="asymmetry_noise must be in 0..10"):
+            GeneratorProfile("uniform", asymmetry_noise=noise)
+
     def test_small_node_count_rejected(self):
         with pytest.raises(ValueError, match="n_nodes"):
             generate_deployment(1, GeneratorProfile("uniform"))
@@ -275,6 +280,10 @@ TRACE_DIGESTS = {
     ("interference-notched", 2): "adc6cbdc803905d7f4a853d77a0fcd4cd2a6e8f5fab398cf6d7979bcc325ba11",
     ("asymmetric", 0): "4567ee853d7c94f1802a89b7f64a0f5472b213b4266bb77a6bafa4618d06571e",
     ("asymmetric", 2): "ea5dc72b3a068c94116955b9c29343c49425978d152739e9b5c5937c4bcb7e80",
+    # recorded from the generator that drew through a list of ints per row
+    ("interference-notched", 1): "fa3b015355e2935cbebc330ae897a27969cf48953cb8bb97f0a7f917361df751",
+    ("complementary", 10): "3409dce7223b71e2ec8d55bbffdbd3fbdabceb6e39a961dd158fba12eb20c52d",
+    ("uniform", 10): "7f12abb73d94d88360c40077c28e12ea460f354247044a14627d61f6f4c770a5",
 }
 
 

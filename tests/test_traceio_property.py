@@ -1,7 +1,8 @@
-"""Property tests of PLCTM text. It round-trips every valid deployment, not
-only generator output: parsing the canonical text gives the deployment back,
-and serializing again gives the same bytes. And the reader accepts and
-rejects a value field exactly as one int() per token would."""
+"""Property tests of PLCTM text and the generator. Text round-trips every
+valid deployment, not only generator output: parsing the canonical text gives
+the deployment back, and serializing again gives the same bytes. The reader
+accepts and rejects a value field exactly as one int() per token would. And
+the generator's batched draws give the bytes of one draw per entry."""
 
 import random
 import string
@@ -11,11 +12,13 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from hpavsim import (
-    Deployment, DirectedLink, Tonemap, TraceFormatError, parse_trace, serialize_trace,
+    Deployment, DirectedLink, GeneratorProfile, Tonemap, TraceFormatError,
+    generate_deployment, parse_trace, serialize_trace,
 )
-from hpavsim.tonemap import MAX_SLOT_COUNT, SUBCARRIER_COUNT
+from hpavsim.tonemap import MAX_MODULATION, MAX_SLOT_COUNT, SUBCARRIER_COUNT
+from hpavsim.traceio import PROFILE_KINDS
 
-from conftest import parse_values_oracle
+from conftest import parse_values_oracle, reference_generator_slots
 
 # characters a whitespace-split field can hold
 TOKEN_CHARS = "".join(c for c in string.printable if not c.isspace())
@@ -101,3 +104,34 @@ def test_parser_agrees_with_int_oracle(values_s):
             parse_trace(text)
         assert err.value.line_number == 5
         assert str(err.value) == f"line 5: {message}"
+
+
+@st.composite
+def generator_cases(draw):
+    """Any profile kind, noise 0..10, 1-6 slots, 2-5 nodes, notches on or off."""
+    kind = draw(st.sampled_from(PROFILE_KINDS))
+    notches = draw(st.booleans())
+    profile = GeneratorProfile(
+        kind,
+        base_quality=draw(st.floats(0, MAX_MODULATION)),
+        notch_count=draw(st.integers(1, 6)) if notches else 0,
+        notch_width=draw(st.integers(1, 80)) if notches else 0,
+        asymmetry_noise=draw(st.integers(0, MAX_MODULATION)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return draw(st.integers(2, 5)), profile, draw(st.integers(1, MAX_SLOT_COUNT))
+
+
+@settings(
+    max_examples=30, deadline=None, derandomize=True, database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+@given(case=generator_cases())
+# the notched trace_io deployment, and the widest draw span at the top level
+@example(case=(6, GeneratorProfile("interference-notched", 6, 4, 40, 1, 1608), 5))
+@example(case=(3, GeneratorProfile("uniform", 10, asymmetry_noise=10, seed=7), 2))
+def test_generator_matches_one_draw_per_entry(case):
+    n_nodes, profile, slot_count = case
+    dep = generate_deployment(n_nodes, profile, slot_count)
+    expected = reference_generator_slots(n_nodes, profile, slot_count)
+    assert {link: list(t.slots) for link, t in dep.links.items()} == expected
