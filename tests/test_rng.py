@@ -48,25 +48,44 @@ def test_randbelow_draws_pinned(key):
     assert rng.next_u64() == next_word
 
 
+def _masked_rejection(rng, n):
+    """randbelow(n) as its docstring states it: next_u64 words, masked to the
+    bit length of n - 1, until one falls below n."""
+    if n == 1:
+        return 0
+    mask = (1 << (n - 1).bit_length()) - 1
+    while True:
+        v = rng.next_u64() & mask
+        if v < n:
+            return v
+
+
 # n = 1 never draws; 2, 8 and 256 are powers of two; 3, 5, 21 and 255 reject
-# words. 917 draws are a tonemap row; 5000 draws span several batches.
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 21, 255, 256])
+# words. Bounds above a byte have no batch call: 2^40 + 1 rejects words, and a
+# bound above 2^64 accepts every 64-bit word. 917 draws are a tonemap row;
+# 5000 draws span several batches.
+@pytest.mark.parametrize("n", [1, 8, 5, 2**40 + 1, 2**64 + 1, 2**70, 2, 3, 21, 255, 256])
 @pytest.mark.parametrize("count", [0, 1, 917, 5000])
-def test_randbelow_bytes_is_successive_randbelow(n, count):
-    one, batched = SplitMix64(42, 3), SplitMix64(42, 3)
-    # single draws before and after the batch, so it must start and end on
+def test_randbelow_many_is_successive_randbelow(n, count):
+    words, one, batched = (SplitMix64(42, 3) for _ in range(3))
+    # single draws before and after each batch, so it must start and end on
     # the state those calls leave
-    for rng in (one, batched):
+    for rng in (words, one, batched):
         rng.next_u64()
         rng.randbelow(7)
-    expected = bytes(one.randbelow(n) for _ in range(count))
-    assert batched.randbelow_bytes(n, count) == expected
-    assert batched.randbelow(n) == one.randbelow(n)
-    assert batched.next_u64() == one.next_u64()
     # a second batch starts where the single draws left off
-    expected = bytes(one.randbelow(n) for _ in range(count))
-    assert batched.randbelow_bytes(n, count) == expected
-    assert batched.next_u64() == one.next_u64()
+    for _ in range(2):
+        expected = [_masked_rejection(words, n) for _ in range(count)]
+        assert [one.randbelow(n) for _ in range(count)] == expected
+        if n <= 256:
+            assert batched.randbelow_bytes(n, count) == bytes(expected)
+        else:
+            # refused before the state moves
+            with pytest.raises(ValueError, match="1 <= n <= 256"):
+                batched.randbelow_bytes(n, count)
+            assert [batched.randbelow(n) for _ in range(count)] == expected
+        assert batched.randbelow(n) == one.randbelow(n) == _masked_rejection(words, n)
+        assert batched.next_u64() == one.next_u64() == words.next_u64()
 
 
 def test_randbelow_rejects_empty_range():
