@@ -14,6 +14,11 @@ advance a stage); a single transmitter succeeds (medium busy for the success
 duration, transmitter resets to stage 0). Stations are saturated: there is
 always a next frame for the fixed flow target.
 
+The engine takes an idle run in one step: with no BC at 0, every BC drops by
+the least one, or by fewer slots where the run's duration ends first. The
+run's times still add the slot duration one slot at a time, so each is the
+same float that stepping slot by slot gives.
+
 Spectrum sharing
 ----------------
 When a decision table is supplied and exactly one transmission (the P-Link)
@@ -91,6 +96,10 @@ ROLE_PRIMARY = "primary"
 ROLE_SECONDARY = "secondary"
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MacParams:
     """MAC timing constants and schedules; defaults follow HPAV CSMA/CA.
@@ -114,6 +123,12 @@ class MacParams:
     def __post_init__(self):
         object.__setattr__(self, "cw_schedule", tuple(self.cw_schedule))
         object.__setattr__(self, "dc_schedule", tuple(self.dc_schedule))
+        # BCs and DCs are counted in whole slots and busy events
+        for name in ("cw_schedule", "dc_schedule"):
+            if not all(map(_is_count, getattr(self, name))):
+                raise ValueError(f"{name} entries must be integers")
+        if not _is_count(self.rank_wait_slots_per_rank):
+            raise ValueError("rank_wait_slots_per_rank must be an integer")
         if len(self.cw_schedule) != len(self.dc_schedule) or not self.cw_schedule:
             raise ValueError("cw_schedule and dc_schedule need equal length >= 1")
         if any(cw < 1 for cw in self.cw_schedule):
@@ -411,14 +426,25 @@ class _Engine:
 
     def run(self) -> SimReportRaw:
         slot_us = self.mac.slot_duration_us
-        while self.t < self.duration_us:
-            ready = [s for s in self.stations if s.bc == 0]
-            if not ready:
-                for s in self.stations:
-                    s.bc -= 1
-                self.t += slot_us
-                self.idle_us += slot_us
-            elif len(ready) == 1:
+        duration_us = self.duration_us
+        stations = self.stations
+        while self.t < duration_us:
+            m = min([s.bc for s in stations])
+            if m:
+                # an idle run of n <= m slots, added up one slot at a time
+                t, idle_us = self.t, self.idle_us
+                for n in range(1, m + 1):
+                    t += slot_us
+                    idle_us += slot_us
+                    if t >= duration_us:
+                        break
+                self.t, self.idle_us = t, idle_us
+                for s in stations:
+                    s.bc -= n
+                if t >= duration_us:
+                    break
+            ready = [s for s in stations if s.bc == 0]
+            if len(ready) == 1:
                 self._success_window(ready[0])
             else:
                 self._collision_window(ready)

@@ -540,6 +540,67 @@ class TestEngineDigest:
         assert run_times(quiet) == run_times(report)
 
 
+def slot_times(n):
+    """The time of n idle slots from 0, added one slot at a time."""
+    t = 0.0
+    for _ in range(n):
+        t += MAC.slot_duration_us
+    return t
+
+
+class TestIdleRunDigest:
+    """Byte-exact engine output where idle runs are cut short or run long.
+
+    The digests were recorded from the engine that stepped every idle slot on
+    its own. Seed 10 draws the initial BCs (7, 4, 6, 6), so its first
+    transmission is 4 slots in: the short runs end inside that idle run, or
+    exactly at its end, before anything transmits. The long-idle runs end
+    inside an idle run too, 13.8 ms after their last transmission.
+    """
+
+    LONG_IDLE = MacParams(cw_schedule=(1024, 2048, 4096, 8192))
+    # DC never reaches 0: stations escalate only on their own collisions
+    NO_DEFERRAL = MacParams(dc_schedule=(10**9,) * 4)
+    # case -> (SS on, MAC parameters, duration µs, seed)
+    CASES = {
+        "end_1us": (False, MAC, 1.0, 10),
+        "end_one_slot": (False, MAC, 35.84, 10),
+        "end_one_slot_short_of_first_tx": (False, MAC, slot_times(3), 10),
+        "end_at_first_tx": (False, MAC, slot_times(4), 10),
+        "long_idle_ss_off": (False, LONG_IDLE, 150_000, 3),
+        "long_idle_ss_on": (True, LONG_IDLE, 150_000, 3),
+        "no_deferral_ss_off": (False, NO_DEFERRAL, 300_000, 3),
+        "no_deferral_ss_on": (True, NO_DEFERRAL, 300_000, 3),
+    }
+    # end_1us and end_one_slot agree: both runs take one idle slot
+    EXPECTED = {
+        "end_1us": "5e69ec586daa1f65143e199498861e775b79ae44e7a9ffc11e174c969db46b14",
+        "end_one_slot": "5e69ec586daa1f65143e199498861e775b79ae44e7a9ffc11e174c969db46b14",
+        "end_one_slot_short_of_first_tx": "c907fd37faeb4f6e1d85f788ba4cf3a9b1efcd161a09f652634fb0863ca9fcbf",
+        "end_at_first_tx": "8fb99744e66ef9f380e4ae2330a940b7f4aa43dd9ad9634f74a90ae20df78cc5",
+        "long_idle_ss_off": "ac5f7700a607b80068b6b842ad98cce9c7a1986b6beb994a4d99623f4061b211",
+        "long_idle_ss_on": "ca11cc35f53de43b642d0c5f25a9a73ce5b5131cc12a865451e42ff3949614d9",
+        "no_deferral_ss_off": "5ac5d78ee66b0447157423f058fd2d49cef508c0197e70af4591ebafa8705014",
+        "no_deferral_ss_on": "c3fbb3bd15c88a551356aff93a949455bda84288707180fd807ebd61265d21b8",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digest(self, case):
+        ss, mac, duration_us, seed = self.CASES[case]
+        if ss:
+            dep, table, policy = ss_scenario(seed=4, top_m=2)
+        else:
+            dep, table, policy = complementary_corpus(2), None, None
+        flows = list(CORPUS_FLOWS)
+        report = run_simulation(
+            dep, table, mac, policy, flows, duration_us, seed, collect_events=True
+        )
+        assert engine_digest(report) == self.EXPECTED[case]
+        quiet = run_simulation(dep, table, mac, policy, flows, duration_us, seed)
+        assert quiet.tallies == report.tallies
+        assert run_times(quiet) == run_times(report)
+
+
 class TestNormalizedThroughput:
     def test_hand_arithmetic_reference(self):
         link = DirectedLink("a", "b")
@@ -684,3 +745,16 @@ class TestMacParams:
             MacParams(reeval_period_us=0)
         with pytest.raises(ValueError):
             MacParams(cw_schedule=(0,), dc_schedule=(0,))
+        # counters are whole numbers: a float CW has no bit length to draw
+        # with, a fractional DC never reaches 0 and a fractional wait engages
+        # off a slot boundary
+        for field, kwargs in [
+            ("cw_schedule", dict(cw_schedule=(8.0, 16, 32, 64))),
+            ("cw_schedule", dict(cw_schedule=(True, 16, 32, 64))),
+            ("dc_schedule", dict(dc_schedule=(0.5, 1, 3, 15))),
+            ("dc_schedule", dict(dc_schedule=(0, 1, 3, False))),
+            ("rank_wait_slots_per_rank", dict(rank_wait_slots_per_rank=1.5)),
+            ("rank_wait_slots_per_rank", dict(rank_wait_slots_per_rank=True)),
+        ]:
+            with pytest.raises(ValueError, match=f"{field} .*integer"):
+                MacParams(**kwargs)

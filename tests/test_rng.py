@@ -97,3 +97,65 @@ def test_randbelow_rejects_empty_range():
 def test_randbelow_bytes_rejects_bound_outside_a_byte(n):
     with pytest.raises(ValueError, match="1 <= n <= 256"):
         SplitMix64(1).randbelow_bytes(n, 3)
+
+
+class ReferenceWords:
+    """SplitMix64 words one at a time, straight from the algorithm: seed the
+    counter, then add gamma and run the finalizer for each word."""
+
+    M = (1 << 64) - 1
+    GAMMA = 0x9E3779B97F4A7C15
+
+    @classmethod
+    def mix(cls, z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & cls.M
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & cls.M
+        return z ^ (z >> 31)
+
+    def __init__(self, seed, stream=0):
+        self.z = self.mix((seed & self.M) ^ self.mix((stream * self.GAMMA) & self.M))
+
+    def next_u64(self):
+        self.z = (self.z + self.GAMMA) & self.M
+        return self.mix(self.z)
+
+
+@pytest.mark.parametrize("key", sorted(FIRST_WORDS, key=str))
+def test_reference_words_pinned(key):
+    ref = ReferenceWords(*key)
+    assert [ref.next_u64() for _ in range(8)] == FIRST_WORDS[key]
+
+
+# Single draws come from a buffer of pre-mixed words whose batches start at 8
+# words and double up to 256. The counts land just before, on and after a
+# batch end, and 5000 goes through every doubling and several capped refills;
+# every bound rejects words, so a draw may span a refill.
+@pytest.mark.parametrize("n", [3, 5, 11, 2**40 + 1])
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 255, 256, 257, 5000])
+def test_buffered_draws_follow_the_word_stream(n, count):
+    rng, ref = SplitMix64(2**64 + 7, 3), ReferenceWords(2**64 + 7, 3)
+    for _ in range(3):
+        expected = [_masked_rejection(ref, n) for _ in range(count)]
+        assert [rng.randbelow(n) for _ in range(count)] == expected
+        assert rng.next_u64() == ref.next_u64()
+        # a byte run starts at the first unconsumed word of the buffer
+        if n <= 256:
+            expected = bytes(_masked_rejection(ref, n) for _ in range(count))
+            assert rng.randbelow_bytes(n, count) == expected
+        assert [rng.next_u64() for _ in range(count)] == [ref.next_u64() for _ in range(count)]
+
+
+def test_byte_runs_build_no_buffer(monkeypatch):
+    # the generator makes one short-lived stream per link and draws only
+    # byte runs from it, so those streams must not pay for a buffer
+    def refuse(self):
+        raise AssertionError("buffer built")
+
+    monkeypatch.setattr(SplitMix64, "_refill", refuse)
+    rng, ref = SplitMix64(42, 5), ReferenceWords(42, 5)
+    for n, count in [(11, 917), (3, 1), (256, 300)]:
+        assert rng.randbelow_bytes(n, count) == bytes(
+            _masked_rejection(ref, n) for _ in range(count)
+        )
+    monkeypatch.undo()
+    assert rng.next_u64() == ref.next_u64()
