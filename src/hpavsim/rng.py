@@ -21,7 +21,6 @@ leaving the same state as that many ``randbelow`` calls.
 Name/version recorded in trace metadata: ``splitmix64`` / ``1``.
 """
 
-from functools import lru_cache
 from math import isqrt
 from struct import unpack
 
@@ -53,15 +52,29 @@ _BUFFER_CAP = 256
 _LOW_BITS = [bytes(i & ((1 << k) - 1) for i in range(256)) for k in range(9)]
 
 
-@lru_cache(maxsize=1)
-def _lane_constants():
-    """``(ones, low64, steps)`` over _BATCH 128-bit lanes: lane i holds 1 in
-    ``ones``, 2^64 - 1 in ``low64`` and (i + 1) * gamma mod 2^64 in ``steps``."""
-    ones = int.from_bytes((b"\x01" + bytes(15)) * _BATCH, "little")
-    steps = b"".join(
-        ((i * _GAMMA) & _MASK64).to_bytes(16, "little") for i in range(1, _BATCH + 1)
-    )
-    return ones, ones * _MASK64, int.from_bytes(steps, "little")
+# (lanes, ones, low64, steps): the lane constants built so far
+_built_constants = (0, 0, 0, 0)
+
+
+def _lane_constants(lanes: int):
+    """``(ones, low64, steps)`` over at least ``lanes`` <= _BATCH 128-bit
+    lanes: lane i holds 1 in ``ones``, 2^64 - 1 in ``low64`` and
+    (i + 1) * gamma mod 2^64 in ``steps``.
+
+    They are built when a call needs more lanes than were built before, for
+    the next power of two of lanes up to _BATCH, so a process whose batches
+    stay small builds few lanes and one whose batches grow rebuilds a few
+    times at most.
+    """
+    global _built_constants
+    if _built_constants[0] < lanes:
+        size = min(_BATCH, 1 << (lanes - 1).bit_length())
+        ones = int.from_bytes((b"\x01" + bytes(15)) * size, "little")
+        steps = b"".join(
+            ((i * _GAMMA) & _MASK64).to_bytes(16, "little") for i in range(1, size + 1)
+        )
+        _built_constants = (size, ones, ones * _MASK64, int.from_bytes(steps, "little"))
+    return _built_constants[1:]
 
 
 def _mixed_lanes(z: int, lanes: int) -> bytes:
@@ -73,7 +86,7 @@ def _mixed_lanes(z: int, lanes: int) -> bytes:
     word times a 64-bit constant fits in its lane, and every shift is masked
     back to 64 bits before the next multiply, so no lane disturbs another.
     """
-    all_ones, all_low64, all_steps = _lane_constants()
+    all_ones, all_low64, all_steps = _lane_constants(lanes)
     keep = (1 << (128 * lanes)) - 1
     low64 = all_low64 & keep
     w = (z * (all_ones & keep) + (all_steps & keep)) & low64

@@ -8,16 +8,21 @@ is the modulation total it would add on those subcarriers minus what the
 primary would give up. Candidates with positive gain are ranked by gain and
 the best ``top_m`` are retained.
 
-The table builder works on bitmasks: each (link, slot) is turned once into
-Python-int masks ``eq[v]`` ("level == v") and ``ge[v]`` ("level >= v"), bit
-``j - 1`` standing for subcarrier ``j``. A (primary, secondary, slot) triple
-then costs a few dozen 917-bit ANDs, ORs and ``bit_count`` calls instead of a
-917-step Python loop: the eligible set is ``OR_a (P_eq[a] & S_ge[a + beta])``
-and the gain is the difference of the two modulation totals over it. A table
-for n nodes thus costs O(L^2 * slots) such operations, L = n(n-1), plus one
-mask build per (link, slot). A retained candidate keeps its eligible set as
-that mask (``SSAllocation.shared``); its index tuple is a derived view that
-neither the builder nor ``decision_table_csv`` builds.
+The table builder works on bit planes: each (link, slot) is turned once into
+four Python ints, plane ``b`` marking the subcarriers whose level has bit
+``b`` set, bit ``j - 1`` standing for subcarrier ``j`` (levels are at most
+10, so four planes hold them). A (primary, secondary, slot) triple then costs
+about 40 917-bit ANDs, ORs, XORs and ``bit_count`` calls, whatever the levels
+in use, instead of a 917-step Python loop. The primary's planes plus ``beta``
+are added once per (primary, slot) with a carry into a fifth plane; the
+eligible set ``S >= P + beta`` is a compare of the planes from the top down,
+and the gain is ``sum_b 2**b * (|kept & S_b| - |kept & P_b|)``. Only a
+candidate over the share cap also gets ``S - P`` planes, by a borrow chain,
+to split its eligible set into difference buckets. A table for n nodes thus
+costs O(L^2 * slots) such operations, L = n(n-1), plus four ``translate``
+and ``int`` parses per (link, slot). A retained candidate keeps its eligible
+set as a mask (``SSAllocation.shared``); its index tuple is a derived view
+that neither the builder nor ``decision_table_csv`` builds.
 
 Decisions are a pure function of (deployment, policy): node-order tie-breaks
 make the table deterministic, and per-slot decisions are independent.
@@ -31,11 +36,12 @@ from typing import Dict, List, Tuple
 from .tonemap import MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink
 from .traceio import Deployment
 
-# _LEVEL_BITS[v] translates a modulation byte to b"1" if it equals v, else b"0"
-_LEVEL_BITS = tuple(
-    bytes(0x31 if b == v else 0x30 for b in range(256))
-    for v in range(MAX_MODULATION + 1)
+# _PLANE_BITS[b] translates a modulation byte to b"1" if bit b of it is set,
+# else b"0"; levels are at most 10 < 2**4, so four planes hold every level
+_PLANE_BITS = tuple(
+    bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(4)
 )
+_ALL = (1 << SUBCARRIER_COUNT) - 1
 # translates the binary digits b"0"/b"1" to the bytes 0/1
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _SUBCARRIERS = range(1, SUBCARRIER_COUNT + 1)
@@ -60,6 +66,11 @@ class SSPolicy:
     max_share_fraction: float = 1.0
 
     def __post_init__(self):
+        # beta's bits feed the table builder's plane adder
+        for name in ("beta", "top_m"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if self.top_m < 1:
@@ -120,22 +131,12 @@ class SSDecisionTable:
         return f"SSDecisionTable(entries={len(self.entries)}, populated={populated})"
 
 
-def _slot_masks(vec: bytes):
-    """Level masks of one tonemap slot; bit ``j - 1`` stands for subcarrier ``j``.
-
-    Returns ``(eq, ge, levels)``: ``eq[v]`` marks the subcarriers at level
-    ``v``, ``ge[v]`` those at level ``v`` or above (``ge[11]`` is empty), and
-    ``levels`` lists ``(v, eq[v])`` for the non-zero levels present, so that
-    ``sum(v * (m & x).bit_count() for v, m in levels)`` is the modulation
-    total over the subcarriers in ``x``.
-    """
+def _slot_planes(vec: bytes) -> Tuple[int, int, int, int]:
+    """Bit planes of one tonemap slot: plane ``b`` marks the subcarriers whose
+    level has bit ``b`` set, bit ``j - 1`` standing for subcarrier ``j``."""
     raw = vec[::-1]  # subcarrier 1 becomes the last, least significant, digit
-    eq = [int(raw.translate(table), 2) for table in _LEVEL_BITS]
-    ge = [0] * (MAX_MODULATION + 2)
-    for v in range(MAX_MODULATION, -1, -1):
-        ge[v] = ge[v + 1] | eq[v]
-    levels = [(v, eq[v]) for v in range(1, MAX_MODULATION + 1) if eq[v]]
-    return eq, ge, levels
+    p0, p1, p2, p3 = [int(raw.translate(table), 2) for table in _PLANE_BITS]
+    return p0, p1, p2, p3
 
 
 def _lowest_bits(mask: int, count: int) -> int:
@@ -170,46 +171,81 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
     """
     beta = policy.beta
     cap = int(policy.max_share_fraction * SUBCARRIER_COUNT)
+    capped = cap < SUBCARRIER_COUNT
     slots = range(1, deployment.slot_count + 1)
     links = sorted(deployment.links)
-    masks = [list(map(_slot_masks, deployment.links[link].slots)) for link in links]
+    if beta > MAX_MODULATION:
+        # no level is beta above another; the adder below would also lose
+        # the bits of a beta of 16 or more
+        return SSDecisionTable({(link, slot): () for link in links for slot in slots})
+    beta_bits = [beta >> b & 1 for b in range(4)]
+    # the differences a capped candidate may keep, largest first, with their bits
+    differences = [
+        (d, d & 1, d >> 1 & 1, d >> 2 & 1, d >> 3)
+        for d in range(MAX_MODULATION, beta - 1, -1)
+    ]
+    planes = [list(map(_slot_planes, deployment.links[link].slots)) for link in links]
     entries: Dict[Tuple[DirectedLink, int], Tuple[SSAllocation, ...]] = {}
-    for primary, p_masks in zip(links, masks):
+    for primary, p_planes in zip(links, planes):
         secondaries = [
-            (s, s_masks)
-            for s, s_masks in zip(links, masks)
+            (s, s_planes)
+            for s, s_planes in zip(links, planes)
             if not {s.tx, s.rx} & {primary.tx, primary.rx}
         ]
         for slot in slots:
-            p_eq = p_masks[slot - 1][0]
-            # levels a whose subcarriers a secondary at a + beta or above takes
-            p_levels = [
-                (a, p_eq[a]) for a in range(MAX_MODULATION + 1 - beta) if p_eq[a]
-            ]
+            p0, p1, p2, p3 = p = p_planes[slot - 1]
+            # Q = P + beta, one plane at a time with a carry; the last carry is
+            # Q's plane 4, where S's is empty, so S >= Q needs it clear
+            q = []
+            carry = 0
+            for p_b, one in zip(p, beta_bits):
+                if one:
+                    q.append(p_b ^ carry ^ _ALL)
+                    carry |= p_b
+                else:
+                    q.append(p_b ^ carry)
+                    carry &= p_b
+            nq0, nq1, nq2, nq3 = [q_b ^ _ALL for q_b in q]
+            below_16 = _ALL ^ carry
             scored: List[Tuple[int, DirectedLink, int]] = []
-            for secondary, s_masks in secondaries:
-                s_eq, s_ge, s_levels = s_masks[slot - 1]
-                kept = 0
-                p_total = 0
-                for a, level in p_levels:
-                    piece = level & s_ge[a + beta]
-                    if piece:
-                        kept |= piece
-                        p_total += a * piece.bit_count()
+            for secondary, s_planes in secondaries:
+                s0, s1, s2, s3 = s_planes[slot - 1]
+                # S >= Q from the top plane down: `above` holds the subcarriers
+                # where S > Q is settled, `tied` those where S and Q agree so far
+                tied = below_16
+                above = tied & s3 & nq3
+                tied &= s3 ^ nq3
+                above |= tied & s2 & nq2
+                tied &= s2 ^ nq2
+                above |= tied & s1 & nq1
+                tied &= s1 ^ nq1
+                kept = above | tied & (s0 | nq0)
                 if not kept:
                     continue
-                if kept.bit_count() > cap:
-                    # whole difference buckets from the largest down, then the
+                if capped and kept.bit_count() > cap:
+                    # D = S - P with a borrow chain; beta <= D <= 10 on `kept`.
+                    # Whole difference buckets from the largest down, then the
                     # lowest indices of the bucket that does not fit
+                    d0 = s0 ^ p0
+                    borrow = p0 & ~s0
+                    d1 = s1 ^ p1 ^ borrow
+                    borrow = (p1 | borrow) & ~s1 | p1 & borrow
+                    d2 = s2 ^ p2 ^ borrow
+                    borrow = (p2 | borrow) & ~s2 | p2 & borrow
+                    d3 = s3 ^ p3 ^ borrow
+                    # digit_b[x]: the subcarriers with bit b of D equal to x
+                    digit0 = (d0 ^ _ALL, d0)
+                    digit1 = (d1 ^ _ALL, d1)
+                    digit2 = (d2 ^ _ALL, d2)
+                    digit3 = (d3 ^ _ALL, d3)
+                    eligible = kept
                     kept = 0
                     g = 0
                     room = cap
-                    for d in range(MAX_MODULATION, beta - 1, -1):
-                        bucket = 0
-                        for a, level in p_levels:
-                            if a + d > MAX_MODULATION:
-                                break
-                            bucket |= level & s_eq[a + d]
+                    for d, b0, b1, b2, b3 in differences:
+                        bucket = (
+                            eligible & digit0[b0] & digit1[b1] & digit2[b2] & digit3[b3]
+                        )
                         size = bucket.bit_count()
                         if size > room:
                             kept |= _lowest_bits(bucket, room)
@@ -219,15 +255,21 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
                         g += d * size
                         room -= size
                 else:
-                    g = -p_total
-                    for v, level in s_levels:
-                        g += v * (kept & level).bit_count()
+                    # plane-weighted popcounts of S minus those of P
+                    g = (
+                        (kept & s0).bit_count()
+                        - (kept & p0).bit_count()
+                        + 2 * ((kept & s1).bit_count() - (kept & p1).bit_count())
+                        + 4 * ((kept & s2).bit_count() - (kept & p2).bit_count())
+                        + 8 * ((kept & s3).bit_count() - (kept & p3).bit_count())
+                    )
                 if g > 0:
-                    scored.append((g, secondary, kept))
-            scored.sort(key=lambda item: (-item[0], item[1]))
+                    scored.append((-g, secondary, kept))
+            # secondaries differ, so a tie in gain never reaches the masks
+            scored.sort()
             entries[(primary, slot)] = tuple(
-                SSAllocation(primary, secondary, slot, kept, g, rank)
-                for rank, (g, secondary, kept) in enumerate(
+                SSAllocation(primary, secondary, slot, kept, -neg_g, rank)
+                for rank, (neg_g, secondary, kept) in enumerate(
                     scored[: policy.top_m], start=1
                 )
             )

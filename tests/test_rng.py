@@ -2,6 +2,7 @@
 
 import pytest
 
+from hpavsim import rng as rng_module
 from hpavsim.rng import SplitMix64
 
 # (seed, stream) -> first 8 next_u64 words. Seed 0, stream 0 starts the state
@@ -159,3 +160,21 @@ def test_byte_runs_build_no_buffer(monkeypatch):
         )
     monkeypatch.undo()
     assert rng.next_u64() == ref.next_u64()
+
+
+def test_lane_constants_grow_with_the_batches(monkeypatch):
+    # a process starts with no lane constants; a first 8-word buffer builds
+    # 8 lanes, a 917-draw byte run grows them, and every draw before, across
+    # and after the growth follows the word stream
+    monkeypatch.setattr(rng_module, "_built_constants", (0, 0, 0, 0))
+    rng, ref = SplitMix64(42, 7), ReferenceWords(42, 7)
+    assert rng.next_u64() == ref.next_u64()
+    assert rng_module._built_constants[0] == 8
+    assert [rng.randbelow(1000) for _ in range(40)] == [
+        _masked_rejection(ref, 1000) for _ in range(40)
+    ]
+    assert rng_module._built_constants[0] == 32
+    assert rng.randbelow_bytes(5, 917) == bytes(_masked_rejection(ref, 5) for _ in range(917))
+    assert rng_module._built_constants[0] == 2048
+    assert [rng.next_u64() for _ in range(300)] == [ref.next_u64() for _ in range(300)]
+    assert rng_module._built_constants[0] == 2048

@@ -242,6 +242,21 @@ class TestDecisionTableOracle:
                 table = build_decision_table(dep, policy)
                 assert tables_equal(table, brute_force_table(dep, policy)), (beta, cap)
 
+    @pytest.mark.parametrize("beta", tuple(range(18)) + (2**40,))
+    def test_every_level_pair_matches_brute_force(self, beta):
+        # subcarrier j carries primary level p and secondary level s for the
+        # (p, s) pair j % 121, so every pair of levels 0..10 meets every beta,
+        # carry out of the beta adder included, and every difference bucket
+        primary = [0] * SUBCARRIER_COUNT
+        secondary = [0] * SUBCARRIER_COUNT
+        for j in range(SUBCARRIER_COUNT):
+            primary[j], secondary[j] = divmod(j % 121, 11)
+        dep = pair_deployment(primary, secondary)
+        for cap in (1.0, 0.3, 0.05, 0.0):
+            policy = SSPolicy(beta=beta, top_m=3, max_share_fraction=cap)
+            table = build_decision_table(dep, policy)
+            assert tables_equal(table, brute_force_table(dep, policy)), cap
+
 
 class TestPolicy:
     def test_validation(self):
@@ -251,3 +266,8 @@ class TestPolicy:
             SSPolicy(top_m=0)
         with pytest.raises(ValueError):
             SSPolicy(max_share_fraction=1.5)
+        # the knobs are counts: a float or a bool is refused by name
+        for name, value in (("beta", 2.5), ("beta", 2.0), ("beta", True),
+                            ("top_m", 1.5), ("top_m", True), ("top_m", "2")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SSPolicy(**{name: value})

@@ -43,7 +43,7 @@ def four_node_deployments(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     dep=four_node_deployments(),
-    beta=st.integers(0, 11),
+    beta=st.integers(0, 20),
     top_m=st.integers(1, 4),
     cap=st.floats(0.0, 1.0),
 )
