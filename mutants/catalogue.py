@@ -1,0 +1,175 @@
+"""Mutation catalogue: small deliberate faults that the test suite must catch.
+
+Each entry names a file (relative to the repository root), an old snippet
+that occurs exactly once in it, the snippet that replaces it and the pytest
+node ids that must each fail with the fault in place. ``mutants/run.py``
+applies the entries one at a time to a copy of the tree and runs their
+tests. ``tests/test_mutants.py`` checks in tier-1 that every old snippet
+still occurs exactly once, so an edit that moves a snippet cannot leave the
+catalogue quietly stale.
+
+EQUIVALENT lists mutants that no test can tell from the original, each with
+the reason; they are kept so that nobody adds them as kills by mistake.
+
+Standard library only; pytest does not collect this directory.
+"""
+
+from typing import NamedTuple, Tuple
+
+MACSIM = "src/hpavsim/macsim.py"
+SHARING = "src/hpavsim/sharing.py"
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    tests: Tuple[str, ...] = ()  # node ids that must each fail
+    reason: str = ""  # for an equivalent mutant: why no test can fail
+
+
+MUTANTS = (
+    # the engine loop's shared collision block, sensed-busy pass and
+    # re-evaluation check
+    Mutant(
+        id="macsim-barge-busy-from-first-boundary",
+        file=MACSIM,
+        old="        busy_us += end - start\n",
+        new="        busy_us += end - hit\n",
+        tests=(
+            "tests/test_macsim.py::TestBasicContract::test_conservation_of_time",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_run_invariants",
+        ),
+    ),
+    Mutant(
+        id="macsim-barge-colliders-unsorted",
+        file=MACSIM,
+        old="colliders = [s for s in stations if s.bc == 0]  # tx and bargers\n",
+        new="colliders = [tx] + [s for s in stations if s.bc == 0 and s is not tx]\n",
+        tests=(
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_run_invariants",
+        ),
+    ),
+    Mutant(
+        id="macsim-reeval-on-collision-windows",
+        file=MACSIM,
+        old="reeval = len(ready) == 1 and next_reeval is not None",
+        new="reeval = next_reeval is not None",
+        tests=(
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim.py::TestReevaluation::test_periodic_full_spectrum_suspension",
+            "tests/test_macsim_property.py::test_run_invariants",
+        ),
+    ),
+    Mutant(
+        id="macsim-collision-stage-cap-dropped",
+        file=MACSIM,
+        old=(
+            "            for s in colliders:\n"
+            "                s.stage = min(s.stage + 1, last_stage)\n"
+        ),
+        new=(
+            "            for s in colliders:\n"
+            "                s.stage = s.stage + 1\n"
+        ),
+        tests=(
+            "tests/test_macsim.py::TestDeferralCounters::test_stage_capped_at_last",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_run_invariants",
+        ),
+    ),
+    Mutant(
+        id="macsim-sensed-busy-skipped-on-collisions",
+        file=MACSIM,
+        old=(
+            "        for s in stations:\n"
+            "            if s.bc == 0:\n"
+            "                continue\n"
+        ),
+        new=(
+            "        for s in stations if len(ready) == 1 else ():\n"
+            "            if s.bc == 0:\n"
+            "                continue\n"
+        ),
+        tests=(
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim.py::TestIdleRunDigest::test_digest",
+        ),
+    ),
+    # faults first checked by hand when the one-step idle run and the
+    # bit-plane build_decision_table were written
+    Mutant(
+        id="macsim-idle-run-no-stop-inside",
+        file=MACSIM,
+        old=(
+            "                idle_us += slot_us\n"
+            "                if t >= duration_us:\n"
+            "                    break\n"
+        ),
+        new="                idle_us += slot_us\n",
+        tests=(
+            "tests/test_macsim.py::TestIdleRunDigest::test_digest",
+        ),
+    ),
+    Mutant(
+        id="macsim-idle-run-no-stop-after",
+        file=MACSIM,
+        old=(
+            "                s.bc -= n\n"
+            "            if t >= duration_us:\n"
+            "                break\n"
+        ),
+        new="                s.bc -= n\n",
+        tests=(
+            "tests/test_macsim.py::TestIdleRunDigest::test_digest",
+        ),
+    ),
+    Mutant(
+        id="macsim-idle-run-one-slot-short",
+        file=MACSIM,
+        old="for n in range(1, m + 1):",
+        new="for n in range(1, m):",
+        tests=(
+            "tests/test_macsim.py::TestIdleRunDigest::test_digest",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+        ),
+    ),
+    Mutant(
+        id="sharing-beta-carry-dropped",
+        file=SHARING,
+        old="below_16 = _ALL ^ carry",
+        new="below_16 = _ALL",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_every_level_pair_matches_brute_force",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        id="sharing-borrow-stops-at-plane-1",
+        file=SHARING,
+        old="borrow = (p1 | borrow) & ~s1 | p1 & borrow",
+        new="borrow = p1 & ~s1",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_every_level_pair_matches_brute_force",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+)
+
+EQUIVALENT = (
+    Mutant(
+        id="macsim-idle-run-subtracts-m",
+        file=MACSIM,
+        old="                s.bc -= n\n",
+        new="                s.bc -= m\n",
+        reason=(
+            "n differs from m only when the run's duration ends inside the "
+            "idle run, and then the loop stops and no BC is read again"
+        ),
+    ),
+)

@@ -1,0 +1,108 @@
+"""Run the mutation catalogue: apply each mutant to a copy of the tree and
+check that every test it names fails.
+
+    python mutants/run.py            # every mutant in mutants/catalogue.py
+    python mutants/run.py ID [ID...] # only these
+
+A mutant is killed when each of its tests fails or errors; it survives when
+any of them passes. An entry is stale when its old snippet does not occur
+exactly once in its file (equivalent mutants are checked for that too). The
+script prints one line per mutant and exits 1 on any survivor, stale entry
+or test run that failed to start (for example an unknown node id).
+
+Standard library only; the tests run with the interpreter that runs this
+script, which needs pytest and hypothesis.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from catalogue import EQUIVALENT, MUTANTS
+
+ROOT = Path(__file__).resolve().parent.parent
+SKIP = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-out", "*.pyc"
+)
+
+
+def stale(mutant):
+    """Why the mutant's old snippet cannot be applied, or None if it can."""
+    count = (ROOT / mutant.file).read_text().count(mutant.old)
+    if count != 1:
+        return f"old snippet occurs {count} times in {mutant.file}"
+    return None
+
+
+def failed_ids(output):
+    """Node ids that pytest's -rfE summary reports as failed or errored."""
+    ids = []
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                ids.append(line[len(tag):].split(" - ", 1)[0])
+    return ids
+
+
+def killed_by(test, failures):
+    return any(f == test or f.startswith((test + "[", test + "::")) for f in failures)
+
+
+def run_mutant(mutant, tree):
+    """(status, detail): status is 'killed', 'SURVIVED' or 'ERROR'."""
+    path = tree / mutant.file
+    original = path.read_text()
+    path.write_text(original.replace(mutant.old, mutant.new))
+    try:
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=tree, env=env, capture_output=True, text=True,
+        )
+    finally:
+        path.write_text(original)
+    failures = failed_ids(proc.stdout)
+    if proc.returncode not in (0, 1) and not failures:
+        tail = (proc.stdout + proc.stderr).strip().splitlines()[-3:]
+        return "ERROR", f"pytest exit {proc.returncode}: " + " | ".join(tail)
+    passed = [t for t in mutant.tests if not killed_by(t, failures)]
+    if passed:
+        return "SURVIVED", "passed " + ", ".join(passed)
+    return "killed", ""
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ids", nargs="*", help="mutant ids to run (default: all)")
+    args = parser.parse_args(argv)
+    by_id = {m.id: m for m in MUTANTS}
+    unknown = [i for i in args.ids if i not in by_id]
+    if unknown:
+        parser.error("unknown mutant id: " + ", ".join(unknown))
+    chosen = [by_id[i] for i in args.ids] if args.ids else list(MUTANTS)
+
+    def report(mutant, status, detail):
+        print(f"{status}: {mutant.id}" + (f": {detail}" if detail else ""), flush=True)
+        return status not in ("killed", "equivalent")
+
+    bad = 0
+    for m in EQUIVALENT:
+        why = stale(m)
+        bad += report(m, "STALE" if why else "equivalent", why or m.reason)
+    with tempfile.TemporaryDirectory(prefix="hpavsim-mutants-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=SKIP)
+        for m in chosen:
+            why = stale(m)
+            bad += report(m, *(("STALE", why) if why else run_mutant(m, tree)))
+    print(f"{len(chosen)} mutants run, {bad} problems")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,10 +14,16 @@ advance a stage); a single transmitter succeeds (medium busy for the success
 duration, transmitter resets to stage 0). Stations are saturated: there is
 always a next frame for the fixed flow target.
 
-The engine takes an idle run in one step: with no BC at 0, every BC drops by
-the least one, or by fewer slots where the run's duration ends first. The
-run's times still add the slot duration one slot at a time, so each is the
-same float that stepping slot by slot gives.
+run_simulation is one loop, one pass per window. It takes the idle run before
+the window in one step: with no BC at 0, every BC drops by the least one, or
+by fewer slots where the run's duration ends first. The run's times still add
+the slot duration one slot at a time, so each is the same float that
+stepping slot by slot gives. The window then logs the transmissions that
+start, runs the sensed-busy pass once and ends in one of two ways: a success
+(with the SS plan applied, if any) or the one collision block. That block
+serves both a window that opens with two or more transmitters and an SS
+window that a barger hits at its first slot boundary; either way the busy
+period is counted from the window's start.
 
 Spectrum sharing
 ----------------
@@ -169,11 +175,10 @@ class StationState:
     """Everything a run tracks for one station: contention state and tallies."""
 
     node: str
-    target: str  # saturated flow destination
+    link: DirectedLink  # its saturated flow, node -> destination
     stage: int = 0
     bc: int = 0
     dc: int = 0
-    link: DirectedLink = field(init=False)  # node -> target, built once
     tally: LinkTally = field(init=False, default_factory=LinkTally)
     # summed modulation totals of its successful primary / secondary frames
     p_sum: int = field(init=False, default=0)
@@ -185,9 +190,6 @@ class StationState:
     # the run.
     full: Tuple[int, ...] = field(init=False, default=())
     plans: Tuple[Optional[tuple], ...] = field(init=False, default=())
-
-    def __post_init__(self):
-        self.link = DirectedLink(self.node, self.target)
 
 
 class SimEvent(NamedTuple):
@@ -220,247 +222,6 @@ class SimReportRaw:
     events: Optional[List[SimEvent]] = None
 
 
-class _Engine:
-    def __init__(
-        self,
-        deployment: Deployment,
-        table: Optional[SSDecisionTable],
-        mac: MacParams,
-        policy: Optional[SSPolicy],
-        flows: Sequence[DirectedLink],
-        duration_us: float,
-        seed: int,
-        collect_events: bool,
-    ):
-        if not flows:
-            raise ValueError("empty flow list")
-        if duration_us < 0:
-            raise ValueError("duration_us must be >= 0")
-        seen_tx = set()
-        for flow in flows:
-            if flow not in deployment.links:
-                raise ValueError(f"flow over missing link {flow}")
-            if flow.tx in seen_tx:
-                raise ValueError(f"station {flow.tx!r} has more than one flow")
-            seen_tx.add(flow.tx)
-        self.mac = mac
-        self.ss = table is not None
-        self.duration_us = float(duration_us)
-        self.global_rng = SplitMix64(seed, 0)
-        self.stations = [
-            StationState(node=f.tx, target=f.rx)
-            for f in sorted(flows, key=lambda f: f.tx)
-        ]
-        links = deployment.links
-        for s in self.stations:
-            s.stage = 0
-            s.dc = mac.dc_schedule[0]
-            s.bc = self.global_rng.randbelow(mac.cw_schedule[0])
-            s.full = tuple(map(sum, links[s.link].slots))
-        self.slot_count = deployment.slot_count
-        if self.ss:
-            top_m = policy.top_m if policy is not None else None
-            wait = mac.rank_wait_slots_per_rank
-            station_index = {s.link: i for i, s in enumerate(self.stations)}
-            for p in self.stations:
-                plans = []
-                for k in range(1, self.slot_count + 1):
-                    plan = []
-                    for alloc in table.candidates(p.link, k)[:top_m]:
-                        i = station_index.get(alloc.secondary)
-                        if i is None:  # only flow-backed candidates can engage
-                            continue
-                        shared = alloc.shared_indices
-                        s_total = modulation_total(links[alloc.secondary], k, shared)
-                        p_shared = modulation_total(links[p.link], k, shared)
-                        plan.append((max(1, alloc.rank * wait), alloc.secondary.tx,
-                                     i, s_total, p.full[k - 1] - p_shared))
-                    # the first eligible boundary wins, then the lowest node
-                    plans.append(min(plan, key=lambda c: c[:2], default=None))
-                p.plans = tuple(plans)
-        self.slot_width = mac.ac_cycle_us / self.slot_count
-        self.events: Optional[List[SimEvent]] = [] if collect_events else None
-        self.t = 0.0
-        self.idle_us = 0.0
-        self.busy_us = 0.0
-        self.next_reeval = (
-            mac.reeval_period_us
-            if (self.ss and mac.reeval_period_us is not None)
-            else None
-        )
-
-    # -- helpers -----------------------------------------------------------
-
-    def _sense_busy(self, now: float) -> None:
-        """One sensed-busy event for every station not transmitting.
-
-        Called as the medium turns busy, before any redraw: the transmitters
-        are exactly the stations whose BC is 0.
-        """
-        log = self.events
-        for s in self.stations:
-            if s.bc == 0:
-                continue
-            if s.dc == 0:
-                s.stage = min(s.stage + 1, len(self.mac.cw_schedule) - 1)
-                s.bc = self.global_rng.randbelow(self.mac.cw_schedule[s.stage])
-                s.dc = self.mac.dc_schedule[s.stage]
-                if log is not None:
-                    log.append(SimEvent(now, EVENT_STAGE_ADVANCE, s.node, s.link, None,
-                                        s.stage, s.bc, s.dc))
-            else:
-                s.dc -= 1  # BC stays frozen for this busy period
-
-    def _finish_collision(
-        self, colliders: List[StationState], window_start: float, busy_until: float
-    ) -> None:
-        log = self.events
-        colliders = sorted(colliders, key=lambda s: s.node)
-        for s in colliders:
-            s.tally.collisions += 1
-            if log is not None:
-                log.append(SimEvent(busy_until, EVENT_TX_END_COLLISION, s.node, s.link,
-                                    ROLE_PRIMARY, s.stage, s.bc, s.dc))
-        for s in colliders:
-            s.stage = min(s.stage + 1, len(self.mac.cw_schedule) - 1)
-            s.bc = self.global_rng.randbelow(self.mac.cw_schedule[s.stage])
-            s.dc = self.mac.dc_schedule[s.stage]
-            if log is not None:
-                log.append(SimEvent(busy_until, EVENT_STAGE_ADVANCE, s.node, s.link,
-                                    None, s.stage, s.bc, s.dc))
-        self.busy_us += busy_until - window_start
-        self.t = busy_until
-
-    def _ac_slot(self, now: float) -> int:
-        k = 1 + int((now % self.mac.ac_cycle_us) / self.slot_width)
-        return min(k, self.slot_count)
-
-    # -- window handlers ---------------------------------------------------
-
-    def _collision_window(self, ready: List[StationState]) -> None:
-        start = self.t
-        log = self.events
-        if log is not None:
-            for s in sorted(ready, key=lambda s: s.node):
-                log.append(SimEvent(start, EVENT_TX_START, s.node, s.link, ROLE_PRIMARY,
-                                    s.stage, s.bc, s.dc))
-        self._sense_busy(start)
-        self._finish_collision(ready, start, start + self.mac.collision_duration_us)
-
-    def _success_window(self, tx: StationState) -> None:
-        mac = self.mac
-        log = self.events
-        start = self.t
-        end = start + mac.success_duration_us
-        k = self._ac_slot(start)
-
-        reeval = self.next_reeval is not None and start >= self.next_reeval
-        if reeval:
-            self.next_reeval = start + mac.reeval_period_us
-            if log is not None:
-                log.append(SimEvent(start, EVENT_REEVAL_START))
-        ss_on = self.ss and not reeval
-
-        if log is not None:
-            log.append(SimEvent(start, EVENT_TX_START, tx.node, tx.link, ROLE_PRIMARY,
-                                tx.stage, tx.bc, tx.dc))
-        self._sense_busy(start)
-
-        # Global BCs stay frozen for the whole window, so the stations that
-        # barge are fixed at the first boundary and the plan's candidate is
-        # the one that engages, unless a barger pre-empts it.
-        secondary = None
-        slot_us = mac.slot_duration_us
-        first = start + slot_us
-        if ss_on and first < end:
-            plan = tx.plans[k - 1]
-            bargers = [s for s in self.stations if s.bc == 0 and s is not tx]
-            if plan is not None:
-                e = plan[0]
-                boundary = start + e * slot_us
-                if boundary < end and (e == 1 or not bargers):
-                    _, _, i, s_total, p_total = plan
-                    secondary = self.stations[i]
-                    if log is not None:
-                        log.append(SimEvent(boundary, EVENT_SS_ENGAGE, secondary.node,
-                                            secondary.link, ROLE_SECONDARY))
-            if bargers:
-                # an in-flight secondary frame is lost: neither success nor collision
-                if log is not None:
-                    if secondary is not None:
-                        log.append(SimEvent(first, EVENT_SS_ABORT, secondary.node,
-                                            secondary.link, ROLE_SECONDARY))
-                    for s in bargers:
-                        log.append(SimEvent(first, EVENT_TX_START, s.node, s.link,
-                                            ROLE_PRIMARY, s.stage, s.bc, s.dc))
-                self._finish_collision(
-                    [tx] + bargers, start, first + mac.collision_duration_us
-                )
-                return
-
-        if secondary is not None:
-            secondary.tally.successes_secondary += 1
-            secondary.s_sum += s_total
-            if log is not None:
-                log.append(SimEvent(end, EVENT_TX_END_SUCCESS, secondary.node,
-                                    secondary.link, ROLE_SECONDARY, None, None, None,
-                                    s_total / MAX_MODULATION_TOTAL))
-        else:
-            p_total = tx.full[k - 1]
-        tx.tally.successes_primary += 1
-        tx.p_sum += p_total
-        # saturated: the transmitter resets to stage 0 and redraws for the
-        # next frame at the moment its transmission completes
-        tx.stage = 0
-        tx.bc = self.global_rng.randbelow(mac.cw_schedule[0])
-        tx.dc = mac.dc_schedule[0]
-        if log is not None:
-            log.append(SimEvent(end, EVENT_TX_END_SUCCESS, tx.node, tx.link, ROLE_PRIMARY,
-                                tx.stage, tx.bc, tx.dc, p_total / MAX_MODULATION_TOTAL))
-            if reeval:
-                log.append(SimEvent(end, EVENT_REEVAL_END))
-        self.busy_us += end - start
-        self.t = end
-
-    # -- main loop ---------------------------------------------------------
-
-    def run(self) -> SimReportRaw:
-        slot_us = self.mac.slot_duration_us
-        duration_us = self.duration_us
-        stations = self.stations
-        while self.t < duration_us:
-            m = min([s.bc for s in stations])
-            if m:
-                # an idle run of n <= m slots, added up one slot at a time
-                t, idle_us = self.t, self.idle_us
-                for n in range(1, m + 1):
-                    t += slot_us
-                    idle_us += slot_us
-                    if t >= duration_us:
-                        break
-                self.t, self.idle_us = t, idle_us
-                for s in stations:
-                    s.bc -= n
-                if t >= duration_us:
-                    break
-            ready = [s for s in stations if s.bc == 0]
-            if len(ready) == 1:
-                self._success_window(ready[0])
-            else:
-                self._collision_window(ready)
-        for s in self.stations:
-            s.tally.sf_primary = Fraction(s.p_sum, MAX_MODULATION_TOTAL)
-            s.tally.sf_secondary = Fraction(s.s_sum, MAX_MODULATION_TOTAL)
-        return SimReportRaw(
-            tallies={s.link: s.tally for s in self.stations},
-            total_sim_time_us=self.t,
-            requested_duration_us=self.duration_us,
-            idle_us=self.idle_us,
-            busy_us=self.busy_us,
-            events=self.events,
-        )
-
-
 def run_simulation(
     deployment: Deployment,
     table: Optional[SSDecisionTable],
@@ -477,6 +238,12 @@ def run_simulation(
     mechanism applies. The result is a pure function of the arguments
     (`seed` included); independent runs may execute concurrently.
 
+    ``policy`` only cuts each table entry to its first ``policy.top_m``
+    candidates: None uses every candidate, and it is ignored when ``table``
+    is None. build_decision_table has already cut the entries to its own
+    policy's ``top_m``, so the parameter is redundant; it stays until
+    ``perfbench`` stops passing it (ROADMAP item 1).
+
     A window that starts before ``duration_us`` runs to completion, so
     ``total_sim_time_us`` in the report may exceed the request by up to one
     busy period; all throughput figures normalize by the actual total.
@@ -485,9 +252,185 @@ def run_simulation(
     over an untraced link or two flows from one station; the deployment and
     the table's allocations were checked when they were built.
     """
-    return _Engine(
-        deployment, table, mac, policy, flows, duration_us, seed, collect_events
-    ).run()
+    if not flows:
+        raise ValueError("empty flow list")
+    if duration_us < 0:
+        raise ValueError("duration_us must be >= 0")
+    seen_tx = set()
+    for flow in flows:
+        if flow not in deployment.links:
+            raise ValueError(f"flow over missing link {flow}")
+        if flow.tx in seen_tx:
+            raise ValueError(f"station {flow.tx!r} has more than one flow")
+        seen_tx.add(flow.tx)
+    duration_us = float(duration_us)
+    randbelow = SplitMix64(seed, 0).randbelow
+    cw, dcs = mac.cw_schedule, mac.dc_schedule
+    last_stage = len(cw) - 1
+    links = deployment.links
+    stations = [StationState(f.tx, f) for f in sorted(flows, key=lambda f: f.tx)]
+    for s in stations:
+        s.dc = dcs[0]
+        s.bc = randbelow(cw[0])
+        s.full = tuple(map(sum, links[s.link].slots))
+    slot_count = deployment.slot_count
+    ss = table is not None
+    if ss:
+        top_m = policy.top_m if policy is not None else None
+        wait = mac.rank_wait_slots_per_rank
+        station_index = {s.link: i for i, s in enumerate(stations)}
+        for p in stations:
+            plans = []
+            for k in range(1, slot_count + 1):
+                plan = []
+                for alloc in table.candidates(p.link, k)[:top_m]:
+                    i = station_index.get(alloc.secondary)
+                    if i is None:  # only flow-backed candidates can engage
+                        continue
+                    shared = alloc.shared_indices
+                    s_total = modulation_total(links[alloc.secondary], k, shared)
+                    p_shared = modulation_total(links[p.link], k, shared)
+                    plan.append((max(1, alloc.rank * wait), alloc.secondary.tx,
+                                 i, s_total, p.full[k - 1] - p_shared))
+                # the first eligible boundary wins, then the lowest node
+                plans.append(min(plan, key=lambda c: c[:2], default=None))
+            p.plans = tuple(plans)
+    slot_us = mac.slot_duration_us
+    slot_width = mac.ac_cycle_us / slot_count
+    log: Optional[List[SimEvent]] = [] if collect_events else None
+    t = idle_us = busy_us = 0.0
+    next_reeval = mac.reeval_period_us if ss else None
+
+    while t < duration_us:
+        m = min([s.bc for s in stations])
+        if m:
+            # an idle run of n <= m slots, added up one slot at a time
+            for n in range(1, m + 1):
+                t += slot_us
+                idle_us += slot_us
+                if t >= duration_us:
+                    break
+            for s in stations:
+                s.bc -= n
+            if t >= duration_us:
+                break
+        start = t
+        ready = [s for s in stations if s.bc == 0]  # in node order
+        reeval = len(ready) == 1 and next_reeval is not None and start >= next_reeval
+        if reeval:
+            next_reeval = start + mac.reeval_period_us
+            if log is not None:
+                log.append(SimEvent(start, EVENT_REEVAL_START))
+        if log is not None:
+            for s in ready:
+                log.append(SimEvent(start, EVENT_TX_START, s.node, s.link, ROLE_PRIMARY,
+                                    s.stage, s.bc, s.dc))
+
+        # One sensed-busy event for every station not transmitting, before any
+        # redraw: the transmitters are exactly the stations whose BC is 0.
+        for s in stations:
+            if s.bc == 0:
+                continue
+            if s.dc == 0:
+                s.stage = min(s.stage + 1, last_stage)
+                s.bc = randbelow(cw[s.stage])
+                s.dc = dcs[s.stage]
+                if log is not None:
+                    log.append(SimEvent(start, EVENT_STAGE_ADVANCE, s.node, s.link, None,
+                                        s.stage, s.bc, s.dc))
+            else:
+                s.dc -= 1  # BC stays frozen for this busy period
+
+        colliders = ready
+        hit = start  # where a collision begins
+        if len(ready) == 1:
+            tx = ready[0]
+            end = start + mac.success_duration_us
+            k = min(1 + int((start % mac.ac_cycle_us) / slot_width), slot_count)
+            secondary = None
+            first = start + slot_us
+            if ss and not reeval and first < end:
+                # Global BCs stay frozen for the whole window, so the stations
+                # that barge (BC 0 after the sensed-busy pass) are fixed at the
+                # first boundary and the plan's candidate is the one that
+                # engages, unless a barger pre-empts it.
+                colliders = [s for s in stations if s.bc == 0]  # tx and bargers
+                plan = tx.plans[k - 1]
+                if plan is not None:
+                    e = plan[0]
+                    boundary = start + e * slot_us
+                    if boundary < end and (e == 1 or len(colliders) == 1):
+                        _, _, i, s_total, p_total = plan
+                        secondary = stations[i]
+                        if log is not None:
+                            log.append(SimEvent(boundary, EVENT_SS_ENGAGE, secondary.node,
+                                                secondary.link, ROLE_SECONDARY))
+                if len(colliders) > 1:
+                    hit = first
+                    # an in-flight secondary frame is lost: neither success
+                    # nor collision
+                    if log is not None:
+                        if secondary is not None:
+                            log.append(SimEvent(first, EVENT_SS_ABORT, secondary.node,
+                                                secondary.link, ROLE_SECONDARY))
+                        for s in colliders:
+                            if s is not tx:
+                                log.append(SimEvent(first, EVENT_TX_START, s.node, s.link,
+                                                    ROLE_PRIMARY, s.stage, s.bc, s.dc))
+
+        if len(colliders) == 1:
+            if secondary is not None:
+                secondary.tally.successes_secondary += 1
+                secondary.s_sum += s_total
+                if log is not None:
+                    log.append(SimEvent(end, EVENT_TX_END_SUCCESS, secondary.node,
+                                        secondary.link, ROLE_SECONDARY, None, None, None,
+                                        s_total / MAX_MODULATION_TOTAL))
+            else:
+                p_total = tx.full[k - 1]
+            tx.tally.successes_primary += 1
+            tx.p_sum += p_total
+            # saturated: the transmitter resets to stage 0 and redraws for the
+            # next frame at the moment its transmission completes
+            tx.stage = 0
+            tx.bc = randbelow(cw[0])
+            tx.dc = dcs[0]
+            if log is not None:
+                log.append(SimEvent(end, EVENT_TX_END_SUCCESS, tx.node, tx.link,
+                                    ROLE_PRIMARY, tx.stage, tx.bc, tx.dc,
+                                    p_total / MAX_MODULATION_TOTAL))
+                if reeval:
+                    log.append(SimEvent(end, EVENT_REEVAL_END))
+        else:
+            # Two or more transmitters at the window's start, or a barge at
+            # its first boundary: the colliders, in node order, advance a stage.
+            end = hit + mac.collision_duration_us
+            for s in colliders:
+                s.tally.collisions += 1
+                if log is not None:
+                    log.append(SimEvent(end, EVENT_TX_END_COLLISION, s.node, s.link,
+                                        ROLE_PRIMARY, s.stage, s.bc, s.dc))
+            for s in colliders:
+                s.stage = min(s.stage + 1, last_stage)
+                s.bc = randbelow(cw[s.stage])
+                s.dc = dcs[s.stage]
+                if log is not None:
+                    log.append(SimEvent(end, EVENT_STAGE_ADVANCE, s.node, s.link,
+                                        None, s.stage, s.bc, s.dc))
+        busy_us += end - start
+        t = end
+
+    for s in stations:
+        s.tally.sf_primary = Fraction(s.p_sum, MAX_MODULATION_TOTAL)
+        s.tally.sf_secondary = Fraction(s.s_sum, MAX_MODULATION_TOTAL)
+    return SimReportRaw(
+        tallies={s.link: s.tally for s in stations},
+        total_sim_time_us=t,
+        requested_duration_us=duration_us,
+        idle_us=idle_us,
+        busy_us=busy_us,
+        events=log,
+    )
 
 
 def normalized_throughput(report: SimReportRaw, link: DirectedLink, mac: MacParams) -> float:

@@ -1,12 +1,14 @@
 """Property test: MAC runs conserve time, repeat exactly, do not change when
 the event log is off, engage secondaries only inside their window, keep at
-most one secondary on the medium, and tally spectrum as the event-log replay
-in ``conftest.rebuild_spectrum_tallies`` does."""
+most one secondary on the medium, end each collision one collision duration
+after its last tx_start with the colliders in node order, run each
+re-evaluation window as one success with no secondary, and tally spectrum as
+the event-log replay in ``conftest.rebuild_spectrum_tallies`` does."""
 
 import math
 import random
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from hpavsim import (
@@ -14,12 +16,22 @@ from hpavsim import (
     event_log_csv, run_simulation,
 )
 from hpavsim.macsim import (
-    EVENT_SS_ABORT, EVENT_SS_ENGAGE, EVENT_TX_END_SUCCESS, EVENT_TX_START, ROLE_PRIMARY,
+    EVENT_REEVAL_END, EVENT_REEVAL_START, EVENT_SS_ABORT, EVENT_SS_ENGAGE,
+    EVENT_TX_END_COLLISION, EVENT_TX_END_SUCCESS, EVENT_TX_START, ROLE_PRIMARY,
     ROLE_SECONDARY,
 )
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
 from conftest import rebuild_spectrum_tallies, report_spectrum_tallies, run_times
+
+SCHEDULES = (
+    {},  # the HPAV default
+    {"dc_schedule": (10**9,) * 4},  # no escalation on a sensed-busy event: no barge
+    {"cw_schedule": (1024, 2048, 4096, 8192)},  # long idle runs, few windows
+    # stage 0 transmits at once and every sensed-busy event escalates, so
+    # multi-transmitter collisions and barges are both common
+    {"cw_schedule": (1, 2, 4, 8), "dc_schedule": (0, 0, 0, 0)},
+)
 
 
 @st.composite
@@ -61,20 +73,44 @@ def scenarios(draw):
     reeval = draw(st.one_of(st.none(), st.sampled_from([20_000.0, 50_000.0])))
     # 40 and 80 push rank-2 and rank-1 waits past the 70-boundary window
     wait = draw(st.sampled_from([0, 1, 2, 40, 80]))
-    mac = MacParams(rank_wait_slots_per_rank=wait, reeval_period_us=reeval)
+    schedule = draw(st.sampled_from(SCHEDULES))
+    mac = MacParams(rank_wait_slots_per_rank=wait, reeval_period_us=reeval, **schedule)
     return dep, flows, table_policy, run_policy, mac
+
+
+def ring_scenario(schedule):
+    """A fixed 5-node ring with SS and 20 ms re-evaluation under ``schedule``.
+
+    The generated examples move whenever the test's source changes; these
+    explicit ones keep both ways into the collision block (a window that
+    opens with several transmitters, a barge) and re-evaluation covered.
+    """
+    nodes = ("n1", "n2", "n3", "n4", "n5")
+    rng = random.Random(5)
+    dep = Deployment(nodes, {
+        DirectedLink(tx, rx): Tonemap(
+            [rng.choices(range(11), k=SUBCARRIER_COUNT) for _ in range(2)]
+        )
+        for tx in nodes for rx in nodes if tx != rx
+    })
+    flows = [DirectedLink(tx, rx) for tx, rx in zip(nodes, nodes[1:] + nodes[:1])]
+    mac = MacParams(reeval_period_us=20_000.0, **schedule)
+    return dep, flows, SSPolicy(beta=2, top_m=2), None, mac
 
 
 # No shrink phase: each shrink step re-runs the simulations, which made a
 # failure take minutes to report; the failing example is reported unshrunk.
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
-@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1))
-def test_run_invariants(scenario, seed):
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1),
+       duration=st.sampled_from([120_000, 3584, 1, 0]))
+@example(scenario=ring_scenario(SCHEDULES[0]), seed=1, duration=120_000)
+@example(scenario=ring_scenario(SCHEDULES[3]), seed=1, duration=120_000)
+def test_run_invariants(scenario, seed, duration):
     dep, flows, table_policy, run_policy, mac = scenario
     table = build_decision_table(dep, table_policy)
     for t, policy in ((None, None), (table, run_policy)):
-        args = (dep, t, mac, policy, flows, 120_000, seed)
+        args = (dep, t, mac, policy, flows, duration, seed)
         report = run_simulation(*args, collect_events=True)
         # float µs accumulate in different orders, so equal up to rounding
         assert math.isclose(
@@ -88,10 +124,13 @@ def test_run_invariants(scenario, seed):
         assert run_times(quiet) == run_times(report)
         window_start = None
         active_secondary = 0
+        last_collision_end = (-1.0, "")
+        in_reeval = False
         for e in report.events:
             if e.event == EVENT_TX_START and e.role == ROLE_PRIMARY:
                 window_start = e.time_us
             elif e.event == EVENT_SS_ENGAGE:
+                assert not in_reeval
                 # the engagement precedes any barger's tx_start in its window
                 assert window_start < e.time_us < window_start + mac.success_duration_us
                 active_secondary += 1
@@ -99,6 +138,15 @@ def test_run_invariants(scenario, seed):
                 active_secondary -= 1
             elif e.event == EVENT_TX_END_SUCCESS and e.role == ROLE_SECONDARY:
                 active_secondary -= 1
+            elif e.event == EVENT_TX_END_COLLISION:
+                assert not in_reeval
+                # the last tx_start is a barger's at the first boundary, if any
+                assert e.time_us == window_start + mac.collision_duration_us
+                assert last_collision_end < (e.time_us, e.node)
+                last_collision_end = (e.time_us, e.node)
+            elif e.event in (EVENT_REEVAL_START, EVENT_REEVAL_END):
+                assert in_reeval == (e.event == EVENT_REEVAL_END)
+                in_reeval = not in_reeval
             assert 0 <= active_secondary <= 1
         assert (
             rebuild_spectrum_tallies(report, dep, t, mac, policy)
