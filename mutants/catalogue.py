@@ -18,6 +18,7 @@ from typing import NamedTuple, Tuple
 
 MACSIM = "src/hpavsim/macsim.py"
 SHARING = "src/hpavsim/sharing.py"
+RNG = "src/hpavsim/rng.py"
 
 
 class Mutant(NamedTuple):
@@ -97,6 +98,34 @@ MUTANTS = (
         tests=(
             "tests/test_macsim.py::TestEngineDigest::test_digest",
             "tests/test_macsim.py::TestIdleRunDigest::test_digest",
+            "tests/test_macsim_property.py::test_sensed_busy_rule",
+        ),
+    ),
+    # the window plans' spectrum totals
+    Mutant(
+        id="macsim-primary-keeps-full-spectrum",
+        file=MACSIM,
+        old="p.full[k - 1] - alloc.shared_total(links[p.link])",
+        new="p.full[k - 1]",
+        tests=(
+            "tests/test_macsim.py::TestSpectrumAccounting::test_ss_on_with_engagements",
+            "tests/test_macsim.py::TestSSReplayOracle::"
+            "test_ss_on_run_equals_replay_of_ss_off_run",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_run_invariants",
+        ),
+    ),
+    Mutant(
+        id="macsim-secondary-total-over-primary-tonemap",
+        file=MACSIM,
+        old="alloc.shared_total(links[alloc.secondary])",
+        new="alloc.shared_total(links[p.link])",
+        tests=(
+            "tests/test_macsim.py::TestSpectrumAccounting::test_ss_on_with_engagements",
+            "tests/test_macsim.py::TestSSReplayOracle::"
+            "test_ss_on_run_equals_replay_of_ss_off_run",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_run_invariants",
         ),
     ),
     # faults first checked by hand when the one-step idle run and the
@@ -157,6 +186,72 @@ MUTANTS = (
             "tests/test_sharing.py::TestDecisionTableOracle::"
             "test_every_level_pair_matches_brute_force",
             "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        id="sharing-plane-compare-from-plane-0-up",
+        file=SHARING,
+        old=(
+            "                above = tied & s3 & nq3\n"
+            "                tied &= s3 ^ nq3\n"
+            "                above |= tied & s2 & nq2\n"
+            "                tied &= s2 ^ nq2\n"
+            "                above |= tied & s1 & nq1\n"
+            "                tied &= s1 ^ nq1\n"
+            "                kept = above | tied & (s0 | nq0)\n"
+        ),
+        new=(
+            "                above = tied & s0 & nq0\n"
+            "                tied &= s0 ^ nq0\n"
+            "                above |= tied & s1 & nq1\n"
+            "                tied &= s1 ^ nq1\n"
+            "                above |= tied & s2 & nq2\n"
+            "                tied &= s2 ^ nq2\n"
+            "                kept = above | tied & (s3 | nq3)\n"
+        ),
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_every_level_pair_matches_brute_force",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_all_eleven_levels_match_brute_force",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        id="sharing-d9-bucket-takes-d8-pattern",
+        file=SHARING,
+        old="(d, d & 1, d >> 1 & 1, d >> 2 & 1, d >> 3)\n",
+        new="(d, d & 1, d >> 1 & 1, d >> 2 & 1, d >> 3) if d != 9 else (9, 0, 0, 0, 1)\n",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_every_level_pair_matches_brute_force",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_all_eleven_levels_match_brute_force",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    # the splitmix64 word buffer and byte runs
+    Mutant(
+        id="rng-byte-run-walk-back-one-short",
+        file=RNG,
+        old=(
+            "                used += 1\n"
+            "                accepted = accepted[:need]\n"
+        ),
+        new="                accepted = accepted[:need]\n",
+        tests=(
+            "tests/test_rng.py::test_randbelow_many_is_successive_randbelow",
+            "tests/test_rng.py::test_buffered_draws_follow_the_word_stream",
+        ),
+    ),
+    Mutant(
+        id="rng-refill-base-not-advanced",
+        file=RNG,
+        old="self._base = (self._base + len(words) * _GAMMA) & _MASK64",
+        new="self._base = self._base & _MASK64",
+        tests=(
+            "tests/test_rng.py::test_randbelow_many_is_successive_randbelow",
+            "tests/test_rng.py::test_buffered_draws_follow_the_word_stream",
         ),
     ),
 )

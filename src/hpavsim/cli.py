@@ -176,8 +176,6 @@ def _generate(args) -> Deployment:
     """The synthetic deployment the generator flags describe."""
     if args.nodes is None:
         raise _UsageError("a generator --nodes (or --trace) is required")
-    if args.nodes < 2:
-        raise _UsageError("--nodes must be >= 2")
     if args.profile is None:
         raise _UsageError("a generator --profile (or --trace) is required")
     try:

@@ -62,9 +62,10 @@ rather than recomputed per frame. At run start each station gets its
 full-slot total per AC slot and, in an SS run, a window plan per AC slot:
 the one flow-backed candidate (among the first policy.top_m) that engages
 when it is the primary, with its wait, the secondary's total over the shared
-indices and the primary's complement total (its full-slot total minus its
-total over those indices). An allocation's shared set is checked when the
-allocation is built, so a run meets no out-of-range index. A success window
+mask and the primary's complement total (its full-slot total minus its total
+over that mask), each summed by SSAllocation.shared_total for that candidate
+alone. An allocation's shared set is checked when the allocation is built,
+so a run meets no out-of-range subcarrier. A success window
 then adds integers to the station's sums; the run sets each LinkTally's
 sf_primary and sf_secondary once, as Fraction(sum, 9170), which equals the
 sum of the per-frame fractions exactly. An event's spectrum_fraction is the
@@ -86,7 +87,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rng import SplitMix64
 from .sharing import SSDecisionTable, SSPolicy
-from .tonemap import MAX_MODULATION_TOTAL, DirectedLink, modulation_total
+from .tonemap import MAX_MODULATION_TOTAL, DirectedLink
 from .traceio import Deployment
 
 EVENT_TX_START = "tx_start"
@@ -185,7 +186,7 @@ class StationState:
     s_sum: int = field(init=False, default=0)
     # per AC slot: the full-slot modulation total and, in an SS run, the window
     # plan as primary: the candidate that engages, as (first eligible slot
-    # boundary, node, station index, s_total, p_total), or None. An index, not
+    # boundary, station index, s_total, p_total), or None. An index, not
     # the station, so that stations hold no reference cycle that would outlive
     # the run.
     full: Tuple[int, ...] = field(init=False, default=())
@@ -282,18 +283,15 @@ def run_simulation(
         for p in stations:
             plans = []
             for k in range(1, slot_count + 1):
-                plan = []
-                for alloc in table.candidates(p.link, k)[:top_m]:
-                    i = station_index.get(alloc.secondary)
-                    if i is None:  # only flow-backed candidates can engage
-                        continue
-                    shared = alloc.shared_indices
-                    s_total = modulation_total(links[alloc.secondary], k, shared)
-                    p_shared = modulation_total(links[p.link], k, shared)
-                    plan.append((max(1, alloc.rank * wait), alloc.secondary.tx,
-                                 i, s_total, p.full[k - 1] - p_shared))
-                # the first eligible boundary wins, then the lowest node
-                plans.append(min(plan, key=lambda c: c[:2], default=None))
+                # of the flow-backed candidates, the first eligible boundary
+                # wins, then the lowest node; only the winner's totals are summed
+                alloc = min((a for a in table.candidates(p.link, k)[:top_m]
+                             if a.secondary in station_index),
+                            key=lambda a: (max(1, a.rank * wait), a.secondary.tx), default=None)
+                plans.append(None if alloc is None else (
+                    max(1, alloc.rank * wait), station_index[alloc.secondary],
+                    alloc.shared_total(links[alloc.secondary]),
+                    p.full[k - 1] - alloc.shared_total(links[p.link])))
             p.plans = tuple(plans)
     slot_us = mac.slot_duration_us
     slot_width = mac.ac_cycle_us / slot_count
@@ -360,7 +358,7 @@ def run_simulation(
                     e = plan[0]
                     boundary = start + e * slot_us
                     if boundary < end and (e == 1 or len(colliders) == 1):
-                        _, _, i, s_total, p_total = plan
+                        _, i, s_total, p_total = plan
                         secondary = stations[i]
                         if log is not None:
                             log.append(SimEvent(boundary, EVENT_SS_ENGAGE, secondary.node,

@@ -21,8 +21,8 @@ candidate over the share cap also gets ``S - P`` planes, by a borrow chain,
 to split its eligible set into difference buckets. A table for n nodes thus
 costs O(L^2 * slots) such operations, L = n(n-1), plus four ``translate``
 and ``int`` parses per (link, slot). A retained candidate keeps its eligible
-set as a mask (``SSAllocation.shared``); its index tuple is a derived view
-that neither the builder nor ``decision_table_csv`` builds.
+set as a mask (``SSAllocation.shared``), which ``shared_total`` sums a
+tonemap over; no library path builds its derived index tuple.
 
 Decisions are a pure function of (deployment, policy): node-order tie-breaks
 make the table deterministic, and per-slot decisions are independent.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, List, Tuple
 
-from .tonemap import MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink
+from .tonemap import MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink, Tonemap
 from .traceio import Deployment
 
 # _PLANE_BITS[b] translates a modulation byte to b"1" if bit b of it is set,
@@ -112,6 +112,11 @@ class SSAllocation:
     def shared_indices(self) -> Tuple[int, ...]:
         """Ascending 1-based indices of the shared subcarriers."""
         return tuple(compress(_SUBCARRIERS, _mask_selectors(self.shared)))
+
+    def shared_total(self, tonemap: Tonemap) -> int:
+        """Summed modulation of ``tonemap`` over the shared subcarriers in
+        this allocation's slot."""
+        return sum(compress(tonemap.slots[self.slot - 1], _mask_selectors(self.shared)))
 
 
 @dataclass(frozen=True)

@@ -196,9 +196,11 @@ def asymmetry(t_ab: Tonemap, t_ba: Tonemap) -> Fraction:
     return Fraction(total, t_ab.slot_count)
 
 
-def modulation_total(t: Tonemap, slot_index: int, active_subcarriers) -> int:
-    """Summed modulation of ``active_subcarriers`` (1-based) in one slot.
+def spectrum_fraction(t: Tonemap, slot_index: int, active_subcarriers) -> Fraction:
+    """Fraction of the maximum modulation total carried by ``active_subcarriers``.
 
+    ``active_subcarriers`` is any iterable of 1-based indices; the result is
+    exact (a Fraction in [0, 1]) so that disjoint index sets add exactly.
     Raises ValueError for an index outside 1..917.
     """
     # a pad byte in front makes each 1-based index its own offset
@@ -209,15 +211,4 @@ def modulation_total(t: Tonemap, slot_index: int, active_subcarriers) -> int:
         if low < 1 or high > SUBCARRIER_COUNT:
             bad = low if low < 1 else high
             raise ValueError(f"subcarrier index {bad} out of range 1..{SUBCARRIER_COUNT}")
-    return sum(map(padded_slot.__getitem__, indices))
-
-
-def spectrum_fraction(t: Tonemap, slot_index: int, active_subcarriers) -> Fraction:
-    """Fraction of the maximum modulation total carried by ``active_subcarriers``.
-
-    ``active_subcarriers`` is any iterable of 1-based indices; the result is
-    exact (a Fraction in [0, 1]) so that disjoint index sets add exactly.
-    """
-    return Fraction(
-        modulation_total(t, slot_index, active_subcarriers), MAX_MODULATION_TOTAL
-    )
+    return Fraction(sum(map(padded_slot.__getitem__, indices)), MAX_MODULATION_TOTAL)

@@ -36,6 +36,7 @@ from hpavsim.macsim import (
 )
 from hpavsim.rng import SplitMix64
 from hpavsim.sharing import SSAllocation
+from hpavsim.tonemap import SUBCARRIER_COUNT
 
 from conftest import (
     CORPUS_FLOWS,
@@ -468,6 +469,101 @@ class TestSpectrumAccounting:
                 ss_allocation(primary, secondary, 1, shared)
             else:
                 SSAllocation(primary, secondary, 1, shared, gain=1, rank=1)
+
+
+def ss_replay(off, deployment, table, mac, top_m, flows):
+    """The tallies an SS-on run must reach when it follows the SS-off run
+    ``off`` window for window, rebuilt from ``off``'s event log.
+
+    Each primary success in AC slot k gains the flow-backed candidate among
+    the entry's first ``top_m`` that engages first (the least
+    max(1, rank * wait), then the lowest node), if its boundary falls before
+    the window closes: the secondary is credited ``spectrum_fraction`` over
+    the shared indices and the primary over the complement of them. Only the
+    table, the tonemaps and the log are read, never the engine's plans.
+    """
+    width = mac.ac_cycle_us / deployment.slot_count
+    wait = mac.rank_wait_slots_per_rank
+    links = deployment.links
+    tallies = {f: LinkTally() for f in flows}
+    # (primary, k) -> its full-slot fraction and its engagement as (wait,
+    # secondary, the secondary's fraction, the primary's) or None
+    plans = {}
+    start = None
+    for e in off.events:
+        if e.event == EVENT_TX_START:
+            start = e.time_us
+        elif e.event == EVENT_TX_END_COLLISION:
+            tallies[e.link].collisions += 1
+        elif e.event == EVENT_TX_END_SUCCESS:
+            k = min(1 + int((start % mac.ac_cycle_us) / width), deployment.slot_count)
+            if (e.link, k) not in plans:
+                backed = [a for a in table.candidates(e.link, k)[:top_m] if a.secondary in tallies]
+                alloc = min(backed, key=lambda a: (max(1, a.rank * wait), a.secondary.tx),
+                            default=None)
+                full = spectrum_fraction(links[e.link], k, range(1, SUBCARRIER_COUNT + 1))
+                if alloc is None:
+                    plan = None
+                else:
+                    shared = set(alloc.shared_indices)
+                    complement = [j for j in range(1, SUBCARRIER_COUNT + 1) if j not in shared]
+                    plan = (max(1, alloc.rank * wait), alloc.secondary,
+                            spectrum_fraction(links[alloc.secondary], k, shared),
+                            spectrum_fraction(links[e.link], k, complement))
+                plans[e.link, k] = full, plan
+            full, plan = plans[e.link, k]
+            tally = tallies[e.link]
+            tally.successes_primary += 1
+            if plan is not None and start + plan[0] * mac.slot_duration_us < (
+                start + mac.success_duration_us
+            ):
+                _, secondary, sf_secondary, sf_primary = plan
+                tallies[secondary].successes_secondary += 1
+                tallies[secondary].sf_secondary += sf_secondary
+                tally.sf_primary += sf_primary
+            else:
+                tally.sf_primary += full
+    return tallies
+
+
+class TestSSReplayOracle:
+    """An SS-on run is its SS-off run plus the table's engagements, exactly.
+
+    With a DC that never runs out no station escalates on a sensed-busy
+    event, so nobody barges: the SS-on run follows the SS-off run window for
+    window, with the same collisions, primary successes and times, and
+    ss_replay rebuilds its tallies from the SS-off log.
+    """
+
+    NO_DEFERRAL = (10**9,) * 4
+    PROFILES = {
+        "complementary": CORPUS_PROFILE_KW,
+        "notched": dict(profile_kind="interference-notched", base_quality=6.0,
+                        notch_count=4, notch_width=40, asymmetry_noise=2),
+    }
+
+    # (beta, top_m, rank_wait_slots_per_rank); a wait of 40 lets only rank-1
+    # candidates engage inside the 70-boundary window
+    @pytest.mark.parametrize("beta, top_m, wait", [
+        (2, 2, 1), (4, 1, 1), (0, 3, 0), (2, 2, 40),
+    ])
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_ss_on_run_equals_replay_of_ss_off_run(self, profile, beta, top_m, wait):
+        mac = MacParams(dc_schedule=self.NO_DEFERRAL, rank_wait_slots_per_rank=wait)
+        policy = SSPolicy(beta=beta, top_m=top_m)
+        flows = list(CORPUS_FLOWS)
+        engaged = 0
+        for seed in range(1, 7):
+            dep = generate_deployment(4, GeneratorProfile(seed=seed, **self.PROFILES[profile]))
+            table = build_decision_table(dep, policy)
+            off = run_simulation(dep, None, mac, None, flows, 2_000_000, seed,
+                                 collect_events=True)
+            on = run_simulation(dep, table, mac, policy, flows, 2_000_000, seed)
+            expected = ss_replay(off, dep, table, mac, top_m, flows)
+            assert on.tallies == expected, seed
+            assert run_times(on) == run_times(off), seed
+            engaged += sum(t.successes_secondary for t in expected.values())
+        assert engaged > 0
 
 
 def engine_digest(report):

@@ -3,7 +3,8 @@ the event log is off, engage secondaries only inside their window, keep at
 most one secondary on the medium, end each collision one collision duration
 after its last tx_start with the colliders in node order, run each
 re-evaluation window as one success with no secondary, and tally spectrum as
-the event-log replay in ``conftest.rebuild_spectrum_tallies`` does."""
+the event-log replay in ``conftest.rebuild_spectrum_tallies`` does; and every
+station's (stage, DC) follows the sensed-busy rule."""
 
 import math
 import random
@@ -17,8 +18,8 @@ from hpavsim import (
 )
 from hpavsim.macsim import (
     EVENT_REEVAL_END, EVENT_REEVAL_START, EVENT_SS_ABORT, EVENT_SS_ENGAGE,
-    EVENT_TX_END_COLLISION, EVENT_TX_END_SUCCESS, EVENT_TX_START, ROLE_PRIMARY,
-    ROLE_SECONDARY,
+    EVENT_STAGE_ADVANCE, EVENT_TX_END_COLLISION, EVENT_TX_END_SUCCESS, EVENT_TX_START,
+    ROLE_PRIMARY, ROLE_SECONDARY,
 )
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
@@ -152,3 +153,81 @@ def test_run_invariants(scenario, seed, duration):
             rebuild_spectrum_tallies(report, dep, t, mac, policy)
             == report_spectrum_tallies(report)
         )
+
+
+def replay_contention(report, flows, mac):
+    """Replay each station's (stage, DC) through a run's event log and check
+    every ``tx_start`` and ``stage_advance`` against it.
+
+    A window opens with the ``tx_start``s at its start. Then every station
+    not transmitting handles one sensed-busy event: at DC 0 it logs a
+    ``stage_advance`` at the start, in node order, with the stage advanced
+    and capped, BC below the new CW and DC reloaded; otherwise it spends one
+    DC. A success resets the transmitter to stage 0; colliders log their
+    state at the end and then advance a stage the same way.
+    """
+    cw, dcs = mac.cw_schedule, mac.dc_schedule
+    last_stage = len(cw) - 1
+    nodes = sorted(f.tx for f in flows)
+    stage = dict.fromkeys(nodes, 0)
+    dc = dict.fromkeys(nodes, dcs[0])
+
+    def advance(e):
+        stage[e.node] = min(stage[e.node] + 1, last_stage)
+        dc[e.node] = dcs[stage[e.node]]
+        assert (e.stage, e.dc) == (stage[e.node], dc[e.node]), e
+        assert 0 <= e.bc < cw[e.stage], e
+
+    start = None  # the open window's start, None between windows
+    transmitters = None  # the start's tx_start nodes, until the sensed-busy pass
+    expected = []  # stations whose sensed-busy stage_advance is still to come
+    for e in report.events:
+        if e.event == EVENT_TX_START and (start is None or e.time_us == start):
+            if start is None:
+                start, transmitters = e.time_us, set()
+            transmitters.add(e.node)
+            assert (e.stage, e.bc, e.dc) == (stage[e.node], 0, dc[e.node]), e
+            continue
+        if transmitters is not None:
+            for node in nodes:
+                if node in transmitters:
+                    continue
+                if dc[node] == 0:
+                    expected.append(node)
+                else:
+                    dc[node] -= 1
+            transmitters = None
+        if e.event == EVENT_STAGE_ADVANCE and e.time_us == start:
+            assert expected and e.node == expected.pop(0), e
+            advance(e)
+            continue
+        assert not expected, (e, expected)
+        if e.event == EVENT_TX_START:  # a barger at the first boundary
+            assert (e.stage, e.bc, e.dc) == (stage[e.node], 0, dc[e.node]), e
+        elif e.event == EVENT_TX_END_SUCCESS and e.role == ROLE_PRIMARY:
+            stage[e.node], dc[e.node] = 0, dcs[0]
+            assert (e.stage, e.dc) == (0, dcs[0]) and 0 <= e.bc < cw[0], e
+            start = None
+        elif e.event == EVENT_TX_END_COLLISION:
+            assert (e.stage, e.bc, e.dc) == (stage[e.node], 0, dc[e.node]), e
+            start = None
+        elif e.event == EVENT_STAGE_ADVANCE:  # a collider's, at the window's end
+            advance(e)
+    assert not expected and transmitters is None
+
+
+# Kept apart from test_run_invariants: editing that test's source re-rolls
+# its generated examples.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1),
+       duration=st.sampled_from([120_000, 3584, 1, 0]))
+@example(scenario=ring_scenario(SCHEDULES[0]), seed=1, duration=120_000)
+@example(scenario=ring_scenario(SCHEDULES[3]), seed=1, duration=120_000)
+def test_sensed_busy_rule(scenario, seed, duration):
+    dep, flows, table_policy, run_policy, mac = scenario
+    table = build_decision_table(dep, table_policy)
+    for t, policy in ((None, None), (table, run_policy)):
+        report = run_simulation(dep, t, mac, policy, flows, duration, seed,
+                                collect_events=True)
+        replay_contention(report, flows, mac)

@@ -4,10 +4,12 @@ from hpavsim import (
     Deployment,
     DirectedLink,
     GeneratorProfile,
+    MacParams,
     SSPolicy,
     Tonemap,
     build_decision_table,
     generate_deployment,
+    run_simulation,
 )
 from hpavsim.rng import SplitMix64
 from hpavsim.sharing import SSAllocation, decision_table_csv
@@ -219,18 +221,22 @@ class TestDecisionTableOracle:
             assert tables_equal(table, brute_force_table(dep, policy)), (kind, beta, cap)
 
     def test_hot_paths_build_no_index_tuples(self, eight_node_deployments, monkeypatch):
-        # the builder and the CSV work on masks; an index tuple built on
-        # either path would pass every correctness test and show only as a
-        # slowdown
+        # the builder, the CSV and a run's window plans work on masks; an
+        # index tuple built on any of these paths would pass every
+        # correctness test and show only as a slowdown
         def no_tuples(alloc):
             raise AssertionError(f"index tuple built for {alloc.secondary}")
 
         monkeypatch.setattr(SSAllocation, "shared_indices", property(no_tuples))
         dep = eight_node_deployments["complementary"]
+        ring = [DirectedLink(f"n{i}", f"n{i % 8 + 1}") for i in range(1, 9)]
         for cap in (1.0, 0.5):
-            table = build_decision_table(dep, SSPolicy(beta=2, top_m=3, max_share_fraction=cap))
+            policy = SSPolicy(beta=2, top_m=3, max_share_fraction=cap)
+            table = build_decision_table(dep, policy)
             assert any(table.entries.values())
             assert decision_table_csv(table).count("\n") > 1
+            report = run_simulation(dep, table, MacParams(), policy, ring, 100_000, 1)
+            assert any(t.successes_secondary for t in report.tallies.values())
 
     def test_all_eleven_levels_match_brute_force(self):
         dep = random_level_deployment(5, 3, seed=31)

@@ -3,7 +3,7 @@ enumeration and a CSV written from its index tuples."""
 
 import random
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from hpavsim import (
@@ -40,6 +40,25 @@ def four_node_deployments(draw):
     return Deployment(NODES, links)
 
 
+def fixed_deployment():
+    """A 4-node, 2-slot deployment with every subcarrier drawn from all of
+    0..10, so each difference bucket holds several subcarriers: at beta 2, a
+    0.05 cap (45 subcarriers) cuts 46 of the 48 (primary, secondary, slot)
+    triples inside a bucket.
+
+    The generated examples move whenever the test's source changes; the
+    explicit ones on this deployment stay.
+    """
+    rng = random.Random(17)
+    return Deployment(NODES, {
+        link: Tonemap([rng.choices(range(11), k=SUBCARRIER_COUNT) for _ in range(2)])
+        for link in LINKS
+    })
+
+
+FIXED = fixed_deployment()
+
+
 # No shrink phase: each shrink step rebuilds the table and the brute-force
 # oracle, which made a failure take about a minute to report; the failing
 # example is reported unshrunk.
@@ -51,6 +70,10 @@ def four_node_deployments(draw):
     top_m=st.integers(1, 4),
     cap=st.floats(0.0, 1.0),
 )
+@example(dep=FIXED, beta=0, top_m=4, cap=1.0)  # uncapped, every difference kept
+@example(dep=FIXED, beta=16, top_m=4, cap=1.0)  # a fifth beta bit
+@example(dep=FIXED, beta=11, top_m=4, cap=1.0)  # no level is 11 above another
+@example(dep=FIXED, beta=2, top_m=3, cap=0.05)  # a cap that splits a bucket
 def test_table_matches_brute_force(dep, beta, top_m, cap):
     policy = SSPolicy(beta=beta, top_m=top_m, max_share_fraction=cap)
     table = build_decision_table(dep, policy)

@@ -12,9 +12,7 @@ from hpavsim import (
     spectrum_fraction,
 )
 from hpavsim.rng import SplitMix64
-from hpavsim.tonemap import (
-    FEC_RATES, MAX_MODULATION_TOTAL, SUBCARRIER_COUNT, modulation_total,
-)
+from hpavsim.tonemap import FEC_RATES, MAX_MODULATION_TOTAL, SUBCARRIER_COUNT
 
 from conftest import asymmetry_oracle, expected_throughput_oracle, phy_rate_oracle
 
@@ -290,8 +288,8 @@ class TestSpectrumFraction:
         # -1 would otherwise read the slot's last subcarrier
         tmap = Tonemap.filled(3)
         with pytest.raises(ValueError, match="subcarrier index -1 out of range"):
-            modulation_total(tmap, 1, [5, -1, 7])
-        assert modulation_total(tmap, 1, [5, 917, 7]) == 9
+            spectrum_fraction(tmap, 1, [5, -1, 7])
+        assert spectrum_fraction(tmap, 1, [5, 917, 7]) == Fraction(9, MAX_MODULATION_TOTAL)
 
     def test_additive_over_disjoint_sets(self):
         rng = SplitMix64(15, 0)
