@@ -47,8 +47,8 @@ MUTANTS = (
     Mutant(
         id="macsim-barge-colliders-unsorted",
         file=MACSIM,
-        old="colliders = [s for s in stations if s.bc == 0]  # tx and bargers\n",
-        new="colliders = [tx] + [s for s in stations if s.bc == 0 and s is not tx]\n",
+        old="colliders = [i for i in stations if not bc[i]]  # tx and bargers\n",
+        new="colliders = [tx] + [i for i in stations if not bc[i] and i != tx]\n",
         tests=(
             "tests/test_macsim.py::TestEngineDigest::test_digest",
             "tests/test_macsim_property.py::test_run_invariants",
@@ -57,7 +57,7 @@ MUTANTS = (
     Mutant(
         id="macsim-reeval-on-collision-windows",
         file=MACSIM,
-        old="reeval = len(ready) == 1 and next_reeval is not None",
+        old="reeval = ready == 1 and next_reeval is not None",
         new="reeval = next_reeval is not None",
         tests=(
             "tests/test_macsim.py::TestEngineDigest::test_digest",
@@ -69,12 +69,12 @@ MUTANTS = (
         id="macsim-collision-stage-cap-dropped",
         file=MACSIM,
         old=(
-            "            for s in colliders:\n"
-            "                s.stage = min(s.stage + 1, last_stage)\n"
+            "            for i in colliders:\n"
+            "                st = stage[i] = min(stage[i] + 1, last_stage)\n"
         ),
         new=(
-            "            for s in colliders:\n"
-            "                s.stage = s.stage + 1\n"
+            "            for i in colliders:\n"
+            "                st = stage[i] = stage[i] + 1\n"
         ),
         tests=(
             "tests/test_macsim.py::TestDeferralCounters::test_stage_capped_at_last",
@@ -86,13 +86,13 @@ MUTANTS = (
         id="macsim-sensed-busy-skipped-on-collisions",
         file=MACSIM,
         old=(
-            "        for s in stations:\n"
-            "            if s.bc == 0:\n"
+            "        for i in stations:\n"
+            "            if not bc[i]:\n"
             "                continue\n"
         ),
         new=(
-            "        for s in stations if len(ready) == 1 else ():\n"
-            "            if s.bc == 0:\n"
+            "        for i in stations if ready == 1 else ():\n"
+            "            if not bc[i]:\n"
             "                continue\n"
         ),
         tests=(
@@ -105,8 +105,8 @@ MUTANTS = (
     Mutant(
         id="macsim-primary-keeps-full-spectrum",
         file=MACSIM,
-        old="p.full[k - 1] - alloc.shared_total(links[p.link])",
-        new="p.full[k - 1]",
+        old="full[i][k - 1] - alloc.shared_total(links[p])",
+        new="full[i][k - 1]",
         tests=(
             "tests/test_macsim.py::TestSpectrumAccounting::test_ss_on_with_engagements",
             "tests/test_macsim.py::TestSSReplayOracle::"
@@ -119,7 +119,7 @@ MUTANTS = (
         id="macsim-secondary-total-over-primary-tonemap",
         file=MACSIM,
         old="alloc.shared_total(links[alloc.secondary])",
-        new="alloc.shared_total(links[p.link])",
+        new="alloc.shared_total(links[p])",
         tests=(
             "tests/test_macsim.py::TestSpectrumAccounting::test_ss_on_with_engagements",
             "tests/test_macsim.py::TestSSReplayOracle::"
@@ -147,11 +147,11 @@ MUTANTS = (
         id="macsim-idle-run-no-stop-after",
         file=MACSIM,
         old=(
-            "                s.bc -= n\n"
+            "                bc[i] -= n\n"
             "            if t >= duration_us:\n"
             "                break\n"
         ),
-        new="                s.bc -= n\n",
+        new="                bc[i] -= n\n",
         tests=(
             "tests/test_macsim.py::TestIdleRunDigest::test_digest",
         ),
@@ -164,6 +164,56 @@ MUTANTS = (
         tests=(
             "tests/test_macsim.py::TestIdleRunDigest::test_digest",
             "tests/test_macsim.py::TestEngineDigest::test_digest",
+        ),
+    ),
+    # the engine's inline backoff draws: the masked rejection of
+    # SplitMix64.randbelow over the run's word stream
+    Mutant(
+        id="macsim-draw-cw-1-takes-a-word",
+        file=MACSIM,
+        old="            b = word() & mask0 if mask0 else 0\n",
+        new="            b = word() & mask0\n",
+        tests=(
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_backoff_draws_replay",
+        ),
+    ),
+    Mutant(
+        id="macsim-draw-mask-from-cw-bit-length",
+        file=MACSIM,
+        old="masks = [(1 << (c - 1).bit_length()) - 1 for c in cw]",
+        new="masks = [(1 << c.bit_length()) - 1 for c in cw]",
+        tests=(
+            "tests/test_macsim.py::TestGoldenTrace::test_first_ten_events_match_hand_trace",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim.py::TestIdleRunDigest::test_digest",
+            "tests/test_macsim_property.py::test_backoff_draws_replay",
+        ),
+    ),
+    Mutant(
+        # only a CW that is not a power of two rejects words, so only the
+        # (1, 3, 5, 7) schedule shows it
+        id="macsim-draw-rejection-admits-cw",
+        file=MACSIM,
+        old=(
+            "                dc[i] -= 1  # BC stays frozen for this busy period\n"
+            "            else:\n"
+            "                st = stage[i] = min(stage[i] + 1, last_stage)\n"
+            "                c, mask = cw[st], masks[st]\n"
+            "                b = word() & mask if mask else 0\n"
+            "                while b >= c:\n"
+        ),
+        new=(
+            "                dc[i] -= 1  # BC stays frozen for this busy period\n"
+            "            else:\n"
+            "                st = stage[i] = min(stage[i] + 1, last_stage)\n"
+            "                c, mask = cw[st], masks[st]\n"
+            "                b = word() & mask if mask else 0\n"
+            "                while b > c:\n"
+        ),
+        tests=(
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_backoff_draws_replay",
         ),
     ),
     Mutant(
@@ -245,6 +295,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        id="rng-words-from-batch-head",
+        file=RNG,
+        old="chain((self._words[self._used:],)",
+        new="chain((self._words,)",
+        tests=(
+            "tests/test_rng.py::test_words_start_where_the_stream_stands",
+        ),
+    ),
+    Mutant(
         id="rng-refill-base-not-advanced",
         file=RNG,
         old="self._base = (self._base + len(words) * _GAMMA) & _MASK64",
@@ -260,8 +319,8 @@ EQUIVALENT = (
     Mutant(
         id="macsim-idle-run-subtracts-m",
         file=MACSIM,
-        old="                s.bc -= n\n",
-        new="                s.bc -= m\n",
+        old="                bc[i] -= n\n",
+        new="                bc[i] -= m\n",
         reason=(
             "n differs from m only when the run's duration ends inside the "
             "idle run, and then the loop stops and no BC is read again"

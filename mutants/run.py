@@ -6,7 +6,8 @@ check that every test it names fails.
 
 A mutant is killed when each of its tests fails or errors; it survives when
 any of them passes. An entry is stale when its old snippet does not occur
-exactly once in its file (equivalent mutants are checked for that too). The
+exactly once in the copy's file (equivalent mutants are checked for that
+too), so the text checked is the text the tests run against. The
 script prints one line per mutant and exits 1 on any survivor, stale entry
 or test run that failed to start (for example an unknown node id).
 
@@ -30,9 +31,10 @@ SKIP = shutil.ignore_patterns(
 )
 
 
-def stale(mutant):
-    """Why the mutant's old snippet cannot be applied, or None if it can."""
-    count = (ROOT / mutant.file).read_text().count(mutant.old)
+def stale(mutant, tree):
+    """Why the mutant's old snippet cannot be applied to the tree's copy of
+    its file, or None if it can."""
+    count = (tree / mutant.file).read_text().count(mutant.old)
     if count != 1:
         return f"old snippet occurs {count} times in {mutant.file}"
     return None
@@ -53,7 +55,13 @@ def killed_by(test, failures):
 
 
 def run_mutant(mutant, tree):
-    """(status, detail): status is 'killed', 'SURVIVED' or 'ERROR'."""
+    """(status, detail): status is 'killed', 'SURVIVED', 'STALE' or 'ERROR'.
+
+    The snippet is checked against, and applied to, the file as it is in
+    ``tree``, the copy the tests run in."""
+    why = stale(mutant, tree)
+    if why:
+        return "STALE", why
     path = tree / mutant.file
     original = path.read_text()
     path.write_text(original.replace(mutant.old, mutant.new))
@@ -91,15 +99,14 @@ def main(argv=None):
         return status not in ("killed", "equivalent")
 
     bad = 0
-    for m in EQUIVALENT:
-        why = stale(m)
-        bad += report(m, "STALE" if why else "equivalent", why or m.reason)
     with tempfile.TemporaryDirectory(prefix="hpavsim-mutants-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=SKIP)
+        for m in EQUIVALENT:
+            why = stale(m, tree)
+            bad += report(m, "STALE" if why else "equivalent", why or m.reason)
         for m in chosen:
-            why = stale(m)
-            bad += report(m, *(("STALE", why) if why else run_mutant(m, tree)))
+            bad += report(m, *run_mutant(m, tree))
     print(f"{len(chosen)} mutants run, {bad} problems")
     return 1 if bad else 0
 

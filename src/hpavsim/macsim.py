@@ -14,9 +14,11 @@ advance a stage); a single transmitter succeeds (medium busy for the success
 duration, transmitter resets to stage 0). Stations are saturated: there is
 always a next frame for the fixed flow target.
 
-run_simulation is one loop, one pass per window. It takes the idle run before
-the window in one step: with no BC at 0, every BC drops by the least one, or
-by fewer slots where the run's duration ends first. The run's times still add
+run_simulation is one loop, one pass per window, over flat per-station
+lists: station i, the i-th in node order, is index i of the BC, DC and stage
+lists and of every tally list. It takes the idle run before the window in one
+step: with no BC at 0, every BC drops by the least one, or by fewer slots
+where the run's duration ends first. The run's times still add
 the slot duration one slot at a time, so each is the same float that
 stepping slot by slot gives. The window then logs the transmissions that
 start, runs the sensed-busy pass once and ends in one of two ways: a success
@@ -24,6 +26,12 @@ start, runs the sensed-busy pass once and ends in one of two ways: a success
 serves both a window that opens with two or more transmitters and an SS
 window that a barger hits at its first slot boundary; either way the busy
 period is counted from the window's start.
+
+Each backoff counter is drawn inline from the run's word stream
+(SplitMix64.words) by the masked rejection of SplitMix64.randbelow, with the
+mask of each stage's CW computed once: a run draws exactly the values, and
+consumes exactly the words, that randbelow(CW) calls would, and a CW of 1
+draws 0 without a word.
 
 Spectrum sharing
 ----------------
@@ -58,18 +66,20 @@ Spectrum accounting
 -------------------
 Tonemaps and table allocations are static within a run, so spectrum is
 counted in integer modulation totals (bits per symbol summed over subcarriers)
-rather than recomputed per frame. At run start each station gets its
-full-slot total per AC slot and, in an SS run, a window plan per AC slot:
+rather than recomputed per frame. At run start the run lists each station's
+full-slot total per AC slot and, in an SS run, its window plan per AC slot:
 the one flow-backed candidate (among the first policy.top_m) that engages
 when it is the primary, with its wait, the secondary's total over the shared
 mask and the primary's complement total (its full-slot total minus its total
 over that mask), each summed by SSAllocation.shared_total for that candidate
 alone. An allocation's shared set is checked when the allocation is built,
-so a run meets no out-of-range subcarrier. A success window
-then adds integers to the station's sums; the run sets each LinkTally's
-sf_primary and sf_secondary once, as Fraction(sum, 9170), which equals the
-sum of the per-frame fractions exactly. An event's spectrum_fraction is the
-frame's total / 9170, the correctly rounded float of that fraction.
+so a run meets no out-of-range subcarrier. A success window then adds
+integers to the station's entries of the primary and secondary sum lists, as
+it adds one to its success and collision counts; the run builds each
+LinkTally once, at its end, with sf_primary and sf_secondary as
+Fraction(sum, 9170), which equals the sum of the per-frame fractions exactly.
+An event's spectrum_fraction is the frame's total / 9170, the correctly
+rounded float of that fraction.
 
 With collect_events=True a run also returns its events in emission order as
 SimEvent tuples, which event_log_csv renders; with it False the engine builds
@@ -81,7 +91,7 @@ processed in node-identifier order everywhere, and simultaneous events are
 emitted in that same order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -171,28 +181,6 @@ class LinkTally:
         return self.sf_primary + self.sf_secondary
 
 
-@dataclass
-class StationState:
-    """Everything a run tracks for one station: contention state and tallies."""
-
-    node: str
-    link: DirectedLink  # its saturated flow, node -> destination
-    stage: int = 0
-    bc: int = 0
-    dc: int = 0
-    tally: LinkTally = field(init=False, default_factory=LinkTally)
-    # summed modulation totals of its successful primary / secondary frames
-    p_sum: int = field(init=False, default=0)
-    s_sum: int = field(init=False, default=0)
-    # per AC slot: the full-slot modulation total and, in an SS run, the window
-    # plan as primary: the candidate that engages, as (first eligible slot
-    # boundary, station index, s_total, p_total), or None. An index, not
-    # the station, so that stations hold no reference cycle that would outlive
-    # the run.
-    full: Tuple[int, ...] = field(init=False, default=())
-    plans: Tuple[Optional[tuple], ...] = field(init=False, default=())
-
-
 class SimEvent(NamedTuple):
     """One engine event; the fields are in event-log CSV column order.
 
@@ -265,42 +253,66 @@ def run_simulation(
             raise ValueError(f"station {flow.tx!r} has more than one flow")
         seen_tx.add(flow.tx)
     duration_us = float(duration_us)
-    randbelow = SplitMix64(seed, 0).randbelow
+    word = SplitMix64(seed, 0).words().__next__
     cw, dcs = mac.cw_schedule, mac.dc_schedule
+    # per stage, randbelow's mask for a draw below CW: 0 where CW is 1, whose
+    # draw takes no word
+    masks = [(1 << (c - 1).bit_length()) - 1 for c in cw]
     last_stage = len(cw) - 1
+    cw0, mask0, dc0 = cw[0], masks[0], dcs[0]
     links = deployment.links
-    stations = [StationState(f.tx, f) for f in sorted(flows, key=lambda f: f.tx)]
-    for s in stations:
-        s.dc = dcs[0]
-        s.bc = randbelow(cw[0])
-        s.full = tuple(map(sum, links[s.link].slots))
+    # Station i, the i-th in node order, is index i of every per-station list.
+    link = sorted(flows, key=lambda f: f.tx)  # its saturated flow, node -> destination
+    node = [f.tx for f in link]
+    stations = range(len(link))
+    full = [tuple(map(sum, links[f].slots)) for f in link]  # per AC slot
+    stage = [0] * len(link)
+    dc = [dc0] * len(link)
+    bc = []
+    for _ in link:
+        b = word() & mask0 if mask0 else 0
+        while b >= cw0:
+            b = word() & mask0
+        bc.append(b)
+    successes_primary = [0] * len(link)
+    successes_secondary = [0] * len(link)
+    collisions = [0] * len(link)
+    # summed modulation totals of the successful primary / secondary frames
+    p_sum = [0] * len(link)
+    s_sum = [0] * len(link)
     slot_count = deployment.slot_count
     ss = table is not None
     if ss:
         top_m = policy.top_m if policy is not None else None
         wait = mac.rank_wait_slots_per_rank
-        station_index = {s.link: i for i, s in enumerate(stations)}
-        for p in stations:
-            plans = []
+        station_index = {f: i for i, f in enumerate(link)}
+        # per station and AC slot, the window plan as primary: the candidate
+        # that engages, as (first eligible slot boundary, station index,
+        # s_total, p_total), or None
+        plans = []
+        for i, p in enumerate(link):
+            row = []
             for k in range(1, slot_count + 1):
                 # of the flow-backed candidates, the first eligible boundary
                 # wins, then the lowest node; only the winner's totals are summed
-                alloc = min((a for a in table.candidates(p.link, k)[:top_m]
+                alloc = min((a for a in table.candidates(p, k)[:top_m]
                              if a.secondary in station_index),
                             key=lambda a: (max(1, a.rank * wait), a.secondary.tx), default=None)
-                plans.append(None if alloc is None else (
+                row.append(None if alloc is None else (
                     max(1, alloc.rank * wait), station_index[alloc.secondary],
                     alloc.shared_total(links[alloc.secondary]),
-                    p.full[k - 1] - alloc.shared_total(links[p.link])))
-            p.plans = tuple(plans)
+                    full[i][k - 1] - alloc.shared_total(links[p])))
+            plans.append(row)
     slot_us = mac.slot_duration_us
-    slot_width = mac.ac_cycle_us / slot_count
+    success_us, collision_us = mac.success_duration_us, mac.collision_duration_us
+    ac_cycle_us = mac.ac_cycle_us
+    slot_width = ac_cycle_us / slot_count
     log: Optional[List[SimEvent]] = [] if collect_events else None
     t = idle_us = busy_us = 0.0
     next_reeval = mac.reeval_period_us if ss else None
 
     while t < duration_us:
-        m = min([s.bc for s in stations])
+        m = min(bc)
         if m:
             # an idle run of n <= m slots, added up one slot at a time
             for n in range(1, m + 1):
@@ -308,43 +320,52 @@ def run_simulation(
                 idle_us += slot_us
                 if t >= duration_us:
                     break
-            for s in stations:
-                s.bc -= n
+            for i in stations:
+                bc[i] -= n
             if t >= duration_us:
                 break
         start = t
-        ready = [s for s in stations if s.bc == 0]  # in node order
-        reeval = len(ready) == 1 and next_reeval is not None and start >= next_reeval
+        # the transmitters are exactly the stations whose BC is 0
+        ready = bc.count(0)
+        if ready == 1:
+            tx = bc.index(0)
+            colliders = None
+        else:
+            colliders = [i for i in stations if not bc[i]]  # in node order
+        reeval = ready == 1 and next_reeval is not None and start >= next_reeval
         if reeval:
             next_reeval = start + mac.reeval_period_us
             if log is not None:
                 log.append(SimEvent(start, EVENT_REEVAL_START))
         if log is not None:
-            for s in ready:
-                log.append(SimEvent(start, EVENT_TX_START, s.node, s.link, ROLE_PRIMARY,
-                                    s.stage, s.bc, s.dc))
+            for i in stations:
+                if not bc[i]:
+                    log.append(SimEvent(start, EVENT_TX_START, node[i], link[i], ROLE_PRIMARY,
+                                        stage[i], bc[i], dc[i]))
 
         # One sensed-busy event for every station not transmitting, before any
-        # redraw: the transmitters are exactly the stations whose BC is 0.
-        for s in stations:
-            if s.bc == 0:
+        # redraw.
+        for i in stations:
+            if not bc[i]:
                 continue
-            if s.dc == 0:
-                s.stage = min(s.stage + 1, last_stage)
-                s.bc = randbelow(cw[s.stage])
-                s.dc = dcs[s.stage]
-                if log is not None:
-                    log.append(SimEvent(start, EVENT_STAGE_ADVANCE, s.node, s.link, None,
-                                        s.stage, s.bc, s.dc))
+            if dc[i]:
+                dc[i] -= 1  # BC stays frozen for this busy period
             else:
-                s.dc -= 1  # BC stays frozen for this busy period
+                st = stage[i] = min(stage[i] + 1, last_stage)
+                c, mask = cw[st], masks[st]
+                b = word() & mask if mask else 0
+                while b >= c:
+                    b = word() & mask
+                bc[i] = b
+                dc[i] = dcs[st]
+                if log is not None:
+                    log.append(SimEvent(start, EVENT_STAGE_ADVANCE, node[i], link[i], None,
+                                        st, b, dc[i]))
 
-        colliders = ready
         hit = start  # where a collision begins
-        if len(ready) == 1:
-            tx = ready[0]
-            end = start + mac.success_duration_us
-            k = min(1 + int((start % mac.ac_cycle_us) / slot_width), slot_count)
+        if colliders is None:
+            end = start + success_us
+            k = min(1 + int((start % ac_cycle_us) / slot_width), slot_count)
             secondary = None
             first = start + slot_us
             if ss and not reeval and first < end:
@@ -352,77 +373,85 @@ def run_simulation(
                 # that barge (BC 0 after the sensed-busy pass) are fixed at the
                 # first boundary and the plan's candidate is the one that
                 # engages, unless a barger pre-empts it.
-                colliders = [s for s in stations if s.bc == 0]  # tx and bargers
-                plan = tx.plans[k - 1]
+                barged = bc.count(0) > 1
+                plan = plans[tx][k - 1]
                 if plan is not None:
                     e = plan[0]
                     boundary = start + e * slot_us
-                    if boundary < end and (e == 1 or len(colliders) == 1):
-                        _, i, s_total, p_total = plan
-                        secondary = stations[i]
+                    if boundary < end and (e == 1 or not barged):
+                        _, secondary, s_total, p_total = plan
                         if log is not None:
-                            log.append(SimEvent(boundary, EVENT_SS_ENGAGE, secondary.node,
-                                                secondary.link, ROLE_SECONDARY))
-                if len(colliders) > 1:
+                            log.append(SimEvent(boundary, EVENT_SS_ENGAGE, node[secondary],
+                                                link[secondary], ROLE_SECONDARY))
+                if barged:
                     hit = first
+                    colliders = [i for i in stations if not bc[i]]  # tx and bargers
                     # an in-flight secondary frame is lost: neither success
                     # nor collision
                     if log is not None:
                         if secondary is not None:
-                            log.append(SimEvent(first, EVENT_SS_ABORT, secondary.node,
-                                                secondary.link, ROLE_SECONDARY))
-                        for s in colliders:
-                            if s is not tx:
-                                log.append(SimEvent(first, EVENT_TX_START, s.node, s.link,
-                                                    ROLE_PRIMARY, s.stage, s.bc, s.dc))
+                            log.append(SimEvent(first, EVENT_SS_ABORT, node[secondary],
+                                                link[secondary], ROLE_SECONDARY))
+                        for i in colliders:
+                            if i != tx:
+                                log.append(SimEvent(first, EVENT_TX_START, node[i], link[i],
+                                                    ROLE_PRIMARY, stage[i], bc[i], dc[i]))
 
-        if len(colliders) == 1:
+        if colliders is None:
             if secondary is not None:
-                secondary.tally.successes_secondary += 1
-                secondary.s_sum += s_total
+                successes_secondary[secondary] += 1
+                s_sum[secondary] += s_total
                 if log is not None:
-                    log.append(SimEvent(end, EVENT_TX_END_SUCCESS, secondary.node,
-                                        secondary.link, ROLE_SECONDARY, None, None, None,
+                    log.append(SimEvent(end, EVENT_TX_END_SUCCESS, node[secondary],
+                                        link[secondary], ROLE_SECONDARY, None, None, None,
                                         s_total / MAX_MODULATION_TOTAL))
             else:
-                p_total = tx.full[k - 1]
-            tx.tally.successes_primary += 1
-            tx.p_sum += p_total
+                p_total = full[tx][k - 1]
+            successes_primary[tx] += 1
+            p_sum[tx] += p_total
             # saturated: the transmitter resets to stage 0 and redraws for the
             # next frame at the moment its transmission completes
-            tx.stage = 0
-            tx.bc = randbelow(cw[0])
-            tx.dc = dcs[0]
+            stage[tx] = 0
+            b = word() & mask0 if mask0 else 0
+            while b >= cw0:
+                b = word() & mask0
+            bc[tx] = b
+            dc[tx] = dc0
             if log is not None:
-                log.append(SimEvent(end, EVENT_TX_END_SUCCESS, tx.node, tx.link,
-                                    ROLE_PRIMARY, tx.stage, tx.bc, tx.dc,
-                                    p_total / MAX_MODULATION_TOTAL))
+                log.append(SimEvent(end, EVENT_TX_END_SUCCESS, node[tx], link[tx],
+                                    ROLE_PRIMARY, 0, b, dc0, p_total / MAX_MODULATION_TOTAL))
                 if reeval:
                     log.append(SimEvent(end, EVENT_REEVAL_END))
         else:
             # Two or more transmitters at the window's start, or a barge at
             # its first boundary: the colliders, in node order, advance a stage.
-            end = hit + mac.collision_duration_us
-            for s in colliders:
-                s.tally.collisions += 1
+            end = hit + collision_us
+            for i in colliders:
+                collisions[i] += 1
                 if log is not None:
-                    log.append(SimEvent(end, EVENT_TX_END_COLLISION, s.node, s.link,
-                                        ROLE_PRIMARY, s.stage, s.bc, s.dc))
-            for s in colliders:
-                s.stage = min(s.stage + 1, last_stage)
-                s.bc = randbelow(cw[s.stage])
-                s.dc = dcs[s.stage]
+                    log.append(SimEvent(end, EVENT_TX_END_COLLISION, node[i], link[i],
+                                        ROLE_PRIMARY, stage[i], bc[i], dc[i]))
+            for i in colliders:
+                st = stage[i] = min(stage[i] + 1, last_stage)
+                c, mask = cw[st], masks[st]
+                b = word() & mask if mask else 0
+                while b >= c:
+                    b = word() & mask
+                bc[i] = b
+                dc[i] = dcs[st]
                 if log is not None:
-                    log.append(SimEvent(end, EVENT_STAGE_ADVANCE, s.node, s.link,
-                                        None, s.stage, s.bc, s.dc))
+                    log.append(SimEvent(end, EVENT_STAGE_ADVANCE, node[i], link[i], None,
+                                        st, b, dc[i]))
         busy_us += end - start
         t = end
 
-    for s in stations:
-        s.tally.sf_primary = Fraction(s.p_sum, MAX_MODULATION_TOTAL)
-        s.tally.sf_secondary = Fraction(s.s_sum, MAX_MODULATION_TOTAL)
     return SimReportRaw(
-        tallies={s.link: s.tally for s in stations},
+        tallies={
+            f: LinkTally(successes_primary[i], successes_secondary[i], collisions[i],
+                         Fraction(p_sum[i], MAX_MODULATION_TOTAL),
+                         Fraction(s_sum[i], MAX_MODULATION_TOTAL))
+            for i, f in enumerate(link)
+        },
         total_sim_time_us=t,
         requested_duration_us=duration_us,
         idle_us=idle_us,

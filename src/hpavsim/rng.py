@@ -16,11 +16,14 @@ short-lived stream pays little. ``randbelow_bytes`` draws a run of values below
 n <= 256 at once, as the deployment generator needs: it mixes its own batch
 from the first unconsumed word, takes each lane's low byte and does every
 per-draw step with C-level ``bytes`` operations, giving the same values and
-leaving the same state as that many ``randbelow`` calls.
+leaving the same state as that many ``randbelow`` calls. ``words`` hands the
+buffer's batches to a C-level iterator, for a caller that draws many single
+words in a hot loop and cannot afford a method call per word.
 
 Name/version recorded in trace metadata: ``splitmix64`` / ``1``.
 """
 
+from itertools import chain
 from math import isqrt
 from struct import unpack
 
@@ -131,6 +134,18 @@ class SplitMix64:
             i = 0
         self._used = i + 1
         return words[i]
+
+    def words(self):
+        """An iterator over the words that successive ``next_u64`` calls
+        would give, starting where the stream stands.
+
+        It steps through each buffer batch at C level and refills the buffer
+        when a batch runs out, so once it is taken the stream is drawn from
+        through it alone.
+        """
+        return chain.from_iterable(
+            chain((self._words[self._used:],), iter(self._refill, None))
+        )
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) via masked rejection (unbiased)."""

@@ -582,9 +582,10 @@ class TestEngineDigest:
     """Byte-exact engine output for fixed runs.
 
     The digests were recorded from earlier engines: long_rank_wait from the
-    one that stepped every SS window slot by slot, the rest from the one that
-    kept its run state in link-keyed maps. Any drift in event order, RNG use,
-    spectrum totals or tallies shows here.
+    one that stepped every SS window slot by slot, the cw_* ones from the one
+    that drew each backoff counter with SplitMix64.randbelow, the rest from
+    the one that kept its run state in link-keyed maps. Any drift in event
+    order, RNG use, spectrum totals or tallies shows here.
     """
 
     # ss_on and policy_none agree: the table keeps 2 candidates per entry and
@@ -597,6 +598,8 @@ class TestEngineDigest:
         "dense_ring": "c649f2d931f083d48b44a87e1a90ab6a20d78611829bb0cdfd1e52865dd366f7",
         "long_rank_wait": "dc4fbfb10c50cd45c09ad4350c1bf22ce53e2735305308d7f446b9b34c2a0b33",
         "no_rank_wait": "77e6f557e00f5049b50600ea41ad53b340c95d15714e5a126c67ea6074bf95ba",
+        "cw_1_3_5_7": "2eecfbfc4601cb5a092f3eadcc41b016216f956f1a97bc6c7f3609f4397e3b4f",
+        "cw_1_2_4_8": "33bff80d947f848fb4104eb2c37b7da141d9359b27e98834767e2c0af621b256",
     }
 
     @pytest.mark.parametrize("case", sorted(EXPECTED))
@@ -620,6 +623,15 @@ class TestEngineDigest:
             flows = [DirectedLink("n1", "n3"), DirectedLink("n3", "n1"),
                      DirectedLink("n2", "n4"), DirectedLink("n4", "n2")]
             mac = MacParams(rank_wait_slots_per_rank=0)
+        elif case == "cw_1_3_5_7":
+            # stage 0 draws no word and every later CW rejects words, so any
+            # change in how a backoff counter is drawn shifts the stream
+            dep, table, policy, flows = dense_ring_scenario()
+            mac = MacParams(cw_schedule=(1, 3, 5, 7), reeval_period_us=100_000.0)
+        elif case == "cw_1_2_4_8":
+            # stage 0 draws no word and the later CWs are powers of two
+            dep, table, policy = ss_scenario(seed=4, top_m=2)
+            mac = MacParams(cw_schedule=(1, 2, 4, 8))
         else:
             dep, table, policy = ss_scenario(seed=4, top_m=2)
             if case == "policy_none":

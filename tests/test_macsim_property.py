@@ -3,9 +3,11 @@ the event log is off, engage secondaries only inside their window, keep at
 most one secondary on the medium, end each collision one collision duration
 after its last tx_start with the colliders in node order, run each
 re-evaluation window as one success with no secondary, and tally spectrum as
-the event-log replay in ``conftest.rebuild_spectrum_tallies`` does; and every
-station's (stage, DC) follows the sensed-busy rule."""
+the event-log replay in ``conftest.rebuild_spectrum_tallies`` does; every
+station's (stage, DC) follows the sensed-busy rule; and every backoff counter
+a run draws is the next ``SplitMix64.randbelow`` draw of its seed's stream."""
 
+import dataclasses
 import math
 import random
 
@@ -21,6 +23,7 @@ from hpavsim.macsim import (
     EVENT_STAGE_ADVANCE, EVENT_TX_END_COLLISION, EVENT_TX_END_SUCCESS, EVENT_TX_START,
     ROLE_PRIMARY, ROLE_SECONDARY,
 )
+from hpavsim.rng import SplitMix64
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
 from conftest import rebuild_spectrum_tallies, report_spectrum_tallies, run_times
@@ -231,3 +234,55 @@ def test_sensed_busy_rule(scenario, seed, duration):
         report = run_simulation(dep, t, mac, policy, flows, duration, seed,
                                 collect_events=True)
         replay_contention(report, flows, mac)
+
+
+def replay_backoff(report, flows, mac, seed):
+    """Replay every backoff counter a run draws from a fresh
+    ``SplitMix64(seed, 0).randbelow`` stream, independent of how the engine
+    draws them.
+
+    The run draws one initial BC per station, in node order; the stations
+    with the least one open the first window. After that every draw is
+    logged where it happens, in emission order: a ``stage_advance`` (sensed
+    busy at DC 0, or a collider's) and a primary ``tx_end_success`` (the
+    transmitter back at stage 0).
+    """
+    rng = SplitMix64(seed, 0)
+    cw = mac.cw_schedule
+    initial = {node: rng.randbelow(cw[0]) for node in sorted(f.tx for f in flows)}
+    starts = [e for e in report.events if e.event == EVENT_TX_START]
+    if starts:
+        least = min(initial.values())
+        assert {e.node for e in starts if e.time_us == starts[0].time_us} == {
+            node for node, bc in initial.items() if bc == least
+        }
+    for e in report.events:
+        if e.event == EVENT_STAGE_ADVANCE or (
+            e.event == EVENT_TX_END_SUCCESS and e.role == ROLE_PRIMARY
+        ):
+            assert e.bc == rng.randbelow(cw[e.stage]), e
+
+
+# Stage 0 of both extra schedules draws no word; (1, 3, 5, 7) rejects words
+# at every later stage and (1, 2, 4, 8) at none.
+EXTRA_CW = ((1, 3, 5, 7), (1, 2, 4, 8))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1),
+       duration=st.sampled_from([120_000, 3584, 1, 0]),
+       cw=st.sampled_from((None,) + EXTRA_CW))
+@example(scenario=ring_scenario(SCHEDULES[0]), seed=1, duration=120_000, cw=None)
+@example(scenario=ring_scenario(SCHEDULES[3]), seed=1, duration=120_000, cw=None)
+@example(scenario=ring_scenario(SCHEDULES[0]), seed=1, duration=120_000, cw=EXTRA_CW[0])
+@example(scenario=ring_scenario(SCHEDULES[0]), seed=1, duration=120_000, cw=EXTRA_CW[1])
+def test_backoff_draws_replay(scenario, seed, duration, cw):
+    dep, flows, table_policy, run_policy, mac = scenario
+    if cw is not None:
+        mac = dataclasses.replace(mac, cw_schedule=cw)
+    table = build_decision_table(dep, table_policy)
+    for t, policy in ((None, None), (table, run_policy)):
+        report = run_simulation(dep, t, mac, policy, flows, duration, seed,
+                                collect_events=True)
+        replay_backoff(report, flows, mac, seed)

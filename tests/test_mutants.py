@@ -1,8 +1,10 @@
 """The mutation catalogue stays applicable: each old snippet occurs exactly
-once in its file and each named test exists. Running the mutants is
-``python mutants/run.py``, outside tier-1."""
+once in its file and each named test exists; and the runner checks a snippet
+against the copy it tests. Running the mutants is ``python mutants/run.py``,
+outside tier-1."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,21 @@ def test_entry_applies(mutant):
         source = (ROOT / path).read_text()
         for name in names:
             assert f" {name}(" in source or f"class {name}:" in source, node
+
+
+def test_snippet_missing_from_the_copy_is_stale(tmp_path, monkeypatch):
+    # the live file still holds the snippet; the copy the tests would run in
+    # does not, so applying it would change nothing and the mutant would
+    # survive for the wrong reason
+    mutant = catalogue.MUTANTS[0]
+    assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
+    copy = tmp_path / mutant.file
+    copy.parent.mkdir(parents=True)
+    copy.write_text((ROOT / mutant.file).read_text().replace(mutant.old, ""))
+    monkeypatch.setitem(sys.modules, "catalogue", catalogue)
+    spec = importlib.util.spec_from_file_location("mutants_run", ROOT / "mutants" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    status, detail = run.run_mutant(mutant, tmp_path)
+    assert status == "STALE"
+    assert detail == f"old snippet occurs 0 times in {mutant.file}"

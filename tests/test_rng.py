@@ -178,3 +178,46 @@ def test_lane_constants_grow_with_the_batches(monkeypatch):
     assert rng_module._built_constants[0] == 2048
     assert [rng.next_u64() for _ in range(300)] == [ref.next_u64() for _ in range(300)]
     assert rng_module._built_constants[0] == 2048
+
+
+def _draw_over(word, n):
+    """randbelow(n) by masked rejection over a word source: no word for
+    n = 1, else words masked to the bit length of n - 1 until one falls
+    below n."""
+    mask = (1 << (n - 1).bit_length()) - 1
+    v = word() & mask if mask else 0
+    while v >= n:
+        v = word() & mask
+    return v
+
+
+# The buffer's batches hold 8, 16, 32, ... words, so counts 8 and 24 end the
+# first two batches, 9 and 25 cross into the next and 5000 spans the capped
+# refills.
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 24, 25, 5000])
+def test_words_are_successive_next_u64(count):
+    rng, twin = SplitMix64(2**64 + 7, 3), SplitMix64(2**64 + 7, 3)
+    words = rng.words()
+    assert [next(words) for _ in range(count)] == [twin.next_u64() for _ in range(count)]
+    assert next(words) == twin.next_u64()
+
+
+@pytest.mark.parametrize("draws", [1, 3, 7, 8, 20])
+def test_words_start_where_the_stream_stands(draws):
+    # started mid-buffer, or at the end of a batch, the words go on from the
+    # first unconsumed one
+    rng, twin = SplitMix64(42, 9), SplitMix64(42, 9)
+    for _ in range(draws):
+        assert rng.randbelow(11) == twin.randbelow(11)
+    words = rng.words()
+    assert [next(words) for _ in range(300)] == [twin.next_u64() for _ in range(300)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 11, 2**40 + 1])
+def test_masked_rejection_over_words_is_randbelow(n):
+    rng, twin = SplitMix64(0, 4), SplitMix64(0, 4)
+    twin.next_u64()
+    word = rng.words().__next__
+    word()
+    assert [_draw_over(word, n) for _ in range(600)] == [twin.randbelow(n) for _ in range(600)]
+    assert word() == twin.next_u64()
