@@ -19,6 +19,8 @@ from typing import NamedTuple, Tuple
 MACSIM = "src/hpavsim/macsim.py"
 SHARING = "src/hpavsim/sharing.py"
 RNG = "src/hpavsim/rng.py"
+TRACEIO = "src/hpavsim/traceio.py"
+TONEMAP = "src/hpavsim/tonemap.py"
 
 
 class Mutant(NamedTuple):
@@ -120,6 +122,66 @@ MUTANTS = (
         file=MACSIM,
         old="alloc.shared_total(links[alloc.secondary])",
         new="alloc.shared_total(links[p])",
+        tests=(
+            "tests/test_macsim.py::TestSpectrumAccounting::test_ss_on_with_engagements",
+            "tests/test_macsim.py::TestSSReplayOracle::"
+            "test_ss_on_run_equals_replay_of_ss_off_run",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_run_invariants",
+        ),
+    ),
+    # the contention memo and the per-table accounting
+    Mutant(
+        id="macsim-memo-key-without-ss",
+        file=MACSIM,
+        old="@lru_cache(maxsize=1)\ndef _contend(",
+        new=(
+            "def _memo_without_ss(contend):\n"
+            "    memo = {}\n"
+            "\n"
+            "    def memoized(*key):\n"
+            "        if key[:5] not in memo:\n"
+            "            memo.clear()\n"
+            "            memo[key[:5]] = contend(*key)\n"
+            "        return memo[key[:5]]\n"
+            "\n"
+            "    memoized.__wrapped__, memoized.cache_clear = contend, memo.clear\n"
+            "    return memoized\n"
+            "\n"
+            "\n"
+            "@_memo_without_ss\n"
+            "def _contend("
+        ),
+        tests=(
+            "tests/test_macsim_property.py::test_contention_memo_is_transparent",
+        ),
+    ),
+    Mutant(
+        id="macsim-engage-test-admits-window-end",
+        file=MACSIM,
+        old="e * mac.slot_duration_us < mac.success_duration_us",
+        new="e * mac.slot_duration_us <= mac.success_duration_us",
+        tests=(
+            "tests/test_macsim.py::TestContentionMemo::test_engagement_follows_the_duration_rule",
+        ),
+    ),
+    Mutant(
+        id="macsim-wins-in-barged-windows",
+        file=MACSIM,
+        old="                barged = bc.count(0) > 1\n",
+        new="                barged = bc.count(0) > 1\n                wins[tx][k] += barged\n",
+        tests=(
+            "tests/test_macsim.py::TestSpectrumAccounting::"
+            "test_dense_ring_with_aborts_barges_and_reevaluation",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_run_invariants",
+        ),
+    ),
+    Mutant(
+        id="macsim-engaged-primary-credited-full-slot",
+        file=MACSIM,
+        old="                    p_sum[i] += n * p_total\n",
+        new="                    p_sum[i] += n * full[i][k]\n",
         tests=(
             "tests/test_macsim.py::TestSpectrumAccounting::test_ss_on_with_engagements",
             "tests/test_macsim.py::TestSSReplayOracle::"
@@ -278,6 +340,45 @@ MUTANTS = (
             "tests/test_sharing.py::TestDecisionTableOracle::"
             "test_all_eleven_levels_match_brute_force",
             "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    # the PLCTM row reader and the Tonemap checks
+    Mutant(
+        id="traceio-colon-guard-dropped",
+        file=TRACEIO,
+        old='    if ":" not in values_s:  # else a literal ":" would read as 10\n',
+        new="    if True:\n",
+        tests=(
+            "tests/test_traceio_property.py::test_parser_agrees_with_int_oracle",
+        ),
+    ),
+    Mutant(
+        id="traceio-row-commas-unchecked",
+        file=TRACEIO,
+        old="if len(row) == _ROW_LENGTH and row[1::2] == _ROW_COMMAS:",
+        new="if len(row) == _ROW_LENGTH:",
+        tests=(
+            "tests/test_traceio_property.py::test_parser_agrees_with_int_oracle",
+        ),
+    ),
+    Mutant(
+        id="tonemap-levels-range-check-dropped",
+        file=TONEMAP,
+        old="len(slot) != SUBCARRIER_COUNT or slot.translate(None, _LEVELS)",
+        new="len(slot) != SUBCARRIER_COUNT",
+        tests=(
+            "tests/test_tonemap.py::TestValidate::test_modulation_out_of_range",
+            "tests/test_tonemap_property.py::test_constructor_names_the_bad_value",
+        ),
+    ),
+    Mutant(
+        id="tonemap-asymmetry-nibble-shift-3",
+        file=TONEMAP,
+        old='(int.from_bytes(slot_ab, "little") << 4)',
+        new='(int.from_bytes(slot_ab, "little") << 3)',
+        tests=(
+            "tests/test_tonemap.py::TestKernelPins::test_asymmetry_equals_brute_force",
+            "tests/test_tonemap.py::TestAsymmetry::test_metric_properties_on_random_maps",
         ),
     ),
     # the splitmix64 word buffer and byte runs

@@ -14,18 +14,24 @@ advance a stage); a single transmitter succeeds (medium busy for the success
 duration, transmitter resets to stage 0). Stations are saturated: there is
 always a next frame for the fixed flow target.
 
-run_simulation is one loop, one pass per window, over flat per-station
+run_simulation is a contention pass, then accounting for the table. The
+pass (_contend) is one loop, one pass per window, over flat per-station
 lists: station i, the i-th in node order, is index i of the BC, DC and stage
-lists and of every tally list. It takes the idle run before the window in one
-step: with no BC at 0, every BC drops by the least one, or by fewer slots
-where the run's duration ends first. The run's times still add
-the slot duration one slot at a time, so each is the same float that
-stepping slot by slot gives. The window then logs the transmissions that
-start, runs the sensed-busy pass once and ends in one of two ways: a success
-(with the SS plan applied, if any) or the one collision block. That block
-serves both a window that opens with two or more transmitters and an SS
-window that a barger hits at its first slot boundary; either way the busy
-period is counted from the window's start.
+lists and of every count list. No table enters it: a plan decides who gets
+the spectrum, never who barges. It takes the idle run before the window in
+one step: with no BC at 0, every BC drops by the least one, or by fewer slots
+where the run's duration ends first. The run's times still add the slot
+duration one slot at a time, so each is the same float that stepping slot by
+slot gives. The window then logs the transmissions that start, runs the
+sensed-busy pass once and ends in one of two ways: a success or the one
+collision block. That block serves both a window that opens with two or more
+transmitters and an SS window that a barger hits at its first slot boundary;
+either way the busy period is counted from the window's start.
+
+The pass keeps its last result, tuples only (lru_cache, one entry): a β
+sweep's SS-on runs share one key, so each after the first reuses the pass; a
+larger memo would serve only repeated identical runs. A run that collects
+events makes its own pass, past the memo.
 
 Each backoff counter is drawn inline from the run's word stream
 (SplitMix64.words) by the masked rejection of SplitMix64.randbelow, with the
@@ -66,20 +72,22 @@ Spectrum accounting
 -------------------
 Tonemaps and table allocations are static within a run, so spectrum is
 counted in integer modulation totals (bits per symbol summed over subcarriers)
-rather than recomputed per frame. At run start the run lists each station's
-full-slot total per AC slot and, in an SS run, its window plan per AC slot:
-the one flow-backed candidate (among the first policy.top_m) that engages
-when it is the primary, with its wait, the secondary's total over the shared
-mask and the primary's complement total (its full-slot total minus its total
-over that mask), each summed by SSAllocation.shared_total for that candidate
-alone. An allocation's shared set is checked when the allocation is built,
-so a run meets no out-of-range subcarrier. A success window then adds
-integers to the station's entries of the primary and secondary sum lists, as
-it adds one to its success and collision counts; the run builds each
-LinkTally once, at its end, with sf_primary and sf_secondary as
-Fraction(sum, 9170), which equals the sum of the per-frame fractions exactly.
-An event's spectrum_fraction is the frame's total / 9170, the correctly
-rounded float of that fraction.
+rather than recomputed per frame. The pass counts each station's success
+windows as primary per AC slot: wins, the SS windows that nobody barged, and
+the full-spectrum ones. The accounting lists each station's full-slot total
+per AC slot and, in an SS run, its window plan per AC slot: the one
+flow-backed candidate (among the first policy.top_m) that engages when it is
+the primary, with its wait e, the secondary's total over the shared mask and
+the primary's complement total, each summed by SSAllocation.shared_total.
+A plan engages iff e * slot_duration_us < success_duration_us (the duration
+rule; the test window by window, start + e * slot < start + success, differs
+only where the two durations are less than one ulp of start apart). For n
+wins an engaging plan gives the primary n * p_total and the secondary n
+successes and n * s_total; otherwise, and for each full-spectrum window, the
+primary gains its full-slot total. Each LinkTally is built once, with
+sf_primary and sf_secondary as Fraction(sum, 9170), which equals the sum of
+the per-frame fractions exactly. An event's spectrum_fraction is the frame's
+total / 9170, the correctly rounded float of that fraction.
 
 With collect_events=True a run also returns its events in emission order as
 SimEvent tuples, which event_log_csv renders; with it False the engine builds
@@ -93,6 +101,8 @@ emitted in that same order.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rng import SplitMix64
@@ -225,7 +235,11 @@ def run_simulation(
 
     With ``table`` None the run is plain HPAV CSMA/CA; otherwise the SS
     mechanism applies. The result is a pure function of the arguments
-    (`seed` included); independent runs may execute concurrently.
+    (`seed` included); independent runs may execute concurrently. The run
+    is a contention pass that no table enters, memoized with one entry so
+    that a sweep's SS-on runs share it (an events run makes its own), then
+    accounting for the table, whose plans engage by the duration rule
+    ``e * slot_duration_us < success_duration_us``.
 
     ``policy`` only cuts each table entry to its first ``policy.top_m``
     candidates: None uses every candidate, and it is ignored when ``table``
@@ -253,36 +267,13 @@ def run_simulation(
             raise ValueError(f"station {flow.tx!r} has more than one flow")
         seen_tx.add(flow.tx)
     duration_us = float(duration_us)
-    word = SplitMix64(seed, 0).words().__next__
-    cw, dcs = mac.cw_schedule, mac.dc_schedule
-    # per stage, randbelow's mask for a draw below CW: 0 where CW is 1, whose
-    # draw takes no word
-    masks = [(1 << (c - 1).bit_length()) - 1 for c in cw]
-    last_stage = len(cw) - 1
-    cw0, mask0, dc0 = cw[0], masks[0], dcs[0]
     links = deployment.links
     # Station i, the i-th in node order, is index i of every per-station list.
-    link = sorted(flows, key=lambda f: f.tx)  # its saturated flow, node -> destination
-    node = [f.tx for f in link]
-    stations = range(len(link))
-    full = [tuple(map(sum, links[f].slots)) for f in link]  # per AC slot
-    stage = [0] * len(link)
-    dc = [dc0] * len(link)
-    bc = []
-    for _ in link:
-        b = word() & mask0 if mask0 else 0
-        while b >= cw0:
-            b = word() & mask0
-        bc.append(b)
-    successes_primary = [0] * len(link)
-    successes_secondary = [0] * len(link)
-    collisions = [0] * len(link)
-    # summed modulation totals of the successful primary / secondary frames
-    p_sum = [0] * len(link)
-    s_sum = [0] * len(link)
+    link = tuple(sorted(flows, key=lambda f: f.tx))  # its saturated flow
     slot_count = deployment.slot_count
-    ss = table is not None
-    if ss:
+    full = [tuple(map(sum, links[f].slots)) for f in link]  # per AC slot
+    plans = None
+    if table is not None:
         top_m = policy.top_m if policy is not None else None
         wait = mac.rank_wait_slots_per_rank
         station_index = {f: i for i, f in enumerate(link)}
@@ -298,16 +289,81 @@ def run_simulation(
                 alloc = min((a for a in table.candidates(p, k)[:top_m]
                              if a.secondary in station_index),
                             key=lambda a: (max(1, a.rank * wait), a.secondary.tx), default=None)
-                row.append(None if alloc is None else (
-                    max(1, alloc.rank * wait), station_index[alloc.secondary],
-                    alloc.shared_total(links[alloc.secondary]),
-                    full[i][k - 1] - alloc.shared_total(links[p])))
+                e = alloc and max(1, alloc.rank * wait)
+                # the duration rule: it engages iff its boundary is inside the window
+                row.append((e, station_index[alloc.secondary],
+                            alloc.shared_total(links[alloc.secondary]),
+                            full[i][k - 1] - alloc.shared_total(links[p]))
+                           if e and e * mac.slot_duration_us < mac.success_duration_us else None)
             plans.append(row)
+    key = (link, mac, duration_us, seed, slot_count, table is not None)
+    log: Optional[List[SimEvent]] = [] if collect_events else None
+    collisions, wins, fulls, t, idle_us, busy_us = (
+        _contend(*key) if log is None else _contend.__wrapped__(*key, log, plans, full))
+    # accounting; wins stay 0 with SS off, where there are no plans
+    p_sum = [sum(map(mul, counts, totals)) for counts, totals in zip(fulls, full)]
+    successes_secondary = [0] * len(link)
+    s_sum = [0] * len(link)
+    for i, row in enumerate(wins):
+        for k, n in enumerate(row):
+            if n:
+                plan = plans[i][k]
+                if plan is None:
+                    p_sum[i] += n * full[i][k]
+                else:
+                    _, s, s_total, p_total = plan
+                    p_sum[i] += n * p_total
+                    successes_secondary[s] += n
+                    s_sum[s] += n * s_total
+    return SimReportRaw(
+        tallies={
+            f: LinkTally(sum(wins[i]) + sum(fulls[i]), successes_secondary[i], collisions[i],
+                         Fraction(p_sum[i], MAX_MODULATION_TOTAL),
+                         Fraction(s_sum[i], MAX_MODULATION_TOTAL))
+            for i, f in enumerate(link)
+        },
+        total_sim_time_us=t,
+        requested_duration_us=duration_us,
+        idle_us=idle_us,
+        busy_us=busy_us,
+        events=log,
+    )
+
+
+@lru_cache(maxsize=1)
+def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None, full=None):
+    """run_simulation's contention pass over ``link``, the flows in node
+    order, as the tuples (collisions, wins, fulls) per station and the floats
+    (t, idle_us, busy_us). Called past the memo as ``_contend.__wrapped__``
+    with ``log`` a list, it also logs the run's events, with each window's
+    plan and full-slot total from ``plans`` and ``full``."""
+    word = SplitMix64(seed, 0).words().__next__
+    cw, dcs = mac.cw_schedule, mac.dc_schedule
+    # per stage, randbelow's mask for a draw below CW: 0 where CW is 1, whose
+    # draw takes no word
+    masks = [(1 << (c - 1).bit_length()) - 1 for c in cw]
+    last_stage = len(cw) - 1
+    cw0, mask0, dc0 = cw[0], masks[0], dcs[0]
+    node = [f.tx for f in link]
+    stations = range(len(link))
+    stage = [0] * len(link)
+    dc = [dc0] * len(link)
+    bc = []
+    for _ in link:
+        b = word() & mask0 if mask0 else 0
+        while b >= cw0:
+            b = word() & mask0
+        bc.append(b)
+    collisions = [0] * len(link)
+    # per station and AC slot, the success windows as primary: SS windows
+    # that nobody barged, and full-spectrum ones
+    wins = [[0] * slot_count for _ in link]
+    fulls = [[0] * slot_count for _ in link]
     slot_us = mac.slot_duration_us
     success_us, collision_us = mac.success_duration_us, mac.collision_duration_us
     ac_cycle_us = mac.ac_cycle_us
     slot_width = ac_cycle_us / slot_count
-    log: Optional[List[SimEvent]] = [] if collect_events else None
+    last_slot = slot_count - 1
     t = idle_us = busy_us = 0.0
     next_reeval = mac.reeval_period_us if ss else None
 
@@ -365,50 +421,41 @@ def run_simulation(
         hit = start  # where a collision begins
         if colliders is None:
             end = start + success_us
-            k = min(1 + int((start % ac_cycle_us) / slot_width), slot_count)
-            secondary = None
+            k = min(int((start % ac_cycle_us) / slot_width), last_slot)
             first = start + slot_us
+            plan = None  # the logged engagement, if any
             if ss and not reeval and first < end:
                 # Global BCs stay frozen for the whole window, so the stations
                 # that barge (BC 0 after the sensed-busy pass) are fixed at the
-                # first boundary and the plan's candidate is the one that
-                # engages, unless a barger pre-empts it.
+                # first boundary: a barge ends the window whatever the plan.
                 barged = bc.count(0) > 1
-                plan = plans[tx][k - 1]
-                if plan is not None:
-                    e = plan[0]
-                    boundary = start + e * slot_us
-                    if boundary < end and (e == 1 or not barged):
-                        _, secondary, s_total, p_total = plan
-                        if log is not None:
-                            log.append(SimEvent(boundary, EVENT_SS_ENGAGE, node[secondary],
-                                                link[secondary], ROLE_SECONDARY))
+                if log is not None:
+                    # the plan's candidate engages unless a barger pre-empts it
+                    plan = plans[tx][k]
+                    if plan is not None and (plan[0] == 1 or not barged):
+                        log.append(SimEvent(start + plan[0] * slot_us, EVENT_SS_ENGAGE,
+                                            node[plan[1]], link[plan[1]], ROLE_SECONDARY))
+                    else:
+                        plan = None
                 if barged:
                     hit = first
                     colliders = [i for i in stations if not bc[i]]  # tx and bargers
                     # an in-flight secondary frame is lost: neither success
                     # nor collision
                     if log is not None:
-                        if secondary is not None:
-                            log.append(SimEvent(first, EVENT_SS_ABORT, node[secondary],
-                                                link[secondary], ROLE_SECONDARY))
+                        if plan is not None:
+                            log.append(SimEvent(first, EVENT_SS_ABORT, node[plan[1]],
+                                                link[plan[1]], ROLE_SECONDARY))
                         for i in colliders:
                             if i != tx:
                                 log.append(SimEvent(first, EVENT_TX_START, node[i], link[i],
                                                     ROLE_PRIMARY, stage[i], bc[i], dc[i]))
+                else:
+                    wins[tx][k] += 1
+            else:
+                fulls[tx][k] += 1
 
         if colliders is None:
-            if secondary is not None:
-                successes_secondary[secondary] += 1
-                s_sum[secondary] += s_total
-                if log is not None:
-                    log.append(SimEvent(end, EVENT_TX_END_SUCCESS, node[secondary],
-                                        link[secondary], ROLE_SECONDARY, None, None, None,
-                                        s_total / MAX_MODULATION_TOTAL))
-            else:
-                p_total = full[tx][k - 1]
-            successes_primary[tx] += 1
-            p_sum[tx] += p_total
             # saturated: the transmitter resets to stage 0 and redraws for the
             # next frame at the moment its transmission completes
             stage[tx] = 0
@@ -418,6 +465,12 @@ def run_simulation(
             bc[tx] = b
             dc[tx] = dc0
             if log is not None:
+                p_total = full[tx][k]
+                if plan is not None:
+                    _, s, s_total, p_total = plan
+                    log.append(SimEvent(end, EVENT_TX_END_SUCCESS, node[s], link[s],
+                                        ROLE_SECONDARY, None, None, None,
+                                        s_total / MAX_MODULATION_TOTAL))
                 log.append(SimEvent(end, EVENT_TX_END_SUCCESS, node[tx], link[tx],
                                     ROLE_PRIMARY, 0, b, dc0, p_total / MAX_MODULATION_TOTAL))
                 if reeval:
@@ -445,19 +498,8 @@ def run_simulation(
         busy_us += end - start
         t = end
 
-    return SimReportRaw(
-        tallies={
-            f: LinkTally(successes_primary[i], successes_secondary[i], collisions[i],
-                         Fraction(p_sum[i], MAX_MODULATION_TOTAL),
-                         Fraction(s_sum[i], MAX_MODULATION_TOTAL))
-            for i, f in enumerate(link)
-        },
-        total_sim_time_us=t,
-        requested_duration_us=duration_us,
-        idle_us=idle_us,
-        busy_us=busy_us,
-        events=log,
-    )
+    return (tuple(collisions), tuple(map(tuple, wins)), tuple(map(tuple, fulls)),
+            t, idle_us, busy_us)
 
 
 def normalized_throughput(report: SimReportRaw, link: DirectedLink, mac: MacParams) -> float:

@@ -1,5 +1,7 @@
 import hashlib
 import io
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -566,6 +568,66 @@ class TestSSReplayOracle:
         assert engaged > 0
 
 
+class TestContentionMemo:
+    """A run's contention pass is memoized with one entry and shared by the
+    SS-on runs of a sweep; the accounting engages by the duration rule."""
+
+    BETAS = (2, 4, 6, 8)
+
+    def sweep(self, seed, duration_us=300_000):
+        """An SS-off run, then one SS-on run per β, as ``hpavsim sweep`` does."""
+        dep = complementary_corpus(seed)
+        flows = list(CORPUS_FLOWS)
+        reports = [run_simulation(dep, None, MAC, None, flows, duration_us, seed)]
+        for beta in self.BETAS:
+            policy = SSPolicy(beta=beta, top_m=2)
+            reports.append(run_simulation(dep, build_decision_table(dep, policy), MAC,
+                                          policy, flows, duration_us, seed))
+        return [(r.tallies, run_times(r)) for r in reports]
+
+    def test_beta_sweep_makes_two_contention_misses(self):
+        macsim._contend.cache_clear()
+        self.sweep(seed=4)
+        info = macsim._contend.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (2, len(self.BETAS) - 1, 1)
+
+    @pytest.mark.parametrize("wait, engages", [(2, False), (1, True)])
+    def test_engagement_follows_the_duration_rule(self, wait, engages):
+        # a window of two slots: a rank-1 candidate engages 1 boundary in,
+        # and a plan that waits 2 boundaries (rank 1 at wait 2, or rank 2)
+        # reaches the window's end, so it never engages
+        mac = MacParams(success_duration_us=2 * MAC.slot_duration_us,
+                        rank_wait_slots_per_rank=wait)
+        dep, table, policy = ss_scenario(seed=4, top_m=2)
+        assert any(len(c) == 2 for c in table.entries.values())
+        report = run_simulation(dep, table, mac, policy, list(CORPUS_FLOWS), 300_000, 3,
+                                collect_events=True)
+        quiet = run_simulation(dep, table, mac, policy, list(CORPUS_FLOWS), 300_000, 3)
+        assert quiet.tallies == report.tallies
+        secondaries = sum(t.successes_secondary for t in report.tallies.values())
+        engagements = [e for e in report.events if e.event == EVENT_SS_ENGAGE]
+        assert (secondaries > 0) == engages
+        assert bool(engagements) == engages
+
+    def test_concurrent_sweeps_equal_serial_ones(self):
+        # two threads thrash the one-entry memo; each still gets its own runs
+        serial = {seed: self.sweep(seed) for seed in (1, 2)}
+        results = {}
+        threads = [threading.Thread(target=lambda s=seed: results.update({s: self.sweep(s)}))
+                   for seed in serial]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside each run
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
+
+
 def engine_digest(report):
     """sha256 of a run's event-log CSV plus its times and exact tallies."""
     lines = [event_log_csv(report)]
@@ -832,6 +894,7 @@ class TestEventLog:
         args = (dep, table, MacParams(reeval_period_us=100_000.0), policy, ring, 300_000, 3)
         expected = run_simulation(*args)
         monkeypatch.setattr(macsim, "SimEvent", refuse)
+        macsim._contend.cache_clear()  # run the loop, not the memo
         assert run_simulation(*args).tallies == expected.tallies
         with pytest.raises(RuntimeError, match="event built"):
             run_simulation(*args, collect_events=True)

@@ -4,8 +4,9 @@ most one secondary on the medium, end each collision one collision duration
 after its last tx_start with the colliders in node order, run each
 re-evaluation window as one success with no secondary, and tally spectrum as
 the event-log replay in ``conftest.rebuild_spectrum_tallies`` does; every
-station's (stage, DC) follows the sensed-busy rule; and every backoff counter
-a run draws is the next ``SplitMix64.randbelow`` draw of its seed's stream."""
+station's (stage, DC) follows the sensed-busy rule; every backoff counter a
+run draws is the next ``SplitMix64.randbelow`` draw of its seed's stream; and
+the memoized contention pass gives every run what a fresh pass gives."""
 
 import dataclasses
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from hpavsim import (
     Deployment, DirectedLink, MacParams, SSPolicy, Tonemap, build_decision_table,
-    event_log_csv, run_simulation,
+    event_log_csv, macsim, run_simulation,
 )
 from hpavsim.macsim import (
     EVENT_REEVAL_END, EVENT_REEVAL_START, EVENT_SS_ABORT, EVENT_SS_ENGAGE,
@@ -82,7 +83,7 @@ def scenarios(draw):
     return dep, flows, table_policy, run_policy, mac
 
 
-def ring_scenario(schedule):
+def ring_scenario(schedule, tonemap_seed=5):
     """A fixed 5-node ring with SS and 20 ms re-evaluation under ``schedule``.
 
     The generated examples move whenever the test's source changes; these
@@ -90,7 +91,7 @@ def ring_scenario(schedule):
     opens with several transmitters, a barge) and re-evaluation covered.
     """
     nodes = ("n1", "n2", "n3", "n4", "n5")
-    rng = random.Random(5)
+    rng = random.Random(tonemap_seed)
     dep = Deployment(nodes, {
         DirectedLink(tx, rx): Tonemap(
             [rng.choices(range(11), k=SUBCARRIER_COUNT) for _ in range(2)]
@@ -286,3 +287,48 @@ def test_backoff_draws_replay(scenario, seed, duration, cw):
         report = run_simulation(dep, t, mac, policy, flows, duration, seed,
                                 collect_events=True)
         replay_backoff(report, flows, mac, seed)
+
+
+def fingerprint(report):
+    """A run's tallies, time reprs and event-log bytes (None without events)."""
+    return (report.tallies, run_times(report),
+            None if report.events is None else event_log_csv(report))
+
+
+# Kept apart from test_run_invariants, so that its examples stay as they are.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1),
+       duration=st.sampled_from([120_000, 3584, 1, 0]))
+@example(scenario=ring_scenario(SCHEDULES[0]), seed=1, duration=120_000)
+@example(scenario=ring_scenario(SCHEDULES[3]), seed=1, duration=120_000)
+def test_contention_memo_is_transparent(scenario, seed, duration):
+    dep, flows, table_policy, run_policy, mac = scenario
+    table_a = build_decision_table(dep, table_policy)
+    table_b = build_decision_table(dep, SSPolicy(beta=table_policy.beta + 2, top_m=1))
+    # SS off, SS on with two tables, SS on with events, then SS off again
+    calls = [(None, None, False), (table_a, run_policy, False), (table_b, None, False),
+             (table_a, run_policy, True), (None, None, False)]
+    macsim._contend.cache_clear()
+    memoized = [run_simulation(dep, t, mac, policy, flows, duration, seed, collect_events=ev)
+                for t, policy, ev in calls]
+    for (t, policy, ev), report in zip(calls, memoized):
+        macsim._contend.cache_clear()
+        fresh = run_simulation(dep, t, mac, policy, flows, duration, seed, collect_events=ev)
+        assert fingerprint(report) == fingerprint(fresh)
+
+
+def test_deployments_with_equal_runs_share_contention():
+    # same nodes, flows, MAC, seed and slot count; other tonemaps
+    runs = []
+    for tonemap_seed in (5, 6):
+        dep, flows, policy, _, mac = ring_scenario(SCHEDULES[0], tonemap_seed)
+        runs.append((dep, build_decision_table(dep, policy), mac, policy, flows, 120_000, 1))
+    macsim._contend.cache_clear()
+    shared = [run_simulation(*args) for args in runs]
+    assert macsim._contend.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert run_times(shared[0]) == run_times(shared[1])
+    assert shared[0].tallies != shared[1].tallies
+    for args, report in zip(runs, shared):
+        macsim._contend.cache_clear()
+        assert fingerprint(report) == fingerprint(run_simulation(*args))
