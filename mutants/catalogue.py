@@ -140,10 +140,10 @@ MUTANTS = (
             "    memo = {}\n"
             "\n"
             "    def memoized(*key):\n"
-            "        if key[:5] not in memo:\n"
+            "        if key[:-1] not in memo:\n"
             "            memo.clear()\n"
-            "            memo[key[:5]] = contend(*key)\n"
-            "        return memo[key[:5]]\n"
+            "            memo[key[:-1]] = contend(*key)\n"
+            "        return memo[key[:-1]]\n"
             "\n"
             "    memoized.__wrapped__, memoized.cache_clear = contend, memo.clear\n"
             "    return memoized\n"
@@ -188,6 +188,16 @@ MUTANTS = (
             "test_ss_on_run_equals_replay_of_ss_off_run",
             "tests/test_macsim.py::TestEngineDigest::test_digest",
             "tests/test_macsim_property.py::test_run_invariants",
+        ),
+    ),
+    # the event records
+    Mutant(
+        id="macsim-tx-start-bc-dc-swapped",
+        file=MACSIM,
+        old="ROLE_PRIMARY, stage[i], bc[i], dc[i], None)))",
+        new="ROLE_PRIMARY, stage[i], dc[i], bc[i], None)))",
+        tests=(
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
         ),
     ),
     # faults first checked by hand when the one-step idle run and the
@@ -342,7 +352,18 @@ MUTANTS = (
             "tests/test_sharing_property.py::test_table_matches_brute_force",
         ),
     ),
-    # the PLCTM row reader and the Tonemap checks
+    Mutant(
+        id="sharing-shared-total-plane-weight",
+        file=SHARING,
+        old="+ 4 * (p2 & shared).bit_count()",
+        new="+ 2 * (p2 & shared).bit_count()",
+        tests=(
+            "tests/test_sharing_property.py::test_shared_total_equals_index_oracle",
+            "tests/test_macsim.py::TestSpectrumAccounting::test_ss_on_with_engagements",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+        ),
+    ),
+    # the PLCTM row reader, the Tonemap checks and views and the PHY rate
     Mutant(
         id="traceio-colon-guard-dropped",
         file=TRACEIO,
@@ -379,6 +400,30 @@ MUTANTS = (
         tests=(
             "tests/test_tonemap.py::TestKernelPins::test_asymmetry_equals_brute_force",
             "tests/test_tonemap.py::TestAsymmetry::test_metric_properties_on_random_maps",
+        ),
+    ),
+    Mutant(
+        id="tonemap-planes-from-unreversed-slot",
+        file=TONEMAP,
+        old="raw = vec[::-1]",
+        new="raw = vec",
+        tests=(
+            "tests/test_tonemap.py::TestViews::test_planes_rebuild_each_slot",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_every_level_pair_matches_brute_force",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+            "tests/test_sharing_property.py::test_shared_total_equals_index_oracle",
+        ),
+    ),
+    Mutant(
+        id="tonemap-phy-rate-next-slot-total",
+        file=TONEMAP,
+        old="t.totals[slot_index - 1]",
+        new="t.totals[slot_index % t.slot_count]",
+        tests=(
+            "tests/test_tonemap.py::TestPhyRate::test_matches_rational_oracle_on_random_maps",
+            "tests/test_tonemap.py::TestKernelPins::test_rates_equal_the_fraction_expression",
+            "tests/test_acceptance.py::test_criterion_1_formula_oracles",
         ),
     ),
     # the splitmix64 word buffer and byte runs

@@ -28,10 +28,15 @@ collision block. That block serves both a window that opens with two or more
 transmitters and an SS window that a barger hits at its first slot boundary;
 either way the busy period is counted from the window's start.
 
-The pass keeps its last result, tuples only (lru_cache, one entry): a β
-sweep's SS-on runs share one key, so each after the first reuses the pass; a
-larger memo would serve only repeated identical runs. A run that collects
-events makes its own pass, past the memo.
+The pass keeps its last result, tuples only (lru_cache, one entry). Its key
+is the flows, the MacParams fields the pass reads (the CW and DC schedules,
+the slot, success and collision durations, ac_cycle_us and
+reeval_period_us), the duration, the seed, the slot count and whether SS is
+on. frame_length and rank_wait_slots_per_rank enter only the accounting, so
+runs that differ only there share one pass, as a β sweep's SS-on runs do:
+each after the first reuses it. A larger memo would serve only repeated
+identical runs. A run that collects events makes its own pass, past the
+memo.
 
 Each backoff counter is drawn inline from the run's word stream
 (SplitMix64.words) by the masked rejection of SplitMix64.randbelow, with the
@@ -74,11 +79,12 @@ Tonemaps and table allocations are static within a run, so spectrum is
 counted in integer modulation totals (bits per symbol summed over subcarriers)
 rather than recomputed per frame. The pass counts each station's success
 windows as primary per AC slot: wins, the SS windows that nobody barged, and
-the full-spectrum ones. The accounting lists each station's full-slot total
-per AC slot and, in an SS run, its window plan per AC slot: the one
-flow-backed candidate (among the first policy.top_m) that engages when it is
-the primary, with its wait e, the secondary's total over the shared mask and
-the primary's complement total, each summed by SSAllocation.shared_total.
+the full-spectrum ones. The accounting reads each station's full-slot total
+per AC slot from Tonemap.totals and, in an SS run, builds its window plan
+per AC slot: the one flow-backed candidate (among the first policy.top_m)
+that engages when it is the primary, with its wait e, the secondary's total
+over the shared mask and the primary's complement total, each summed by
+SSAllocation.shared_total from the tonemap's bit planes.
 A plan engages iff e * slot_duration_us < success_duration_us (the duration
 rule; the test window by window, start + e * slot < start + success, differs
 only where the two durations are less than one ulp of start apart). For n
@@ -91,7 +97,10 @@ total / 9170, the correctly rounded float of that fraction.
 
 With collect_events=True a run also returns its events in emission order as
 SimEvent tuples, which event_log_csv renders; with it False the engine builds
-no event at all.
+no event at all. Each event is built from all nine fields by _new_event,
+which is tuple.__new__: it runs in C, past the NamedTuple's Python-level
+__new__ and its defaults, and gives a SimEvent equal to the one the
+NamedTuple constructor builds.
 
 Determinism: a run is a pure function of its arguments. All randomness comes
 from one splitmix64 stream (stream 0: global contention), stations are
@@ -195,7 +204,7 @@ class SimEvent(NamedTuple):
     """One engine event; the fields are in event-log CSV column order.
 
     The engine builds events only when run_simulation is called with
-    collect_events=True.
+    collect_events=True, each through _new_event with all nine fields.
     """
 
     time_us: float
@@ -237,8 +246,9 @@ def run_simulation(
     mechanism applies. The result is a pure function of the arguments
     (`seed` included); independent runs may execute concurrently. The run
     is a contention pass that no table enters, memoized with one entry so
-    that a sweep's SS-on runs share it (an events run makes its own), then
-    accounting for the table, whose plans engage by the duration rule
+    that a sweep's SS-on runs, and runs that differ only in ``frame_length``
+    or ``rank_wait_slots_per_rank``, share it (an events run makes its own),
+    then accounting for the table, whose plans engage by the duration rule
     ``e * slot_duration_us < success_duration_us``.
 
     ``policy`` only cuts each table entry to its first ``policy.top_m``
@@ -271,7 +281,7 @@ def run_simulation(
     # Station i, the i-th in node order, is index i of every per-station list.
     link = tuple(sorted(flows, key=lambda f: f.tx))  # its saturated flow
     slot_count = deployment.slot_count
-    full = [tuple(map(sum, links[f].slots)) for f in link]  # per AC slot
+    full = [links[f].totals for f in link]  # per AC slot
     plans = None
     if table is not None:
         top_m = policy.top_m if policy is not None else None
@@ -296,7 +306,11 @@ def run_simulation(
                             full[i][k - 1] - alloc.shared_total(links[p]))
                            if e and e * mac.slot_duration_us < mac.success_duration_us else None)
             plans.append(row)
-    key = (link, mac, duration_us, seed, slot_count, table is not None)
+    # the fields the pass reads, so that runs differing only in frame_length
+    # or rank_wait_slots_per_rank share one pass
+    key = (link, mac.cw_schedule, mac.dc_schedule, mac.slot_duration_us,
+           mac.success_duration_us, mac.collision_duration_us, mac.ac_cycle_us,
+           mac.reeval_period_us, duration_us, seed, slot_count, table is not None)
     log: Optional[List[SimEvent]] = [] if collect_events else None
     collisions, wins, fulls, t, idle_us, busy_us = (
         _contend(*key) if log is None else _contend.__wrapped__(*key, log, plans, full))
@@ -330,15 +344,22 @@ def run_simulation(
     )
 
 
+# _new_event(SimEvent, fields) builds an event from a tuple of all nine
+# fields, in C; SimEvent's own __new__ is Python code that fills in defaults
+_new_event = tuple.__new__
+
+
 @lru_cache(maxsize=1)
-def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None, full=None):
+def _contend(link, cw, dcs, slot_us, success_us, collision_us, ac_cycle_us, reeval_period_us,
+             duration_us, seed, slot_count, ss, log=None, plans=None, full=None):
     """run_simulation's contention pass over ``link``, the flows in node
-    order, as the tuples (collisions, wins, fulls) per station and the floats
-    (t, idle_us, busy_us). Called past the memo as ``_contend.__wrapped__``
-    with ``log`` a list, it also logs the run's events, with each window's
-    plan and full-slot total from ``plans`` and ``full``."""
+    order, with the MacParams fields it reads (``cw``, ``dcs``: the CW and
+    DC schedules), as the tuples (collisions, wins, fulls) per station and
+    the floats (t, idle_us, busy_us). Called past the memo as
+    ``_contend.__wrapped__`` with ``log`` a list, it also logs the run's
+    events, with each window's plan and full-slot total from ``plans`` and
+    ``full``."""
     word = SplitMix64(seed, 0).words().__next__
-    cw, dcs = mac.cw_schedule, mac.dc_schedule
     # per stage, randbelow's mask for a draw below CW: 0 where CW is 1, whose
     # draw takes no word
     masks = [(1 << (c - 1).bit_length()) - 1 for c in cw]
@@ -359,13 +380,10 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
     # that nobody barged, and full-spectrum ones
     wins = [[0] * slot_count for _ in link]
     fulls = [[0] * slot_count for _ in link]
-    slot_us = mac.slot_duration_us
-    success_us, collision_us = mac.success_duration_us, mac.collision_duration_us
-    ac_cycle_us = mac.ac_cycle_us
     slot_width = ac_cycle_us / slot_count
     last_slot = slot_count - 1
     t = idle_us = busy_us = 0.0
-    next_reeval = mac.reeval_period_us if ss else None
+    next_reeval = reeval_period_us if ss else None
 
     while t < duration_us:
         m = min(bc)
@@ -390,14 +408,15 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
             colliders = [i for i in stations if not bc[i]]  # in node order
         reeval = ready == 1 and next_reeval is not None and start >= next_reeval
         if reeval:
-            next_reeval = start + mac.reeval_period_us
+            next_reeval = start + reeval_period_us
             if log is not None:
-                log.append(SimEvent(start, EVENT_REEVAL_START))
+                log.append(_new_event(SimEvent, (start, EVENT_REEVAL_START, None, None, None,
+                                                 None, None, None, None)))
         if log is not None:
             for i in stations:
                 if not bc[i]:
-                    log.append(SimEvent(start, EVENT_TX_START, node[i], link[i], ROLE_PRIMARY,
-                                        stage[i], bc[i], dc[i]))
+                    log.append(_new_event(SimEvent, (start, EVENT_TX_START, node[i], link[i],
+                                                     ROLE_PRIMARY, stage[i], bc[i], dc[i], None)))
 
         # One sensed-busy event for every station not transmitting, before any
         # redraw.
@@ -415,8 +434,8 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
                 bc[i] = b
                 dc[i] = dcs[st]
                 if log is not None:
-                    log.append(SimEvent(start, EVENT_STAGE_ADVANCE, node[i], link[i], None,
-                                        st, b, dc[i]))
+                    log.append(_new_event(SimEvent, (start, EVENT_STAGE_ADVANCE, node[i], link[i],
+                                                     None, st, b, dc[i], None)))
 
         hit = start  # where a collision begins
         if colliders is None:
@@ -433,8 +452,9 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
                     # the plan's candidate engages unless a barger pre-empts it
                     plan = plans[tx][k]
                     if plan is not None and (plan[0] == 1 or not barged):
-                        log.append(SimEvent(start + plan[0] * slot_us, EVENT_SS_ENGAGE,
-                                            node[plan[1]], link[plan[1]], ROLE_SECONDARY))
+                        log.append(_new_event(SimEvent, (
+                            start + plan[0] * slot_us, EVENT_SS_ENGAGE, node[plan[1]],
+                            link[plan[1]], ROLE_SECONDARY, None, None, None, None)))
                     else:
                         plan = None
                 if barged:
@@ -444,12 +464,14 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
                     # nor collision
                     if log is not None:
                         if plan is not None:
-                            log.append(SimEvent(first, EVENT_SS_ABORT, node[plan[1]],
-                                                link[plan[1]], ROLE_SECONDARY))
+                            log.append(_new_event(SimEvent, (
+                                first, EVENT_SS_ABORT, node[plan[1]], link[plan[1]],
+                                ROLE_SECONDARY, None, None, None, None)))
                         for i in colliders:
                             if i != tx:
-                                log.append(SimEvent(first, EVENT_TX_START, node[i], link[i],
-                                                    ROLE_PRIMARY, stage[i], bc[i], dc[i]))
+                                log.append(_new_event(SimEvent, (
+                                    first, EVENT_TX_START, node[i], link[i], ROLE_PRIMARY,
+                                    stage[i], bc[i], dc[i], None)))
                 else:
                     wins[tx][k] += 1
             else:
@@ -468,13 +490,15 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
                 p_total = full[tx][k]
                 if plan is not None:
                     _, s, s_total, p_total = plan
-                    log.append(SimEvent(end, EVENT_TX_END_SUCCESS, node[s], link[s],
-                                        ROLE_SECONDARY, None, None, None,
-                                        s_total / MAX_MODULATION_TOTAL))
-                log.append(SimEvent(end, EVENT_TX_END_SUCCESS, node[tx], link[tx],
-                                    ROLE_PRIMARY, 0, b, dc0, p_total / MAX_MODULATION_TOTAL))
+                    log.append(_new_event(SimEvent, (
+                        end, EVENT_TX_END_SUCCESS, node[s], link[s], ROLE_SECONDARY,
+                        None, None, None, s_total / MAX_MODULATION_TOTAL)))
+                log.append(_new_event(SimEvent, (
+                    end, EVENT_TX_END_SUCCESS, node[tx], link[tx], ROLE_PRIMARY,
+                    0, b, dc0, p_total / MAX_MODULATION_TOTAL)))
                 if reeval:
-                    log.append(SimEvent(end, EVENT_REEVAL_END))
+                    log.append(_new_event(SimEvent, (end, EVENT_REEVAL_END, None, None, None,
+                                                     None, None, None, None)))
         else:
             # Two or more transmitters at the window's start, or a barge at
             # its first boundary: the colliders, in node order, advance a stage.
@@ -482,8 +506,9 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
             for i in colliders:
                 collisions[i] += 1
                 if log is not None:
-                    log.append(SimEvent(end, EVENT_TX_END_COLLISION, node[i], link[i],
-                                        ROLE_PRIMARY, stage[i], bc[i], dc[i]))
+                    log.append(_new_event(SimEvent, (end, EVENT_TX_END_COLLISION, node[i],
+                                                     link[i], ROLE_PRIMARY, stage[i], bc[i],
+                                                     dc[i], None)))
             for i in colliders:
                 st = stage[i] = min(stage[i] + 1, last_stage)
                 c, mask = cw[st], masks[st]
@@ -493,8 +518,8 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
                 bc[i] = b
                 dc[i] = dcs[st]
                 if log is not None:
-                    log.append(SimEvent(end, EVENT_STAGE_ADVANCE, node[i], link[i], None,
-                                        st, b, dc[i]))
+                    log.append(_new_event(SimEvent, (end, EVENT_STAGE_ADVANCE, node[i], link[i],
+                                                     None, st, b, dc[i], None)))
         busy_us += end - start
         t = end
 

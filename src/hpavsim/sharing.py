@@ -8,10 +8,12 @@ is the modulation total it would add on those subcarriers minus what the
 primary would give up. Candidates with positive gain are ranked by gain and
 the best ``top_m`` are retained.
 
-The table builder works on bit planes: each (link, slot) is turned once into
-four Python ints, plane ``b`` marking the subcarriers whose level has bit
-``b`` set, bit ``j - 1`` standing for subcarrier ``j`` (levels are at most
-10, so four planes hold them). A (primary, secondary, slot) triple then costs
+The table builder works on bit planes, the tonemap view ``Tonemap.planes``:
+per slot four Python ints, plane ``b`` marking the subcarriers whose level
+has bit ``b`` set, bit ``j - 1`` standing for subcarrier ``j`` (levels are
+at most 10, so four planes hold them). Each map builds its planes once and
+keeps them, so the tables of a beta sweep share them. A (primary,
+secondary, slot) triple then costs
 about 40 917-bit ANDs, ORs, XORs and ``bit_count`` calls, whatever the levels
 in use, instead of a 917-step Python loop. The primary's planes plus ``beta``
 are added once per (primary, slot) with a carry into a fifth plane; the
@@ -19,10 +21,12 @@ eligible set ``S >= P + beta`` is a compare of the planes from the top down,
 and the gain is ``sum_b 2**b * (|kept & S_b| - |kept & P_b|)``. Only a
 candidate over the share cap also gets ``S - P`` planes, by a borrow chain,
 to split its eligible set into difference buckets. A table for n nodes thus
-costs O(L^2 * slots) such operations, L = n(n-1), plus four ``translate``
-and ``int`` parses per (link, slot). A retained candidate keeps its eligible
-set as a mask (``SSAllocation.shared``), which ``shared_total`` sums a
-tonemap over; no library path builds its derived index tuple.
+costs O(L^2 * slots) such operations, L = n(n-1), plus, the first time a
+map is read, four ``translate`` and ``int`` parses per (link, slot). A
+retained candidate keeps its eligible set as a mask
+(``SSAllocation.shared``); ``shared_total`` sums a tonemap over it as
+``sum_b 2**b * |shared & plane_b|``, and no library path builds its derived
+index tuple.
 
 Decisions are a pure function of (deployment, policy): node-order tie-breaks
 make the table deterministic, and per-slot decisions are independent.
@@ -36,11 +40,6 @@ from typing import Dict, List, Tuple
 from .tonemap import MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink, Tonemap
 from .traceio import Deployment
 
-# _PLANE_BITS[b] translates a modulation byte to b"1" if bit b of it is set,
-# else b"0"; levels are at most 10 < 2**4, so four planes hold every level
-_PLANE_BITS = tuple(
-    bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(4)
-)
 _ALL = (1 << SUBCARRIER_COUNT) - 1
 # translates the binary digits b"0"/b"1" to the bytes 0/1
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -115,8 +114,11 @@ class SSAllocation:
 
     def shared_total(self, tonemap: Tonemap) -> int:
         """Summed modulation of ``tonemap`` over the shared subcarriers in
-        this allocation's slot."""
-        return sum(compress(tonemap.slots[self.slot - 1], _mask_selectors(self.shared)))
+        this allocation's slot: the plane-weighted popcounts of the mask."""
+        p0, p1, p2, p3 = tonemap.planes[self.slot - 1]
+        shared = self.shared
+        return ((p0 & shared).bit_count() + 2 * (p1 & shared).bit_count()
+                + 4 * (p2 & shared).bit_count() + 8 * (p3 & shared).bit_count())
 
 
 @dataclass(frozen=True)
@@ -134,14 +136,6 @@ class SSDecisionTable:
     def __repr__(self) -> str:
         populated = sum(1 for v in self.entries.values() if v)
         return f"SSDecisionTable(entries={len(self.entries)}, populated={populated})"
-
-
-def _slot_planes(vec: bytes) -> Tuple[int, int, int, int]:
-    """Bit planes of one tonemap slot: plane ``b`` marks the subcarriers whose
-    level has bit ``b`` set, bit ``j - 1`` standing for subcarrier ``j``."""
-    raw = vec[::-1]  # subcarrier 1 becomes the last, least significant, digit
-    p0, p1, p2, p3 = [int(raw.translate(table), 2) for table in _PLANE_BITS]
-    return p0, p1, p2, p3
 
 
 def _lowest_bits(mask: int, count: int) -> int:
@@ -189,7 +183,7 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
         (d, d & 1, d >> 1 & 1, d >> 2 & 1, d >> 3)
         for d in range(MAX_MODULATION, beta - 1, -1)
     ]
-    planes = [list(map(_slot_planes, deployment.links[link].slots)) for link in links]
+    planes = [deployment.links[link].planes for link in links]
     entries: Dict[Tuple[DirectedLink, int], Tuple[SSAllocation, ...]] = {}
     for primary, p_planes in zip(links, planes):
         secondaries = [

@@ -22,6 +22,7 @@ equal, exactly when they hold the same values.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Tuple
 
 SUBCARRIER_COUNT = 917
@@ -38,6 +39,11 @@ FEC_RATES = (Fraction(1, 2), Fraction(16, 21))
 _LEVELS = bytes(range(MAX_MODULATION + 1))
 # byte 16 * hi + lo -> |hi - lo|, the per-subcarrier kernel of ``asymmetry``
 _NIBBLE_DISTANCE = bytes(abs((i >> 4) - (i & 15)) for i in range(256))
+# _PLANE_BITS[b] translates a modulation byte to b"1" if bit b of it is set,
+# else b"0"; levels are at most 10 < 2**4, so four planes hold every level
+_PLANE_BITS = tuple(
+    bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(4)
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,11 @@ class Tonemap:
     ints it was built from. Construction raises ValueError naming the first
     violation: slot count outside 1..6, then per slot a subcarrier count
     other than 917 or a value that is not an int in 0..10.
+
+    Two derived views of ``slots`` are computed on first use and then kept
+    on the instance: ``planes``, each slot's four bit planes, and
+    ``totals``, each slot's summed modulation. They are not fields, so
+    equality and hashing still read ``slots`` alone.
     """
 
     slots: Tuple[bytes, ...]
@@ -70,6 +81,18 @@ class Tonemap:
     def slot_count(self) -> int:
         return len(self.slots)
 
+    @cached_property
+    def planes(self) -> Tuple[Tuple[int, int, int, int], ...]:
+        """Per slot, the four bit planes: plane ``b`` marks the subcarriers
+        whose level has bit ``b`` set, bit ``j - 1`` standing for subcarrier
+        ``j``, so a slot's level at ``j`` is ``sum_b 2**b * (plane_b >> j - 1 & 1)``."""
+        return tuple(map(_slot_planes, self.slots))
+
+    @cached_property
+    def totals(self) -> Tuple[int, ...]:
+        """Per slot, the summed modulation (bits per symbol) of its subcarriers."""
+        return tuple(map(sum, self.slots))
+
     def slot(self, k: int) -> bytes:
         """Modulation vector of 1-based slot ``k``."""
         if not 1 <= k <= len(self.slots):
@@ -84,6 +107,13 @@ class Tonemap:
     def __repr__(self) -> str:
         # the full 917-wide vectors are useless in tracebacks
         return f"Tonemap(slot_count={len(self.slots)})"
+
+
+def _slot_planes(vec: bytes) -> Tuple[int, int, int, int]:
+    """Bit planes of one slot, as ``Tonemap.planes`` lists them."""
+    raw = vec[::-1]  # subcarrier 1 becomes the last, least significant, digit
+    p0, p1, p2, p3 = [int(raw.translate(table), 2) for table in _PLANE_BITS]
+    return p0, p1, p2, p3
 
 
 def _first_violation(rows: list) -> str:
@@ -148,14 +178,16 @@ class PhyParams:
 def phy_rate(t: Tonemap, slot_index: int, params: PhyParams) -> float:
     """Effective PHY rate of one AC-cycle slot, in bits/second.
 
-    sum of modulation bits per symbol, scaled by the FEC rate and the bit
-    error rate, divided by the symbol interval (converted to seconds). The
-    scaled sum is one int true division, correctly rounded, so the result is
-    the float of ``total_bits * fec_rate`` as an exact Fraction.
+    The slot's modulation total (``t.totals``), scaled by the FEC rate and
+    the bit error rate, divided by the symbol interval (converted to
+    seconds). The scaled total is one int true division, correctly rounded,
+    so the result is the float of ``total_bits * fec_rate`` as an exact
+    Fraction. Raises ValueError for a slot index outside 1..slot_count.
     """
+    t.slot(slot_index)  # raises for an index out of range
     fec = params.fec_rate
     return (
-        sum(t.slot(slot_index)) * fec.numerator / fec.denominator
+        t.totals[slot_index - 1] * fec.numerator / fec.denominator
         * (1.0 - params.bit_error_rate)
         / (params.symbol_interval_us * 1e-6)
     )

@@ -591,6 +591,26 @@ class TestContentionMemo:
         info = macsim._contend.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (2, len(self.BETAS) - 1, 1)
 
+    def test_runs_differing_only_in_unread_fields_share_one_pass(self):
+        # the pass reads neither the rank wait nor frame_length, so SS-on
+        # runs that differ only there reuse the first one's contention
+        dep, table, policy = ss_scenario(seed=4)
+        rest = (policy, list(CORPUS_FLOWS), 300_000, 3)
+        macs = [MacParams(rank_wait_slots_per_rank=wait) for wait in (0, 1, 2, 40)]
+        macsim._contend.cache_clear()
+        reports = [run_simulation(dep, table, mac, *rest) for mac in macs]
+        info = macsim._contend.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        run_simulation(dep, table, MacParams(frame_length=1000.0), *rest)
+        assert macsim._contend.cache_info().hits == 4
+        for mac, report in zip(macs, reports):
+            macsim._contend.cache_clear()
+            fresh = run_simulation(dep, table, mac, *rest)
+            assert (report.tallies, run_times(report)) == (fresh.tallies, run_times(fresh))
+        # the shared pass is credited per wait: a rank-2 candidate engages
+        # at a wait of 1 slot per rank, but not at 40
+        assert reports[1].tallies != reports[3].tallies
+
     @pytest.mark.parametrize("wait, engages", [(2, False), (1, True)])
     def test_engagement_follows_the_duration_rule(self, wait, engages):
         # a window of two slots: a rank-1 candidate engages 1 boundary in,
@@ -887,13 +907,14 @@ class TestEventLog:
         assert event_log_csv(report) == oracle_event_log_csv(report)
 
     def test_no_event_built_without_collection(self, monkeypatch):
-        def refuse(*fields):
+        def refuse(*args):
             raise RuntimeError("event built")
 
         dep, table, policy, ring = dense_ring_scenario()
         args = (dep, table, MacParams(reeval_period_us=100_000.0), policy, ring, 300_000, 3)
         expected = run_simulation(*args)
-        monkeypatch.setattr(macsim, "SimEvent", refuse)
+        # the engine builds every event through this one constructor
+        monkeypatch.setattr(macsim, "_new_event", refuse)
         macsim._contend.cache_clear()  # run the loop, not the memo
         assert run_simulation(*args).tallies == expected.tallies
         with pytest.raises(RuntimeError, match="event built"):

@@ -11,6 +11,7 @@ from hpavsim import (
     generate_deployment,
     run_simulation,
 )
+from hpavsim import tonemap
 from hpavsim.rng import SplitMix64
 from hpavsim.sharing import SSAllocation, decision_table_csv
 from hpavsim.tonemap import SUBCARRIER_COUNT
@@ -237,6 +238,20 @@ class TestDecisionTableOracle:
             assert decision_table_csv(table).count("\n") > 1
             report = run_simulation(dep, table, MacParams(), policy, ring, 100_000, 1)
             assert any(t.successes_secondary for t in report.tallies.values())
+
+    def test_sweep_builds_planes_once_per_map(self, monkeypatch):
+        built = []
+
+        def counting(vec):
+            built.append(vec)
+            return slot_planes(vec)
+
+        slot_planes = tonemap._slot_planes
+        monkeypatch.setattr(tonemap, "_slot_planes", counting)
+        dep = random_level_deployment(4, 3, seed=37)
+        for beta in (2, 4, 6, 8):
+            assert any(build_decision_table(dep, SSPolicy(beta=beta, top_m=2)).entries.values())
+        assert len(built) == len(dep.links) * dep.slot_count
 
     def test_all_eleven_levels_match_brute_force(self):
         dep = random_level_deployment(5, 3, seed=31)

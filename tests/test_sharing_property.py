@@ -1,5 +1,6 @@
-"""Property test: the decision table and its CSV equal the brute-force
-enumeration and a CSV written from its index tuples."""
+"""Property tests: the decision table and its CSV equal the brute-force
+enumeration and a CSV written from its index tuples, and an allocation's
+plane-weighted ``shared_total`` equals the sum over its index tuple."""
 
 import random
 
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from hpavsim import (
     Deployment, DirectedLink, SSPolicy, Tonemap, build_decision_table, decision_table_csv,
+    spectrum_fraction,
 )
-from hpavsim.tonemap import SUBCARRIER_COUNT
+from hpavsim.sharing import SSAllocation
+from hpavsim.tonemap import MAX_MODULATION_TOTAL, SUBCARRIER_COUNT
 
 from conftest import brute_force_csv, brute_force_table, tables_equal
 
@@ -80,3 +83,38 @@ def test_table_matches_brute_force(dep, beta, top_m, cap):
     oracle = brute_force_table(dep, policy)
     assert tables_equal(table, oracle)
     assert decision_table_csv(table) == brute_force_csv(oracle)
+
+
+ALL_SUBCARRIERS = (1 << SUBCARRIER_COUNT) - 1
+ORACLE_MAP = Tonemap([random.Random(41).choices(range(11), k=SUBCARRIER_COUNT)
+                      for _ in range(2)])
+
+
+@st.composite
+def tonemaps(draw):
+    """Maps of 1..3 slots whose levels come from a small palette in 0..10."""
+    palette = draw(st.lists(st.integers(0, 10), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Tonemap([rng.choices(palette, k=SUBCARRIER_COUNT)
+                    for _ in range(draw(st.integers(1, 3)))])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    tmap=tonemaps(),
+    k=st.integers(1, 3),
+    shared=st.one_of(
+        st.integers(1, ALL_SUBCARRIERS),
+        st.sets(st.integers(0, SUBCARRIER_COUNT - 1), min_size=1, max_size=8).map(
+            lambda bits: sum(1 << b for b in bits)),
+    ),
+)
+@example(tmap=ORACLE_MAP, k=2, shared=1)  # subcarrier 1 alone
+@example(tmap=ORACLE_MAP, k=2, shared=1 << SUBCARRIER_COUNT - 1)  # 917 alone
+@example(tmap=ORACLE_MAP, k=2, shared=ALL_SUBCARRIERS)  # all 917
+def test_shared_total_equals_index_oracle(tmap, k, shared):
+    k = min(k, tmap.slot_count)
+    alloc = SSAllocation(LINKS[0], DirectedLink("n3", "n4"), k, shared, 1, 1)
+    expected = spectrum_fraction(tmap, k, alloc.shared_indices) * MAX_MODULATION_TOTAL
+    assert alloc.shared_total(tmap) == expected

@@ -124,6 +124,33 @@ class TestRepresentation:
         )
 
 
+class TestViews:
+    def test_planes_rebuild_each_slot(self):
+        tmap = random_tonemap(SplitMix64(23, 1), slot_count=3)
+        for slot, planes in zip(tmap.slots, tmap.planes):
+            assert len(planes) == 4
+            assert bytes(
+                sum(2**b * (plane >> j & 1) for b, plane in enumerate(planes))
+                for j in range(SUBCARRIER_COUNT)
+            ) == slot
+
+    def test_totals_are_slot_sums(self):
+        tmap = random_tonemap(SplitMix64(29, 1))
+        assert tmap.totals == tuple(map(sum, tmap.slots))
+        assert Tonemap.filled(10, 2).totals == (MAX_MODULATION_TOTAL,) * 2
+
+    def test_filled_views_leave_equality_and_hash(self):
+        rng = SplitMix64(31, 1)
+        tmap = random_tonemap(rng, slot_count=2)
+        twin = Tonemap(tmap.slots)
+        before = hash(tmap)
+        assert tmap.planes and tmap.totals
+        assert {"planes", "totals"} <= vars(tmap).keys()  # kept on the instance
+        assert tmap == twin and twin == tmap
+        assert hash(tmap) == before == hash(twin)
+        assert tmap != random_tonemap(rng, slot_count=2)
+
+
 class TestPhyRate:
     def test_full_modulation_reference_point(self):
         # 9170 bits * 16/21 / 46 us
