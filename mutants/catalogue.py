@@ -363,6 +363,40 @@ MUTANTS = (
             "tests/test_macsim.py::TestEngineDigest::test_digest",
         ),
     ),
+    # the decision-table CSV's byte-table render
+    Mutant(
+        id="sharing-csv-mask-bytes-big-endian",
+        file=SHARING,
+        old='shared.to_bytes(_MASK_BYTES, "little")',
+        new='shared.to_bytes(_MASK_BYTES, "big")',
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_mask",
+            "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_masks_in_one_table",
+            "tests/test_sharing.py::TestDecisionTableCsv::test_eight_node_tables",
+        ),
+    ),
+    Mutant(
+        id="sharing-csv-mask-bytes-floor",
+        file=SHARING,
+        old="_MASK_BYTES = -(-SUBCARRIER_COUNT // 8)",
+        new="_MASK_BYTES = SUBCARRIER_COUNT // 8",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_mask",
+            "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_masks_in_one_table",
+            "tests/test_sharing.py::TestDecisionTableCsv::test_eight_node_tables",
+        ),
+    ),
+    Mutant(
+        id="sharing-csv-nibble-halves-swapped",
+        file=SHARING,
+        old="[lo + hi for hi in high for lo in low]",
+        new="[lo + hi for lo in low for hi in high]",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_mask",
+            "tests/test_sharing.py::TestDecisionTableCsv::test_eight_node_tables",
+            "tests/test_sharing.py::TestDecisionTable::test_csv_shape",
+        ),
+    ),
     # the PLCTM row reader, the Tonemap checks and views and the PHY rate
     Mutant(
         id="traceio-colon-guard-dropped",

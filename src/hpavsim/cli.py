@@ -19,7 +19,7 @@ from typing import List, Optional
 from .macsim import MacParams, event_log_csv, normalized_throughput, run_simulation
 from .metrics import compare_runs, fairness_csv, fairness_report, pair_asymmetries
 from .routing import best_route, build_graph, route_csv
-from .sharing import SSPolicy, build_decision_table
+from .sharing import SSPolicy, build_decision_table, decision_table_csv
 from .tonemap import (
     MAX_MODULATION_TOTAL,
     DirectedLink,
@@ -49,6 +49,10 @@ CONFIG_KEYS = (
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _RuntimeFailure(Exception):
     pass
 
 
@@ -116,6 +120,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--fairness-out", help="fairness CSV path")
     s.add_argument("--events", action="store_true", help="also write the event log")
     s.add_argument("--events-out", help="event log CSV path")
+    s.add_argument("--table-out", help="SS decision table CSV path (needs --ss on)")
 
     w = add_command("sweep", "compare SS against baseline across beta values")
     add_scenario(w)
@@ -262,6 +267,16 @@ def _make_policy(args, beta: int) -> SSPolicy:
         raise _UsageError(str(exc)) from None
 
 
+def _require_throughput(report, duration_us) -> None:
+    """Fairness figures need some throughput; a run in which no frame
+    succeeded, or none carried data, has none."""
+    tallies = report.tallies.values()
+    if not any(t.sf_total for t in tallies):
+        what = ("no successful frame carried data" if any(t.successes for t in tallies)
+                else "no frame succeeded")
+        raise _RuntimeFailure(f"{what} in the {duration_us} us run; fairness is undefined")
+
+
 def _link_results_csv(report, mac) -> str:
     lines = [
         "link_tx,link_rx,successes_primary,successes_secondary,collisions,"
@@ -278,6 +293,8 @@ def _link_results_csv(report, mac) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.table_out is not None and args.ss == "off":
+        raise _UsageError("--table-out needs --ss on")
     deployment, flows, mac = _scenario(args)
     policy = _make_policy(args, args.beta)
     table = build_decision_table(deployment, policy) if args.ss == "on" else None
@@ -286,10 +303,18 @@ def cmd_simulate(args) -> int:
         deployment, table, mac, policy, flows, args.duration_us, args.seed,
         collect_events=collect,
     )
-    _write(args.out, _link_results_csv(report, mac))
-    _write(args.fairness_out, fairness_csv(fairness_report(report, mac)))
+    _require_throughput(report, args.duration_us)
+    # every text is built before any is written, so a failure writes nothing
+    outputs = [
+        (args.out, _link_results_csv(report, mac)),
+        (args.fairness_out, fairness_csv(fairness_report(report, mac))),
+    ]
     if collect:
-        _write(args.events_out, event_log_csv(report))
+        outputs.append((args.events_out, event_log_csv(report)))
+    if args.table_out is not None:
+        outputs.append((args.table_out, decision_table_csv(table)))
+    for path, text in outputs:
+        _write(path, text)
     return EXIT_OK
 
 
@@ -304,6 +329,7 @@ def cmd_sweep(args) -> int:
     if not betas:
         raise _UsageError("--beta list is empty")
     base = run_simulation(deployment, None, mac, None, flows, args.duration_us, args.seed)
+    _require_throughput(base, args.duration_us)
     lines = ["beta,aggregate_gain_pct,jfi_delta,fsse_delta"]
     for beta in betas:
         p = _make_policy(args, beta)
@@ -311,6 +337,7 @@ def cmd_sweep(args) -> int:
             deployment, build_decision_table(deployment, p), mac, p, flows,
             args.duration_us, args.seed,
         )
+        _require_throughput(ss, args.duration_us)
         gain = compare_runs(base, ss, mac)
         lines.append(
             f"{beta},{gain.aggregate_gain_pct!r},{gain.jfi_delta!r},{gain.fsse_delta!r}"
@@ -331,8 +358,7 @@ def cmd_route(args) -> int:
         route = best_route(graph, args.src, args.dst)
     except ValueError as exc:
         # only unreachability is left once the endpoints are known nodes
-        print(f"hpavsim route: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise _RuntimeFailure(str(exc)) from None
     _write(args.out, route_csv(route, args.src, args.dst))
     return EXIT_OK
 
@@ -358,6 +384,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"hpavsim {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _RuntimeFailure as exc:
+        print(f"hpavsim {args.command}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except TraceFormatError as exc:
         print(f"hpavsim {args.command}: bad trace: {exc}", file=sys.stderr)
         return EXIT_INPUT

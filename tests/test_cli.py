@@ -1,6 +1,7 @@
 import pytest
 
-from hpavsim import cli, load_trace, save_trace
+from hpavsim import SSPolicy, build_decision_table, cli, load_trace, save_trace
+from hpavsim.sharing import decision_table_csv
 
 from conftest import deployment_from_levels
 
@@ -176,7 +177,76 @@ class TestSimulate:
         assert header == "time_us,event,node,link_tx,link_rx,role,stage,bc,dc,spectrum_fraction"
 
 
+    def test_no_successful_frame_runtime_exit(self, tmp_path, capsys):
+        # one microsecond ends the run before any frame can succeed; nothing
+        # may be written, not even the results CSV ahead of the fairness one
+        out, fair = tmp_path / "thr.csv", tmp_path / "fair.csv"
+        rc = run(["simulate", "--nodes", "4", "--profile", "complementary",
+                  "--flows", "n1>n2,n3>n4", "--duration-us", "1", "--ss", "on",
+                  "--out", str(out), "--fairness-out", str(fair),
+                  "--table-out", str(tmp_path / "table.csv")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no frame succeeded in the 1 us run" in captured.err
+        assert list(tmp_path.iterdir()) == []
+        # to stdout as well
+        rc = run(["simulate", "--nodes", "4", "--profile", "complementary",
+                  "--flows", "n1>n2,n3>n4", "--duration-us", "1"])
+        assert rc == 3
+        assert capsys.readouterr().out == ""
+
+    def test_successes_without_data_runtime_exit(self, tmp_path, capsys):
+        path = tmp_path / "zero.plctm"
+        save_trace(deployment_from_levels({("n1", "n2"): 0, ("n2", "n1"): 0}), path)
+        out = tmp_path / "thr.csv"
+        rc = run(["simulate", "--trace", str(path), "--flows", "n1>n2",
+                  "--duration-us", "100000", "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no successful frame carried data in the 100000 us run" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", ([], ["--max-share-fraction", "0.5"]))
+    def test_table_out_is_decision_table_csv(self, trace_path, tmp_path, extra):
+        table_out = tmp_path / "table.csv"
+        assert run([
+            "simulate", "--trace", str(trace_path), "--flows", FLOWS,
+            "--duration-us", "50000", "--seed", "1", "--ss", "on", "--beta", "3",
+            "--top-m", "2", *extra, "--out", str(tmp_path / "t.csv"),
+            "--fairness-out", str(tmp_path / "f.csv"), "--table-out", str(table_out),
+        ]) == 0
+        policy = SSPolicy(beta=3, top_m=2,
+                          max_share_fraction=float(extra[1]) if extra else 1.0)
+        expected = decision_table_csv(build_decision_table(load_trace(trace_path), policy))
+        assert expected.count("\n") > 1
+        assert table_out.read_bytes() == expected.encode()
+
+    def test_table_out_with_ss_off_usage_error(self, trace_path, tmp_path, capsys):
+        table_out = tmp_path / "table.csv"
+        out = tmp_path / "t.csv"
+        rc = run(["simulate", "--trace", str(trace_path), "--flows", FLOWS,
+                  "--duration-us", "50000", "--ss", "off", "--out", str(out),
+                  "--table-out", str(table_out)])
+        assert rc == 1
+        assert "--table-out needs --ss on" in capsys.readouterr().err
+        assert not table_out.exists()
+        assert not out.exists()
+
+
 class TestSweep:
+    def test_no_successful_frame_runtime_exit(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = run(["sweep", "--nodes", "4", "--profile", "complementary",
+                  "--flows", "n1>n2,n3>n4", "--duration-us", "1", "--beta", "2,4",
+                  "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no frame succeeded in the 1 us run" in captured.err
+        assert not out.exists()
+
     def test_gain_non_increasing_in_beta(self, trace_path, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run([

@@ -13,7 +13,7 @@ from hpavsim import (
 )
 from hpavsim import tonemap
 from hpavsim.rng import SplitMix64
-from hpavsim.sharing import SSAllocation, decision_table_csv
+from hpavsim.sharing import SSAllocation, SSDecisionTable, decision_table_csv
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
 from conftest import brute_force_table, deployment_from_levels, ss_allocation, tables_equal
@@ -151,23 +151,38 @@ class TestDecisionTable:
             4, GeneratorProfile("complementary", base_quality=6, asymmetry_noise=2, seed=4)
         )
         table = build_decision_table(dep, SSPolicy(beta=2, top_m=1))
-        lines = decision_table_csv(table).splitlines()
-        assert lines[0] == (
-            "primary_tx,primary_rx,slot,rank,secondary_tx,secondary_rx,gain,num_shared,indices"
-        )
+        text = decision_table_csv(table)
+        lines = text.splitlines()
+        assert lines[0] == CSV_HEADER
         first = lines[1].split(",")
         num_shared = int(first[7])
         assert len(first) == 8 + num_shared
-        expected = [
-            ",".join(
-                [p.tx, p.rx, str(k), str(a.rank), a.secondary.tx, a.secondary.rx,
-                 str(a.gain), str(len(a.shared_indices))]
-                + [str(j) for j in a.shared_indices]
-            )
-            for (p, k), allocs in sorted(table.entries.items())
-            for a in allocs
-        ]
-        assert lines[1:] == expected
+        assert_renders_as_reference(table, text)
+
+
+CSV_HEADER = (
+    "primary_tx,primary_rx,slot,rank,secondary_tx,secondary_rx,gain,num_shared,indices"
+)
+
+
+def reference_csv(table):
+    """decision_table_csv written out field by field with str()."""
+    lines = [CSV_HEADER]
+    for (p, k), allocs in sorted(table.entries.items()):
+        for a in allocs:
+            head = [p.tx, p.rx, str(k), str(a.rank), a.secondary.tx, a.secondary.rx,
+                    str(a.gain), str(len(a.shared_indices))]
+            lines.append(",".join(head + [str(j) for j in a.shared_indices]))
+    return "\n".join(lines) + "\n"
+
+
+def assert_renders_as_reference(table, text=None):
+    """decision_table_csv(table), or ``text``, equals the reference, compared
+    line by line so that a failure reports the first differing row rather
+    than a diff of megabytes of text."""
+    if text is None:
+        text = decision_table_csv(table)
+    assert text.splitlines(keepends=True) == reference_csv(table).splitlines(keepends=True)
 
 
 EIGHT_NODE_PROFILES = {
@@ -277,6 +292,60 @@ class TestDecisionTableOracle:
             policy = SSPolicy(beta=beta, top_m=3, max_share_fraction=cap)
             table = build_decision_table(dep, policy)
             assert tables_equal(table, brute_force_table(dep, policy)), cap
+
+
+CSV_MASKS = {
+    # byte boundaries, one- to three-digit indices and the last byte's bits
+    "boundaries": (1, 8, 9, 10, 99, 100, 101, 912, 913, 916, 917),
+    "first-bit": (1,),
+    "byte-top-bit": (8,),
+    "middle-bit": (460,),
+    "last-bit": (SUBCARRIER_COUNT,),
+    "all-bits": tuple(range(1, SUBCARRIER_COUNT + 1)),
+    "odd-bits": tuple(range(1, SUBCARRIER_COUNT + 1, 2)),
+    "even-bits": tuple(range(2, SUBCARRIER_COUNT + 1, 2)),
+}
+SECONDARY = DirectedLink("n3", "n4")
+
+
+class TestDecisionTableCsv:
+    @pytest.mark.parametrize("name", sorted(CSV_MASKS))
+    def test_hand_built_mask(self, name):
+        indices = CSV_MASKS[name]
+        alloc = ss_allocation(PRIMARY, SECONDARY, 1, indices, gain=12345, rank=1)
+        assert alloc.shared_indices == indices
+        table = SSDecisionTable({(PRIMARY, 1): (alloc,)})
+        text = decision_table_csv(table)
+        assert_renders_as_reference(table, text)
+        assert text.splitlines()[1] == ",".join(
+            ["n1", "n2", "1", "1", "n3", "n4", "12345", str(len(indices))]
+            + [str(j) for j in indices]
+        )
+
+    def test_hand_built_masks_in_one_table(self):
+        # one row per mask, over several slots and two ranks, in key order
+        entries = {}
+        for slot, name in enumerate(sorted(CSV_MASKS), start=1):
+            first = ss_allocation(PRIMARY, SECONDARY, slot, CSV_MASKS[name], gain=9, rank=1)
+            second = ss_allocation(PRIMARY, DirectedLink("n4", "n3"), slot,
+                                   CSV_MASKS["boundaries"], gain=3, rank=2)
+            entries[(PRIMARY, slot)] = (first, second)
+        entries[(DirectedLink("n2", "n1"), 1)] = ()
+        table = SSDecisionTable(entries)
+        assert_renders_as_reference(table)
+
+    @pytest.mark.parametrize("kind", sorted(EIGHT_NODE_PROFILES))
+    def test_eight_node_tables(self, eight_node_deployments, kind):
+        dep = eight_node_deployments[kind]
+        for policy in (SSPolicy(beta=2, top_m=2), SSPolicy(beta=6, top_m=2),
+                       SSPolicy(beta=2, top_m=2, max_share_fraction=0.5)):
+            table = build_decision_table(dep, policy)
+            assert any(table.entries.values()), policy
+            assert_renders_as_reference(table)
+
+    def test_empty_table_is_header_only(self):
+        table = SSDecisionTable({(PRIMARY, 1): ()})
+        assert decision_table_csv(table) == CSV_HEADER + "\n"
 
 
 class TestPolicy:
