@@ -311,31 +311,80 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        id="sharing-plane-compare-from-plane-0-up",
+        id="sharing-carry-chain-strict-compare",
         file=SHARING,
-        old=(
-            "                above = tied & s3 & nq3\n"
-            "                tied &= s3 ^ nq3\n"
-            "                above |= tied & s2 & nq2\n"
-            "                tied &= s2 ^ nq2\n"
-            "                above |= tied & s1 & nq1\n"
-            "                tied &= s1 ^ nq1\n"
-            "                kept = above | tied & (s0 | nq0)\n"
-        ),
-        new=(
-            "                above = tied & s0 & nq0\n"
-            "                tied &= s0 ^ nq0\n"
-            "                above |= tied & s1 & nq1\n"
-            "                tied &= s1 ^ nq1\n"
-            "                above |= tied & s2 & nq2\n"
-            "                tied &= s2 ^ nq2\n"
-            "                kept = above | tied & (s3 | nq3)\n"
-        ),
+        old="c = s0 | nq0\n",
+        new="c = s0 & nq0\n",
         tests=(
+            "tests/test_sharing.py::TestDecisionTable::test_matches_brute_force_enumeration",
             "tests/test_sharing.py::TestDecisionTableOracle::"
             "test_every_level_pair_matches_brute_force",
             "tests/test_sharing.py::TestDecisionTableOracle::"
             "test_all_eleven_levels_match_brute_force",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    # the deferred splits of over-cap candidates behind their bound
+    Mutant(
+        id="sharing-bound-ties-not-split",
+        file=SHARING,
+        old="neg_bound > scored[top_m - 1][0]",
+        new="neg_bound >= scored[top_m - 1][0]",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::test_tie_at_the_bound_is_split",
+        ),
+    ),
+    Mutant(
+        id="sharing-bound-one-beta-too-tight",
+        file=SHARING,
+        old="over = kept.bit_count() - cap\n",
+        new="over = kept.bit_count() - cap + 1\n",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::test_tie_at_the_bound_is_split",
+        ),
+    ),
+    Mutant(
+        id="sharing-bound-against-rank-1-gain",
+        file=SHARING,
+        old="scored[top_m - 1][0]:",
+        new="scored[0][0]:",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_eight_nodes_match_brute_force",
+        ),
+    ),
+    Mutant(
+        id="sharing-bound-never-prunes",
+        file=SHARING,
+        old="if len(scored) >= top_m and",
+        new="if len(scored) < 0 and",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_capped_table_splits_behind_the_bound",
+        ),
+    ),
+    Mutant(
+        id="sharing-winner-mask-uncapped",
+        file=SHARING,
+        old="kept if digits is None else _capped_mask(kept, digits, cap, differences)",
+        new="kept",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTable::test_share_cap_truncates_keeping_best",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_eight_nodes_match_brute_force",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        id="sharing-split-counts-cut-bucket-whole",
+        file=SHARING,
+        old="return g + d * room\n",
+        new="return g + d * size\n",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTable::test_share_cap_truncates_keeping_best",
+            "tests/test_sharing.py::TestDecisionTableOracle::test_tie_at_the_bound_is_split",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_eight_nodes_match_brute_force",
             "tests/test_sharing_property.py::test_table_matches_brute_force",
         ),
     ),

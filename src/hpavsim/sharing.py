@@ -14,16 +14,26 @@ has bit ``b`` set, bit ``j - 1`` standing for subcarrier ``j`` (levels are
 at most 10, so four planes hold them). Each map builds its planes once and
 keeps them, so the tables of a beta sweep share them. A (primary,
 secondary, slot) triple then costs
-about 40 917-bit ANDs, ORs, XORs and ``bit_count`` calls, whatever the levels
+about 30 917-bit ANDs, ORs and ``bit_count`` calls, whatever the levels
 in use, instead of a 917-step Python loop. The primary's planes plus ``beta``
-are added once per (primary, slot) with a carry into a fifth plane; the
-eligible set ``S >= P + beta`` is a compare of the planes from the top down,
-and the gain is ``sum_b 2**b * (|kept & S_b| - |kept & P_b|)``. Only a
-candidate over the share cap also gets ``S - P`` planes, by a borrow chain,
-to split its eligible set into difference buckets. A table for n nodes thus
-costs O(L^2 * slots) such operations, L = n(n-1), plus, the first time a
+are added once per (primary, slot) with a carry into a fifth plane, Q; the
+eligible set ``S >= Q`` is the carry out of ``S + ~Q + 1``, one carry chain
+from plane 0 up (14 ops), and the uncapped gain is
+``sum_b 2**b * (|kept & S_b| - |kept & P_b|)``.
+
+A share cap keeps the largest differences, so a capped gain is never above
+the uncapped one, and each of the ``|kept| - cap`` subcarriers it drops
+differs by at least ``beta``: ``g - beta * (|kept| - cap)`` bounds it. A
+candidate over the cap is deferred with that bound. The deferred ones are
+split in descending bound while fewer than ``top_m`` are ranked or the bound
+reaches the ``top_m``-th gain (ties too, since the secondary's name breaks
+them); the rest can no longer rank. A split gets ``S - P`` planes by a
+borrow chain and counts the capped gain over the difference buckets without
+building a mask; only the at most ``top_m`` retained candidates build
+theirs. A table for n nodes thus costs O(L^2 * slots) such operations,
+L = n(n-1), plus the splits the bound lets through and, the first time a
 map is read, four ``translate`` and ``int`` parses per (link, slot). A
-retained candidate keeps its eligible set as a mask
+retained candidate keeps its shared set as a mask
 (``SSAllocation.shared``); ``shared_total`` sums a tonemap over it as
 ``sum_b 2**b * |shared & plane_b|``, and no library path builds its derived
 index tuple.
@@ -37,6 +47,7 @@ Decisions are a pure function of (deployment, policy): node-order tie-breaks
 make the table deterministic, and per-slot decisions are independent.
 """
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -155,6 +166,53 @@ def _lowest_bits(mask: int, count: int) -> int:
     return mask & ((1 << lo) - 1)
 
 
+def _difference_digits(s_planes, p_planes):
+    """The planes of D = S - P by a borrow chain, as one pair per bit ``b``:
+    (the subcarriers where bit ``b`` of D is 0, those where it is 1). Only
+    the subcarriers where S >= P are meaningful."""
+    s0, s1, s2, s3 = s_planes
+    p0, p1, p2, p3 = p_planes
+    d0 = s0 ^ p0
+    borrow = p0 & ~s0
+    d1 = s1 ^ p1 ^ borrow
+    borrow = (p1 | borrow) & ~s1 | p1 & borrow
+    d2 = s2 ^ p2 ^ borrow
+    borrow = (p2 | borrow) & ~s2 | p2 & borrow
+    d3 = s3 ^ p3 ^ borrow
+    return (d0 ^ _ALL, d0), (d1 ^ _ALL, d1), (d2 ^ _ALL, d2), (d3 ^ _ALL, d3)
+
+
+def _split_gain(eligible, digits, cap, differences):
+    """The capped gain of ``eligible``: whole difference buckets from the
+    largest down, then ``d * room`` for the bucket that does not fit."""
+    digit0, digit1, digit2, digit3 = digits
+    g = 0
+    room = cap
+    for d, b0, b1, b2, b3 in differences:
+        size = (eligible & digit0[b0] & digit1[b1] & digit2[b2] & digit3[b3]).bit_count()
+        if size > room:
+            return g + d * room
+        g += d * size
+        room -= size
+    return g
+
+
+def _capped_mask(eligible, digits, cap, differences):
+    """The subcarriers ``_split_gain`` counts: whole difference buckets from
+    the largest down, then the lowest indices of the bucket that does not fit."""
+    digit0, digit1, digit2, digit3 = digits
+    mask = 0
+    room = cap
+    for _, b0, b1, b2, b3 in differences:
+        bucket = eligible & digit0[b0] & digit1[b1] & digit2[b2] & digit3[b3]
+        size = bucket.bit_count()
+        if size > room:
+            return mask | _lowest_bits(bucket, room)
+        mask |= bucket
+        room -= size
+    return mask
+
+
 def _mask_selectors(mask: int) -> bytes:
     """One byte per subcarrier from index 1 up: 1 where ``mask`` has its bit,
     else 0, ending at the highest set bit."""
@@ -169,6 +227,11 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
     are dropped first (ties toward keeping lower indices). Candidates with
     positive gain are sorted by descending gain, ties by the secondary's
     (tx, rx), and truncated to ``top_m``.
+
+    A candidate over the cap is split only while its bound, the uncapped
+    gain less ``beta`` per dropped subcarrier, can still reach the
+    ``top_m``-th gain; a split counts the capped gain, and only the retained
+    candidates build their capped masks (see the module docstring).
 
     Raises nothing of its own: a Deployment and an SSPolicy are checked when
     they are built.
@@ -188,6 +251,7 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
         (d, d & 1, d >> 1 & 1, d >> 2 & 1, d >> 3)
         for d in range(MAX_MODULATION, beta - 1, -1)
     ]
+    top_m = policy.top_m
     planes = [deployment.links[link].planes for link in links]
     entries: Dict[Tuple[DirectedLink, int], Tuple[SSAllocation, ...]] = {}
     for primary, p_planes in zip(links, planes):
@@ -211,70 +275,60 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
                     carry &= p_b
             nq0, nq1, nq2, nq3 = [q_b ^ _ALL for q_b in q]
             below_16 = _ALL ^ carry
-            scored: List[Tuple[int, DirectedLink, int]] = []
+            # (-gain, secondary, eligible set, D digits or None if uncut)
+            scored: List[Tuple[int, DirectedLink, int, object]] = []
+            # (-bound, secondary, eligible set, S planes) of over-cap candidates
+            deferred = []
             for secondary, s_planes in secondaries:
-                s0, s1, s2, s3 = s_planes[slot - 1]
-                # S >= Q from the top plane down: `above` holds the subcarriers
-                # where S > Q is settled, `tied` those where S and Q agree so far
-                tied = below_16
-                above = tied & s3 & nq3
-                tied &= s3 ^ nq3
-                above |= tied & s2 & nq2
-                tied &= s2 ^ nq2
-                above |= tied & s1 & nq1
-                tied &= s1 ^ nq1
-                kept = above | tied & (s0 | nq0)
+                s0, s1, s2, s3 = s = s_planes[slot - 1]
+                # S >= Q is the carry out of S + ~Q + 1, plane 0 up
+                c = s0 | nq0
+                c = s1 & nq1 | c & (s1 | nq1)
+                c = s2 & nq2 | c & (s2 | nq2)
+                c = s3 & nq3 | c & (s3 | nq3)
+                kept = c & below_16
                 if not kept:
                     continue
-                if capped and kept.bit_count() > cap:
-                    # D = S - P with a borrow chain; beta <= D <= 10 on `kept`.
-                    # Whole difference buckets from the largest down, then the
-                    # lowest indices of the bucket that does not fit
-                    d0 = s0 ^ p0
-                    borrow = p0 & ~s0
-                    d1 = s1 ^ p1 ^ borrow
-                    borrow = (p1 | borrow) & ~s1 | p1 & borrow
-                    d2 = s2 ^ p2 ^ borrow
-                    borrow = (p2 | borrow) & ~s2 | p2 & borrow
-                    d3 = s3 ^ p3 ^ borrow
-                    # digit_b[x]: the subcarriers with bit b of D equal to x
-                    digit0 = (d0 ^ _ALL, d0)
-                    digit1 = (d1 ^ _ALL, d1)
-                    digit2 = (d2 ^ _ALL, d2)
-                    digit3 = (d3 ^ _ALL, d3)
-                    eligible = kept
-                    kept = 0
-                    g = 0
-                    room = cap
-                    for d, b0, b1, b2, b3 in differences:
-                        bucket = (
-                            eligible & digit0[b0] & digit1[b1] & digit2[b2] & digit3[b3]
-                        )
-                        size = bucket.bit_count()
-                        if size > room:
-                            kept |= _lowest_bits(bucket, room)
-                            g += d * room
-                            break
-                        kept |= bucket
-                        g += d * size
-                        room -= size
-                else:
-                    # plane-weighted popcounts of S minus those of P
-                    g = (
-                        (kept & s0).bit_count()
-                        - (kept & p0).bit_count()
-                        + 2 * ((kept & s1).bit_count() - (kept & p1).bit_count())
-                        + 4 * ((kept & s2).bit_count() - (kept & p2).bit_count())
-                        + 8 * ((kept & s3).bit_count() - (kept & p3).bit_count())
-                    )
-                if g > 0:
-                    scored.append((-g, secondary, kept))
+                # plane-weighted popcounts of S minus those of P; a capped
+                # gain is never above it
+                g = (
+                    (kept & s0).bit_count()
+                    - (kept & p0).bit_count()
+                    + 2 * ((kept & s1).bit_count() - (kept & p1).bit_count())
+                    + 4 * ((kept & s2).bit_count() - (kept & p2).bit_count())
+                    + 8 * ((kept & s3).bit_count() - (kept & p3).bit_count())
+                )
+                if g <= 0:
+                    continue
+                if capped:
+                    over = kept.bit_count() - cap
+                    if over > 0:
+                        # each subcarrier the cap drops differs by >= beta
+                        deferred.append((beta * over - g, secondary, kept, s))
+                        continue
+                scored.append((-g, secondary, kept, None))
             # secondaries differ, so a tie in gain never reaches the masks
             scored.sort()
+            deferred.sort()
+            for neg_bound, secondary, kept, s in deferred:
+                # a bound equal to the top_m-th gain may still win its tie
+                if len(scored) >= top_m and neg_bound > scored[top_m - 1][0]:
+                    break
+                digits = _difference_digits(s, p)
+                g = _split_gain(kept, digits, cap, differences)
+                if g > 0:
+                    insort(scored, (-g, secondary, kept, digits))
             entries[(primary, slot)] = tuple(
-                SSAllocation(primary, secondary, slot, kept, -neg_g, rank)
-                for rank, (neg_g, secondary, kept) in enumerate(
-                    scored[: policy.top_m], start=1
+                SSAllocation(
+                    primary,
+                    secondary,
+                    slot,
+                    kept if digits is None else _capped_mask(kept, digits, cap, differences),
+                    -neg_g,
+                    rank,
+                )
+                for rank, (neg_g, secondary, kept, digits) in enumerate(
+                    scored[:top_m], start=1
                 )
             )
     return SSDecisionTable(entries)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from hpavsim import (
@@ -11,7 +13,7 @@ from hpavsim import (
     generate_deployment,
     run_simulation,
 )
-from hpavsim import tonemap
+from hpavsim import sharing, tonemap
 from hpavsim.rng import SplitMix64
 from hpavsim.sharing import SSAllocation, SSDecisionTable, decision_table_csv
 from hpavsim.tonemap import SUBCARRIER_COUNT
@@ -231,10 +233,29 @@ class TestDecisionTableOracle:
     @pytest.mark.parametrize("kind", sorted(EIGHT_NODE_PROFILES))
     def test_eight_nodes_match_brute_force(self, eight_node_deployments, kind, beta):
         dep = eight_node_deployments[kind]
-        for cap in (1.0, 0.5, 0.05):
+        for cap in (1.0, 0.5, 0.3, 0.05):
             policy = SSPolicy(beta=beta, top_m=3, max_share_fraction=cap)
             table = build_decision_table(dep, policy)
             assert tables_equal(table, brute_force_table(dep, policy)), (kind, beta, cap)
+
+    def test_tie_at_the_bound_is_split(self):
+        # cap 91: n4->n3 (100 at level 5) and n3->n4 (91 at 5, 10 at 2) both
+        # keep 91 fives, capped gain 455. n3->n4's bound 475 - 2 * (101 - 91)
+        # equals that gain exactly, so it must still be split, and it wins
+        # the tie on the secondary's (tx, rx)
+        dep = deployment_from_levels(
+            {("n1", "n2"): 0, ("n2", "n1"): 0, ("n3", "n4"): 0, ("n4", "n3"): 0}, 1
+        )
+        links = dict(dep.links)
+        links[DirectedLink("n4", "n3")] = Tonemap([vec(*([5] * 100))])
+        links[SECONDARY] = Tonemap([vec(*([5] * 91 + [2] * 10))])
+        dep = Deployment(dep.nodes, links)
+        policy = SSPolicy(beta=2, top_m=1, max_share_fraction=0.1)
+        table = build_decision_table(dep, policy)
+        assert tables_equal(table, brute_force_table(dep, policy))
+        (alloc,) = table.candidates(PRIMARY, 1)
+        assert (alloc.secondary, alloc.gain) == (SECONDARY, 455)
+        assert alloc.shared_indices == tuple(range(1, 92))
 
     def test_hot_paths_build_no_index_tuples(self, eight_node_deployments, monkeypatch):
         # the builder, the CSV and a run's window plans work on masks; an
@@ -253,6 +274,40 @@ class TestDecisionTableOracle:
             assert decision_table_csv(table).count("\n") > 1
             report = run_simulation(dep, table, MacParams(), policy, ring, 100_000, 1)
             assert any(t.successes_secondary for t in report.tallies.values())
+
+    def test_capped_table_splits_behind_the_bound(self, eight_node_deployments, monkeypatch):
+        # over-cap candidates are split only while their bound can still
+        # rank, and only retained ones get a mask; a lost bound or an eager
+        # mask would pass every correctness test and show only as a slowdown
+        splits, masks = [], []
+
+        def counting_split(*args):
+            splits.append(args)
+            return split_gain(*args)
+
+        def counting_mask(*args):
+            masks.append(capped_mask(*args))
+            return masks[-1]
+
+        split_gain, capped_mask = sharing._split_gain, sharing._capped_mask
+        monkeypatch.setattr(sharing, "_split_gain", counting_split)
+        monkeypatch.setattr(sharing, "_capped_mask", counting_mask)
+        dep = eight_node_deployments["interference-notched"]
+        policy = SSPolicy(beta=2, top_m=2, max_share_fraction=0.3)
+        table = build_decision_table(dep, policy)
+        cap = int(policy.max_share_fraction * SUBCARRIER_COUNT)
+        over_cap = 0
+        for primary in dep.links:
+            p = dep.links[primary].slot(1)
+            for secondary in dep.links:
+                if {secondary.tx, secondary.rx} & {primary.tx, primary.rx}:
+                    continue
+                s = dep.links[secondary].slot(1)
+                over_cap += sum(b - a >= policy.beta for a, b in zip(p, s)) > cap
+        assert 0 < len(splits) < over_cap
+        retained = Counter(a.shared for allocs in table.entries.values() for a in allocs)
+        assert masks and not Counter(masks) - retained
+        assert tables_equal(table, brute_force_table(dep, policy))
 
     def test_sweep_builds_planes_once_per_map(self, monkeypatch):
         built = []
