@@ -509,7 +509,7 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_1_formula_oracles",
         ),
     ),
-    # the splitmix64 word buffer and byte runs
+    # the splitmix64 counter, word iterator and byte runs
     Mutant(
         id="rng-byte-run-walk-back-one-short",
         file=RNG,
@@ -524,19 +524,32 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        id="rng-words-from-batch-head",
+        id="rng-next-u64-counter-not-stored",
         file=RNG,
-        old="chain((self._words[self._used:],)",
-        new="chain((self._words,)",
+        old="self._z = z = (self._z + _GAMMA) & _MASK64",
+        new="z = (self._z + _GAMMA) & _MASK64",
         tests=(
+            # not the randbelow tests: a draw that rejects the repeated word
+            # would loop for ever
+            "tests/test_rng.py::test_first_words_pinned",
+            "tests/test_rng.py::test_words_are_successive_next_u64",
+        ),
+    ),
+    Mutant(
+        id="rng-words-batches-one-word-short",
+        file=RNG,
+        old="count(self._z, _WORDS_BATCH * _GAMMA)",
+        new="count(self._z, (_WORDS_BATCH - 1) * _GAMMA)",
+        tests=(
+            "tests/test_rng.py::test_words_are_successive_next_u64",
             "tests/test_rng.py::test_words_start_where_the_stream_stands",
         ),
     ),
     Mutant(
-        id="rng-refill-base-not-advanced",
+        id="rng-byte-run-end-state-not-stored",
         file=RNG,
-        old="self._base = (self._base + len(words) * _GAMMA) & _MASK64",
-        new="self._base = self._base & _MASK64",
+        old="        self._z = z\n        return b\"\".join(chunks)\n",
+        new="        return b\"\".join(chunks)\n",
         tests=(
             "tests/test_rng.py::test_randbelow_many_is_successive_randbelow",
             "tests/test_rng.py::test_buffered_draws_follow_the_word_stream",

@@ -7,25 +7,26 @@ below, which is why trace files and simulation runs seeded with it stay
 reproducible across ports. Streams are split by a caller-chosen index (e.g.
 the ordinal of a directed link) so generation order never matters.
 
-Words are mixed ahead in 128-bit lanes by one lane routine: the next counter
-states sit side by side in one big int, and each finalizer step is a few
-big-int operations over all of them. ``next_u64`` and ``randbelow`` take words
-from one buffer that this routine fills a batch at a time, built only on the
-first single draw, with batches that start small and double up to a cap, so a
-short-lived stream pays little. ``randbelow_bytes`` draws a run of values below
-n <= 256 at once, as the deployment generator needs: it mixes its own batch
-from the first unconsumed word, takes each lane's low byte and does every
-per-draw step with C-level ``bytes`` operations, giving the same values and
-leaving the same state as that many ``randbelow`` calls. ``words`` hands the
-buffer's batches to a C-level iterator, for a caller that draws many single
-words in a hot loop and cannot afford a method call per word.
+A stream's whole state is that counter, as it stood for the last word
+consumed. ``next_u64`` advances it by one gamma and mixes one word, and
+``randbelow`` is masked rejection over ``next_u64``. The two batch draws mix
+many words at once in 128-bit lanes: the next counter states sit side by side
+in one big int, and each finalizer step is a few big-int operations over all
+of them. ``randbelow_bytes`` draws a run of values below n <= 256 at once, as
+the deployment generator needs: it takes each lane's low byte, does every
+per-draw step with C-level ``bytes`` operations and stores the counter of its
+last word, giving the same values and leaving the same state as that many
+``randbelow`` calls. ``words`` chains fixed batches into a C-level iterator,
+for a caller that draws many single words in a hot loop and cannot afford a
+method call per word.
 
 Name/version recorded in trace metadata: ``splitmix64`` / ``1``.
 """
 
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, count, repeat
 from math import isqrt
-from struct import unpack
+from struct import Struct
 
 ALGORITHM_NAME = "splitmix64"
 ALGORITHM_VERSION = "1"
@@ -46,53 +47,41 @@ def _mix64(z: int) -> int:
 
 # most lanes one call of _mixed_lanes takes
 _BATCH = 2048
-# lanes in the first buffer batch of a stream, and in the largest: a larger cap
-# holds more memory per live stream and saves little more time
-_BUFFER_FIRST = 8
-_BUFFER_CAP = 256
+# lanes in each batch of a words() iterator: a larger batch mixes more words
+# that a short-lived iterator never takes, and saves little more time
+_WORDS_BATCH = 256
+# one such batch's words, each lane's zero high half skipped
+_unpack_words = Struct("<" + "Q8x" * _WORDS_BATCH).unpack
 
 # _LOW_BITS[k] maps a byte to its low k bits
 _LOW_BITS = [bytes(i & ((1 << k) - 1) for i in range(256)) for k in range(9)]
 
 
-# (lanes, ones, low64, steps): the lane constants built so far
-_built_constants = (0, 0, 0, 0)
-
-
-def _lane_constants(lanes: int):
-    """``(ones, low64, steps)`` over at least ``lanes`` <= _BATCH 128-bit
-    lanes: lane i holds 1 in ``ones``, 2^64 - 1 in ``low64`` and
-    (i + 1) * gamma mod 2^64 in ``steps``.
-
-    They are built when a call needs more lanes than were built before, for
-    the next power of two of lanes up to _BATCH, so a process whose batches
-    stay small builds few lanes and one whose batches grow rebuilds a few
-    times at most.
-    """
-    global _built_constants
-    if _built_constants[0] < lanes:
-        size = min(_BATCH, 1 << (lanes - 1).bit_length())
-        ones = int.from_bytes((b"\x01" + bytes(15)) * size, "little")
-        steps = b"".join(
-            ((i * _GAMMA) & _MASK64).to_bytes(16, "little") for i in range(1, size + 1)
-        )
-        _built_constants = (size, ones, ones * _MASK64, int.from_bytes(steps, "little"))
-    return _built_constants[1:]
+@lru_cache(maxsize=1)
+def _lane_constants():
+    """``(ones, low64, steps)`` over _BATCH 128-bit lanes: lane i holds 1 in
+    ``ones``, 2^64 - 1 in ``low64`` and (i + 1) * gamma mod 2^64 in
+    ``steps``."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _BATCH, "little")
+    steps = b"".join(
+        ((i * _GAMMA) & _MASK64).to_bytes(16, "little") for i in range(1, _BATCH + 1)
+    )
+    return ones, ones * _MASK64, int.from_bytes(steps, "little")
 
 
 def _mixed_lanes(z: int, lanes: int) -> bytes:
-    """The ``lanes`` words that follow counter state z, as 16 little-endian
-    bytes per word with the word in the low 8.
+    """The ``lanes`` <= _BATCH words that follow counter state z mod 2^64, as
+    16 little-endian bytes per word with the word in the low 8.
 
     Lane i of one big int holds the counter z + (i + 1) * gamma: a few big-int
     operations per batch in place of a dozen int operations per word. A 64-bit
     word times a 64-bit constant fits in its lane, and every shift is masked
     back to 64 bits before the next multiply, so no lane disturbs another.
     """
-    all_ones, all_low64, all_steps = _lane_constants(lanes)
+    all_ones, all_low64, all_steps = _lane_constants()
     keep = (1 << (128 * lanes)) - 1
     low64 = all_low64 & keep
-    w = (z * (all_ones & keep) + (all_steps & keep)) & low64
+    w = ((z & _MASK64) * (all_ones & keep) + (all_steps & keep)) & low64
     w = (((w ^ (w >> 30)) & low64) * _MIX1) & low64
     w = (((w ^ (w >> 27)) & low64) * _MIX2) & low64
     return (w ^ (w >> 31)).to_bytes(16 * lanes, "little")
@@ -106,46 +95,28 @@ class SplitMix64:
     sequential.
     """
 
+    __slots__ = ("_z",)
+
     def __init__(self, seed: int, stream: int = 0):
         # Decorrelate the stream index from the seed before use; without the
         # mix, nearby (seed, stream) pairs would start on overlapping walks.
-        # The counter state is _base advanced by one gamma per consumed word
-        # of the buffer _words.
-        self._base = _mix64((seed & _MASK64) ^ _mix64((stream * _GAMMA) & _MASK64))
-        self._words = ()
-        self._used = 0
-
-    def _refill(self) -> tuple:
-        """Fold the used-up buffer into the base and mix the next batch,
-        twice as long as the last one, up to the cap."""
-        words = self._words
-        self._base = (self._base + len(words) * _GAMMA) & _MASK64
-        lanes = min(_BUFFER_CAP, 2 * len(words)) or _BUFFER_FIRST
-        # each lane's word and its zero high half; keep the words
-        self._words = words = unpack(f"<{2 * lanes}Q", _mixed_lanes(self._base, lanes))[::2]
-        self._used = 0
-        return words
+        self._z = _mix64((seed & _MASK64) ^ _mix64((stream * _GAMMA) & _MASK64))
 
     def next_u64(self) -> int:
-        words = self._words
-        i = self._used
-        if i == len(words):
-            words = self._refill()
-            i = 0
-        self._used = i + 1
-        return words[i]
+        self._z = z = (self._z + _GAMMA) & _MASK64
+        return _mix64(z)
 
     def words(self):
         """An iterator over the words that successive ``next_u64`` calls
         would give, starting where the stream stands.
 
-        It steps through each buffer batch at C level and refills the buffer
-        when a batch runs out, so once it is taken the stream is drawn from
-        through it alone.
+        It mixes _WORDS_BATCH words at a time and steps through each batch at
+        C level. It leaves the stream's counter where it stands, so once it
+        is taken the stream is drawn from through it alone.
         """
-        return chain.from_iterable(
-            chain((self._words[self._used:],), iter(self._refill, None))
-        )
+        starts = count(self._z, _WORDS_BATCH * _GAMMA)
+        batches = map(_mixed_lanes, starts, repeat(_WORDS_BATCH))
+        return chain.from_iterable(map(_unpack_words, batches))
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) via masked rejection (unbiased)."""
@@ -154,27 +125,18 @@ class SplitMix64:
         if n == 1:
             return 0
         mask = (1 << (n - 1).bit_length()) - 1
-        words = self._words
-        i = self._used
         while True:
-            if i == len(words):
-                words = self._refill()
-                i = 0
-            v = words[i] & mask
-            i += 1
+            v = self.next_u64() & mask
             if v < n:
-                self._used = i
                 return v
 
     def randbelow_bytes(self, n: int, count: int) -> bytes:
         """``count`` successive ``randbelow(n)`` draws as bytes, for
         1 <= n <= 256, leaving the state where those calls would.
 
-        The draws start at the first unconsumed word of the buffer, which is
-        dropped, and their words are mixed a batch at a time in lanes of their
-        own. A draw needs only its word's low byte: one slice takes every
-        lane's, one ``translate`` masks them and a second drops the rejected
-        ones.
+        Their words are mixed a batch at a time in lanes. A draw needs only
+        its word's low byte: one slice takes every lane's, one ``translate``
+        masks them and a second drops the rejected ones.
         """
         if not 1 <= n <= 256:
             raise ValueError("randbelow_bytes() requires 1 <= n <= 256")
@@ -183,7 +145,7 @@ class SplitMix64:
         bits = (n - 1).bit_length()
         low_bits = _LOW_BITS[bits]
         rejected = bytes(range(n, 256))
-        z = (self._base + self._used * _GAMMA) & _MASK64
+        z = self._z
         chunks = []
         need = count
         while need:
@@ -210,7 +172,5 @@ class SplitMix64:
             chunks.append(accepted)
             need -= len(accepted)
             z = (z + used * _GAMMA) & _MASK64
-        self._base = z
-        self._words = ()
-        self._used = 0
+        self._z = z
         return b"".join(chunks)

@@ -127,6 +127,12 @@ class GeneratorProfile:
             raise ValueError(
                 f"unknown profile {self.profile_kind!r}, expected one of {PROFILE_KINDS}"
             )
+        # a float knob would fail deep in the generator, and a bool would
+        # reach the trace metadata as True or False
+        for name in ("notch_count", "notch_width", "asymmetry_noise", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if not 0 <= self.base_quality <= MAX_MODULATION:
             raise ValueError("base_quality must be in 0..10")
         if self.notch_count < 0 or self.notch_width < 0:

@@ -131,35 +131,56 @@ def reference_generator_slots(n_nodes, profile, slot_count):
     return out
 
 
-def brute_force_table(deployment, policy):
-    """Independent enumeration of every node-disjoint pair and the beta rule."""
-    cap = int(policy.max_share_fraction * SUBCARRIER_COUNT)
-    table = {}
+def brute_force_eligible(deployment, beta):
+    """{(primary, slot): [(secondary, eligible)]} over every node-disjoint
+    secondary, where ``eligible`` lists (difference, j) for each 1-based
+    subcarrier j that the secondary beats the primary on by at least beta,
+    largest difference first, then by j. It does not depend on the share cap,
+    so one enumeration serves every cap of a (deployment, beta) case."""
+    eligible = {}
     links = sorted(deployment.links)
     for primary in links:
         for slot in range(1, deployment.slot_count + 1):
             p = deployment.links[primary].slot(slot)
-            rows = []
+            candidates = []
             for secondary in links:
                 if secondary.tx in (primary.tx, primary.rx):
                     continue
                 if secondary.rx in (primary.tx, primary.rx):
                     continue
                 s = deployment.links[secondary].slot(slot)
-                indices = [
-                    j for j in range(1, SUBCARRIER_COUNT + 1)
-                    if s[j - 1] - p[j - 1] >= policy.beta
+                diffs = [
+                    (s[j - 1] - p[j - 1], j) for j in range(1, SUBCARRIER_COUNT + 1)
+                    if s[j - 1] - p[j - 1] >= beta
                 ]
-                indices.sort(key=lambda j: (-(s[j - 1] - p[j - 1]), j))
-                indices = sorted(indices[:cap])
-                g = sum(s[j - 1] - p[j - 1] for j in indices)
-                if g > 0:
-                    rows.append((-g, secondary.tx, secondary.rx, tuple(indices)))
-            rows.sort()
-            table[(primary, slot)] = tuple(
-                (DirectedLink(tx, rx), -neg_g, idx)
-                for neg_g, tx, rx, idx in rows[: policy.top_m]
-            )
+                diffs.sort(key=lambda dj: (-dj[0], dj[1]))
+                candidates.append((secondary, diffs))
+            eligible[(primary, slot)] = candidates
+    return eligible
+
+
+def brute_force_table(deployment, policy, eligible=None):
+    """Independent enumeration of every node-disjoint pair and the beta rule:
+    a pair shares the cap's worth of its eligible subcarriers with the
+    largest differences. ``eligible``, when given, is
+    ``brute_force_eligible(deployment, policy.beta)``."""
+    if eligible is None:
+        eligible = brute_force_eligible(deployment, policy.beta)
+    cap = int(policy.max_share_fraction * SUBCARRIER_COUNT)
+    table = {}
+    for key, candidates in eligible.items():
+        rows = []
+        for secondary, diffs in candidates:
+            kept = diffs[:cap]
+            g = sum(d for d, _ in kept)
+            if g > 0:
+                indices = tuple(sorted(j for _, j in kept))
+                rows.append((-g, secondary.tx, secondary.rx, indices))
+        rows.sort()
+        table[key] = tuple(
+            (DirectedLink(tx, rx), -neg_g, idx)
+            for neg_g, tx, rx, idx in rows[: policy.top_m]
+        )
     return table
 
 

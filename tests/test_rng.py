@@ -2,7 +2,6 @@
 
 import pytest
 
-from hpavsim import rng as rng_module
 from hpavsim.rng import SplitMix64
 
 # (seed, stream) -> first 8 next_u64 words. Seed 0, stream 0 starts the state
@@ -127,10 +126,10 @@ def test_reference_words_pinned(key):
     assert [ref.next_u64() for _ in range(8)] == FIRST_WORDS[key]
 
 
-# Single draws come from a buffer of pre-mixed words whose batches start at 8
-# words and double up to 256. The counts land just before, on and after a
-# batch end, and 5000 goes through every doubling and several capped refills;
-# every bound rejects words, so a draw may span a refill.
+# Single draws, byte runs and further single draws share one counter, so each
+# must leave it where the reference stream stands. 5000 draws span several
+# byte-run batches; every bound rejects words, so a draw may take more than
+# one.
 @pytest.mark.parametrize("n", [3, 5, 11, 2**40 + 1])
 @pytest.mark.parametrize("count", [1, 7, 8, 9, 255, 256, 257, 5000])
 def test_buffered_draws_follow_the_word_stream(n, count):
@@ -139,45 +138,11 @@ def test_buffered_draws_follow_the_word_stream(n, count):
         expected = [_masked_rejection(ref, n) for _ in range(count)]
         assert [rng.randbelow(n) for _ in range(count)] == expected
         assert rng.next_u64() == ref.next_u64()
-        # a byte run starts at the first unconsumed word of the buffer
+        # a byte run starts at the first unconsumed word
         if n <= 256:
             expected = bytes(_masked_rejection(ref, n) for _ in range(count))
             assert rng.randbelow_bytes(n, count) == expected
         assert [rng.next_u64() for _ in range(count)] == [ref.next_u64() for _ in range(count)]
-
-
-def test_byte_runs_build_no_buffer(monkeypatch):
-    # the generator makes one short-lived stream per link and draws only
-    # byte runs from it, so those streams must not pay for a buffer
-    def refuse(self):
-        raise AssertionError("buffer built")
-
-    monkeypatch.setattr(SplitMix64, "_refill", refuse)
-    rng, ref = SplitMix64(42, 5), ReferenceWords(42, 5)
-    for n, count in [(11, 917), (3, 1), (256, 300)]:
-        assert rng.randbelow_bytes(n, count) == bytes(
-            _masked_rejection(ref, n) for _ in range(count)
-        )
-    monkeypatch.undo()
-    assert rng.next_u64() == ref.next_u64()
-
-
-def test_lane_constants_grow_with_the_batches(monkeypatch):
-    # a process starts with no lane constants; a first 8-word buffer builds
-    # 8 lanes, a 917-draw byte run grows them, and every draw before, across
-    # and after the growth follows the word stream
-    monkeypatch.setattr(rng_module, "_built_constants", (0, 0, 0, 0))
-    rng, ref = SplitMix64(42, 7), ReferenceWords(42, 7)
-    assert rng.next_u64() == ref.next_u64()
-    assert rng_module._built_constants[0] == 8
-    assert [rng.randbelow(1000) for _ in range(40)] == [
-        _masked_rejection(ref, 1000) for _ in range(40)
-    ]
-    assert rng_module._built_constants[0] == 32
-    assert rng.randbelow_bytes(5, 917) == bytes(_masked_rejection(ref, 5) for _ in range(917))
-    assert rng_module._built_constants[0] == 2048
-    assert [rng.next_u64() for _ in range(300)] == [ref.next_u64() for _ in range(300)]
-    assert rng_module._built_constants[0] == 2048
 
 
 def _draw_over(word, n):
@@ -191,10 +156,10 @@ def _draw_over(word, n):
     return v
 
 
-# The buffer's batches hold 8, 16, 32, ... words, so counts 8 and 24 end the
-# first two batches, 9 and 25 cross into the next and 5000 spans the capped
-# refills.
-@pytest.mark.parametrize("count", [1, 7, 8, 9, 24, 25, 5000])
+# An iterator mixes its words in batches of 256: counts up to 25 stay in the
+# first batch, 256 and 512 end the first two, 257 and 513 cross into the next
+# and 5000 spans many.
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 24, 25, 255, 256, 257, 512, 513, 5000])
 def test_words_are_successive_next_u64(count):
     rng, twin = SplitMix64(2**64 + 7, 3), SplitMix64(2**64 + 7, 3)
     words = rng.words()
@@ -204,8 +169,8 @@ def test_words_are_successive_next_u64(count):
 
 @pytest.mark.parametrize("draws", [1, 3, 7, 8, 20])
 def test_words_start_where_the_stream_stands(draws):
-    # started mid-buffer, or at the end of a batch, the words go on from the
-    # first unconsumed one
+    # started after single draws, the words go on from the first unconsumed
+    # one
     rng, twin = SplitMix64(42, 9), SplitMix64(42, 9)
     for _ in range(draws):
         assert rng.randbelow(11) == twin.randbelow(11)

@@ -18,7 +18,13 @@ from hpavsim.rng import SplitMix64
 from hpavsim.sharing import SSAllocation, SSDecisionTable, decision_table_csv
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
-from conftest import brute_force_table, deployment_from_levels, ss_allocation, tables_equal
+from conftest import (
+    brute_force_eligible,
+    brute_force_table,
+    deployment_from_levels,
+    ss_allocation,
+    tables_equal,
+)
 
 
 def vec(*head, fill=0):
@@ -233,10 +239,12 @@ class TestDecisionTableOracle:
     @pytest.mark.parametrize("kind", sorted(EIGHT_NODE_PROFILES))
     def test_eight_nodes_match_brute_force(self, eight_node_deployments, kind, beta):
         dep = eight_node_deployments[kind]
+        eligible = brute_force_eligible(dep, beta)
         for cap in (1.0, 0.5, 0.3, 0.05):
             policy = SSPolicy(beta=beta, top_m=3, max_share_fraction=cap)
             table = build_decision_table(dep, policy)
-            assert tables_equal(table, brute_force_table(dep, policy)), (kind, beta, cap)
+            oracle = brute_force_table(dep, policy, eligible)
+            assert tables_equal(table, oracle), (kind, beta, cap)
 
     def test_tie_at_the_bound_is_split(self):
         # cap 91: n4->n3 (100 at level 5) and n3->n4 (91 at 5, 10 at 2) both
@@ -328,10 +336,12 @@ class TestDecisionTableOracle:
         levels = {v for tmap in dep.links.values() for slot in tmap.slots for v in slot}
         assert levels == set(range(11))
         for beta in (0, 1, 3, 5, 7, 9):
+            eligible = brute_force_eligible(dep, beta)
             for cap in (1.0, 0.3):
                 policy = SSPolicy(beta=beta, top_m=3, max_share_fraction=cap)
                 table = build_decision_table(dep, policy)
-                assert tables_equal(table, brute_force_table(dep, policy)), (beta, cap)
+                oracle = brute_force_table(dep, policy, eligible)
+                assert tables_equal(table, oracle), (beta, cap)
 
     @pytest.mark.parametrize("beta", tuple(range(18)) + (2**40,))
     def test_every_level_pair_matches_brute_force(self, beta):

@@ -258,6 +258,15 @@ class TestGenerator:
         with pytest.raises(ValueError, match="asymmetry_noise must be in 0..10"):
             GeneratorProfile("uniform", asymmetry_noise=noise)
 
+    # a bool would be recorded in the trace metadata as True; a float would
+    # fail inside the generator
+    @pytest.mark.parametrize("name", ["notch_count", "notch_width", "asymmetry_noise", "seed"])
+    @pytest.mark.parametrize("value", [True, False, 2.0, 1.5])
+    def test_non_integer_knob_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            GeneratorProfile("interference-notched",
+                             **{"notch_count": 2, "notch_width": 3, name: value})
+
     def test_small_node_count_rejected(self):
         with pytest.raises(ValueError, match="n_nodes"):
             generate_deployment(1, GeneratorProfile("uniform"))
