@@ -466,6 +466,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        id="traceio-link-whitespace-check-dropped",
+        file=TRACEIO,
+        old="if values is None and len(line.split(None, 5)) != 5:",
+        new="if len(parts) != 5:",
+        tests=(
+            "tests/test_traceio.py::TestLinkLineLayout::"
+            "test_whitespace_in_the_values_is_a_sixth_field",
+        ),
+    ),
+    Mutant(
+        id="traceio-noise-batch-restarted-per-slot",
+        file=TRACEIO,
+        old=(
+            "    pos = 0\n"
+            "    for _ in range(slot_count):\n"
+            "        parts = []\n"
+        ),
+        new=(
+            "    for _ in range(slot_count):\n"
+            "        pos = 0\n"
+            "        parts = []\n"
+        ),
+        tests=(
+            "tests/test_traceio.py::test_generated_trace_bytes_pinned",
+            "tests/test_traceio_property.py::test_generator_matches_one_draw_per_entry",
+        ),
+    ),
+    Mutant(
         id="tonemap-levels-range-check-dropped",
         file=TONEMAP,
         old="len(slot) != SUBCARRIER_COUNT or slot.translate(None, _LEVELS)",
@@ -509,6 +537,18 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_1_formula_oracles",
         ),
     ),
+    Mutant(
+        id="tonemap-byte-sum-adler-one-kept",
+        file=TONEMAP,
+        old="return (adler32(data) & 0xFFFF) - 1",
+        new="return adler32(data) & 0xFFFF",
+        tests=(
+            "tests/test_tonemap.py::TestViews::test_totals_are_slot_sums",
+            "tests/test_tonemap.py::TestAsymmetry::test_identical_maps",
+            "tests/test_tonemap.py::TestKernelPins::test_asymmetry_equals_brute_force",
+            "tests/test_tonemap.py::TestPhyRate::test_matches_rational_oracle_on_random_maps",
+        ),
+    ),
     # the splitmix64 counter, word iterator and byte runs
     Mutant(
         id="rng-byte-run-walk-back-one-short",
@@ -543,6 +583,15 @@ MUTANTS = (
         tests=(
             "tests/test_rng.py::test_words_are_successive_next_u64",
             "tests/test_rng.py::test_words_start_where_the_stream_stands",
+        ),
+    ),
+    Mutant(
+        id="rng-mixed-lanes-truncated-one-lane-late",
+        file=RNG,
+        old="    if lanes < _BATCH:\n",
+        new="    if lanes < _BATCH - 1:\n",
+        tests=(
+            "tests/test_rng.py::test_mixed_lanes_are_the_next_words",
         ),
     ),
     Mutant(

@@ -7,7 +7,9 @@ check that every test it names fails.
 A mutant is killed when each of its tests fails or errors; it survives when
 any of them passes. An entry is stale when its old snippet does not occur
 exactly once in the copy's file (equivalent mutants are checked for that
-too), so the text checked is the text the tests run against. The
+too), so the text checked is the text the tests run against. A
+mutant whose tests run longer than TIMEOUT_S seconds is counted as killed:
+a fault that makes a test loop for ever is caught, and the run goes on. The
 script prints one line per mutant and exits 1 on any survivor, stale entry
 or test run that failed to start (for example an unknown node id).
 
@@ -26,6 +28,9 @@ from pathlib import Path
 from catalogue import EQUIVALENT, MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
+# the longest one mutant's tests may run: each mutant's tests take seconds,
+# so a run this long is stuck
+TIMEOUT_S = 300
 SKIP = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-out", "*.pyc"
 )
@@ -70,8 +75,10 @@ def run_mutant(mutant, tree):
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
              *mutant.tests],
-            cwd=tree, env=env, capture_output=True, text=True,
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
         )
+    except subprocess.TimeoutExpired:
+        return "killed", f"timed out after {TIMEOUT_S} s"
     finally:
         path.write_text(original)
     failures = failed_ids(proc.stdout)

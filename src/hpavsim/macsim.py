@@ -111,6 +111,7 @@ emitted in that same order.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -134,6 +135,11 @@ ROLE_SECONDARY = "secondary"
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_finite(value) -> bool:
+    # NaN fails every comparison, so "<= 0" alone lets it through
+    return value > 0 and isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -173,12 +179,12 @@ class MacParams:
             raise ValueError("deferral counters must be >= 0")
         for name in ("collision_duration_us", "success_duration_us", "frame_length",
                      "slot_duration_us", "ac_cycle_us"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not _is_positive_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be positive and finite")
         if self.rank_wait_slots_per_rank < 0:
             raise ValueError("rank_wait_slots_per_rank must be >= 0")
-        if self.reeval_period_us is not None and self.reeval_period_us <= 0:
-            raise ValueError("reeval_period_us must be positive or None")
+        if self.reeval_period_us is not None and not _is_positive_finite(self.reeval_period_us):
+            raise ValueError("reeval_period_us must be positive and finite or None")
 
 
 @dataclass

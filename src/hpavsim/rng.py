@@ -77,11 +77,14 @@ def _mixed_lanes(z: int, lanes: int) -> bytes:
     operations per batch in place of a dozen int operations per word. A 64-bit
     word times a 64-bit constant fits in its lane, and every shift is masked
     back to 64 bits before the next multiply, so no lane disturbs another.
+    A narrower batch cuts the _BATCH-lane constants down to its lanes; a
+    full one, as most byte-run batches are, uses them whole.
     """
-    all_ones, all_low64, all_steps = _lane_constants()
-    keep = (1 << (128 * lanes)) - 1
-    low64 = all_low64 & keep
-    w = ((z & _MASK64) * (all_ones & keep) + (all_steps & keep)) & low64
+    ones, low64, steps = _lane_constants()
+    if lanes < _BATCH:
+        keep = (1 << (128 * lanes)) - 1
+        ones, low64, steps = ones & keep, low64 & keep, steps & keep
+    w = ((z & _MASK64) * ones + steps) & low64
     w = (((w ^ (w >> 30)) & low64) * _MIX1) & low64
     w = (((w ^ (w >> 27)) & low64) * _MIX2) & low64
     return (w ^ (w >> 31)).to_bytes(16 * lanes, "little")

@@ -51,6 +51,7 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from numbers import Real
 from operator import getitem
 from typing import Dict, List, Tuple
 
@@ -90,7 +91,10 @@ class SSPolicy:
             raise ValueError("beta must be >= 0")
         if self.top_m < 1:
             raise ValueError("top_m must be >= 1")
-        if not 0.0 <= self.max_share_fraction <= 1.0:
+        fraction = self.max_share_fraction
+        if isinstance(fraction, bool) or not isinstance(fraction, Real):
+            raise ValueError("max_share_fraction must be a number")
+        if not 0.0 <= fraction <= 1.0:
             raise ValueError("max_share_fraction must be in [0, 1]")
 
 

@@ -23,7 +23,9 @@ equal, exactly when they hold the same values.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isfinite
 from typing import Iterable, Tuple
+from zlib import adler32
 
 SUBCARRIER_COUNT = 917
 MAX_MODULATION = 10
@@ -90,8 +92,9 @@ class Tonemap:
 
     @cached_property
     def totals(self) -> Tuple[int, ...]:
-        """Per slot, the summed modulation (bits per symbol) of its subcarriers."""
-        return tuple(map(sum, self.slots))
+        """Per slot, the summed modulation (bits per symbol) of its
+        subcarriers, each taken in C by ``_byte_sum``."""
+        return tuple(map(_byte_sum, self.slots))
 
     def slot(self, k: int) -> bytes:
         """Modulation vector of 1-based slot ``k``."""
@@ -107,6 +110,16 @@ class Tonemap:
     def __repr__(self) -> str:
         # the full 917-wide vectors are useless in tracebacks
         return f"Tonemap(slot_count={len(self.slots)})"
+
+
+def _byte_sum(data: bytes) -> int:
+    """Sum of the bytes of one slot-sized run, at C speed.
+
+    The low half of Adler-32 is 1 + the byte sum, mod 65521. Every run summed
+    here is 917 bytes of at most 10 (a slot's levels, or the per-subcarrier
+    distances of ``asymmetry``), so the sum is at most 9170 and never wraps.
+    """
+    return (adler32(data) & 0xFFFF) - 1
 
 
 def _slot_planes(vec: bytes) -> Tuple[int, int, int, int]:
@@ -169,8 +182,8 @@ class PhyParams:
         object.__setattr__(self, "fec_rate", Fraction(self.fec_rate))
         if not 0.0 <= self.bit_error_rate < 1.0:
             raise ValueError("bit_error_rate must be in [0, 1)")
-        if self.symbol_interval_us <= 0:
-            raise ValueError("symbol_interval_us must be positive")
+        if not (self.symbol_interval_us > 0 and isfinite(self.symbol_interval_us)):
+            raise ValueError("symbol_interval_us must be positive and finite")
         if not 0.0 <= self.protocol_overhead < 1.0:
             raise ValueError("protocol_overhead must be in [0, 1)")
 
@@ -211,11 +224,12 @@ def asymmetry(t_ab: Tonemap, t_ba: Tonemap) -> Fraction:
     presentation scale. Symmetric in its arguments and zero iff the maps are
     identical.
 
-    The distances are computed in C: each slot pair is packed into one int
-    whose byte j is ``16 * a[j] + b[j]``, and that byte is looked up in a
-    256-entry ``|hi - lo|`` table. Packing is exact only while every value
-    fits in a nibble (at most 15), so that no byte carries into the next;
-    the ``Tonemap`` constructor guarantees at most 10.
+    The distances are computed and summed in C: each slot pair is packed
+    into one int whose byte j is ``16 * a[j] + b[j]``, that byte is looked
+    up in a 256-entry ``|hi - lo|`` table and ``_byte_sum`` adds the
+    results. Packing is exact only while every value fits in a nibble (at
+    most 15), so that no byte carries into the next; the ``Tonemap``
+    constructor guarantees at most 10.
     """
     if t_ab.slot_count != t_ba.slot_count:
         raise ValueError(
@@ -224,7 +238,8 @@ def asymmetry(t_ab: Tonemap, t_ba: Tonemap) -> Fraction:
     total = 0
     for slot_ab, slot_ba in zip(t_ab.slots, t_ba.slots):
         packed = (int.from_bytes(slot_ab, "little") << 4) + int.from_bytes(slot_ba, "little")
-        total += sum(packed.to_bytes(SUBCARRIER_COUNT, "little").translate(_NIBBLE_DISTANCE))
+        distances = packed.to_bytes(SUBCARRIER_COUNT, "little").translate(_NIBBLE_DISTANCE)
+        total += _byte_sum(distances)
     return Fraction(total, t_ab.slot_count)
 
 

@@ -25,7 +25,8 @@ to the HPAV-legal ladder {0,1,2,3,4,6,8,10}.
 import io
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, Tuple
+from numbers import Real
+from typing import Dict, Optional, Tuple
 
 from .rng import ALGORITHM_NAME, ALGORITHM_VERSION, SplitMix64
 from .tonemap import (
@@ -133,6 +134,10 @@ class GeneratorProfile:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
+        # a bool would reach the trace metadata as 1, a string would fail
+        # in the comparison below
+        if isinstance(self.base_quality, bool) or not isinstance(self.base_quality, Real):
+            raise ValueError("base_quality must be a number")
         if not 0 <= self.base_quality <= MAX_MODULATION:
             raise ValueError("base_quality must be in 0..10")
         if self.notch_count < 0 or self.notch_width < 0:
@@ -201,19 +206,22 @@ def parse_trace(source) -> Deployment:
     known = set(nodes)
 
     metadata: Dict[str, str] = {}
-    slot_vectors: Dict[Tuple[DirectedLink, int], bytes] = {}
+    slot_vectors: Dict[Tuple[str, str, int], bytes] = {}
     for line_no, line in content[4:]:
-        fields = line.split(None, 1)
-        if fields[0] == "meta":
+        parts = line.split(None, 4)
+        if parts[0] == "meta":
             parts = line.split(None, 2)
             if len(parts) != 3:
                 raise TraceFormatError(line_no, "expected 'meta <key> <value>'")
             if parts[1] in metadata:
                 raise TraceFormatError(line_no, f"duplicate meta key {parts[1]!r}")
             metadata[parts[1]] = parts[2]
-        elif fields[0] == "link":
-            parts = line.split()
-            if len(parts) != 5:
+        elif parts[0] == "link":
+            values = _canonical_values(parts[4]) if len(parts) == 5 else None
+            # a canonical value field holds no whitespace; any other line is
+            # split in full, so that a value field with whitespace in it
+            # fails as a sixth field would, before the checks below
+            if values is None and len(line.split(None, 5)) != 5:
                 raise TraceFormatError(line_no, "expected 'link <tx> <rx> <slot> <values>'")
             _, tx, rx, slot_s, values_s = parts
             if tx not in known:
@@ -230,20 +238,22 @@ def parse_trace(source) -> Deployment:
                 raise TraceFormatError(
                     line_no, f"slot index {slot} disagrees with header slots {slot_count}"
                 )
-            values = _parse_values(line_no, values_s)
-            key = (DirectedLink(tx, rx), slot)
+            if values is None:
+                values = _parse_tokens(line_no, values_s)
+            key = (tx, rx, slot)
             if key in slot_vectors:
-                raise TraceFormatError(line_no, f"duplicate link line for {key[0]} slot {slot}")
+                raise TraceFormatError(line_no, f"duplicate link line for {tx}->{rx} slot {slot}")
             slot_vectors[key] = values
         else:
             raise TraceFormatError(line_no, f"unrecognized line {line!r}")
 
     links: Dict[DirectedLink, Tonemap] = {}
-    for link in sorted({link for link, _ in slot_vectors}):
+    for tx, rx in sorted({(tx, rx) for tx, rx, _ in slot_vectors}):
+        link = DirectedLink(tx, rx)
         slots = []
         for k in range(1, slot_count + 1):
             try:
-                slots.append(slot_vectors[(link, k)])
+                slots.append(slot_vectors[(tx, rx, k)])
             except KeyError:
                 raise TraceFormatError(
                     0, f"link {link} is missing slot {k} of {slot_count}"
@@ -277,15 +287,15 @@ _ROW_LENGTH = 2 * SUBCARRIER_COUNT - 1
 _ROW_COMMAS = "," * (SUBCARRIER_COUNT - 1)
 
 
-def _parse_values(line_no: int, values_s: str) -> bytes:
-    """The 917 modulation bytes of a link line's value field.
+def _canonical_values(values_s: str) -> Optional[bytes]:
+    """The 917 modulation bytes of a canonical value field, else None.
 
     A canonical row (bare decimals 0..10, the form ``serialize_trace``
     writes) is read by C-level string and bytes operations: with every "10"
     turned into ":", it is one character per value. Any other row, including
-    a valid one that spells a value differently (``03``, ``+10``), goes to
-    ``_parse_tokens``; the fast path accepts only rows that it would read to
-    the same bytes, so the rows accepted and the errors raised are its own.
+    a valid one that spells a value differently (``03``, ``+10``), is left to
+    ``_parse_tokens``; this read accepts only rows that it would read to the
+    same bytes, so the rows accepted and the errors raised are its own.
     """
     if ":" not in values_s:  # else a literal ":" would read as 10
         row = values_s.replace("10", ":")
@@ -293,7 +303,7 @@ def _parse_values(line_no: int, values_s: str) -> bytes:
             raw = row[::2].encode("ascii", "replace")
             if not raw.translate(None, _CHAR_DIGITS):
                 return raw.translate(_CHAR_VALUES)
-    return _parse_tokens(line_no, values_s)
+    return None
 
 
 def _parse_tokens(line_no: int, values_s: str) -> bytes:
@@ -467,21 +477,22 @@ def _noisy_slots(rng: SplitMix64, base_row: list, noise_tables: list, span: int,
     level b with a uniform draw r in 0..span - 1 becoming
     ``noise_tables[b][r]``.
 
-    With ``quiet_zeros`` the zero entries draw nothing and stay 0. A row
-    takes one batch of draws, in subcarrier order, so the stream is that of
-    one ``randbelow(span)`` call per drawing entry; each run of equal base
-    level maps its share of the batch through its level's table.
+    With ``quiet_zeros`` the zero entries draw nothing and stay 0. All the
+    rows take one batch of draws, row by row in subcarrier order, so the
+    stream is that of one ``randbelow(span)`` call per drawing entry; each
+    run of equal base level maps its share of a row's draws through its
+    level's table.
     """
     runs = []  # (length, table) per run of equal level; None draws nothing
     for level, group in groupby(base_row):
         quiet = quiet_zeros and level == 0
         runs.append((len(list(group)), None if quiet else noise_tables[level]))
     drawn = sum(length for length, table in runs if table is not None)
+    draws = rng.randbelow_bytes(span, drawn * slot_count)
     slots = []
+    pos = 0
     for _ in range(slot_count):
-        draws = rng.randbelow_bytes(span, drawn)
         parts = []
-        pos = 0
         for length, table in runs:
             if table is None:
                 parts.append(bytes(length))

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -950,3 +951,14 @@ class TestMacParams:
         ]:
             with pytest.raises(ValueError, match=f"{field} .*integer"):
                 MacParams(**kwargs)
+
+    # NaN fails every comparison, so a "<= 0" check lets it through: a NaN
+    # slot or cycle length died mid-run converting NaN to an int, and a NaN
+    # or infinite duration gave a NaN or infinite total_sim_time_us
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["collision_duration_us", "success_duration_us",
+                                       "frame_length", "slot_duration_us", "ac_cycle_us",
+                                       "reeval_period_us"])
+    def test_non_finite_duration_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            MacParams(**{field: value})

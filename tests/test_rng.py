@@ -2,7 +2,7 @@
 
 import pytest
 
-from hpavsim.rng import SplitMix64
+from hpavsim.rng import _BATCH, SplitMix64, _mixed_lanes
 
 # (seed, stream) -> first 8 next_u64 words. Seed 0, stream 0 starts the state
 # at 0, so its words are the reference splitmix64 sequence for seed 0.
@@ -143,6 +143,18 @@ def test_buffered_draws_follow_the_word_stream(n, count):
             expected = bytes(_masked_rejection(ref, n) for _ in range(count))
             assert rng.randbelow_bytes(n, count) == expected
         assert [rng.next_u64() for _ in range(count)] == [ref.next_u64() for _ in range(count)]
+
+
+# one lane, the words() batch and the widest batch, each with its neighbours:
+# a batch narrower than the widest is cut out of the widest's constants
+@pytest.mark.parametrize("lanes", [1, 2, 255, 256, 257, _BATCH - 2, _BATCH - 1, _BATCH])
+def test_mixed_lanes_are_the_next_words(lanes):
+    ref = ReferenceWords(2**64 + 7, 3)
+    raw = _mixed_lanes(ref.z, lanes)
+    assert len(raw) == 16 * lanes
+    # each word sits in the low 8 bytes of its lane
+    words = [int.from_bytes(raw[i : i + 8], "little") for i in range(0, len(raw), 16)]
+    assert words == [ref.next_u64() for _ in range(lanes)]
 
 
 def _draw_over(word, n):

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -426,3 +427,14 @@ class TestPolicy:
                             ("top_m", 1.5), ("top_m", True), ("top_m", "2")):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 SSPolicy(**{name: value})
+
+    # a bool would pass the range check as 0 or 1; a string would fail in it
+    # with a TypeError
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 1j])
+    def test_non_number_share_fraction_rejected(self, value):
+        with pytest.raises(ValueError, match="^max_share_fraction must be a number$"):
+            SSPolicy(max_share_fraction=value)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.5, Fraction(1, 3)])
+    def test_real_share_fraction_accepted(self, value):
+        assert SSPolicy(max_share_fraction=value).max_share_fraction == value

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -351,6 +352,12 @@ class TestTypes:
             PhyParams(symbol_interval_us=0)
         with pytest.raises(ValueError):
             PhyParams(protocol_overhead=1.0)
+
+    # a NaN interval passed the "<= 0" check and made every rate NaN
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_symbol_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="^symbol_interval_us must be positive and finite$"):
+            PhyParams(symbol_interval_us=value)
 
     def test_max_total_constant(self):
         assert MAX_MODULATION_TOTAL == 9170

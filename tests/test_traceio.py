@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +149,83 @@ class TestParse:
             parse_trace("plctm 1\nslots 5\n")
 
 
+ROW = ",".join(["3"] * 917)
+LINK_LINE = "expected 'link <tx> <rx> <slot> <values>'"
+
+
+def with_first_link_line(line):
+    """minimal_trace() with its first link line (line 6) replaced."""
+    lines = minimal_trace().splitlines()
+    lines[5] = line
+    return "\n".join(lines) + "\n"
+
+
+class TestLinkLineLayout:
+    """How a link line splits into its five fields, and which error wins
+    when a line breaks more than one rule."""
+
+    @pytest.mark.parametrize("line", [
+        f"link\ta\tb\t1\t{ROW}",
+        f"link  a   b \t 1    {ROW}",
+        f"  link a b 1 {ROW}\t ",
+    ])
+    def test_any_whitespace_separates_fields(self, line):
+        assert parse_trace(with_first_link_line(line)) == parse_trace(minimal_trace())
+
+    @pytest.mark.parametrize("values", [
+        "3, " + ",".join(["3"] * 916),
+        ",".join(["3"] * 458) + ",\t" + ",".join(["3"] * 459),
+        ",".join(["3"] * 916) + ", 3",
+        "3 ,3" + ",3" * 915,
+    ])
+    @pytest.mark.parametrize("head", ["link a b 1", "link c b 1", "link a c 1",
+                                      "link a a 1", "link a b x", "link a b 9"])
+    def test_whitespace_in_the_values_is_a_sixth_field(self, head, values):
+        # int(" 3") would read each token, but the line has six fields; that
+        # is reported before the node and slot checks see the line
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace(with_first_link_line(f"{head} {values}"))
+        assert str(err.value) == f"line 6: {LINK_LINE}"
+
+    @pytest.mark.parametrize("line, message", [
+        (f"link a b 1 {ROW} extra", LINK_LINE),
+        (f"link a b 1 {ROW} 3", LINK_LINE),
+        ("link a b 1", LINK_LINE),
+        (f"link a b {ROW}", LINK_LINE),
+        ("link", LINK_LINE),
+        (f"link c b 1 {ROW},", "unknown node 'c'"),
+        (f"link a b 1 {ROW},", "subcarrier count 918, expected 917"),
+        (f"link a b 1 ,{ROW}", "subcarrier count 918, expected 917"),
+        (f"link a b 1 {ROW},,", "subcarrier count 919, expected 917"),
+        (f"link a b 0 {ROW},", "slot index 0 disagrees with header slots 5"),
+        (f"link a b 1.0 {ROW}", "bad slot index '1.0'"),
+    ])
+    def test_field_count_and_trailing_comma_errors(self, line, message):
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace(with_first_link_line(line))
+        assert str(err.value) == f"line 6: {message}"
+
+    @pytest.mark.parametrize("slot", ["1", "01", "+1"])
+    def test_duplicate_line_names_its_link_and_slot(self, slot):
+        text = minimal_trace() + f"link a  b\t{slot} {ROW.replace('3', '4')}\n"
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace(text)
+        assert str(err.value) == "line 16: duplicate link line for a->b slot 1"
+
+    def test_duplicate_line_is_checked_after_its_values(self):
+        text = minimal_trace() + f"link a b 1 {ROW},\n"
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace(text)
+        assert str(err.value) == "line 16: subcarrier count 918, expected 917"
+
+    def test_missing_slot_names_the_first_link_in_order(self):
+        lines = [l for l in minimal_trace().splitlines()
+                 if not l.startswith(("link b a 2", "link a b 4"))]
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace("\n".join(lines) + "\n")
+        assert str(err.value) == "link a->b is missing slot 4 of 5"
+
+
 class TestSerialize:
     def test_round_trip_identity(self):
         dep = parse_trace(minimal_trace())
@@ -266,6 +344,18 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
             GeneratorProfile("interference-notched",
                              **{"notch_count": 2, "notch_width": 3, name: value})
+
+    # a bool would reach the trace metadata as 1; a string would fail in the
+    # range check with a TypeError
+    @pytest.mark.parametrize("value", [True, False, "6", None])
+    def test_non_number_base_quality_rejected(self, value):
+        with pytest.raises(ValueError, match="^base_quality must be a number$"):
+            GeneratorProfile("uniform", base_quality=value)
+
+    @pytest.mark.parametrize("value", [6, 6.5, Fraction(13, 2)])
+    def test_real_base_quality_accepted(self, value):
+        dep = generate_deployment(2, GeneratorProfile("uniform", base_quality=value))
+        assert dep.metadata["base_quality"] == ("6" if value == 6 else "6.5")
 
     def test_small_node_count_rejected(self):
         with pytest.raises(ValueError, match="n_nodes"):
