@@ -238,24 +238,26 @@ MUTANTS = (
             "tests/test_macsim.py::TestEngineDigest::test_digest",
         ),
     ),
-    # the engine's inline backoff draws: the masked rejection of
+    # the engine's backoff draws: rng.below, the masked rejection of
     # SplitMix64.randbelow over the run's word stream
     Mutant(
         id="macsim-draw-cw-1-takes-a-word",
-        file=MACSIM,
-        old="            b = word() & mask0 if mask0 else 0\n",
-        new="            b = word() & mask0\n",
+        file=RNG,
+        old="    if n == 1:\n        return repeat(0)\n",
+        new="",
         tests=(
+            "tests/test_rng.py::test_masked_rejection_over_words_is_randbelow",
             "tests/test_macsim.py::TestEngineDigest::test_digest",
             "tests/test_macsim_property.py::test_backoff_draws_replay",
         ),
     ),
     Mutant(
         id="macsim-draw-mask-from-cw-bit-length",
-        file=MACSIM,
-        old="masks = [(1 << (c - 1).bit_length()) - 1 for c in cw]",
-        new="masks = [(1 << c.bit_length()) - 1 for c in cw]",
+        file=RNG,
+        old="    mask = (1 << (n - 1).bit_length()) - 1\n    draws =",
+        new="    mask = (1 << n.bit_length()) - 1\n    draws =",
         tests=(
+            "tests/test_rng.py::test_masked_rejection_over_words_is_randbelow",
             "tests/test_macsim.py::TestGoldenTrace::test_first_ten_events_match_hand_trace",
             "tests/test_macsim.py::TestEngineDigest::test_digest",
             "tests/test_macsim.py::TestIdleRunDigest::test_digest",
@@ -263,27 +265,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # only a CW that is not a power of two rejects words, so only the
-        # (1, 3, 5, 7) schedule shows it
+        # only a CW that is not a power of two rejects words, so among the
+        # engine's tests only the (1, 3, 5, 7) schedule shows it
         id="macsim-draw-rejection-admits-cw",
-        file=MACSIM,
-        old=(
-            "                dc[i] -= 1  # BC stays frozen for this busy period\n"
-            "            else:\n"
-            "                st = stage[i] = min(stage[i] + 1, last_stage)\n"
-            "                c, mask = cw[st], masks[st]\n"
-            "                b = word() & mask if mask else 0\n"
-            "                while b >= c:\n"
-        ),
-        new=(
-            "                dc[i] -= 1  # BC stays frozen for this busy period\n"
-            "            else:\n"
-            "                st = stage[i] = min(stage[i] + 1, last_stage)\n"
-            "                c, mask = cw[st], masks[st]\n"
-            "                b = word() & mask if mask else 0\n"
-            "                while b > c:\n"
-        ),
+        file=RNG,
+        old="filter(n.__gt__, draws)",
+        new="filter(n.__ge__, draws)",
         tests=(
+            "tests/test_rng.py::test_masked_rejection_over_words_is_randbelow",
+            "tests/test_rng.py::test_below_iterators_share_one_stream",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_backoff_draws_replay",
+        ),
+    ),
+    Mutant(
+        id="macsim-draw-power-of-two-case-for-every-cw",
+        file=RNG,
+        old="return draws if n > mask else filter(n.__gt__, draws)",
+        new="return draws",
+        tests=(
+            "tests/test_rng.py::test_masked_rejection_over_words_is_randbelow",
+            "tests/test_rng.py::test_below_iterators_share_one_stream",
             "tests/test_macsim.py::TestEngineDigest::test_digest",
             "tests/test_macsim_property.py::test_backoff_draws_replay",
         ),
@@ -366,8 +368,8 @@ MUTANTS = (
     Mutant(
         id="sharing-winner-mask-uncapped",
         file=SHARING,
-        old="kept if digits is None else _capped_mask(kept, digits, cap, differences)",
-        new="kept",
+        old="return g + d * room, whole, bucket, room",
+        new="return g + d * room, eligible, 0, 0",
         tests=(
             "tests/test_sharing.py::TestDecisionTable::test_share_cap_truncates_keeping_best",
             "tests/test_sharing.py::TestDecisionTableOracle::"
@@ -378,11 +380,35 @@ MUTANTS = (
     Mutant(
         id="sharing-split-counts-cut-bucket-whole",
         file=SHARING,
-        old="return g + d * room\n",
-        new="return g + d * size\n",
+        old="g + d * room,",
+        new="g + d * size,",
         tests=(
             "tests/test_sharing.py::TestDecisionTable::test_share_cap_truncates_keeping_best",
             "tests/test_sharing.py::TestDecisionTableOracle::test_tie_at_the_bound_is_split",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_eight_nodes_match_brute_force",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        # the same tables, but every split cuts its last bucket, retained or not
+        id="sharing-split-cuts-eagerly",
+        file=SHARING,
+        old="return g + d * room, whole, bucket, room",
+        new="return g + d * room, whole | _lowest_bits(bucket, room), 0, 0",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_capped_table_splits_behind_the_bound",
+        ),
+    ),
+    Mutant(
+        # a cut winner's mask then holds its cut bucket's share alone
+        id="sharing-split-whole-never-accumulated",
+        file=SHARING,
+        old="        whole |= bucket\n",
+        new="",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTable::test_share_cap_truncates_keeping_best",
             "tests/test_sharing.py::TestDecisionTableOracle::"
             "test_eight_nodes_match_brute_force",
             "tests/test_sharing_property.py::test_table_matches_brute_force",

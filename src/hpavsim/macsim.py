@@ -38,11 +38,10 @@ each after the first reuses it. A larger memo would serve only repeated
 identical runs. A run that collects events makes its own pass, past the
 memo.
 
-Each backoff counter is drawn inline from the run's word stream
-(SplitMix64.words) by the masked rejection of SplitMix64.randbelow, with the
-mask of each stage's CW computed once: a run draws exactly the values, and
-consumes exactly the words, that randbelow(CW) calls would, and a CW of 1
-draws 0 without a word.
+Each backoff counter comes from the draw iterator of its stage, rng.below
+over the stage's CW, and all of them share the run's one word stream
+(SplitMix64.words): a run draws exactly the values, and consumes exactly the
+words, that randbelow(CW) calls would, and a CW of 1 draws 0 without a word.
 
 Spectrum sharing
 ----------------
@@ -115,9 +114,9 @@ from math import isfinite
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .rng import SplitMix64
+from .rng import SplitMix64, below
 from .sharing import SSDecisionTable, SSPolicy
-from .tonemap import MAX_MODULATION_TOTAL, DirectedLink
+from .tonemap import MAX_MODULATION_TOTAL, DirectedLink, is_integer, is_number
 from .traceio import Deployment
 
 EVENT_TX_START = "tx_start"
@@ -131,15 +130,6 @@ EVENT_REEVAL_END = "reeval_end"
 
 ROLE_PRIMARY = "primary"
 ROLE_SECONDARY = "secondary"
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_positive_finite(value) -> bool:
-    # NaN fails every comparison, so "<= 0" alone lets it through
-    return value > 0 and isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -167,9 +157,9 @@ class MacParams:
         object.__setattr__(self, "dc_schedule", tuple(self.dc_schedule))
         # BCs and DCs are counted in whole slots and busy events
         for name in ("cw_schedule", "dc_schedule"):
-            if not all(map(_is_count, getattr(self, name))):
+            if not all(map(is_integer, getattr(self, name))):
                 raise ValueError(f"{name} entries must be integers")
-        if not _is_count(self.rank_wait_slots_per_rank):
+        if not is_integer(self.rank_wait_slots_per_rank):
             raise ValueError("rank_wait_slots_per_rank must be an integer")
         if len(self.cw_schedule) != len(self.dc_schedule) or not self.cw_schedule:
             raise ValueError("cw_schedule and dc_schedule need equal length >= 1")
@@ -177,14 +167,17 @@ class MacParams:
             raise ValueError("contention windows must be >= 1")
         if any(dc < 0 for dc in self.dc_schedule):
             raise ValueError("deferral counters must be >= 0")
+        reeval = () if self.reeval_period_us is None else ("reeval_period_us",)
         for name in ("collision_duration_us", "success_duration_us", "frame_length",
-                     "slot_duration_us", "ac_cycle_us"):
-            if not _is_positive_finite(getattr(self, name)):
+                     "slot_duration_us", "ac_cycle_us") + reeval:
+            value = getattr(self, name)
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number")
+            # NaN fails every comparison, so "<= 0" alone lets it through
+            if not (value > 0 and isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite")
         if self.rank_wait_slots_per_rank < 0:
             raise ValueError("rank_wait_slots_per_rank must be >= 0")
-        if self.reeval_period_us is not None and not _is_positive_finite(self.reeval_period_us):
-            raise ValueError("reeval_period_us must be positive and finite or None")
 
 
 @dataclass
@@ -267,14 +260,18 @@ def run_simulation(
     ``total_sim_time_us`` in the report may exceed the request by up to one
     busy period; all throughput figures normalize by the actual total.
 
-    Raises ValueError for an empty flow list, a negative duration, a flow
-    over an untraced link or two flows from one station; the deployment and
-    the table's allocations were checked when they were built.
+    Raises ValueError for an empty flow list, a duration that is not a
+    finite number >= 0, a flow over an untraced link or two flows from one
+    station; the deployment and the table's allocations were checked when
+    they were built.
     """
     if not flows:
         raise ValueError("empty flow list")
-    if duration_us < 0:
-        raise ValueError("duration_us must be >= 0")
+    if not is_number(duration_us):
+        raise ValueError("duration_us must be a number")
+    # an infinite duration never ends the run, and a NaN one ends it at once
+    if not (duration_us >= 0 and isfinite(duration_us)):
+        raise ValueError("duration_us must be finite and >= 0")
     seen_tx = set()
     for flow in flows:
         if flow not in deployment.links:
@@ -365,22 +362,16 @@ def _contend(link, cw, dcs, slot_us, success_us, collision_us, ac_cycle_us, reev
     ``_contend.__wrapped__`` with ``log`` a list, it also logs the run's
     events, with each window's plan and full-slot total from ``plans`` and
     ``full``."""
-    word = SplitMix64(seed, 0).words().__next__
-    # per stage, randbelow's mask for a draw below CW: 0 where CW is 1, whose
-    # draw takes no word
-    masks = [(1 << (c - 1).bit_length()) - 1 for c in cw]
+    words = SplitMix64(seed, 0).words()
+    # per stage, the next backoff draw below its CW, all from the one stream
+    draws = [below(c, words).__next__ for c in cw]
     last_stage = len(cw) - 1
-    cw0, mask0, dc0 = cw[0], masks[0], dcs[0]
+    draw0, dc0 = draws[0], dcs[0]
     node = [f.tx for f in link]
     stations = range(len(link))
     stage = [0] * len(link)
     dc = [dc0] * len(link)
-    bc = []
-    for _ in link:
-        b = word() & mask0 if mask0 else 0
-        while b >= cw0:
-            b = word() & mask0
-        bc.append(b)
+    bc = [draw0() for _ in link]
     collisions = [0] * len(link)
     # per station and AC slot, the success windows as primary: SS windows
     # that nobody barged, and full-spectrum ones
@@ -433,11 +424,7 @@ def _contend(link, cw, dcs, slot_us, success_us, collision_us, ac_cycle_us, reev
                 dc[i] -= 1  # BC stays frozen for this busy period
             else:
                 st = stage[i] = min(stage[i] + 1, last_stage)
-                c, mask = cw[st], masks[st]
-                b = word() & mask if mask else 0
-                while b >= c:
-                    b = word() & mask
-                bc[i] = b
+                bc[i] = b = draws[st]()
                 dc[i] = dcs[st]
                 if log is not None:
                     log.append(_new_event(SimEvent, (start, EVENT_STAGE_ADVANCE, node[i], link[i],
@@ -487,10 +474,7 @@ def _contend(link, cw, dcs, slot_us, success_us, collision_us, ac_cycle_us, reev
             # saturated: the transmitter resets to stage 0 and redraws for the
             # next frame at the moment its transmission completes
             stage[tx] = 0
-            b = word() & mask0 if mask0 else 0
-            while b >= cw0:
-                b = word() & mask0
-            bc[tx] = b
+            bc[tx] = b = draw0()
             dc[tx] = dc0
             if log is not None:
                 p_total = full[tx][k]
@@ -517,11 +501,7 @@ def _contend(link, cw, dcs, slot_us, success_us, collision_us, ac_cycle_us, reev
                                                      dc[i], None)))
             for i in colliders:
                 st = stage[i] = min(stage[i] + 1, last_stage)
-                c, mask = cw[st], masks[st]
-                b = word() & mask if mask else 0
-                while b >= c:
-                    b = word() & mask
-                bc[i] = b
+                bc[i] = b = draws[st]()
                 dc[i] = dcs[st]
                 if log is not None:
                     log.append(_new_event(SimEvent, (end, EVENT_STAGE_ADVANCE, node[i], link[i],

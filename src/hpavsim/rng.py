@@ -18,7 +18,9 @@ per-draw step with C-level ``bytes`` operations and stores the counter of its
 last word, giving the same values and leaving the same state as that many
 ``randbelow`` calls. ``words`` chains fixed batches into a C-level iterator,
 for a caller that draws many single words in a hot loop and cannot afford a
-method call per word.
+method call per word, and ``below`` turns such an iterator into successive
+``randbelow(n)`` draws, also at C level. ``randbelow`` keeps its own loop:
+for one draw, building such an iterator costs more than the draw.
 
 Name/version recorded in trace metadata: ``splitmix64`` / ``1``.
 """
@@ -26,6 +28,7 @@ Name/version recorded in trace metadata: ``splitmix64`` / ``1``.
 from functools import lru_cache
 from itertools import chain, count, repeat
 from math import isqrt
+from operator import and_
 from struct import Struct
 
 ALGORITHM_NAME = "splitmix64"
@@ -177,3 +180,22 @@ class SplitMix64:
             z = (z + used * _GAMMA) & _MASK64
         self._z = z
         return b"".join(chunks)
+
+
+def below(n: int, words):
+    """An iterator over successive ``randbelow(n)`` draws, by the same masked
+    rejection over the word iterator ``words``, taking exactly the words
+    those calls would.
+
+    It takes a word only when it is advanced, so several such iterators can
+    share one ``words`` and draw in any interleaving. A bound of 1 yields 0
+    without a word, and a power of two never rejects a masked word, so it
+    skips the filter.
+    """
+    if n <= 0:
+        raise ValueError("below() requires n >= 1")
+    if n == 1:
+        return repeat(0)
+    mask = (1 << (n - 1).bit_length()) - 1
+    draws = map(and_, words, repeat(mask))
+    return draws if n > mask else filter(n.__gt__, draws)

@@ -28,15 +28,17 @@ candidate over the cap is deferred with that bound. The deferred ones are
 split in descending bound while fewer than ``top_m`` are ranked or the bound
 reaches the ``top_m``-th gain (ties too, since the secondary's name breaks
 them); the rest can no longer rank. A split gets ``S - P`` planes by a
-borrow chain and counts the capped gain over the difference buckets without
-building a mask; only the at most ``top_m`` retained candidates build
-theirs. A table for n nodes thus costs O(L^2 * slots) such operations,
-L = n(n-1), plus the splits the bound lets through and, the first time a
-map is read, four ``translate`` and ``int`` parses per (link, slot). A
-retained candidate keeps its shared set as a mask
-(``SSAllocation.shared``); ``shared_total`` sums a tonemap over it as
-``sum_b 2**b * |shared & plane_b|``, and no library path builds its derived
-index tuple.
+borrow chain and walks the difference buckets from the largest down once
+(``_split``): it counts the capped gain and keeps the union of the buckets
+that fit whole, with the bucket that does not and how many of its
+subcarriers fit. Only the at most ``top_m`` retained candidates cut that
+bucket to its lowest subcarriers for their masks. A table for n nodes thus
+costs O(L^2 * slots) such operations, L = n(n-1), plus the splits the bound
+lets through and, the first time a map is read, four ``translate`` and
+``int`` parses per (link, slot). A retained candidate keeps its shared set
+as a mask (``SSAllocation.shared``); ``shared_total`` sums a tonemap over it
+as ``sum_b 2**b * |shared & plane_b|``, and no library path builds its
+derived index tuple.
 
 ``decision_table_csv`` renders a row's indices from the mask's 115 bytes:
 one lookup each in a table holding, per byte position, the ``",j,k,..."``
@@ -51,11 +53,12 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from numbers import Real
 from operator import getitem
 from typing import Dict, List, Tuple
 
-from .tonemap import MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink, Tonemap
+from .tonemap import (
+    MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink, Tonemap, is_integer, is_number,
+)
 from .traceio import Deployment
 
 _ALL = (1 << SUBCARRIER_COUNT) - 1
@@ -84,17 +87,15 @@ class SSPolicy:
     def __post_init__(self):
         # beta's bits feed the table builder's plane adder
         for name in ("beta", "top_m"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if self.top_m < 1:
             raise ValueError("top_m must be >= 1")
-        fraction = self.max_share_fraction
-        if isinstance(fraction, bool) or not isinstance(fraction, Real):
+        if not is_number(self.max_share_fraction):
             raise ValueError("max_share_fraction must be a number")
-        if not 0.0 <= fraction <= 1.0:
+        if not 0.0 <= self.max_share_fraction <= 1.0:
             raise ValueError("max_share_fraction must be in [0, 1]")
 
 
@@ -186,35 +187,24 @@ def _difference_digits(s_planes, p_planes):
     return (d0 ^ _ALL, d0), (d1 ^ _ALL, d1), (d2 ^ _ALL, d2), (d3 ^ _ALL, d3)
 
 
-def _split_gain(eligible, digits, cap, differences):
-    """The capped gain of ``eligible``: whole difference buckets from the
-    largest down, then ``d * room`` for the bucket that does not fit."""
+def _split(eligible, digits, cap, differences):
+    """The capped share of ``eligible`` as ``(gain, whole, cut, room)``: the
+    difference buckets from the largest down that fit whole under ``cap``,
+    their union ``whole``, then the first bucket ``cut`` that does not fit, of
+    which the ``room`` lowest subcarriers do. The capped mask is
+    ``whole | _lowest_bits(cut, room)``."""
     digit0, digit1, digit2, digit3 = digits
-    g = 0
+    g = whole = 0
     room = cap
     for d, b0, b1, b2, b3 in differences:
-        size = (eligible & digit0[b0] & digit1[b1] & digit2[b2] & digit3[b3]).bit_count()
-        if size > room:
-            return g + d * room
-        g += d * size
-        room -= size
-    return g
-
-
-def _capped_mask(eligible, digits, cap, differences):
-    """The subcarriers ``_split_gain`` counts: whole difference buckets from
-    the largest down, then the lowest indices of the bucket that does not fit."""
-    digit0, digit1, digit2, digit3 = digits
-    mask = 0
-    room = cap
-    for _, b0, b1, b2, b3 in differences:
         bucket = eligible & digit0[b0] & digit1[b1] & digit2[b2] & digit3[b3]
         size = bucket.bit_count()
         if size > room:
-            return mask | _lowest_bits(bucket, room)
-        mask |= bucket
+            return g + d * room, whole, bucket, room
+        g += d * size
+        whole |= bucket
         room -= size
-    return mask
+    return g, whole, 0, 0
 
 
 def _mask_selectors(mask: int) -> bytes:
@@ -235,7 +225,8 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
     A candidate over the cap is split only while its bound, the uncapped
     gain less ``beta`` per dropped subcarrier, can still reach the
     ``top_m``-th gain; a split counts the capped gain, and only the retained
-    candidates build their capped masks (see the module docstring).
+    candidates cut their last bucket for their masks (see the module
+    docstring).
 
     Raises nothing of its own: a Deployment and an SSPolicy are checked when
     they are built.
@@ -279,8 +270,9 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
                     carry &= p_b
             nq0, nq1, nq2, nq3 = [q_b ^ _ALL for q_b in q]
             below_16 = _ALL ^ carry
-            # (-gain, secondary, eligible set, D digits or None if uncut)
-            scored: List[Tuple[int, DirectedLink, int, object]] = []
+            # (-gain, secondary, whole, cut, room) as _split gives them; an
+            # uncut candidate keeps its eligible set whole
+            scored: List[Tuple[int, DirectedLink, int, int, int]] = []
             # (-bound, secondary, eligible set, S planes) of over-cap candidates
             deferred = []
             for secondary, s_planes in secondaries:
@@ -310,7 +302,7 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
                         # each subcarrier the cap drops differs by >= beta
                         deferred.append((beta * over - g, secondary, kept, s))
                         continue
-                scored.append((-g, secondary, kept, None))
+                scored.append((-g, secondary, kept, 0, 0))
             # secondaries differ, so a tie in gain never reaches the masks
             scored.sort()
             deferred.sort()
@@ -318,20 +310,14 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
                 # a bound equal to the top_m-th gain may still win its tie
                 if len(scored) >= top_m and neg_bound > scored[top_m - 1][0]:
                     break
-                digits = _difference_digits(s, p)
-                g = _split_gain(kept, digits, cap, differences)
+                g, whole, cut, room = _split(kept, _difference_digits(s, p), cap, differences)
                 if g > 0:
-                    insort(scored, (-g, secondary, kept, digits))
+                    insort(scored, (-g, secondary, whole, cut, room))
             entries[(primary, slot)] = tuple(
                 SSAllocation(
-                    primary,
-                    secondary,
-                    slot,
-                    kept if digits is None else _capped_mask(kept, digits, cap, differences),
-                    -neg_g,
-                    rank,
+                    primary, secondary, slot, whole | _lowest_bits(cut, room), -neg_g, rank
                 )
-                for rank, (neg_g, secondary, kept, digits) in enumerate(
+                for rank, (neg_g, secondary, whole, cut, room) in enumerate(
                     scored[:top_m], start=1
                 )
             )

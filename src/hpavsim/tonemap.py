@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isfinite
+from numbers import Real
 from typing import Iterable, Tuple
 from zlib import adler32
 
@@ -46,6 +47,20 @@ _NIBBLE_DISTANCE = bytes(abs((i >> 4) - (i & 15)) for i in range(256))
 _PLANE_BITS = tuple(
     bytes(0x31 if v >> b & 1 else 0x30 for v in range(256)) for b in range(4)
 )
+
+
+def is_integer(value) -> bool:
+    """Whether a parameter is an int and not a bool, the type check of every
+    count and seed field: a bool is an int to Python, but True is no
+    count of anything."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether a parameter is a real number and not a bool, the type check of
+    every duration, rate and fraction field: a string would fail in a
+    comparison with TypeError, and True would pass as 1."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -180,6 +195,9 @@ class PhyParams:
         if Fraction(self.fec_rate) not in FEC_RATES:
             raise ValueError(f"fec_rate must be one of {FEC_RATES}, got {self.fec_rate}")
         object.__setattr__(self, "fec_rate", Fraction(self.fec_rate))
+        for name in ("bit_error_rate", "symbol_interval_us", "protocol_overhead"):
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number")
         if not 0.0 <= self.bit_error_rate < 1.0:
             raise ValueError("bit_error_rate must be in [0, 1)")
         if not (self.symbol_interval_us > 0 and isfinite(self.symbol_interval_us)):

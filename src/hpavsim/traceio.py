@@ -25,7 +25,6 @@ to the HPAV-legal ladder {0,1,2,3,4,6,8,10}.
 import io
 from dataclasses import dataclass
 from itertools import groupby
-from numbers import Real
 from typing import Dict, Optional, Tuple
 
 from .rng import ALGORITHM_NAME, ALGORITHM_VERSION, SplitMix64
@@ -36,6 +35,8 @@ from .tonemap import (
     SUBCARRIER_COUNT,
     DirectedLink,
     Tonemap,
+    is_integer,
+    is_number,
 )
 
 FORMAT_NAME = "plctm"
@@ -131,12 +132,11 @@ class GeneratorProfile:
         # a float knob would fail deep in the generator, and a bool would
         # reach the trace metadata as True or False
         for name in ("notch_count", "notch_width", "asymmetry_noise", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         # a bool would reach the trace metadata as 1, a string would fail
         # in the comparison below
-        if isinstance(self.base_quality, bool) or not isinstance(self.base_quality, Real):
+        if not is_number(self.base_quality):
             raise ValueError("base_quality must be a number")
         if not 0 <= self.base_quality <= MAX_MODULATION:
             raise ValueError("base_quality must be in 0..10")
@@ -277,10 +277,10 @@ def _parse_header_int(line_no: int, line: str, key: str) -> int:
         raise TraceFormatError(line_no, f"bad integer {parts[1]!r}") from None
 
 
-# modulation byte 0..10 -> one character, "A" standing in for "10"
-_VALUE_CHARS = bytes.maketrans(bytes(range(MAX_MODULATION + 1)), b"0123456789A")
-# the inverse for the parser's fast path, ":" standing in for "10"
+# the one-character values 0..10 of a canonical row, ":" standing in for "10"
 _CHAR_DIGITS = b"0123456789:"
+# modulation byte -> character for the writer, and the inverse for the parser
+_VALUE_CHARS = bytes.maketrans(bytes(range(MAX_MODULATION + 1)), _CHAR_DIGITS)
 _CHAR_VALUES = bytes.maketrans(_CHAR_DIGITS, bytes(range(MAX_MODULATION + 1)))
 # a canonical row: 917 one-character values at the even offsets, commas between
 _ROW_LENGTH = 2 * SUBCARRIER_COUNT - 1
@@ -346,7 +346,7 @@ def serialize_trace(deployment: Deployment) -> str:
         tmap = deployment.links[link]
         for k in range(1, tmap.slot_count + 1):
             row[::2] = tmap.slot(k).translate(_VALUE_CHARS)
-            values = row.decode("ascii").replace("A", "10")
+            values = row.decode("ascii").replace(":", "10")
             out.write(f"link {link.tx} {link.rx} {k} {values}\n")
     return out.getvalue()
 

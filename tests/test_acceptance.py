@@ -83,11 +83,9 @@ def corpus():
 
 
 def random_tonemap(rng, slot_count=5):
+    # each slot is 917 successive randbelow(11) draws, taken as one byte run
     return Tonemap(
-        tuple(
-            tuple(rng.randbelow(11) for _ in range(SUBCARRIER_COUNT))
-            for _ in range(slot_count)
-        )
+        tuple(rng.randbelow_bytes(11, SUBCARRIER_COUNT) for _ in range(slot_count))
     )
 
 
@@ -118,7 +116,9 @@ def test_criterion_1_formula_oracles():
             5,
         )
         ok &= asymmetry(tmap, other) == brute_asym
-        indices = [j for j in range(1, SUBCARRIER_COUNT + 1) if rng.randbelow(4) == 0]
+        # subcarrier j is active where the j-th of 917 randbelow(4) draws is 0
+        draws = rng.randbelow_bytes(4, SUBCARRIER_COUNT)
+        indices = [j for j, v in enumerate(draws, start=1) if v == 0]
         brute_sf = Fraction(sum(tmap.slot(3)[j - 1] for j in indices), 9170)
         ok &= spectrum_fraction(tmap, 3, indices) == brute_sf
     elapsed = time.perf_counter() - t0

@@ -175,6 +175,16 @@ class TestBasicContract:
                 [DirectedLink("n1", "n2"), DirectedLink("n1", "n3")], 1000, seed=1,
             )
 
+    # a NaN duration gave an empty 0 us report and True ran one slot
+    @pytest.mark.parametrize("duration, message", [
+        (math.nan, "finite and >= 0"), (-math.inf, "finite and >= 0"),
+        (True, "a number"), ("1000", "a number"),
+    ])
+    def test_duration_validation(self, duration, message):
+        with pytest.raises(ValueError, match=f"^duration_us must be {message}$"):
+            run_simulation(uniform_two_node(), None, MAC, None, [DirectedLink("n1", "n2")],
+                           duration, seed=1)
+
     def test_invalid_deployment_rejected(self):
         dep = uniform_two_node()
         link = DirectedLink("n1", "n2")
@@ -951,6 +961,16 @@ class TestMacParams:
         ]:
             with pytest.raises(ValueError, match=f"{field} .*integer"):
                 MacParams(**kwargs)
+
+    # a bool passed the positive-and-finite check as 0 or 1, and a string
+    # failed it with TypeError
+    @pytest.mark.parametrize("value", [True, "x"])
+    @pytest.mark.parametrize("field", ["collision_duration_us", "success_duration_us",
+                                       "frame_length", "slot_duration_us", "ac_cycle_us",
+                                       "reeval_period_us"])
+    def test_validation_needs_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a number$"):
+            MacParams(**{field: value})
 
     # NaN fails every comparison, so a "<= 0" check lets it through: a NaN
     # slot or cycle length died mid-run converting NaN to an int, and a NaN

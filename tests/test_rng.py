@@ -2,7 +2,7 @@
 
 import pytest
 
-from hpavsim.rng import _BATCH, SplitMix64, _mixed_lanes
+from hpavsim.rng import _BATCH, SplitMix64, _mixed_lanes, below
 
 # (seed, stream) -> first 8 next_u64 words. Seed 0, stream 0 starts the state
 # at 0, so its words are the reference splitmix64 sequence for seed 0.
@@ -91,6 +91,9 @@ def test_randbelow_many_is_successive_randbelow(n, count):
 def test_randbelow_rejects_empty_range():
     with pytest.raises(ValueError):
         SplitMix64(1).randbelow(0)
+    # a draw below 0 would reject every word for ever
+    with pytest.raises(ValueError):
+        below(0, SplitMix64(1).words())
 
 
 @pytest.mark.parametrize("n", [0, 257])
@@ -157,17 +160,6 @@ def test_mixed_lanes_are_the_next_words(lanes):
     assert words == [ref.next_u64() for _ in range(lanes)]
 
 
-def _draw_over(word, n):
-    """randbelow(n) by masked rejection over a word source: no word for
-    n = 1, else words masked to the bit length of n - 1 until one falls
-    below n."""
-    mask = (1 << (n - 1).bit_length()) - 1
-    v = word() & mask if mask else 0
-    while v >= n:
-        v = word() & mask
-    return v
-
-
 # An iterator mixes its words in batches of 256: counts up to 25 stay in the
 # first batch, 256 and 512 end the first two, 257 and 513 cross into the next
 # and 5000 spans many.
@@ -190,11 +182,30 @@ def test_words_start_where_the_stream_stands(draws):
     assert [next(words) for _ in range(300)] == [twin.next_u64() for _ in range(300)]
 
 
-@pytest.mark.parametrize("n", [1, 3, 8, 11, 2**40 + 1])
+# no word for 1, powers of two that never reject, and bounds that do
+BELOW_BOUNDS = [1, 2, 3, 5, 7, 8, 11, 64, 2**40 + 1]
+
+
+@pytest.mark.parametrize("n", BELOW_BOUNDS)
 def test_masked_rejection_over_words_is_randbelow(n):
+    # below() starts at the first unconsumed word and takes exactly the words
+    # successive randbelow(n) calls would
     rng, twin = SplitMix64(0, 4), SplitMix64(0, 4)
     twin.next_u64()
-    word = rng.words().__next__
-    word()
-    assert [_draw_over(word, n) for _ in range(600)] == [twin.randbelow(n) for _ in range(600)]
-    assert word() == twin.next_u64()
+    words = rng.words()
+    next(words)
+    draw = below(n, words).__next__
+    assert [draw() for _ in range(600)] == [twin.randbelow(n) for _ in range(600)]
+    assert next(words) == twin.next_u64()
+
+
+def test_below_iterators_share_one_stream():
+    # one iterator per bound over one word stream, advanced in a random
+    # order, as the MAC engine's per-stage draws are
+    rng, twin, order = SplitMix64(42, 9), SplitMix64(42, 9), SplitMix64(7, 1)
+    words = rng.words()
+    draws = [below(n, words).__next__ for n in BELOW_BOUNDS]
+    for _ in range(3000):
+        i = order.randbelow(len(BELOW_BOUNDS))
+        assert draws[i]() == twin.randbelow(BELOW_BOUNDS[i])
+    assert next(words) == twin.next_u64()

@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -286,21 +285,22 @@ class TestDecisionTableOracle:
 
     def test_capped_table_splits_behind_the_bound(self, eight_node_deployments, monkeypatch):
         # over-cap candidates are split only while their bound can still
-        # rank, and only retained ones get a mask; a lost bound or an eager
-        # mask would pass every correctness test and show only as a slowdown
-        splits, masks = [], []
+        # rank, and only retained ones get their cut bucket cut; a lost bound
+        # or an eager cut would pass every correctness test and show only as
+        # a slowdown
+        splits, cuts = [], []
 
         def counting_split(*args):
             splits.append(args)
-            return split_gain(*args)
+            return split(*args)
 
-        def counting_mask(*args):
-            masks.append(capped_mask(*args))
-            return masks[-1]
+        def counting_cut(cut, room):
+            cuts.append(cut)
+            return lowest_bits(cut, room)
 
-        split_gain, capped_mask = sharing._split_gain, sharing._capped_mask
-        monkeypatch.setattr(sharing, "_split_gain", counting_split)
-        monkeypatch.setattr(sharing, "_capped_mask", counting_mask)
+        split, lowest_bits = sharing._split, sharing._lowest_bits
+        monkeypatch.setattr(sharing, "_split", counting_split)
+        monkeypatch.setattr(sharing, "_lowest_bits", counting_cut)
         dep = eight_node_deployments["interference-notched"]
         policy = SSPolicy(beta=2, top_m=2, max_share_fraction=0.3)
         table = build_decision_table(dep, policy)
@@ -314,8 +314,9 @@ class TestDecisionTableOracle:
                 s = dep.links[secondary].slot(1)
                 over_cap += sum(b - a >= policy.beta for a, b in zip(p, s)) > cap
         assert 0 < len(splits) < over_cap
-        retained = Counter(a.shared for allocs in table.entries.values() for a in allocs)
-        assert masks and not Counter(masks) - retained
+        # one cut per retained candidate, an uncut one's from the empty bucket
+        retained = sum(map(len, table.entries.values()))
+        assert len(cuts) == retained and any(cuts)
         assert tables_equal(table, brute_force_table(dep, policy))
 
     def test_sweep_builds_planes_once_per_map(self, monkeypatch):

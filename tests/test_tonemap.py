@@ -353,6 +353,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             PhyParams(protocol_overhead=1.0)
 
+    # True passed the range checks as 1, and a string failed them with
+    # TypeError
+    @pytest.mark.parametrize("value", [True, "x"])
+    @pytest.mark.parametrize("field", ["bit_error_rate", "symbol_interval_us",
+                                       "protocol_overhead"])
+    def test_phy_params_need_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a number$"):
+            PhyParams(**{field: value})
+
     # a NaN interval passed the "<= 0" check and made every rate NaN
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_symbol_interval_rejected(self, value):
