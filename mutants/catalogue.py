@@ -21,6 +21,8 @@ SHARING = "src/hpavsim/sharing.py"
 RNG = "src/hpavsim/rng.py"
 TRACEIO = "src/hpavsim/traceio.py"
 TONEMAP = "src/hpavsim/tonemap.py"
+METRICS = "src/hpavsim/metrics.py"
+ROUTING = "src/hpavsim/routing.py"
 
 
 class Mutant(NamedTuple):
@@ -476,8 +478,36 @@ MUTANTS = (
     Mutant(
         id="traceio-colon-guard-dropped",
         file=TRACEIO,
-        old='    if ":" not in values_s:  # else a literal ":" would read as 10\n',
-        new="    if True:\n",
+        old='if b":" in row or b"#" in row:',
+        new='if b"#" in row:',
+        tests=(
+            "tests/test_traceio_property.py::test_parser_agrees_with_int_oracle",
+        ),
+    ),
+    Mutant(
+        id="traceio-marker-guard-dropped",
+        file=TRACEIO,
+        old='if b":" in row or b"#" in row:',
+        new='if b":" in row:',
+        tests=(
+            "tests/test_traceio_property.py::test_parser_agrees_with_int_oracle",
+        ),
+    ),
+    Mutant(
+        id="traceio-length-gate-one-late",
+        file=TRACEIO,
+        old="    if len(row) > _ROW_LENGTH:\n",
+        new="    if len(row) > _ROW_LENGTH + 1:\n",
+        tests=(
+            # the row with one 10 is still read, by the int() token loop
+            "tests/test_traceio.py::TestParse::test_canonical_rows_take_the_fast_path",
+        ),
+    ),
+    Mutant(
+        id="traceio-row-digits-unchecked",
+        file=TRACEIO,
+        old="        if 255 not in values:\n",
+        new="        if True:\n",
         tests=(
             "tests/test_traceio_property.py::test_parser_agrees_with_int_oracle",
         ),
@@ -489,6 +519,28 @@ MUTANTS = (
         new="if len(row) == _ROW_LENGTH:",
         tests=(
             "tests/test_traceio_property.py::test_parser_agrees_with_int_oracle",
+        ),
+    ),
+    Mutant(
+        id="traceio-writer-ten-test-inverted",
+        file=TRACEIO,
+        old="if MAX_MODULATION not in slot:",
+        new="if MAX_MODULATION in slot:",
+        tests=(
+            "tests/test_traceio.py::TestParse::test_canonical_rows_take_the_fast_path",
+            "tests/test_traceio.py::test_generated_trace_bytes_pinned",
+            "tests/test_traceio_property.py::test_round_trip_on_arbitrary_valid_deployments",
+        ),
+    ),
+    Mutant(
+        id="traceio-writer-markers-kept",
+        file=TRACEIO,
+        old='values = wide.translate(None, b"#").decode("ascii")',
+        new='values = wide.decode("ascii")',
+        tests=(
+            "tests/test_traceio.py::TestParse::test_canonical_rows_take_the_fast_path",
+            "tests/test_traceio.py::test_generated_trace_bytes_pinned",
+            "tests/test_traceio_property.py::test_round_trip_on_arbitrary_valid_deployments",
         ),
     ),
     Mutant(
@@ -575,6 +627,43 @@ MUTANTS = (
             "tests/test_tonemap.py::TestPhyRate::test_matches_rational_oracle_on_random_maps",
         ),
     ),
+    # the SS-on over SS-off comparison and the route planner's figures
+    Mutant(
+        id="metrics-fsse-delta-self-subtracted",
+        file=METRICS,
+        old="fsse_delta=fair_ss.fsse - fair_base.fsse,",
+        new="fsse_delta=fair_ss.fsse - fair_ss.fsse,",
+        tests=(
+            "tests/test_metrics.py::TestCompareRuns::test_gains_and_deltas_from_known_tallies",
+        ),
+    ),
+    Mutant(
+        id="metrics-pct-gain-zero-base-reads-zero",
+        file=METRICS,
+        old="return 0.0 if new == 0 else math.inf",
+        new="return 0.0",
+        tests=(
+            "tests/test_metrics.py::TestCompareRuns::test_zero_base_links",
+        ),
+    ),
+    Mutant(
+        id="routing-csv-estimate-truncated",
+        file=ROUTING,
+        old="{round(route.throughput_bps)}",
+        new="{int(route.throughput_bps)}",
+        tests=(
+            "tests/test_routing.py::TestRouteCsv::test_estimate_rounds_to_nearest",
+        ),
+    ),
+    Mutant(
+        id="routing-threshold-edge-dropped",
+        file=ROUTING,
+        old="if rate >= min_rate:",
+        new="if rate > min_rate:",
+        tests=(
+            "tests/test_routing.py::TestBuildGraph::test_edge_at_exactly_the_threshold_kept",
+        ),
+    ),
     # the splitmix64 counter, word iterator and byte runs
     Mutant(
         id="rng-byte-run-walk-back-one-short",
@@ -641,6 +730,17 @@ EQUIVALENT = (
         reason=(
             "n differs from m only when the run's duration ends inside the "
             "idle run, and then the loop stops and no BC is read again"
+        ),
+    ),
+    Mutant(
+        id="traceio-length-gate-dropped",
+        file=TRACEIO,
+        old="    if len(row) > _ROW_LENGTH:\n",
+        new="    if True:\n",
+        reason=(
+            "the replace only shortens a field: a shorter one stays too short, "
+            "and one of exactly _ROW_LENGTH characters that holds a 10 fails "
+            "the length check after it as it fails the comma check without it"
         ),
     ),
 )

@@ -32,11 +32,12 @@ The pass keeps its last result, tuples only (lru_cache, one entry). Its key
 is the flows, the MacParams fields the pass reads (the CW and DC schedules,
 the slot, success and collision durations, ac_cycle_us and
 reeval_period_us), the duration, the seed, the slot count and whether SS is
-on. frame_length and rank_wait_slots_per_rank enter only the accounting, so
-runs that differ only there share one pass, as a β sweep's SS-on runs do:
-each after the first reuses it. A larger memo would serve only repeated
-identical runs. A run that collects events makes its own pass, past the
-memo.
+on. rank_wait_slots_per_rank enters only the accounting, and frame_length
+enters none of the run: only normalized_throughput reads it. Runs that
+differ only in those two, or only in the table, as a β sweep's SS-on runs
+do, share one pass: each after the first reuses it. A larger memo would
+serve only repeated identical runs. A run that collects events makes its
+own pass, past the memo.
 
 Each backoff counter comes from the draw iterator of its stage, rng.below
 over the stage's CW, and all of them share the run's one word stream
@@ -261,9 +262,9 @@ def run_simulation(
     busy period; all throughput figures normalize by the actual total.
 
     Raises ValueError for an empty flow list, a duration that is not a
-    finite number >= 0, a flow over an untraced link or two flows from one
-    station; the deployment and the table's allocations were checked when
-    they were built.
+    finite number >= 0, a seed that is not an int (or is a bool), a flow
+    over an untraced link or two flows from one station; the deployment and
+    the table's allocations were checked when they were built.
     """
     if not flows:
         raise ValueError("empty flow list")
@@ -272,6 +273,10 @@ def run_simulation(
     # an infinite duration never ends the run, and a NaN one ends it at once
     if not (duration_us >= 0 and isfinite(duration_us)):
         raise ValueError("duration_us must be finite and >= 0")
+    # True would run as seed 1, and a float or a string would fail inside
+    # SplitMix64 with TypeError
+    if not is_integer(seed):
+        raise ValueError("seed must be an integer")
     seen_tx = set()
     for flow in flows:
         if flow not in deployment.links:

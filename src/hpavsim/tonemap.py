@@ -192,6 +192,10 @@ class PhyParams:
     protocol_overhead: float = 0.4
 
     def __post_init__(self):
+        # a string would pass through Fraction("1/2"), and None would fail in
+        # it with TypeError
+        if not is_number(self.fec_rate):
+            raise ValueError("fec_rate must be a number")
         if Fraction(self.fec_rate) not in FEC_RATES:
             raise ValueError(f"fec_rate must be one of {FEC_RATES}, got {self.fec_rate}")
         object.__setattr__(self, "fec_rate", Fraction(self.fec_rate))

@@ -277,32 +277,38 @@ def _parse_header_int(line_no: int, line: str, key: str) -> int:
         raise TraceFormatError(line_no, f"bad integer {parts[1]!r}") from None
 
 
-# the one-character values 0..10 of a canonical row, ":" standing in for "10"
-_CHAR_DIGITS = b"0123456789:"
-# modulation byte -> character for the writer, and the inverse for the parser
-_VALUE_CHARS = bytes.maketrans(bytes(range(MAX_MODULATION + 1)), _CHAR_DIGITS)
-_CHAR_VALUES = bytes.maketrans(_CHAR_DIGITS, bytes(range(MAX_MODULATION + 1)))
-# a canonical row: 917 one-character values at the even offsets, commas between
+# reader: one character per value 0..10, ":" for "10", any other as 255;
+# writer: each value's first and second character, "#" where there is none
+_CHAR_VALUES = bytes(b"0123456789:".find(c) % 256 for c in range(256))
+_HEAD_CHARS = bytes.maketrans(bytes(range(MAX_MODULATION + 1)), b"01234567891")
+_TAIL_CHARS = bytes.maketrans(bytes(range(MAX_MODULATION + 1)), b"##########0")
+# 917 one-character values at the even offsets, commas between
 _ROW_LENGTH = 2 * SUBCARRIER_COUNT - 1
-_ROW_COMMAS = "," * (SUBCARRIER_COUNT - 1)
+_ROW_COMMAS = b"," * (SUBCARRIER_COUNT - 1)
 
 
 def _canonical_values(values_s: str) -> Optional[bytes]:
     """The 917 modulation bytes of a canonical value field, else None.
 
     A canonical row (bare decimals 0..10, the form ``serialize_trace``
-    writes) is read by C-level string and bytes operations: with every "10"
-    turned into ":", it is one character per value. Any other row, including
-    a valid one that spells a value differently (``03``, ``+10``), is left to
+    writes) is read by C-level bytes operations. A field of exactly 1833
+    characters holds no 10 (one of its characters would sit where a comma
+    must be); in a longer one a same-length replace writes each "10" as "#:"
+    and one delete drops the "#"s, leaving one character per value. Any
+    other row, including a valid one that spells a value differently
+    (``03``, ``+10``) or holds a ":" or "#" of its own, is left to
     ``_parse_tokens``; this read accepts only rows that it would read to the
     same bytes, so the rows accepted and the errors raised are its own.
     """
-    if ":" not in values_s:  # else a literal ":" would read as 10
-        row = values_s.replace("10", ":")
-        if len(row) == _ROW_LENGTH and row[1::2] == _ROW_COMMAS:
-            raw = row[::2].encode("ascii", "replace")
-            if not raw.translate(None, _CHAR_DIGITS):
-                return raw.translate(_CHAR_VALUES)
+    row = values_s.encode("ascii", "replace")
+    if b":" in row or b"#" in row:  # else they would read as 10 or vanish
+        return None
+    if len(row) > _ROW_LENGTH:
+        row = row.replace(b"10", b"#:").translate(None, b"#")
+    if len(row) == _ROW_LENGTH and row[1::2] == _ROW_COMMAS:
+        values = row[::2].translate(_CHAR_VALUES)
+        if 255 not in values:
+            return values
     return None
 
 
@@ -330,8 +336,11 @@ def serialize_trace(deployment: Deployment) -> str:
     """Canonical PLCTM v1 text of a deployment.
 
     Nodes keep their listed order; meta lines sort by key; link lines sort by
-    (tx, rx) then slot. Equal deployments serialize byte-identically. Raises
-    nothing of its own: a Deployment is valid once built.
+    (tx, rx) then slot. Equal deployments serialize byte-identically. A
+    value row is laid out by C-level bytes operations: one character per
+    value with commas between when the slot holds no 10, else three bytes
+    per value ("d#," or "10,") with the "#" markers deleted. Raises nothing
+    of its own: a Deployment is valid once built.
     """
     out = io.StringIO()
     out.write(f"{FORMAT_NAME} {FORMAT_VERSION}\n")
@@ -341,12 +350,19 @@ def serialize_trace(deployment: Deployment) -> str:
     for key in sorted(deployment.metadata):
         out.write(f"meta {key} {deployment.metadata[key]}\n")
     row = bytearray(_ROW_LENGTH)
-    row[1::2] = _ROW_COMMAS.encode("ascii")
+    row[1::2] = _ROW_COMMAS
+    wide = bytearray(3 * SUBCARRIER_COUNT - 1)  # "d#," or "10," per value
+    wide[2::3] = _ROW_COMMAS
     for link in sorted(deployment.links):
         tmap = deployment.links[link]
-        for k in range(1, tmap.slot_count + 1):
-            row[::2] = tmap.slot(k).translate(_VALUE_CHARS)
-            values = row.decode("ascii").replace(":", "10")
+        for k, slot in enumerate(tmap.slots, 1):
+            if MAX_MODULATION not in slot:
+                row[::2] = slot.translate(_HEAD_CHARS)
+                values = row.decode("ascii")
+            else:
+                wide[::3] = slot.translate(_HEAD_CHARS)
+                wide[1::3] = slot.translate(_TAIL_CHARS)
+                values = wide.translate(None, b"#").decode("ascii")
             out.write(f"link {link.tx} {link.rx} {k} {values}\n")
     return out.getvalue()
 

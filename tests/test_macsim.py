@@ -185,6 +185,19 @@ class TestBasicContract:
             run_simulation(uniform_two_node(), None, MAC, None, [DirectedLink("n1", "n2")],
                            duration, seed=1)
 
+    # True ran as seed 1, and 1.5 or "x" raised TypeError inside SplitMix64
+    @pytest.mark.parametrize("seed", [True, 1.5, "x"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            run_simulation(uniform_two_node(), None, MAC, None, [DirectedLink("n1", "n2")],
+                           1000, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_ends_of_the_range_run(self, seed):
+        report = run_simulation(uniform_two_node(), None, MAC, None,
+                                [DirectedLink("n1", "n2")], 10_000, seed=seed)
+        assert report.tallies[DirectedLink("n1", "n2")].successes > 0
+
     def test_invalid_deployment_rejected(self):
         dep = uniform_two_node()
         link = DirectedLink("n1", "n2")

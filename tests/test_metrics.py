@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,61 @@ class TestCompareRuns:
         )
         assert gain.per_link[a].gain_pct == pytest.approx(25.0)
         assert gain.per_link[b].gain_pct == pytest.approx(-50.0)
+
+    # every figure against arithmetic done here on the tallies: throughput is
+    # 100 * (primary + secondary spectrum fraction) * frame_length / time
+    def test_gains_and_deltas_from_known_tallies(self):
+        ab, bc, ca = DirectedLink("a", "b"), DirectedLink("b", "c"), DirectedLink("c", "a")
+        total_us = 400_000.0
+        base_sf = {ab: Fraction(3, 2), bc: Fraction(1, 2), ca: Fraction(1)}
+        ss_sf = {ab: (Fraction(3, 2), Fraction(1, 4)), bc: (Fraction(1, 2), Fraction(3, 4)),
+                 ca: (Fraction(3, 4), Fraction(0))}
+        base = SimReportRaw({
+            link: LinkTally(successes_primary=3, collisions=1, sf_primary=sf)
+            for link, sf in base_sf.items()
+        }, total_us, total_us, 0.0, 0.0)
+        ss = SimReportRaw({
+            link: LinkTally(successes_primary=3, successes_secondary=2, sf_primary=p,
+                            sf_secondary=s)
+            for link, (p, s) in ss_sf.items()
+        }, total_us + 1000.0, total_us, 0.0, 0.0)
+
+        def thr(sf, time_us):
+            return 100 * sf * Fraction(MAC.frame_length) / Fraction(time_us)
+
+        x_base = [thr(base_sf[link], total_us) for link in (ab, bc, ca)]
+        x_ss = [thr(sum(ss_sf[link]), total_us + 1000.0) for link in (ab, bc, ca)]
+
+        def jfi(x):
+            return sum(x) ** 2 / (len(x) * sum(v * v for v in x))
+
+        gain = compare_runs(base, ss, MAC)
+        for link, b, s in zip((ab, bc, ca), x_base, x_ss):
+            assert gain.per_link[link].base == pytest.approx(float(b), rel=1e-12)
+            assert gain.per_link[link].ss == pytest.approx(float(s), rel=1e-12)
+            assert gain.per_link[link].gain_pct == pytest.approx(float(100 * (s - b) / b),
+                                                                 rel=1e-12)
+        assert gain.aggregate_gain_pct == pytest.approx(
+            float(100 * (sum(x_ss) - sum(x_base)) / sum(x_base)), rel=1e-12)
+        assert gain.jfi_delta == pytest.approx(float(jfi(x_ss) - jfi(x_base)), rel=1e-12)
+        assert gain.fsse_delta == pytest.approx(float(3 * min(x_ss) - 3 * min(x_base)),
+                                                rel=1e-12)
+        assert gain.fsse_delta != 0
+
+    def test_zero_base_links(self):
+        # a link that starts from nothing gains without bound, unless it still
+        # carries nothing
+        grows, idle = DirectedLink("a", "b"), DirectedLink("b", "a")
+        steady = DirectedLink("c", "a")
+        gain = compare_runs(
+            report_from_sf({grows: 0, idle: 0, steady: Fraction(1, 2)}),
+            report_from_sf({grows: Fraction(1, 4), idle: 0, steady: Fraction(1, 2)}),
+            MAC,
+        )
+        assert gain.per_link[grows].gain_pct == math.inf
+        assert gain.per_link[idle].gain_pct == 0.0
+        assert gain.per_link[steady].gain_pct == 0.0
+        assert gain.aggregate_gain_pct == pytest.approx(50.0)
 
     def test_link_set_mismatch_rejected(self):
         base = report_from_sf({DirectedLink("a", "b"): 0.5})

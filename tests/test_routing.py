@@ -50,6 +50,13 @@ class TestBuildGraph:
         assert DirectedLink("a", "c") not in g.edges
         assert DirectedLink("a", "b") in g.edges
 
+    def test_edge_at_exactly_the_threshold_kept(self):
+        dep = weak_direct_deployment()
+        params = PhyParams()
+        weak = expected_throughput(dep.links[DirectedLink("a", "c")], params)
+        g = build_graph(dep, params, weak)
+        assert set(g.edges) == set(dep.links)
+
     def test_weights_are_expected_throughput(self):
         dep = weak_direct_deployment()
         params = PhyParams()
@@ -116,3 +123,11 @@ class TestRouteCsv:
         route = best_route(g, "a", "c")
         text = route_csv(route, "a", "c")
         assert text == "src,dst,hops,path,estimate_bps\na,c,2,a>b>c,25000000\n"
+
+    def test_estimate_rounds_to_nearest(self):
+        # 1 / (1/10e6 + 1/20e6) = 6666666.67 bit/s: rounded, not truncated
+        g = graph({("a", "b"): 10e6, ("b", "c"): 20e6})
+        route = best_route(g, "a", "c")
+        assert route.throughput_bps == pytest.approx(20e6 / 3)
+        text = route_csv(route, "a", "c")
+        assert text == "src,dst,hops,path,estimate_bps\na,c,2,a>b>c,6666667\n"

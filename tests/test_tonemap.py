@@ -354,9 +354,10 @@ class TestTypes:
             PhyParams(protocol_overhead=1.0)
 
     # True passed the range checks as 1, and a string failed them with
-    # TypeError
-    @pytest.mark.parametrize("value", [True, "x"])
-    @pytest.mark.parametrize("field", ["bit_error_rate", "symbol_interval_us",
+    # TypeError; a fec_rate of "1/2" passed through Fraction as 1/2, and None
+    # raised TypeError in it
+    @pytest.mark.parametrize("value", [True, "x", "1/2", None])
+    @pytest.mark.parametrize("field", ["fec_rate", "bit_error_rate", "symbol_interval_us",
                                        "protocol_overhead"])
     def test_phy_params_need_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be a number$"):

@@ -135,8 +135,10 @@ class TestParse:
             for kind, kw in knobs.items()
         ]
         every_level = [bytes((j + k) % 11 for j in range(SUBCARRIER_COUNT)) for k in range(11)]
+        # one 10 makes a field one character longer than a row without
+        one_ten = bytes([3] * (SUBCARRIER_COUNT - 1) + [10])
         deployments.append(Deployment(("a", "b"), {
-            DirectedLink("a", "b"): Tonemap(every_level[:6]),
+            DirectedLink("a", "b"): Tonemap(every_level[:5] + [one_ten]),
             DirectedLink("b", "a"): Tonemap(every_level[5:]),
         }))
         texts = [serialize_trace(dep) for dep in deployments]

@@ -63,9 +63,10 @@ def test_round_trip_on_arbitrary_valid_deployments(dep):
 
 # int() reads these as values in 0..10, but they are not the writer's form
 NON_CANONICAL = ["03", "+10", "010", "-0", "00", "٣"]
-# ":" and "A" are the stand-ins for 10 inside the reader's and writer's
-# kernels; "3x3" puts a non-comma at a comma offset of a 916-value row
-INVALID = [":", "A", "1:", "", "x", "11", "3x3"]
+# ":" stands in for 10 inside the reader and "#" marks a dropped byte in the
+# reader and the writer; "3x3" puts a non-comma at a comma offset of a
+# 916-value row
+INVALID = [":", "#", "1:", "3#", "", "x", "11", "3x3"]
 
 
 @st.composite
@@ -90,6 +91,12 @@ def value_fields(draw):
 @example(values_s=",".join(["10"] * 916 + [":"]))
 @example(values_s=",".join(["A"] + ["10"] * 916))
 @example(values_s=",".join(["3x3"] + ["10"] * 915))
+# a field of exactly 1833 characters skips the 10 search, but not the ":"
+# guard; the "#" guard holds where the markers are dropped; and a row may end
+# in a 10
+@example(values_s=",".join(["3"] * 400 + [":"] + ["3"] * 516))
+@example(values_s=",".join(["3#"] + ["10"] * 916))
+@example(values_s=",".join(["3"] * 916 + ["10"]))
 def test_parser_agrees_with_int_oracle(values_s):
     reverse = ",".join(["3"] * SUBCARRIER_COUNT)
     text = (
