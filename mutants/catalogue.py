@@ -23,6 +23,7 @@ TRACEIO = "src/hpavsim/traceio.py"
 TONEMAP = "src/hpavsim/tonemap.py"
 METRICS = "src/hpavsim/metrics.py"
 ROUTING = "src/hpavsim/routing.py"
+CLI = "src/hpavsim/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -293,24 +294,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # ~Q then reads a Q of 16 or more as Q - 16
         id="sharing-beta-carry-dropped",
         file=SHARING,
-        old="below_16 = _ALL ^ carry",
-        new="below_16 = _ALL",
+        old="[(q_b | carry) ^ _ALL for q_b in q]",
+        new="[q_b ^ _ALL for q_b in q]",
         tests=(
             "tests/test_sharing.py::TestDecisionTableOracle::"
             "test_every_level_pair_matches_brute_force",
-            "tests/test_sharing_property.py::test_table_matches_brute_force",
-        ),
-    ),
-    Mutant(
-        id="sharing-borrow-stops-at-plane-1",
-        file=SHARING,
-        old="borrow = (p1 | borrow) & ~s1 | p1 & borrow",
-        new="borrow = p1 & ~s1",
-        tests=(
             "tests/test_sharing.py::TestDecisionTableOracle::"
-            "test_every_level_pair_matches_brute_force",
+            "test_primary_at_ten_past_beta_six_has_no_candidate",
             "tests/test_sharing_property.py::test_table_matches_brute_force",
         ),
     ),
@@ -328,6 +321,63 @@ MUTANTS = (
             "tests/test_sharing_property.py::test_table_matches_brute_force",
         ),
     ),
+    Mutant(
+        id="sharing-r0-from-complement",
+        file=SHARING,
+        old="r0 = s0 ^ q0",
+        new="r0 = s0 ^ nq0",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_every_level_pair_matches_brute_force",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_difference_of_ten_weighs_eight_in_plane_3",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        id="sharing-r2-after-carry-update",
+        file=SHARING,
+        old="                r2 = x ^ c\n                c = s2 & nq2 | c & x\n",
+        new="                c = s2 & nq2 | c & x\n                r2 = x ^ c\n",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_every_level_pair_matches_brute_force",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_all_eleven_levels_match_brute_force",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        id="sharing-gain-beta-term-dropped",
+        file=SHARING,
+        old="                    + beta * size\n",
+        new="",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTable::test_matches_brute_force_enumeration",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_every_level_pair_matches_brute_force",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_difference_of_ten_weighs_eight_in_plane_3",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        # the buckets then test R against d's bits, not d - beta's
+        id="sharing-bucket-pattern-from-d",
+        file=SHARING,
+        old="(r + beta, r & 1, r >> 1 & 1, r >> 2 & 1, r >> 3)",
+        new=(
+            "(r + beta, (r + beta) & 1, (r + beta) >> 1 & 1, (r + beta) >> 2 & 1,"
+            " (r + beta) >> 3)"
+        ),
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_every_level_pair_matches_brute_force",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_difference_of_ten_weighs_eight_in_plane_3",
+            "tests/test_sharing_property.py::test_table_matches_brute_force",
+        ),
+    ),
     # the deferred splits of over-cap candidates behind their bound
     Mutant(
         id="sharing-bound-ties-not-split",
@@ -341,8 +391,8 @@ MUTANTS = (
     Mutant(
         id="sharing-bound-one-beta-too-tight",
         file=SHARING,
-        old="over = kept.bit_count() - cap\n",
-        new="over = kept.bit_count() - cap + 1\n",
+        old="over = size - cap\n",
+        new="over = size - cap + 1\n",
         tests=(
             "tests/test_sharing.py::TestDecisionTableOracle::test_tie_at_the_bound_is_split",
         ),
@@ -413,19 +463,6 @@ MUTANTS = (
             "tests/test_sharing.py::TestDecisionTable::test_share_cap_truncates_keeping_best",
             "tests/test_sharing.py::TestDecisionTableOracle::"
             "test_eight_nodes_match_brute_force",
-            "tests/test_sharing_property.py::test_table_matches_brute_force",
-        ),
-    ),
-    Mutant(
-        id="sharing-d9-bucket-takes-d8-pattern",
-        file=SHARING,
-        old="(d, d & 1, d >> 1 & 1, d >> 2 & 1, d >> 3)\n",
-        new="(d, d & 1, d >> 1 & 1, d >> 2 & 1, d >> 3) if d != 9 else (9, 0, 0, 0, 1)\n",
-        tests=(
-            "tests/test_sharing.py::TestDecisionTableOracle::"
-            "test_every_level_pair_matches_brute_force",
-            "tests/test_sharing.py::TestDecisionTableOracle::"
-            "test_all_eleven_levels_match_brute_force",
             "tests/test_sharing_property.py::test_table_matches_brute_force",
         ),
     ),
@@ -662,6 +699,38 @@ MUTANTS = (
         new="if rate > min_rate:",
         tests=(
             "tests/test_routing.py::TestBuildGraph::test_edge_at_exactly_the_threshold_kept",
+        ),
+    ),
+    # the CLI's results CSV and its scenario and throughput checks
+    Mutant(
+        id="cli-sf-primary-in-sf-secondary-column",
+        file=CLI,
+        old="{float(t.sf_secondary)!r}",
+        new="{float(t.sf_primary)!r}",
+        tests=(
+            "tests/test_cli.py::TestSimulate::test_results_csv_is_the_run_tallies",
+        ),
+    ),
+    Mutant(
+        # MacParams then rejects the period: exit 2 in place of the usage exit
+        id="cli-reeval-period-check-dropped",
+        file=CLI,
+        old=(
+            "    if args.reeval_period_us is not None and args.reeval_period_us <= 0:\n"
+            "        raise _UsageError(\"--reeval-period-us must be positive\")\n"
+        ),
+        new="",
+        tests=(
+            "tests/test_cli.py::TestSimulate::test_non_positive_reeval_period_usage_error",
+        ),
+    ),
+    Mutant(
+        id="cli-sweep-ss-throughput-unchecked",
+        file=CLI,
+        old="        _require_throughput(ss, args.duration_us)\n",
+        new="",
+        tests=(
+            "tests/test_cli.py::TestSweep::test_ss_run_without_throughput_runtime_exit",
         ),
     ),
     # the splitmix64 counter, word iterator and byte runs

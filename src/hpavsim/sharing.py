@@ -13,32 +13,36 @@ per slot four Python ints, plane ``b`` marking the subcarriers whose level
 has bit ``b`` set, bit ``j - 1`` standing for subcarrier ``j`` (levels are
 at most 10, so four planes hold them). Each map builds its planes once and
 keeps them, so the tables of a beta sweep share them. A (primary,
-secondary, slot) triple then costs
-about 30 917-bit ANDs, ORs and ``bit_count`` calls, whatever the levels
-in use, instead of a 917-step Python loop. The primary's planes plus ``beta``
-are added once per (primary, slot) with a carry into a fifth plane, Q; the
-eligible set ``S >= Q`` is the carry out of ``S + ~Q + 1``, one carry chain
-from plane 0 up (14 ops), and the uncapped gain is
-``sum_b 2**b * (|kept & S_b| - |kept & P_b|)``.
+secondary, slot) triple then costs 26 917-bit XORs, ANDs, ORs and
+``bit_count`` calls, whatever the levels in use, instead of a 917-step
+Python loop. The primary's planes plus ``beta`` are added once per
+(primary, slot) with a carry, giving Q; where that adder carries out, Q is
+16 or more and no S reaches it, so ``~Q``'s planes are cleared there. One
+carry chain per triple, ``S + ~Q + 1`` from plane 0 up, then does all the
+arithmetic: its carry out is the eligible set ``kept`` (``S >= Q``), and on
+``kept`` its digits are ``R = S - Q``, the difference ``S - P`` less
+``beta``. The uncapped gain is ``sum_b 2**b * |kept & R_b| + beta * |kept|``,
+five popcounts, and ``|kept|`` also serves the cap check.
 
 A share cap keeps the largest differences, so a capped gain is never above
 the uncapped one, and each of the ``|kept| - cap`` subcarriers it drops
 differs by at least ``beta``: ``g - beta * (|kept| - cap)`` bounds it. A
 candidate over the cap is deferred with that bound. The deferred ones are
-split in descending bound while fewer than ``top_m`` are ranked or the bound
-reaches the ``top_m``-th gain (ties too, since the secondary's name breaks
-them); the rest can no longer rank. A split gets ``S - P`` planes by a
-borrow chain and walks the difference buckets from the largest down once
-(``_split``): it counts the capped gain and keeps the union of the buckets
-that fit whole, with the bucket that does not and how many of its
-subcarriers fit. Only the at most ``top_m`` retained candidates cut that
-bucket to its lowest subcarriers for their masks. A table for n nodes thus
-costs O(L^2 * slots) such operations, L = n(n-1), plus the splits the bound
-lets through and, the first time a map is read, four ``translate`` and
-``int`` parses per (link, slot). A retained candidate keeps its shared set
-as a mask (``SSAllocation.shared``); ``shared_total`` sums a tonemap over it
-as ``sum_b 2**b * |shared & plane_b|``, and no library path builds its
-derived index tuple.
+split in descending bound while fewer than ``top_m`` are ranked or the
+bound reaches the ``top_m``-th gain (ties too, since the secondary's name
+breaks them); the rest can no longer rank. A deferred candidate keeps its R
+planes, and a split walks the difference buckets, ``R = d - beta``, from
+the largest ``d`` down once (``_split``): it counts the capped gain and
+keeps the union of the buckets that fit whole, with the bucket that does
+not and how many of its subcarriers fit. Only the at most ``top_m``
+retained candidates cut that bucket to its lowest subcarriers for their
+masks. A table for n nodes thus costs O(L^2 * slots) such operations,
+L = n(n-1), plus the splits the bound lets through and, the first time a
+map is read, four ``translate`` and ``int`` parses per (link, slot). A
+retained candidate keeps its shared set as a mask (``SSAllocation.shared``);
+``shared_total`` sums a tonemap over it as
+``sum_b 2**b * |shared & plane_b|``, and no library path builds its derived
+index tuple.
 
 ``decision_table_csv`` renders a row's indices from the mask's 115 bytes:
 one lookup each in a table holding, per byte position, the ``",j,k,..."``
@@ -171,29 +175,14 @@ def _lowest_bits(mask: int, count: int) -> int:
     return mask & ((1 << lo) - 1)
 
 
-def _difference_digits(s_planes, p_planes):
-    """The planes of D = S - P by a borrow chain, as one pair per bit ``b``:
-    (the subcarriers where bit ``b`` of D is 0, those where it is 1). Only
-    the subcarriers where S >= P are meaningful."""
-    s0, s1, s2, s3 = s_planes
-    p0, p1, p2, p3 = p_planes
-    d0 = s0 ^ p0
-    borrow = p0 & ~s0
-    d1 = s1 ^ p1 ^ borrow
-    borrow = (p1 | borrow) & ~s1 | p1 & borrow
-    d2 = s2 ^ p2 ^ borrow
-    borrow = (p2 | borrow) & ~s2 | p2 & borrow
-    d3 = s3 ^ p3 ^ borrow
-    return (d0 ^ _ALL, d0), (d1 ^ _ALL, d1), (d2 ^ _ALL, d2), (d3 ^ _ALL, d3)
-
-
 def _split(eligible, digits, cap, differences):
     """The capped share of ``eligible`` as ``(gain, whole, cut, room)``: the
     difference buckets from the largest down that fit whole under ``cap``,
     their union ``whole``, then the first bucket ``cut`` that does not fit, of
-    which the ``room`` lowest subcarriers do. The capped mask is
-    ``whole | _lowest_bits(cut, room)``."""
-    digit0, digit1, digit2, digit3 = digits
+    which the ``room`` lowest subcarriers do. ``digits`` are the planes of
+    R = S - Q, so the bucket of difference ``d`` is where R = d - beta. The
+    capped mask is ``whole | _lowest_bits(cut, room)``."""
+    digit0, digit1, digit2, digit3 = [(r ^ _ALL, r) for r in digits]
     g = whole = 0
     room = cap
     for d, b0, b1, b2, b3 in differences:
@@ -222,18 +211,20 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
     positive gain are sorted by descending gain, ties by the secondary's
     (tx, rx), and truncated to ``top_m``.
 
-    A candidate over the cap is split only while its bound, the uncapped
-    gain less ``beta`` per dropped subcarrier, can still reach the
-    ``top_m``-th gain; a split counts the capped gain, and only the retained
-    candidates cut their last bucket for their masks (see the module
-    docstring).
+    Each (primary, secondary, slot) triple runs one carry chain,
+    ``S + ~Q + 1`` with ``Q = P + beta``: its carry out is the eligible set
+    and its digits the differences less ``beta``, which give the gain. A
+    candidate over the cap keeps those digits and is split into difference
+    buckets only while its bound, the uncapped gain less ``beta`` per
+    dropped subcarrier, can still reach the ``top_m``-th gain; a split
+    counts the capped gain, and only the retained candidates cut their last
+    bucket for their masks (see the module docstring).
 
     Raises nothing of its own: a Deployment and an SSPolicy are checked when
     they are built.
     """
     beta = policy.beta
     cap = int(policy.max_share_fraction * SUBCARRIER_COUNT)
-    capped = cap < SUBCARRIER_COUNT
     slots = range(1, deployment.slot_count + 1)
     links = sorted(deployment.links)
     if beta > MAX_MODULATION:
@@ -241,76 +232,83 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
         # the bits of a beta of 16 or more
         return SSDecisionTable({(link, slot): () for link in links for slot in slots})
     beta_bits = [beta >> b & 1 for b in range(4)]
-    # the differences a capped candidate may keep, largest first, with their bits
+    # the differences a capped candidate may keep, largest first, with the
+    # bits of R = d - beta that mark their buckets
     differences = [
-        (d, d & 1, d >> 1 & 1, d >> 2 & 1, d >> 3)
-        for d in range(MAX_MODULATION, beta - 1, -1)
+        (r + beta, r & 1, r >> 1 & 1, r >> 2 & 1, r >> 3)
+        for r in range(MAX_MODULATION - beta, -1, -1)
     ]
     top_m = policy.top_m
     planes = [deployment.links[link].planes for link in links]
     entries: Dict[Tuple[DirectedLink, int], Tuple[SSAllocation, ...]] = {}
     for primary, p_planes in zip(links, planes):
+        ends = (primary.tx, primary.rx)
         secondaries = [
             (s, s_planes)
             for s, s_planes in zip(links, planes)
-            if not {s.tx, s.rx} & {primary.tx, primary.rx}
+            if s.tx not in ends and s.rx not in ends
         ]
         for slot in slots:
-            p0, p1, p2, p3 = p = p_planes[slot - 1]
             # Q = P + beta, one plane at a time with a carry; the last carry is
-            # Q's plane 4, where S's is empty, so S >= Q needs it clear
+            # Q's plane 4, where S >= Q cannot hold, so ~Q is cleared there
             q = []
             carry = 0
-            for p_b, one in zip(p, beta_bits):
+            for p_b, one in zip(p_planes[slot - 1], beta_bits):
                 if one:
                     q.append(p_b ^ carry ^ _ALL)
                     carry |= p_b
                 else:
                     q.append(p_b ^ carry)
                     carry &= p_b
-            nq0, nq1, nq2, nq3 = [q_b ^ _ALL for q_b in q]
-            below_16 = _ALL ^ carry
+            q0 = q[0]
+            nq0, nq1, nq2, nq3 = [(q_b | carry) ^ _ALL for q_b in q]
             # (-gain, secondary, whole, cut, room) as _split gives them; an
             # uncut candidate keeps its eligible set whole
             scored: List[Tuple[int, DirectedLink, int, int, int]] = []
-            # (-bound, secondary, eligible set, S planes) of over-cap candidates
+            # (-bound, secondary, eligible set, R planes) of over-cap candidates
             deferred = []
             for secondary, s_planes in secondaries:
-                s0, s1, s2, s3 = s = s_planes[slot - 1]
-                # S >= Q is the carry out of S + ~Q + 1, plane 0 up
+                s0, s1, s2, s3 = s_planes[slot - 1]
+                # S + ~Q + 1, plane 0 up: its digits are R = S - Q and its
+                # carry out is S >= Q; the carry in of 1 makes digit 0 s0 ^ q0
+                r0 = s0 ^ q0
                 c = s0 | nq0
-                c = s1 & nq1 | c & (s1 | nq1)
-                c = s2 & nq2 | c & (s2 | nq2)
-                c = s3 & nq3 | c & (s3 | nq3)
-                kept = c & below_16
+                x = s1 ^ nq1
+                r1 = x ^ c
+                c = s1 & nq1 | c & x
+                x = s2 ^ nq2
+                r2 = x ^ c
+                c = s2 & nq2 | c & x
+                x = s3 ^ nq3
+                r3 = x ^ c
+                kept = s3 & nq3 | c & x
                 if not kept:
                     continue
-                # plane-weighted popcounts of S minus those of P; a capped
-                # gain is never above it
+                # on kept, S - P = R + beta; a capped gain is never above it
+                size = kept.bit_count()
                 g = (
-                    (kept & s0).bit_count()
-                    - (kept & p0).bit_count()
-                    + 2 * ((kept & s1).bit_count() - (kept & p1).bit_count())
-                    + 4 * ((kept & s2).bit_count() - (kept & p2).bit_count())
-                    + 8 * ((kept & s3).bit_count() - (kept & p3).bit_count())
+                    (kept & r0).bit_count()
+                    + 2 * (kept & r1).bit_count()
+                    + 4 * (kept & r2).bit_count()
+                    + 8 * (kept & r3).bit_count()
+                    + beta * size
                 )
                 if g <= 0:
                     continue
-                if capped:
-                    over = kept.bit_count() - cap
-                    if over > 0:
-                        # each subcarrier the cap drops differs by >= beta
-                        deferred.append((beta * over - g, secondary, kept, s))
-                        continue
+                over = size - cap
+                if over > 0:
+                    # each subcarrier the cap drops differs by >= beta
+                    deferred.append((beta * over - g, secondary, kept, (r0, r1, r2, r3)))
+                    continue
                 scored.append((-g, secondary, kept, 0, 0))
             # secondaries differ, so a tie in gain never reaches the masks
             scored.sort()
             deferred.sort()
-            for neg_bound, secondary, kept, s in deferred:
+            for neg_bound, secondary, kept, r in deferred:
                 # a bound equal to the top_m-th gain may still win its tie
                 if len(scored) >= top_m and neg_bound > scored[top_m - 1][0]:
                     break
-                g, whole, cut, room = _split(kept, _difference_digits(s, p), cap, differences)
+                g, whole, cut, room = _split(kept, r, cap, differences)
                 if g > 0:
                     insort(scored, (-g, secondary, whole, cut, room))
             entries[(primary, slot)] = tuple(

@@ -1,6 +1,9 @@
 import pytest
 
-from hpavsim import SSPolicy, build_decision_table, cli, load_trace, save_trace
+from hpavsim import (
+    DirectedLink, MacParams, SSPolicy, build_decision_table, cli, load_trace, run_simulation,
+    save_trace,
+)
 from hpavsim.sharing import decision_table_csv
 
 from conftest import deployment_from_levels
@@ -154,6 +157,53 @@ class TestSimulate:
             aggregates[mode] = float(line.split(",")[1])
         assert aggregates["on"] > aggregates["off"]
 
+    def test_results_csv_is_the_run_tallies(self, trace_path, tmp_path):
+        # each column read from its own LinkTally field, on an SS run whose
+        # secondaries succeed, so a column built from another field differs
+        out = tmp_path / "thr.csv"
+        assert run([
+            "simulate", "--trace", str(trace_path), "--flows", FLOWS,
+            "--duration-us", "200000", "--seed", "3", "--ss", "on",
+            "--beta", "2", "--top-m", "2", "--out", str(out),
+        ]) == 0
+        dep = load_trace(trace_path)
+        mac = MacParams()
+        flows = [DirectedLink(*f.split(">")) for f in FLOWS.split(",")]
+        table = build_decision_table(dep, SSPolicy(beta=2, top_m=2))
+        report = run_simulation(dep, table, mac, None, flows, 200000, 3)
+        lines = out.read_text().splitlines()
+        assert lines[0] == (
+            "link_tx,link_rx,successes_primary,successes_secondary,collisions,"
+            "sf_primary,sf_secondary,normalized_throughput"
+        )
+        assert len(lines) == 1 + len(flows)
+        secondaries = 0
+        for line, link in zip(lines[1:], sorted(flows)):
+            t = report.tallies[link]
+            tx, rx, primary, secondary, collisions, sf_p, sf_s, thr = line.split(",")
+            assert (tx, rx) == (link.tx, link.rx)
+            assert (int(primary), int(secondary), int(collisions)) == (
+                t.successes_primary, t.successes_secondary, t.collisions,
+            )
+            assert (float(sf_p), float(sf_s)) == (float(t.sf_primary), float(t.sf_secondary))
+            assert float(thr) == (100.0 * float(t.sf_primary + t.sf_secondary)
+                                  * mac.frame_length / report.total_sim_time_us)
+            secondaries += t.successes_secondary
+        assert secondaries > 0
+
+    @pytest.mark.parametrize("period", ("0", "-5"))
+    def test_non_positive_reeval_period_usage_error(self, trace_path, tmp_path, capsys,
+                                                    period):
+        out = tmp_path / "x.csv"
+        rc = run(["simulate", "--trace", str(trace_path), "--flows", FLOWS,
+                  "--duration-us", "1000", "--reeval-period-us", period,
+                  "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "hpavsim simulate: error: --reeval-period-us must be positive\n"
+        )
+        assert not out.exists()
+
     def test_zero_duration_usage_error(self, trace_path, tmp_path, capsys):
         rc = run(["simulate", "--trace", str(trace_path), "--flows", FLOWS,
                   "--duration-us", "0", "--seed", "1",
@@ -245,6 +295,27 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no frame succeeded in the 1 us run" in captured.err
+        assert not out.exists()
+
+    def test_ss_run_without_throughput_runtime_exit(self, tmp_path, capsys):
+        # at seed 89 the SS-off run's first frame succeeds, but with SS on a
+        # station barges into it and the 1 us run ends on that collision: the
+        # sweep passes its baseline check and fails the SS run's
+        path = tmp_path / "d.plctm"
+        assert run(gen_args(path, seed="3")) == 0
+        capsys.readouterr()
+        scenario = ["--trace", str(path), "--flows", "n1>n2,n3>n4",
+                    "--duration-us", "1", "--seed", "89"]
+        assert run(["simulate", *scenario, "--ss", "off"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "sweep.csv"
+        rc = run(["sweep", *scenario, "--beta", "2", "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "hpavsim sweep: no frame succeeded in the 1 us run; fairness is undefined\n"
+        )
         assert not out.exists()
 
     def test_gain_non_increasing_in_beta(self, trace_path, tmp_path):

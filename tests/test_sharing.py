@@ -360,6 +360,35 @@ class TestDecisionTableOracle:
             table = build_decision_table(dep, policy)
             assert tables_equal(table, brute_force_table(dep, policy)), cap
 
+    @pytest.mark.parametrize("beta", (6, 10))
+    def test_primary_at_ten_past_beta_six_has_no_candidate(self, beta):
+        # P + beta is 16 or more on every subcarrier, which no level reaches:
+        # four planes of P + beta alone would read it as P + beta - 16
+        secondary = [j % 11 for j in range(SUBCARRIER_COUNT)]
+        dep = pair_deployment(vec(fill=10), secondary)
+        for cap in (1.0, 0.05):
+            policy = SSPolicy(beta=beta, top_m=1, max_share_fraction=cap)
+            table = build_decision_table(dep, policy)
+            assert table.candidates(PRIMARY, 1) == ()
+            assert tables_equal(table, brute_force_table(dep, policy))
+
+    @pytest.mark.parametrize("beta", (0, 1, 2))
+    def test_difference_of_ten_weighs_eight_in_plane_3(self, beta):
+        # 20 subcarriers beat the primary by 10, 20 by 5 and the rest lose by
+        # 1, so the digits S - P - beta of the first 20 are 10, 9 and 8 and
+        # set plane 3; a cap of 25 keeps the tens and the five lowest fives
+        secondary = vec(*([10] * 20 + [5] * 20))
+        dep = pair_deployment(vec(*([0] * 40), fill=1), secondary)
+        for cap, gain, shared in (
+            (1.0, 20 * 10 + 20 * 5, tuple(range(1, 41))),
+            (25 / SUBCARRIER_COUNT, 20 * 10 + 5 * 5, tuple(range(1, 26))),
+        ):
+            policy = SSPolicy(beta=beta, top_m=1, max_share_fraction=cap)
+            table = build_decision_table(dep, policy)
+            (alloc,) = table.candidates(PRIMARY, 1)
+            assert (alloc.gain, alloc.shared_indices) == (gain, shared)
+            assert tables_equal(table, brute_force_table(dep, policy))
+
 
 CSV_MASKS = {
     # byte boundaries, one- to three-digit indices and the last byte's bits
