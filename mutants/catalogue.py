@@ -382,8 +382,8 @@ MUTANTS = (
     Mutant(
         id="sharing-bound-ties-not-split",
         file=SHARING,
-        old="neg_bound > scored[top_m - 1][0]",
-        new="neg_bound >= scored[top_m - 1][0]",
+        old="if -neg_bound < floor:",
+        new="if -neg_bound <= floor:",
         tests=(
             "tests/test_sharing.py::TestDecisionTableOracle::test_tie_at_the_bound_is_split",
         ),
@@ -398,23 +398,71 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the floor is then the rank-1 gain: the loop's skips and the
+        # deferred bounds are held against it
         id="sharing-bound-against-rank-1-gain",
         file=SHARING,
-        old="scored[top_m - 1][0]:",
-        new="scored[0][0]:",
+        old="return -scored[-1][0] if",
+        new="return -scored[0][0] if",
         tests=(
             "tests/test_sharing.py::TestDecisionTableOracle::"
             "test_eight_nodes_match_brute_force",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_equal_gains_keep_the_earliest_secondaries",
         ),
     ),
     Mutant(
         id="sharing-bound-never-prunes",
         file=SHARING,
-        old="if len(scored) >= top_m and",
-        new="if len(scored) < 0 and",
+        old="if -neg_bound < floor:",
+        new="if -neg_bound < 0:",
         tests=(
             "tests/test_sharing.py::TestDecisionTableOracle::"
             "test_capped_table_splits_behind_the_bound",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_bounded_ranking_splits_no_more",
+        ),
+    ),
+    # the bounded ranking: at most top_m entries and the floor they set
+    Mutant(
+        id="sharing-rank-pops-the-best",
+        file=SHARING,
+        old="        scored.pop()\n",
+        new="        scored.pop(0)\n",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_eight_nodes_match_brute_force",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_equal_gains_keep_the_earliest_secondaries",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_capped_gain_tying_the_floor_at_beta_zero",
+        ),
+    ),
+    Mutant(
+        # the one entry ranked so far then sets the floor, and a later
+        # candidate below it is skipped while there is room for it
+        id="sharing-floor-before-top-m-ranked",
+        file=SHARING,
+        old="if len(scored) == top_m else 0",
+        new="if scored else 0",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_eight_nodes_match_brute_force",
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_top_m_above_the_candidate_count",
+        ),
+    ),
+    Mutant(
+        # a floor of 0 then admits a candidate of gain 0 (beta 0 and a
+        # secondary that only equals the primary), which the allocation's
+        # check refuses; at a positive floor the tie would lose anyway
+        id="sharing-zero-gain-admitted-at-floor-0",
+        file=SHARING,
+        old="if g <= floor:",
+        new="if g < floor:",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableOracle::"
+            "test_every_level_pair_matches_brute_force",
         ),
     ),
     Mutant(
@@ -481,8 +529,8 @@ MUTANTS = (
     Mutant(
         id="sharing-csv-mask-bytes-big-endian",
         file=SHARING,
-        old='shared.to_bytes(_MASK_BYTES, "little")',
-        new='shared.to_bytes(_MASK_BYTES, "big")',
+        old='.to_bytes(hi - lo, "little")',
+        new='.to_bytes(hi - lo, "big")',
         tests=(
             "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_mask",
             "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_masks_in_one_table",
@@ -498,6 +546,61 @@ MUTANTS = (
             "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_mask",
             "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_masks_in_one_table",
             "tests/test_sharing.py::TestDecisionTableCsv::test_eight_node_tables",
+        ),
+    ),
+    Mutant(
+        id="sharing-csv-range-drops-top-byte",
+        file=SHARING,
+        old="hi = (shared.bit_length() + 7) >> 3",
+        new="hi = shared.bit_length() >> 3",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_mask",
+            "tests/test_sharing.py::TestDecisionTableCsv::test_eight_node_tables",
+        ),
+    ),
+    Mutant(
+        id="sharing-csv-range-starts-past-lowest-bit",
+        file=SHARING,
+        old="lo = ((shared & -shared).bit_length() - 1) >> 3",
+        new="lo = (shared & -shared).bit_length() >> 3",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_mask",
+            "tests/test_sharing.py::TestDecisionTableCsv::test_eight_node_tables",
+        ),
+    ),
+    # the SSAllocation checks in __new__
+    Mutant(
+        id="sharing-allocation-rx-overlap-unchecked",
+        file=SHARING,
+        old="if secondary.tx in primary or secondary.rx in primary:",
+        new="if secondary.tx in primary:",
+        tests=(
+            "tests/test_sharing.py::TestAllocationTuple::test_overlap_message",
+            "tests/test_sharing.py::TestAllocationTuple::"
+            "test_make_and_replace_check_their_fields",
+        ),
+    ),
+    Mutant(
+        id="sharing-allocation-mask-bound-exclusive",
+        file=SHARING,
+        old="if not 0 < shared <= _ALL:",
+        new="if not 0 < shared < _ALL:",
+        tests=(
+            "tests/test_sharing.py::TestAllocationTuple::test_mask_inside_917_bits_accepted",
+            "tests/test_sharing.py::TestDecisionTableCsv::test_hand_built_mask",
+        ),
+    ),
+    Mutant(
+        id="sharing-allocation-make-unchecked",
+        file=SHARING,
+        old="    def _make(cls, iterable) -> \"SSAllocation\":\n"
+            "        # the inherited _make builds the tuple directly, past __new__'s checks\n"
+            "        return cls(*iterable)\n",
+        new="    def _make(cls, iterable) -> \"SSAllocation\":\n"
+            "        return tuple.__new__(cls, iterable)\n",
+        tests=(
+            "tests/test_sharing.py::TestAllocationTuple::"
+            "test_make_and_replace_check_their_fields",
         ),
     ),
     Mutant(
@@ -664,6 +767,16 @@ MUTANTS = (
             "tests/test_tonemap.py::TestPhyRate::test_matches_rational_oracle_on_random_maps",
         ),
     ),
+    Mutant(
+        id="tonemap-link-make-unchecked",
+        file=TONEMAP,
+        old="    def _make(cls, iterable) -> \"DirectedLink\":\n"
+            "        # the inherited _make builds the tuple directly, past __new__'s check\n"
+            "        return cls(*iterable)\n",
+        new="    def _make(cls, iterable) -> \"DirectedLink\":\n"
+            "        return tuple.__new__(cls, iterable)\n",
+        tests=("tests/test_tonemap.py::TestTypes::test_make_and_replace_reject_loops",),
+    ),
     # the SS-on over SS-off comparison and the route planner's figures
     Mutant(
         id="metrics-fsse-delta-self-subtracted",
@@ -700,6 +813,14 @@ MUTANTS = (
         tests=(
             "tests/test_routing.py::TestBuildGraph::test_edge_at_exactly_the_threshold_kept",
         ),
+    ),
+    Mutant(
+        # an infinite rate then costs its hop 0, and the estimate divides by it
+        id="routing-graph-infinite-rate-accepted",
+        file=ROUTING,
+        old="rate >= 0 and math.isfinite(rate)",
+        new="rate >= 0",
+        tests=("tests/test_routing.py::TestBestRoute::test_rates_must_be_finite_numbers",),
     ),
     # the CLI's results CSV and its scenario and throughput checks
     Mutant(
@@ -799,6 +920,17 @@ EQUIVALENT = (
         reason=(
             "n differs from m only when the run's duration ends inside the "
             "idle run, and then the loop stops and no BC is read again"
+        ),
+    ),
+    Mutant(
+        id="sharing-loop-bound-ties-deferred",
+        file=SHARING,
+        old="if bound > floor:",
+        new="if bound >= floor:",
+        reason=(
+            "a bound equal to the loop's floor is deferred and split, but its "
+            "capped gain is at most that floor, whose secondary came earlier "
+            "and wins the tie, and later rankings only raise the floor"
         ),
     ),
     Mutant(

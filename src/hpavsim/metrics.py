@@ -47,11 +47,11 @@ class FairnessReport:
 
 
 def fairness_report(report: SimReportRaw, mac: MacParams) -> FairnessReport:
-    """Node-level fairness figures of one run."""
-    per_node: Dict[str, float] = {}
-    for link in report.tallies:
-        thr = normalized_throughput(report, link, mac)
-        per_node[link.tx] = per_node.get(link.tx, 0.0) + thr
+    """Node-level fairness figures of one run: a node's throughput is its
+    one flow's (``run_simulation`` refuses two flows from one station)."""
+    per_node: Dict[str, float] = {
+        link.tx: normalized_throughput(report, link, mac) for link in report.tallies
+    }
     return FairnessReport(
         jfi=jain_index(list(per_node.values())),
         fsse=fsse(per_node),

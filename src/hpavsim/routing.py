@@ -12,18 +12,27 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .tonemap import DirectedLink, PhyParams, expected_throughput
+from .tonemap import DirectedLink, PhyParams, expected_throughput, is_number
 from .traceio import Deployment
 
 
 @dataclass(frozen=True)
 class LinkGraph:
+    """Directed links and their rates in bits/second. Construction raises
+    ValueError for a rate that is not a finite number >= 0."""
+
     nodes: Tuple[str, ...]
     edges: Dict[DirectedLink, float]  # bits/second
 
     def __init__(self, nodes, edges):
+        edges = dict(edges)
+        for link, rate in edges.items():
+            # best_route costs a hop 1/rate: an infinite rate would cost 0,
+            # and a NaN or negative one would turn up as the route's estimate
+            if not (is_number(rate) and rate >= 0 and math.isfinite(rate)):
+                raise ValueError(f"rate of {link} must be a finite number >= 0, got {rate!r}")
         object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "edges", dict(edges))
+        object.__setattr__(self, "edges", edges)
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,8 @@ def best_route(graph: LinkGraph, src: str, dst: str) -> Route:
 
     Dijkstra over per-bit transmission time (1/rate per hop); zero-rate edges
     are usable only when nothing better exists and yield a 0.0 estimate.
+    A ``LinkGraph``'s rates are finite, so every hop costs ``1/rate > 0``
+    or ``inf`` and a route's cost is never 0.
     Raises ValueError for unknown endpoints, src == dst, or no path.
     """
     if src == dst:
@@ -78,7 +89,7 @@ def best_route(graph: LinkGraph, src: str, dst: str) -> Route:
             continue
         settled.add(node)
         if node == dst:
-            return Route(path, 0.0 if cost == math.inf or cost == 0 else 1.0 / cost)
+            return Route(path, 0.0 if cost == math.inf else 1.0 / cost)
         for neighbor, hop_cost in adjacency.get(node, ()):
             if neighbor not in settled:
                 heapq.heappush(heap, (cost + hop_cost, path + (neighbor,)))

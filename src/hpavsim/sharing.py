@@ -24,13 +24,24 @@ arithmetic: its carry out is the eligible set ``kept`` (``S >= Q``), and on
 ``beta``. The uncapped gain is ``sum_b 2**b * |kept & R_b| + beta * |kept|``,
 five popcounts, and ``|kept|`` also serves the cap check.
 
+The ranking is bounded: it holds at most ``top_m`` entries, best first,
+inserted with ``insort`` (``_rank``), and a floor, the ``top_m``-th gain,
+or 0 until ``top_m`` are ranked. Secondaries arrive in node order, which
+breaks ties in gain, so while they are scanned the floor was set by an
+earlier secondary and a gain equal to it loses: a candidate whose gain is
+at most the floor is skipped, never tupled, sorted or deferred. On 8-node
+complementary and notched traces at ``top_m`` 2, 5.5 to 7 of the 30
+candidates per (primary, slot) reach ``_rank``; the rest are skipped.
+
 A share cap keeps the largest differences, so a capped gain is never above
 the uncapped one, and each of the ``|kept| - cap`` subcarriers it drops
 differs by at least ``beta``: ``g - beta * (|kept| - cap)`` bounds it. A
-candidate over the cap is deferred with that bound. The deferred ones are
-split in descending bound while fewer than ``top_m`` are ranked or the
-bound reaches the ``top_m``-th gain (ties too, since the secondary's name
-breaks them); the rest can no longer rank. A deferred candidate keeps its R
+candidate over the cap is skipped too if that bound is at most the floor,
+and otherwise deferred with it. After the scan the deferred ones are split
+in descending bound until a bound falls below the floor. A split can only
+raise the floor, but it may set it from a later secondary than a deferred
+one, so a bound equal to the floor is still split and may win its tie;
+the rest can no longer rank. A deferred candidate keeps its R
 planes, and a split walks the difference buckets, ``R = d - beta``, from
 the largest ``d`` down once (``_split``): it counts the capped gain and
 keeps the union of the buckets that fit whole, with the bucket that does
@@ -42,12 +53,15 @@ map is read, four ``translate`` and ``int`` parses per (link, slot). A
 retained candidate keeps its shared set as a mask (``SSAllocation.shared``);
 ``shared_total`` sums a tonemap over it as
 ``sum_b 2**b * |shared & plane_b|``, and no library path builds its derived
-index tuple.
+index tuple. An ``SSAllocation``, like a ``DirectedLink``, is a tuple
+checked in ``__new__``, so it hashes and compares in C and equals the plain
+tuple of its fields.
 
-``decision_table_csv`` renders a row's indices from the mask's 115 bytes:
-one lookup each in a table holding, per byte position, the ``",j,k,..."``
-text of all 256 byte values. The table is about 2 MiB; it is built once
-per process, on the first call, in about 7 ms.
+``decision_table_csv`` renders a row's indices from the mask's bytes
+between its lowest and its highest set bit: one lookup each in a table
+holding, per byte position, the ``",j,k,..."`` text of all 256 byte
+values. The table is about 2 MiB; it is built once per process, on the
+first call, in about 7 ms.
 
 Decisions are a pure function of (deployment, policy): node-order tie-breaks
 make the table deterministic, and per-slot decisions are independent.
@@ -58,7 +72,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import getitem
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .tonemap import (
     MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink, Tonemap, is_integer, is_number,
@@ -103,16 +117,7 @@ class SSPolicy:
             raise ValueError("max_share_fraction must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SSAllocation:
-    """One ranked secondary candidate for a (primary link, slot) pair.
-
-    ``shared`` is the shared subcarrier set as a bitmask, bit ``j - 1`` for
-    subcarrier ``j``; ``shared_indices`` derives its ascending indices.
-    Construction raises ValueError for a secondary that shares a node with
-    the primary, a mask outside 1 .. 2**917 - 1, a gain <= 0 or a rank < 1.
-    """
-
+class _AllocationFields(NamedTuple):
     primary: DirectedLink
     secondary: DirectedLink
     slot: int
@@ -120,17 +125,37 @@ class SSAllocation:
     gain: int
     rank: int
 
-    def __post_init__(self):
-        if {self.secondary.tx, self.secondary.rx} & {self.primary.tx, self.primary.rx}:
-            raise ValueError(
-                f"secondary {self.secondary} shares a node with primary {self.primary}"
-            )
-        if not 0 < self.shared < 1 << SUBCARRIER_COUNT:
+
+class SSAllocation(_AllocationFields):
+    """One ranked secondary candidate for a (primary link, slot) pair.
+
+    ``shared`` is the shared subcarrier set as a bitmask, bit ``j - 1`` for
+    subcarrier ``j``; ``shared_indices`` derives its ascending indices.
+    A tuple of its six fields, so it equals the plain tuple of them.
+    Construction, ``_make`` and ``_replace`` raise ValueError for a
+    secondary that shares a node with the primary, a mask outside
+    1 .. 2**917 - 1, a gain <= 0 or a rank < 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, primary: DirectedLink, secondary: DirectedLink, slot: int,
+                shared: int, gain: int, rank: int):
+        # a DirectedLink is the tuple (tx, rx), so ``in`` tests its two ends
+        if secondary.tx in primary or secondary.rx in primary:
+            raise ValueError(f"secondary {secondary} shares a node with primary {primary}")
+        if not 0 < shared <= _ALL:
             raise ValueError(f"shared mask out of range 1..2**{SUBCARRIER_COUNT} - 1")
-        if self.gain <= 0:
+        if gain <= 0:
             raise ValueError("retained candidates must have positive gain")
-        if self.rank < 1:
+        if rank < 1:
             raise ValueError("rank is 1-based")
+        return tuple.__new__(cls, (primary, secondary, slot, shared, gain, rank))
+
+    @classmethod
+    def _make(cls, iterable) -> "SSAllocation":
+        # the inherited _make builds the tuple directly, past __new__'s checks
+        return cls(*iterable)
 
     @property
     def shared_indices(self) -> Tuple[int, ...]:
@@ -175,6 +200,17 @@ def _lowest_bits(mask: int, count: int) -> int:
     return mask & ((1 << lo) - 1)
 
 
+def _rank(scored, entry, top_m):
+    """Insert ``entry``, a ``(-gain, secondary, ...)`` tuple, into the
+    best-first list ``scored`` and keep at most ``top_m`` entries; return the
+    floor a later candidate must beat: the ``top_m``-th gain, or 0 while
+    fewer are ranked."""
+    insort(scored, entry)
+    if len(scored) > top_m:
+        scored.pop()
+    return -scored[-1][0] if len(scored) == top_m else 0
+
+
 def _split(eligible, digits, cap, differences):
     """The capped share of ``eligible`` as ``(gain, whole, cut, room)``: the
     difference buckets from the largest down that fit whole under ``cap``,
@@ -208,8 +244,8 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
     For each node-disjoint candidate link the eligible subcarriers come from
     the beta rule; if they exceed the share cap the smallest-difference ones
     are dropped first (ties toward keeping lower indices). Candidates with
-    positive gain are sorted by descending gain, ties by the secondary's
-    (tx, rx), and truncated to ``top_m``.
+    positive gain are ranked by descending gain, ties by the secondary's
+    (tx, rx), and the first ``top_m`` are retained.
 
     Each (primary, secondary, slot) triple runs one carry chain,
     ``S + ~Q + 1`` with ``Q = P + beta``: its carry out is the eligible set
@@ -218,7 +254,15 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
     buckets only while its bound, the uncapped gain less ``beta`` per
     dropped subcarrier, can still reach the ``top_m``-th gain; a split
     counts the capped gain, and only the retained candidates cut their last
-    bucket for their masks (see the module docstring).
+    bucket for their masks.
+
+    The ranking keeps at most ``top_m`` entries and the floor they set, the
+    ``top_m``-th gain (0 until ``top_m`` are ranked). While the secondaries
+    are scanned in node order, a gain or bound at most the floor is skipped:
+    the floor's secondary came earlier and wins a tie. The deferred splits
+    run after the scan and may set the floor from a later secondary, so
+    there a bound equal to the floor is still split (see the module
+    docstring).
 
     Raises nothing of its own: a Deployment and an SSPolicy are checked when
     they are built.
@@ -262,9 +306,13 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
                     carry &= p_b
             q0 = q[0]
             nq0, nq1, nq2, nq3 = [(q_b | carry) ^ _ALL for q_b in q]
-            # (-gain, secondary, whole, cut, room) as _split gives them; an
-            # uncut candidate keeps its eligible set whole
+            # the best (-gain, secondary, whole, cut, room) so far, at most
+            # top_m, best first (_rank); an uncut candidate keeps its eligible
+            # set whole
             scored: List[Tuple[int, DirectedLink, int, int, int]] = []
+            # the gain a candidate must beat to rank: the top_m-th, or 0 while
+            # fewer are ranked
+            floor = 0
             # (-bound, secondary, eligible set, R planes) of over-cap candidates
             deferred = []
             for secondary, s_planes in secondaries:
@@ -293,31 +341,31 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
                     + 8 * (kept & r3).bit_count()
                     + beta * size
                 )
-                if g <= 0:
+                # a tie with the floor loses: its secondary came earlier
+                if g <= floor:
                     continue
                 over = size - cap
                 if over > 0:
                     # each subcarrier the cap drops differs by >= beta
-                    deferred.append((beta * over - g, secondary, kept, (r0, r1, r2, r3)))
+                    bound = g - beta * over
+                    if bound > floor:
+                        deferred.append((-bound, secondary, kept, (r0, r1, r2, r3)))
                     continue
-                scored.append((-g, secondary, kept, 0, 0))
-            # secondaries differ, so a tie in gain never reaches the masks
-            scored.sort()
+                floor = _rank(scored, (-g, secondary, kept, 0, 0), top_m)
             deferred.sort()
             for neg_bound, secondary, kept, r in deferred:
-                # a bound equal to the top_m-th gain may still win its tie
-                if len(scored) >= top_m and neg_bound > scored[top_m - 1][0]:
+                # a split may set the floor from a later secondary, so a
+                # bound equal to it may still win its tie
+                if -neg_bound < floor:
                     break
                 g, whole, cut, room = _split(kept, r, cap, differences)
                 if g > 0:
-                    insort(scored, (-g, secondary, whole, cut, room))
+                    floor = _rank(scored, (-g, secondary, whole, cut, room), top_m)
             entries[(primary, slot)] = tuple(
                 SSAllocation(
                     primary, secondary, slot, whole | _lowest_bits(cut, room), -neg_g, rank
                 )
-                for rank, (neg_g, secondary, whole, cut, room) in enumerate(
-                    scored[:top_m], start=1
-                )
+                for rank, (neg_g, secondary, whole, cut, room) in enumerate(scored, start=1)
             )
     return SSDecisionTable(entries)
 
@@ -358,13 +406,17 @@ def decision_table_csv(table: SSDecisionTable) -> str:
         "primary_tx,primary_rx,slot,rank,secondary_tx,secondary_rx,gain,num_shared,indices\n"
     ]
     for (primary, slot), allocations in sorted(table.entries.items()):
-        for alloc in allocations:
-            shared = alloc.shared
-            secondary = alloc.secondary
+        for _, secondary, _, shared, gain, rank in allocations:
             pieces.append(
-                f"{primary.tx},{primary.rx},{slot},{alloc.rank},{secondary.tx},"
-                f"{secondary.rx},{alloc.gain},{shared.bit_count()}"
+                f"{primary.tx},{primary.rx},{slot},{rank},{secondary.tx},"
+                f"{secondary.rx},{gain},{shared.bit_count()}"
             )
-            pieces.extend(map(getitem, texts, shared.to_bytes(_MASK_BYTES, "little")))
+            # only the bytes from the lowest set bit's to the highest's hold
+            # indices; the others would render as ""
+            lo = ((shared & -shared).bit_length() - 1) >> 3
+            hi = (shared.bit_length() + 7) >> 3
+            pieces.extend(
+                map(getitem, texts[lo:hi], (shared >> 8 * lo).to_bytes(hi - lo, "little"))
+            )
             pieces.append("\n")
     return "".join(pieces)

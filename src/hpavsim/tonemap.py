@@ -18,6 +18,10 @@ the trace file format.
 A map is valid by construction: every slot is 917 ``bytes`` in 0..10, so
 summing and indexing a slot run in C, and two maps are equal, and hash
 equal, exactly when they hold the same values.
+
+``DirectedLink`` is a tuple ``(tx, rx)`` checked in ``__new__``: every
+link-keyed dict and sort hashes and compares it in C, and it equals the
+plain tuple of its ends.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import isfinite
 from numbers import Real
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 from zlib import adler32
 
 SUBCARRIER_COUNT = 917
@@ -157,16 +161,30 @@ def _first_violation(rows: list) -> str:
     raise AssertionError("no violation in a map that failed its checks")
 
 
-@dataclass(frozen=True, order=True)
-class DirectedLink:
-    """Transmitter/receiver pair identifying one direction of a PLC link."""
-
+class _LinkEnds(NamedTuple):
     tx: str
     rx: str
 
-    def __post_init__(self):
-        if self.tx == self.rx:
-            raise ValueError(f"link endpoints must differ, got {self.tx!r} twice")
+
+class DirectedLink(_LinkEnds):
+    """Transmitter/receiver pair identifying one direction of a PLC link.
+
+    A tuple ``(tx, rx)``, so hashing, equality and ordering run in C, and a
+    link equals the plain tuple of its ends. Construction, ``_make`` and
+    ``_replace`` raise ValueError for ``tx == rx``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tx: str, rx: str):
+        if tx == rx:
+            raise ValueError(f"link endpoints must differ, got {tx!r} twice")
+        return tuple.__new__(cls, (tx, rx))
+
+    @classmethod
+    def _make(cls, iterable) -> "DirectedLink":
+        # the inherited _make builds the tuple directly, past __new__'s check
+        return cls(*iterable)
 
     def reversed(self) -> "DirectedLink":
         return DirectedLink(self.rx, self.tx)

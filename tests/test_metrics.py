@@ -15,7 +15,7 @@ from hpavsim import (
     generate_deployment,
     jain_index,
 )
-from hpavsim.macsim import LinkTally, SimReportRaw
+from hpavsim.macsim import LinkTally, SimReportRaw, normalized_throughput
 from hpavsim.metrics import fairness_csv
 
 from conftest import deployment_from_levels
@@ -184,6 +184,16 @@ class TestFairnessReport:
             sum(fair.per_node_throughput.values())
         )
         assert fairness_csv(fair).splitlines()[0] == "metric,value"
+
+    def test_node_throughput_is_its_flows(self):
+        # one flow per station, so a node's figure is its flow's, exactly
+        a, b = DirectedLink("a", "b"), DirectedLink("b", "c")
+        report = report_from_sf({a: Fraction(1, 3), b: Fraction(2, 7)})
+        fair = fairness_report(report, MAC)
+        assert fair.per_node_throughput == {
+            "a": normalized_throughput(report, a, MAC),
+            "b": normalized_throughput(report, b, MAC),
+        }
 
 
 class TestAsymmetryDistribution:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hpavsim import (
@@ -115,6 +117,13 @@ class TestBestRoute:
             best_route(g, "a", "a")
         with pytest.raises(ValueError, match="unknown node"):
             best_route(g, "a", "z")
+
+    # an infinite rate costs its hop 0, which the estimate 1/cost cannot
+    # take; a NaN or negative rate would come back as the estimate
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, -1.0, "1e6", None, True])
+    def test_rates_must_be_finite_numbers(self, rate):
+        with pytest.raises(ValueError, match=r"^rate of a->b must be a finite number >= 0"):
+            graph({("a", "b"): rate, ("b", "a"): 1e6})
 
 
 class TestRouteCsv:

@@ -234,6 +234,100 @@ def random_level_deployment(n_nodes, slot_count, seed):
     return Deployment(nodes, links)
 
 
+ALLOC_PRIMARY, ALLOC_SECONDARY = DirectedLink("a", "b"), DirectedLink("c", "d")
+
+
+class TestAllocationTuple:
+    def test_behaves_as_before(self):
+        # equality, hash, repr and str between allocations are those of the
+        # frozen dataclass the allocation used to be
+        alloc = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 7, 1)
+        same = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 7, 1)
+        other = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 8, 1)
+        assert alloc == same and alloc != other
+        assert hash(alloc) == hash(same) == hash((ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 7, 1))
+        text = (
+            "SSAllocation(primary=DirectedLink(tx='a', rx='b'), "
+            "secondary=DirectedLink(tx='c', rx='d'), slot=2, shared=5, gain=7, rank=1)"
+        )
+        assert repr(alloc) == str(alloc) == text
+        assert (alloc.primary, alloc.secondary, alloc.slot, alloc.shared, alloc.gain,
+                alloc.rank) == (ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 7, 1)
+        assert alloc.shared_indices == (1, 3)
+
+    def test_orders_by_fields(self):
+        # the dataclass had no order; the tuple orders field by field
+        low = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 1, 5, 7, 1)
+        high = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 1, 1, 1)
+        assert low < high and sorted([high, low]) == [low, high]
+
+    def test_equals_its_plain_tuple(self):
+        # declared: an allocation is the tuple of its six fields
+        alloc = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 7, 1)
+        assert isinstance(alloc, tuple)
+        assert alloc == (("a", "b"), ("c", "d"), 2, 5, 7, 1)
+
+    def test_is_immutable(self):
+        alloc = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 7, 1)
+        with pytest.raises(AttributeError):
+            alloc.gain = 8
+        with pytest.raises(AttributeError):
+            alloc.extra = 1
+
+    @pytest.mark.parametrize("secondary", [("b", "c"), ("c", "b"), ("a", "c"), ("c", "a"),
+                                           ("b", "a")])
+    def test_overlap_message(self, secondary):
+        secondary = DirectedLink(*secondary)
+        message = f"^secondary {secondary} shares a node with primary a->b$"
+        with pytest.raises(ValueError, match=message):
+            SSAllocation(ALLOC_PRIMARY, secondary, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("shared", [0, -1, 2**SUBCARRIER_COUNT, 2**SUBCARRIER_COUNT + 1])
+    def test_mask_outside_917_bits_rejected(self, shared):
+        with pytest.raises(ValueError, match=r"^shared mask out of range 1\.\.2\*\*917 - 1$"):
+            SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 1, shared, 1, 1)
+
+    @pytest.mark.parametrize("shared", [1, 2**(SUBCARRIER_COUNT - 1), 2**SUBCARRIER_COUNT - 1])
+    def test_mask_inside_917_bits_accepted(self, shared):
+        assert SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 1, shared, 1, 1).shared == shared
+
+    def test_gain_and_rank_messages(self):
+        for gain in (0, -3):
+            with pytest.raises(ValueError, match="^retained candidates must have positive gain$"):
+                SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 1, 1, gain, 1)
+        with pytest.raises(ValueError, match="^rank is 1-based$"):
+            SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 1, 1, 1, 0)
+
+    def test_make_and_replace_check_their_fields(self):
+        alloc = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 7, 1)
+        assert SSAllocation._make(tuple(alloc)) == alloc
+        assert alloc._replace(gain=9).gain == 9
+        overlap = "^secondary c->b shares a node with primary a->b$"
+        with pytest.raises(ValueError, match=overlap):
+            SSAllocation._make((ALLOC_PRIMARY, DirectedLink("c", "b"), 2, 5, 7, 1))
+        with pytest.raises(ValueError, match=overlap):
+            alloc._replace(secondary=DirectedLink("c", "b"))
+        with pytest.raises(ValueError, match="^link endpoints must differ, got 'c' twice$"):
+            alloc._replace(secondary=alloc.secondary._replace(rx="c"))
+        with pytest.raises(ValueError, match="^shared mask out of range"):
+            alloc._replace(shared=0)
+        with pytest.raises(ValueError, match="^rank is 1-based$"):
+            alloc._replace(rank=0)
+
+
+def six_node_deployment(maps):
+    """One-slot deployment of n1..n6 where every link carries all zeros but
+    those in ``maps``, {(tx, rx): one slot's levels}."""
+    nodes = [f"n{i}" for i in range(1, 7)]
+    dep = deployment_from_levels(
+        {(tx, rx): 0 for tx in nodes for rx in nodes if tx != rx}, 1
+    )
+    links = dict(dep.links)
+    for (tx, rx), levels in maps.items():
+        links[DirectedLink(tx, rx)] = Tonemap([levels])
+    return Deployment(dep.nodes, links)
+
+
 class TestDecisionTableOracle:
     @pytest.mark.parametrize("beta", (0, 2, 6, 10, 11))
     @pytest.mark.parametrize("kind", sorted(EIGHT_NODE_PROFILES))
@@ -264,6 +358,89 @@ class TestDecisionTableOracle:
         (alloc,) = table.candidates(PRIMARY, 1)
         assert (alloc.secondary, alloc.gain) == (SECONDARY, 455)
         assert alloc.shared_indices == tuple(range(1, 92))
+
+    @pytest.mark.parametrize("top_m", (1, 2, 3, 4))
+    def test_equal_gains_keep_the_earliest_secondaries(self, top_m):
+        # ten of the twelve node-disjoint secondaries of n1->n2 gain 60; in
+        # node order the earliest win, and no later equal gain displaces
+        # them, before or after the larger gains of n5->n3 (66) and, after
+        # it, n6->n4 (63) take the first ranks
+        tie = vec(*([6] * 10))
+        maps = {(tx, rx): tie for tx in ("n3", "n4", "n5", "n6")
+                for rx in ("n3", "n4", "n5", "n6") if tx != rx}
+        maps[("n5", "n3")] = vec(*([6] * 11))
+        maps[("n6", "n4")] = vec(*([6] * 10 + [3]))
+        dep = six_node_deployment(maps)
+        policy = SSPolicy(beta=2, top_m=top_m)
+        table = build_decision_table(dep, policy)
+        assert tables_equal(table, brute_force_table(dep, policy))
+        ranked = [(str(a.secondary), a.gain) for a in table.candidates(PRIMARY, 1)]
+        expected = [("n5->n3", 66), ("n6->n4", 63), ("n3->n4", 60), ("n3->n5", 60)]
+        assert ranked == expected[:top_m]
+
+    def test_top_m_above_the_candidate_count(self):
+        # two secondaries gain anything; a top_m of 5 retains both, ranked
+        dep = six_node_deployment({("n4", "n5"): vec(*([3] * 20)),
+                                   ("n6", "n3"): vec(*([9] * 2))})
+        for top_m in (2, 5, 40):
+            policy = SSPolicy(beta=0, top_m=top_m)
+            table = build_decision_table(dep, policy)
+            assert tables_equal(table, brute_force_table(dep, policy))
+            ranked = [(str(a.secondary), a.gain, a.rank) for a in table.candidates(PRIMARY, 1)]
+            assert ranked == [("n4->n5", 60, 1), ("n6->n3", 18, 2)]
+
+    @pytest.mark.parametrize("capped_first", (True, False))
+    def test_capped_gain_tying_the_floor_at_beta_zero(self, capped_first):
+        # beta 0, primary at 5, cap 10: "fits" gains 10 on 10 subcarriers
+        # under the cap; "capped" has 20 over the cap, bound 20, capped gain
+        # 10, tying the top_m-th gain. The earlier of the two in node order
+        # wins the tie whichever of them is split
+        fits, capped = ("n5", "n6"), ("n3", "n4")
+        if not capped_first:
+            fits, capped = capped, fits
+        dep = six_node_deployment({
+            ("n1", "n2"): vec(fill=5),
+            fits: vec(*([6] * 10)),
+            capped: vec(*([6] * 20)),
+            ("n4", "n3"): vec(*([10] * 10)),
+        })
+        policy = SSPolicy(beta=0, top_m=2, max_share_fraction=10 / SUBCARRIER_COUNT)
+        table = build_decision_table(dep, policy)
+        assert tables_equal(table, brute_force_table(dep, policy))
+        ranked = [(str(a.secondary), a.gain) for a in table.candidates(PRIMARY, 1)]
+        assert ranked == [("n4->n3", 50), ("n3->n4", 10)]
+        (_, second) = table.candidates(PRIMARY, 1)
+        assert second.shared_indices == tuple(range(1, 11))
+
+    # _split calls at the commit before the bounded ranking, per profile:
+    # {(beta, cap): (calls at top_m 1, 2, 3)}
+    PARENT_SPLITS = {
+        "complementary": {(0, 0.5): (33, 80, 132), (6, 0.3): (438, 547, 645)},
+        "interference-notched": {(0, 0.5): (56, 116, 175), (2, 0.3): (58, 118, 177)},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PARENT_SPLITS))
+    def test_bounded_ranking_splits_no_more(self, eight_node_deployments, kind, monkeypatch):
+        # the floor prunes over-cap candidates as the old full ranking did,
+        # or more; a lost bound would pass every correctness test and show
+        # only as a slowdown
+        splits = []
+
+        def counting_split(*args):
+            splits.append(args)
+            return split(*args)
+
+        split = sharing._split
+        monkeypatch.setattr(sharing, "_split", counting_split)
+        dep = eight_node_deployments[kind]
+        for (beta, cap), parent_calls in self.PARENT_SPLITS[kind].items():
+            eligible = brute_force_eligible(dep, beta)
+            for top_m, most in enumerate(parent_calls, start=1):
+                policy = SSPolicy(beta=beta, top_m=top_m, max_share_fraction=cap)
+                splits.clear()
+                table = build_decision_table(dep, policy)
+                assert 0 < len(splits) <= most, (beta, cap, top_m)
+                assert tables_equal(table, brute_force_table(dep, policy, eligible))
 
     def test_hot_paths_build_no_index_tuples(self, eight_node_deployments, monkeypatch):
         # the builder, the CSV and a run's window plans work on masks; an

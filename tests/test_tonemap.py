@@ -340,8 +340,44 @@ class TestSpectrumFraction:
 
 class TestTypes:
     def test_directed_link_rejects_loops(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^link endpoints must differ, got 'a' twice$"):
             DirectedLink("a", "a")
+
+    def test_directed_link_behaves_as_before(self):
+        # equality, hash, order, repr and str between links are those of the
+        # frozen, ordered dataclass the link used to be
+        a, b = DirectedLink("a", "b"), DirectedLink("a", "c")
+        assert a == DirectedLink("a", "b") and a != b
+        assert hash(a) == hash(DirectedLink("a", "b")) == hash(("a", "b"))
+        assert a < b and not b < a and sorted([b, a]) == [a, b]
+        assert DirectedLink("a", "z") < DirectedLink("b", "a")
+        assert repr(a) == "DirectedLink(tx='a', rx='b')"
+        assert str(a) == "a->b" and f"{a}" == "a->b"
+        assert (a.tx, a.rx) == ("a", "b") and a.reversed() == DirectedLink("b", "a")
+        assert DirectedLink(tx="a", rx="b") == a
+
+    def test_directed_link_equals_its_plain_tuple(self):
+        # declared: a link is the tuple (tx, rx), so it equals that tuple
+        link = DirectedLink("a", "b")
+        assert isinstance(link, tuple)
+        assert link == ("a", "b") and ("a", "b") == link
+        assert {("a", "b"): 1}[link] == 1
+
+    def test_directed_link_is_immutable(self):
+        link = DirectedLink("a", "b")
+        with pytest.raises(AttributeError):
+            link.tx = "c"
+        with pytest.raises(AttributeError):
+            link.extra = 1
+
+    def test_make_and_replace_reject_loops(self):
+        link = DirectedLink("a", "b")
+        assert DirectedLink._make(["a", "b"]) == link
+        assert link._replace(rx="c") == DirectedLink("a", "c")
+        with pytest.raises(ValueError, match="^link endpoints must differ, got 'a' twice$"):
+            DirectedLink._make(["a", "a"])
+        with pytest.raises(ValueError, match="^link endpoints must differ, got 'a' twice$"):
+            link._replace(rx="a")
 
     def test_phy_params_validation(self):
         with pytest.raises(ValueError):
