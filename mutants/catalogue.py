@@ -604,6 +604,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # slot 0 then reads the last slot's planes through planes[-1]
+        id="sharing-allocation-slot-unchecked",
+        file=SHARING,
+        old=(
+            "        if slot < 1:\n"
+            "            raise ValueError(\"slot is 1-based\")\n"
+        ),
+        new="",
+        tests=("tests/test_sharing.py::TestAllocationTuple::test_slot_below_one_rejected",),
+    ),
+    Mutant(
         id="sharing-csv-nibble-halves-swapped",
         file=SHARING,
         old="[lo + hi for hi in high for lo in low]",
@@ -776,6 +787,57 @@ MUTANTS = (
         new="    def _make(cls, iterable) -> \"DirectedLink\":\n"
             "        return tuple.__new__(cls, iterable)\n",
         tests=("tests/test_tonemap.py::TestTypes::test_make_and_replace_reject_loops",),
+    ),
+    Mutant(
+        id="tonemap-make-unchecked",
+        file=TONEMAP,
+        old="    def _make(cls, iterable) -> \"Tonemap\":\n"
+            "        # the inherited _make builds the tuple directly, past __new__'s checks\n"
+            "        return cls(*iterable)\n",
+        new="    def _make(cls, iterable) -> \"Tonemap\":\n"
+            "        return tuple.__new__(cls, iterable)\n",
+        tests=(
+            "tests/test_types.py::test_construction_make_and_replace_run_every_check",
+            "tests/test_types.py::test_make_and_replace_normalise_as_construction",
+        ),
+    ),
+    Mutant(
+        # a field stays read-only through its descriptor, so only a new or
+        # cached attribute shows the fault
+        id="tonemap-setattr-let-through",
+        file=TONEMAP,
+        old="        raise AttributeError(f\"cannot set {name!r}: a Tonemap is immutable\")\n",
+        new="        object.__setattr__(self, name, value)\n",
+        tests=(
+            "tests/test_types.py::test_immutable",
+            "tests/test_types.py::test_tonemap_caches_its_views_and_stays_immutable",
+        ),
+    ),
+    Mutant(
+        id="macsim-mac-params-make-unchecked",
+        file=MACSIM,
+        old="    def _make(cls, iterable) -> \"MacParams\":\n"
+            "        # the inherited _make builds the tuple directly, past __new__'s checks\n"
+            "        return cls(*iterable)\n",
+        new="    def _make(cls, iterable) -> \"MacParams\":\n"
+            "        return tuple.__new__(cls, iterable)\n",
+        tests=(
+            "tests/test_types.py::test_construction_make_and_replace_run_every_check",
+            "tests/test_types.py::test_make_and_replace_normalise_as_construction",
+        ),
+    ),
+    Mutant(
+        id="traceio-deployment-make-unchecked",
+        file=TRACEIO,
+        old="    def _make(cls, iterable) -> \"Deployment\":\n"
+            "        # the inherited _make builds the tuple directly, past __new__'s checks\n"
+            "        return cls(*iterable)\n",
+        new="    def _make(cls, iterable) -> \"Deployment\":\n"
+            "        return tuple.__new__(cls, iterable)\n",
+        tests=(
+            "tests/test_types.py::test_construction_make_and_replace_run_every_check",
+            "tests/test_types.py::test_make_and_replace_normalise_as_construction",
+        ),
     ),
     # the SS-on over SS-off comparison and the route planner's figures
     Mutant(

@@ -37,7 +37,6 @@ from .tonemap import (
     asymmetry,
     expected_throughput,
     phy_rate,
-    spectrum_fraction,
 )
 from .traceio import (
     Deployment,
@@ -54,7 +53,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DirectedLink", "PhyParams", "Tonemap", "asymmetry", "expected_throughput",
-    "phy_rate", "spectrum_fraction",
+    "phy_rate",
     "Deployment", "GeneratorProfile", "TraceFormatError", "generate_deployment",
     "load_trace", "parse_trace", "save_trace", "serialize_trace",
     "SSAllocation", "SSDecisionTable", "SSPolicy", "build_decision_table",

@@ -102,13 +102,17 @@ which is tuple.__new__: it runs in C, past the NamedTuple's Python-level
 __new__ and its defaults, and gives a SimEvent equal to the one the
 NamedTuple constructor builds.
 
+Every type here is a tuple of its fields. MacParams is a checked one: it
+extends a typing.NamedTuple of its fields and runs its checks in __new__,
+through which _make and _replace also go. LinkTally, SimEvent and
+SimReportRaw are plain NamedTuples, each built once by the engine.
+
 Determinism: a run is a pure function of its arguments. All randomness comes
 from one splitmix64 stream (stream 0: global contention), stations are
 processed in node-identifier order everywhere, and simultaneous events are
 emitted in that same order.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isfinite
@@ -133,16 +137,7 @@ ROLE_PRIMARY = "primary"
 ROLE_SECONDARY = "secondary"
 
 
-@dataclass(frozen=True)
-class MacParams:
-    """MAC timing constants and schedules; defaults follow HPAV CSMA/CA.
-
-    frame_length is the unitless multiplier of the normalized-throughput
-    formula. reeval_period_us None disables periodic full-spectrum
-    re-evaluation. ac_cycle_us is the mains cycle (60 Hz USA) carved into the
-    deployment's slot_count equal sub-intervals.
-    """
-
+class _MacFields(NamedTuple):
     collision_duration_us: float = 2920.64
     success_duration_us: float = 2542.64
     frame_length: float = 2050.0
@@ -153,20 +148,36 @@ class MacParams:
     reeval_period_us: Optional[float] = None
     ac_cycle_us: float = 16666.67
 
-    def __post_init__(self):
-        object.__setattr__(self, "cw_schedule", tuple(self.cw_schedule))
-        object.__setattr__(self, "dc_schedule", tuple(self.dc_schedule))
+
+class MacParams(_MacFields):
+    """MAC timing constants and schedules; defaults follow HPAV CSMA/CA.
+
+    frame_length is the unitless multiplier of the normalized-throughput
+    formula. reeval_period_us None disables periodic full-spectrum
+    re-evaluation. ac_cycle_us is the mains cycle (60 Hz USA) carved into the
+    deployment's slot_count equal sub-intervals.
+
+    A tuple of its nine fields, the schedules kept as tuples. Construction,
+    ``_make`` and ``_replace`` raise ValueError for a field of the wrong
+    type or out of range.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        cw_schedule, dc_schedule = tuple(self.cw_schedule), tuple(self.dc_schedule)
         # BCs and DCs are counted in whole slots and busy events
-        for name in ("cw_schedule", "dc_schedule"):
-            if not all(map(is_integer, getattr(self, name))):
+        for name, schedule in (("cw_schedule", cw_schedule), ("dc_schedule", dc_schedule)):
+            if not all(map(is_integer, schedule)):
                 raise ValueError(f"{name} entries must be integers")
         if not is_integer(self.rank_wait_slots_per_rank):
             raise ValueError("rank_wait_slots_per_rank must be an integer")
-        if len(self.cw_schedule) != len(self.dc_schedule) or not self.cw_schedule:
+        if len(cw_schedule) != len(dc_schedule) or not cw_schedule:
             raise ValueError("cw_schedule and dc_schedule need equal length >= 1")
-        if any(cw < 1 for cw in self.cw_schedule):
+        if any(cw < 1 for cw in cw_schedule):
             raise ValueError("contention windows must be >= 1")
-        if any(dc < 0 for dc in self.dc_schedule):
+        if any(dc < 0 for dc in dc_schedule):
             raise ValueError("deferral counters must be >= 0")
         reeval = () if self.reeval_period_us is None else ("reeval_period_us",)
         for name in ("collision_duration_us", "success_duration_us", "frame_length",
@@ -179,11 +190,16 @@ class MacParams:
                 raise ValueError(f"{name} must be positive and finite")
         if self.rank_wait_slots_per_rank < 0:
             raise ValueError("rank_wait_slots_per_rank must be >= 0")
+        return tuple.__new__(cls, self[:3] + (cw_schedule, dc_schedule) + self[5:])
+
+    @classmethod
+    def _make(cls, iterable) -> "MacParams":
+        # the inherited _make builds the tuple directly, past __new__'s checks
+        return cls(*iterable)
 
 
-@dataclass
-class LinkTally:
-    """Raw per-link counters accumulated by a run."""
+class LinkTally(NamedTuple):
+    """Raw per-link counters of a run, built once by the accounting."""
 
     successes_primary: int = 0
     successes_secondary: int = 0
@@ -218,8 +234,7 @@ class SimEvent(NamedTuple):
     spectrum_fraction: Optional[float] = None
 
 
-@dataclass
-class SimReportRaw:
+class SimReportRaw(NamedTuple):
     """Raw tallies of one run; input to the metrics layer."""
 
     tallies: Dict[DirectedLink, LinkTally]

@@ -5,13 +5,15 @@ transmits. Jain's index is (sum x)^2 / (n * sum x^2); the fairly-shared
 spectrum efficiency (FSSE) is n times the minimum per-node throughput, which
 equals the network total exactly when allocation is perfectly even and is
 anchored to the worst-off node otherwise.
+
+The reports are plain ``typing.NamedTuple`` records: tuples of their
+fields, built once and immutable.
 """
 
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .macsim import MacParams, SimReportRaw, normalized_throughput
 from .tonemap import MAX_MODULATION_TOTAL, DirectedLink, asymmetry
@@ -38,8 +40,7 @@ def fsse(per_node: Dict[str, float]) -> float:
     return len(per_node) * min(per_node.values())
 
 
-@dataclass(frozen=True)
-class FairnessReport:
+class FairnessReport(NamedTuple):
     jfi: float
     fsse: float
     per_node_throughput: Dict[str, float]
@@ -71,15 +72,13 @@ def fairness_csv(report: FairnessReport) -> str:
     return out.getvalue()
 
 
-@dataclass(frozen=True)
-class LinkGain:
+class LinkGain(NamedTuple):
     base: float
     ss: float
     gain_pct: float
 
 
-@dataclass(frozen=True)
-class GainReport:
+class GainReport(NamedTuple):
     """SS-on vs SS-off comparison of two runs over the same scenario."""
 
     per_link: Dict[DirectedLink, LinkGain]

@@ -5,38 +5,50 @@ the harmonic combination 1 / sum(1/rate) of its hop rates, i.e. transmission
 time is additive because every hop shares the one PLC medium. The planner
 returns the path maximizing that estimate, with ties broken toward the
 lexicographically smallest node sequence.
+
+``LinkGraph`` is a checked tuple: it extends a ``typing.NamedTuple`` of its
+fields and checks its rates in ``__new__``, through which ``_make`` and
+``_replace`` also go. ``Route`` is a plain ``typing.NamedTuple``.
 """
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .tonemap import DirectedLink, PhyParams, expected_throughput, is_number
 from .traceio import Deployment
 
 
-@dataclass(frozen=True)
-class LinkGraph:
-    """Directed links and their rates in bits/second. Construction raises
-    ValueError for a rate that is not a finite number >= 0."""
-
+class _GraphFields(NamedTuple):
     nodes: Tuple[str, ...]
     edges: Dict[DirectedLink, float]  # bits/second
 
-    def __init__(self, nodes, edges):
+
+class LinkGraph(_GraphFields):
+    """Directed links and their rates in bits/second.
+
+    A tuple of ``nodes`` (kept as a tuple) and ``edges`` (copied into a new
+    dict). Construction, ``_make`` and ``_replace`` raise ValueError for a
+    rate that is not a finite number >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, nodes, edges):
         edges = dict(edges)
         for link, rate in edges.items():
             # best_route costs a hop 1/rate: an infinite rate would cost 0,
             # and a NaN or negative one would turn up as the route's estimate
             if not (is_number(rate) and rate >= 0 and math.isfinite(rate)):
                 raise ValueError(f"rate of {link} must be a finite number >= 0, got {rate!r}")
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "edges", edges)
+        return tuple.__new__(cls, (tuple(nodes), edges))
+
+    @classmethod
+    def _make(cls, iterable) -> "LinkGraph":
+        # the inherited _make builds the tuple directly, past __new__'s checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     path: Tuple[str, ...]
     throughput_bps: float
 

@@ -53,9 +53,11 @@ map is read, four ``translate`` and ``int`` parses per (link, slot). A
 retained candidate keeps its shared set as a mask (``SSAllocation.shared``);
 ``shared_total`` sums a tonemap over it as
 ``sum_b 2**b * |shared & plane_b|``, and no library path builds its derived
-index tuple. An ``SSAllocation``, like a ``DirectedLink``, is a tuple
-checked in ``__new__``, so it hashes and compares in C and equals the plain
-tuple of its fields.
+index tuple. ``SSPolicy``, ``SSAllocation`` and ``SSDecisionTable``, like a
+``DirectedLink``, are checked tuples: each extends a ``typing.NamedTuple``
+of its fields and runs its checks in ``__new__``, through which ``_make``
+and ``_replace`` also go, so an allocation hashes and compares in C and
+equals the plain tuple of its fields.
 
 ``decision_table_csv`` renders a row's indices from the mask's bytes
 between its lowest and its highest set bit: one lookup each in a table
@@ -68,7 +70,6 @@ make the table deterministic, and per-slot decisions are independent.
 """
 
 from bisect import insort
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import getitem
@@ -87,8 +88,13 @@ _SUBCARRIERS = range(1, SUBCARRIER_COUNT + 1)
 _MASK_BYTES = -(-SUBCARRIER_COUNT // 8)
 
 
-@dataclass(frozen=True)
-class SSPolicy:
+class _PolicyFields(NamedTuple):
+    beta: int = 2
+    top_m: int = 1
+    max_share_fraction: float = 1.0
+
+
+class SSPolicy(_PolicyFields):
     """Spectrum-sharing policy knobs.
 
     beta                minimum per-subcarrier advantage (bits) for a
@@ -96,13 +102,15 @@ class SSPolicy:
     top_m               how many ranked secondary candidates to retain
     max_share_fraction  cap on the fraction of the 917 subcarriers a primary
                         may hand away per slot (1.0 = no cap)
+
+    A tuple of these three fields; construction, ``_make`` and ``_replace``
+    raise ValueError for a field of the wrong type or out of range.
     """
 
-    beta: int = 2
-    top_m: int = 1
-    max_share_fraction: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # beta's bits feed the table builder's plane adder
         for name in ("beta", "top_m"):
             if not is_integer(getattr(self, name)):
@@ -115,6 +123,12 @@ class SSPolicy:
             raise ValueError("max_share_fraction must be a number")
         if not 0.0 <= self.max_share_fraction <= 1.0:
             raise ValueError("max_share_fraction must be in [0, 1]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "SSPolicy":
+        # the inherited _make builds the tuple directly, past __new__'s checks
+        return cls(*iterable)
 
 
 class _AllocationFields(NamedTuple):
@@ -133,8 +147,8 @@ class SSAllocation(_AllocationFields):
     subcarrier ``j``; ``shared_indices`` derives its ascending indices.
     A tuple of its six fields, so it equals the plain tuple of them.
     Construction, ``_make`` and ``_replace`` raise ValueError for a
-    secondary that shares a node with the primary, a mask outside
-    1 .. 2**917 - 1, a gain <= 0 or a rank < 1.
+    secondary that shares a node with the primary, a slot < 1, a mask
+    outside 1 .. 2**917 - 1, a gain <= 0 or a rank < 1.
     """
 
     __slots__ = ()
@@ -144,6 +158,9 @@ class SSAllocation(_AllocationFields):
         # a DirectedLink is the tuple (tx, rx), so ``in`` tests its two ends
         if secondary.tx in primary or secondary.rx in primary:
             raise ValueError(f"secondary {secondary} shares a node with primary {primary}")
+        # slot 0 would read the last slot's planes through planes[-1]
+        if slot < 1:
+            raise ValueError("slot is 1-based")
         if not 0 < shared <= _ALL:
             raise ValueError(f"shared mask out of range 1..2**{SUBCARRIER_COUNT} - 1")
         if gain <= 0:
@@ -171,14 +188,26 @@ class SSAllocation(_AllocationFields):
                 + 4 * (p2 & shared).bit_count() + 8 * (p3 & shared).bit_count())
 
 
-@dataclass(frozen=True)
-class SSDecisionTable:
-    """Ranked candidate lists keyed by (primary link, 1-based slot)."""
-
+class _TableFields(NamedTuple):
     entries: Dict[Tuple[DirectedLink, int], Tuple[SSAllocation, ...]]
 
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", dict(entries))
+
+class SSDecisionTable(_TableFields):
+    """Ranked candidate lists keyed by (primary link, 1-based slot).
+
+    A tuple of its one field, ``entries``, which construction, ``_make``
+    and ``_replace`` copy into a new dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        return tuple.__new__(cls, (dict(entries),))
+
+    @classmethod
+    def _make(cls, iterable) -> "SSDecisionTable":
+        # the inherited _make builds the tuple directly, past __new__'s copy
+        return cls(*iterable)
 
     def candidates(self, primary: DirectedLink, slot: int) -> Tuple[SSAllocation, ...]:
         return self.entries.get((primary, slot), ())

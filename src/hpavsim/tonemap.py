@@ -19,12 +19,13 @@ A map is valid by construction: every slot is 917 ``bytes`` in 0..10, so
 summing and indexing a slot run in C, and two maps are equal, and hash
 equal, exactly when they hold the same values.
 
-``DirectedLink`` is a tuple ``(tx, rx)`` checked in ``__new__``: every
-link-keyed dict and sort hashes and compares it in C, and it equals the
-plain tuple of its ends.
+The three types are checked tuples: ``Tonemap``, ``DirectedLink`` and
+``PhyParams`` each extend a ``typing.NamedTuple`` of their fields and run
+their checks in ``__new__``, and ``_make`` and ``_replace`` go through it.
+So every link-keyed dict and sort hashes and compares a ``DirectedLink`` in
+C, and each value equals the plain tuple of its fields.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isfinite
@@ -67,25 +68,31 @@ def is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class Tonemap:
+class _TonemapFields(NamedTuple):
+    slots: Tuple[bytes, ...]
+
+
+class Tonemap(_TonemapFields):
     """Per-subcarrier modulation map for one directed link.
 
     ``slots[k-1][j-1]`` is the modulation of subcarrier ``j`` during AC-cycle
     sub-interval ``k``, each slot stored as ``bytes`` whatever sequence of
-    ints it was built from. Construction raises ValueError naming the first
-    violation: slot count outside 1..6, then per slot a subcarrier count
-    other than 917 or a value that is not an int in 0..10.
+    ints it was built from. Construction, ``_make`` and ``_replace`` raise
+    ValueError naming the first violation: slot count outside 1..6, then per
+    slot a subcarrier count other than 917 or a value that is not an int in
+    0..10.
 
-    Two derived views of ``slots`` are computed on first use and then kept
-    on the instance: ``planes``, each slot's four bit planes, and
-    ``totals``, each slot's summed modulation. They are not fields, so
-    equality and hashing still read ``slots`` alone.
+    A tuple of its one field, ``slots``. Two derived views of ``slots`` are
+    computed on first use and then kept in the instance dict: ``planes``,
+    each slot's four bit planes, and ``totals``, each slot's summed
+    modulation. They are not fields, so equality and hashing still read
+    ``slots`` alone; setting or deleting any attribute raises
+    AttributeError.
     """
 
-    slots: Tuple[bytes, ...]
+    # no __slots__ = (): the instance dict holds the cached views
 
-    def __init__(self, slots: Iterable[Iterable[int]]):
+    def __new__(cls, slots: Iterable[Iterable[int]]):
         rows = [v if isinstance(v, (bytes, bytearray)) else tuple(v) for v in slots]
         try:
             checked = tuple(map(bytes, rows))
@@ -96,7 +103,18 @@ class Tonemap:
             for slot in checked
         ):
             raise ValueError(_first_violation(rows))
-        object.__setattr__(self, "slots", checked)
+        return tuple.__new__(cls, (checked,))
+
+    @classmethod
+    def _make(cls, iterable) -> "Tonemap":
+        # the inherited _make builds the tuple directly, past __new__'s checks
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Tonemap is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Tonemap is immutable")
 
     @property
     def slot_count(self) -> int:
@@ -120,11 +138,6 @@ class Tonemap:
         if not 1 <= k <= len(self.slots):
             raise ValueError(f"slot index {k} out of range 1..{len(self.slots)}")
         return self.slots[k - 1]
-
-    @classmethod
-    def filled(cls, value: int, slot_count: int = DEFAULT_SLOT_COUNT) -> "Tonemap":
-        """Map with every subcarrier of every slot at ``value``."""
-        return cls(((value,) * SUBCARRIER_COUNT,) * slot_count)
 
     def __repr__(self) -> str:
         # the full 917-wide vectors are useless in tracebacks
@@ -193,8 +206,14 @@ class DirectedLink(_LinkEnds):
         return f"{self.tx}->{self.rx}"
 
 
-@dataclass(frozen=True)
-class PhyParams:
+class _PhyFields(NamedTuple):
+    fec_rate: Fraction = Fraction(16, 21)
+    bit_error_rate: float = 0.0
+    symbol_interval_us: float = 46.0
+    protocol_overhead: float = 0.4
+
+
+class PhyParams(_PhyFields):
     """PHY constants entering the rate formulas.
 
     fec_rate          FEC code rate C; HPAV uses 1/2 or 16/21
@@ -202,21 +221,22 @@ class PhyParams:
                       out of the simulation's scope)
     symbol_interval_us  OFDM symbol interval including overheads
     protocol_overhead   MAC/protocol overhead fraction applied to throughput
+
+    A tuple of these four fields; construction, ``_make`` and ``_replace``
+    raise ValueError for a value out of range, and keep ``fec_rate`` as a
+    Fraction.
     """
 
-    fec_rate: Fraction = Fraction(16, 21)
-    bit_error_rate: float = 0.0
-    symbol_interval_us: float = 46.0
-    protocol_overhead: float = 0.4
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # a string would pass through Fraction("1/2"), and None would fail in
         # it with TypeError
         if not is_number(self.fec_rate):
             raise ValueError("fec_rate must be a number")
         if Fraction(self.fec_rate) not in FEC_RATES:
             raise ValueError(f"fec_rate must be one of {FEC_RATES}, got {self.fec_rate}")
-        object.__setattr__(self, "fec_rate", Fraction(self.fec_rate))
         for name in ("bit_error_rate", "symbol_interval_us", "protocol_overhead"):
             if not is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a number")
@@ -226,6 +246,12 @@ class PhyParams:
             raise ValueError("symbol_interval_us must be positive and finite")
         if not 0.0 <= self.protocol_overhead < 1.0:
             raise ValueError("protocol_overhead must be in [0, 1)")
+        return tuple.__new__(cls, (Fraction(self.fec_rate),) + self[1:])
+
+    @classmethod
+    def _make(cls, iterable) -> "PhyParams":
+        # the inherited _make builds the tuple directly, past __new__'s checks
+        return cls(*iterable)
 
 
 def phy_rate(t: Tonemap, slot_index: int, params: PhyParams) -> float:
@@ -281,21 +307,3 @@ def asymmetry(t_ab: Tonemap, t_ba: Tonemap) -> Fraction:
         distances = packed.to_bytes(SUBCARRIER_COUNT, "little").translate(_NIBBLE_DISTANCE)
         total += _byte_sum(distances)
     return Fraction(total, t_ab.slot_count)
-
-
-def spectrum_fraction(t: Tonemap, slot_index: int, active_subcarriers) -> Fraction:
-    """Fraction of the maximum modulation total carried by ``active_subcarriers``.
-
-    ``active_subcarriers`` is any iterable of 1-based indices; the result is
-    exact (a Fraction in [0, 1]) so that disjoint index sets add exactly.
-    Raises ValueError for an index outside 1..917.
-    """
-    # a pad byte in front makes each 1-based index its own offset
-    padded_slot = b"\0" + t.slot(slot_index)
-    indices = tuple(active_subcarriers)
-    if indices:
-        low, high = min(indices), max(indices)
-        if low < 1 or high > SUBCARRIER_COUNT:
-            bad = low if low < 1 else high
-            raise ValueError(f"subcarrier index {bad} out of range 1..{SUBCARRIER_COUNT}")
-    return Fraction(sum(map(padded_slot.__getitem__, indices)), MAX_MODULATION_TOTAL)

@@ -20,12 +20,15 @@ splitmix64 stream of each directed link (stream index = link ordinal), so
 output is a pure function of (n_nodes, profile, slot_count) and survives any
 reordering of the generation loop. Emitted modulation values are restricted
 to the HPAV-legal ladder {0,1,2,3,4,6,8,10}.
+
+``Deployment`` and ``GeneratorProfile`` are checked tuples: each extends a
+``typing.NamedTuple`` of its fields and runs its checks in ``__new__``,
+through which ``_make`` and ``_replace`` also go.
 """
 
 import io
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .rng import ALGORITHM_NAME, ALGORITHM_VERSION, SplitMix64
 from .tonemap import (
@@ -57,21 +60,27 @@ class TraceFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class Deployment:
-    """Node set plus a tonemap for every traced directed link.
-
-    Construction raises ValueError on the first broken invariant: fewer than
-    2 nodes, a duplicate node, no links, tonemaps that disagree on
-    slot_count, a link naming an unlisted node or a link without its
-    reverse.
-    """
-
+class _DeploymentFields(NamedTuple):
     nodes: Tuple[str, ...]
     links: Dict[DirectedLink, Tonemap]
-    metadata: Dict[str, str]
+    metadata: Optional[Dict[str, str]] = None
 
-    def __init__(self, nodes, links, metadata=None):
+
+class Deployment(_DeploymentFields):
+    """Node set plus a tonemap for every traced directed link.
+
+    A tuple of ``nodes`` (kept as a tuple), ``links`` and ``metadata``
+    (each copied into a new dict, ``metadata`` empty when None).
+    Construction, ``_make`` and ``_replace`` raise ValueError on the first
+    broken invariant: fewer than 2 nodes, a duplicate node, no links,
+    tonemaps that disagree on slot_count, a link naming an unlisted node or
+    a link without its reverse.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        nodes, links, metadata = super().__new__(cls, *args, **kwargs)
         nodes = tuple(nodes)
         links = dict(links)
         if len(nodes) < 2:
@@ -89,9 +98,12 @@ class Deployment:
                 raise ValueError(f"link {link} uses a node missing from the node list")
             if link.reversed() not in links:
                 raise ValueError(f"link {link} has no reverse-direction tonemap")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "metadata", dict(metadata or {}))
+        return tuple.__new__(cls, (nodes, links, dict(metadata or {})))
+
+    @classmethod
+    def _make(cls, iterable) -> "Deployment":
+        # the inherited _make builds the tuple directly, past __new__'s checks
+        return cls(*iterable)
 
     @property
     def slot_count(self) -> int:
@@ -104,8 +116,16 @@ class Deployment:
         )
 
 
-@dataclass(frozen=True)
-class GeneratorProfile:
+class _ProfileFields(NamedTuple):
+    profile_kind: str
+    base_quality: float = 6.0
+    notch_count: int = 0
+    notch_width: int = 0
+    asymmetry_noise: int = 0
+    seed: int = 0
+
+
+class GeneratorProfile(_ProfileFields):
     """Knobs of the synthetic deployment generator.
 
     profile_kind       uniform | complementary | interference-notched | asymmetric
@@ -115,16 +135,16 @@ class GeneratorProfile:
     asymmetry_noise    max per-subcarrier, per-direction perturbation in bits,
                        0-10
     seed               64-bit generator seed
+
+    A tuple of these six fields; construction, ``_make`` and ``_replace``
+    raise ValueError for a field of the wrong type or out of range, or a
+    notch layout wider than the spectrum.
     """
 
-    profile_kind: str
-    base_quality: float = 6.0
-    notch_count: int = 0
-    notch_width: int = 0
-    asymmetry_noise: int = 0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.profile_kind not in PROFILE_KINDS:
             raise ValueError(
                 f"unknown profile {self.profile_kind!r}, expected one of {PROFILE_KINDS}"
@@ -150,6 +170,12 @@ class GeneratorProfile:
                 f"infeasible notch layout: {self.notch_count} x {self.notch_width} "
                 f"exceeds {SUBCARRIER_COUNT} subcarriers"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "GeneratorProfile":
+        # the inherited _make builds the tuple directly, past __new__'s checks
+        return cls(*iterable)
 
 
 def snap_legal(value) -> int:

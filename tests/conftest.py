@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hpavsim import Deployment, DirectedLink, Tonemap, spectrum_fraction
+from hpavsim import Deployment, DirectedLink, Tonemap
 from hpavsim.macsim import (
     EVENT_SS_ABORT,
     EVENT_SS_ENGAGE,
@@ -14,14 +14,41 @@ from hpavsim.macsim import (
 )
 from hpavsim.rng import SplitMix64
 from hpavsim.sharing import SSAllocation
-from hpavsim.tonemap import MAX_MODULATION, SUBCARRIER_COUNT
+from hpavsim.tonemap import (
+    DEFAULT_SLOT_COUNT, MAX_MODULATION, MAX_MODULATION_TOTAL, SUBCARRIER_COUNT,
+)
 from hpavsim.traceio import LEGAL_MODULATIONS, snap_legal
+
+
+def filled_tonemap(value, slot_count=DEFAULT_SLOT_COUNT):
+    """Map with every subcarrier of every slot at ``value``."""
+    return Tonemap(((value,) * SUBCARRIER_COUNT,) * slot_count)
+
+
+def spectrum_fraction(t, slot_index, active_subcarriers):
+    """Fraction of the maximum modulation total carried by ``active_subcarriers``.
+
+    ``active_subcarriers`` is any iterable of 1-based indices; the result is
+    exact (a Fraction in [0, 1]) so that disjoint index sets add exactly.
+    Raises ValueError for an index outside 1..917. The spectrum oracle of
+    the MAC and sharing tests: it reads a slot's values by index, where the
+    library sums bit planes and slot totals.
+    """
+    # a pad byte in front makes each 1-based index its own offset
+    padded_slot = b"\0" + t.slot(slot_index)
+    indices = tuple(active_subcarriers)
+    if indices:
+        low, high = min(indices), max(indices)
+        if low < 1 or high > SUBCARRIER_COUNT:
+            bad = low if low < 1 else high
+            raise ValueError(f"subcarrier index {bad} out of range 1..{SUBCARRIER_COUNT}")
+    return Fraction(sum(map(padded_slot.__getitem__, indices)), MAX_MODULATION_TOTAL)
 
 
 def deployment_from_levels(levels, slot_count=5, nodes=None):
     """Build a deployment from {(tx, rx): flat modulation level} pairs."""
     links = {
-        DirectedLink(tx, rx): Tonemap.filled(level, slot_count)
+        DirectedLink(tx, rx): filled_tonemap(level, slot_count)
         for (tx, rx), level in levels.items()
     }
     if nodes is None:

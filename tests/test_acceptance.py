@@ -30,7 +30,6 @@ from hpavsim import (
     phy_rate,
     run_simulation,
     serialize_trace,
-    spectrum_fraction,
 )
 from hpavsim import cli
 from hpavsim.macsim import EVENT_TX_END_SUCCESS, EVENT_TX_START
@@ -46,6 +45,7 @@ from conftest import (
     CORPUS_TOP_M,
     brute_force_table,
     deployment_from_levels,
+    spectrum_fraction,
     tables_equal,
 )
 

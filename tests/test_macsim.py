@@ -18,7 +18,6 @@ from hpavsim import (
     generate_deployment,
     normalized_throughput,
     run_simulation,
-    spectrum_fraction,
     Tonemap,
     macsim,
 )
@@ -47,6 +46,7 @@ from conftest import (
     rebuild_spectrum_tallies,
     report_spectrum_tallies,
     run_times,
+    spectrum_fraction,
     ss_allocation,
 )
 
@@ -511,7 +511,8 @@ def ss_replay(off, deployment, table, mac, top_m, flows):
     width = mac.ac_cycle_us / deployment.slot_count
     wait = mac.rank_wait_slots_per_rank
     links = deployment.links
-    tallies = {f: LinkTally() for f in flows}
+    # per flow, the counters its LinkTally is built from once, at the end
+    counts = {f: LinkTally()._asdict() for f in flows}
     # (primary, k) -> its full-slot fraction and its engagement as (wait,
     # secondary, the secondary's fraction, the primary's) or None
     plans = {}
@@ -520,11 +521,11 @@ def ss_replay(off, deployment, table, mac, top_m, flows):
         if e.event == EVENT_TX_START:
             start = e.time_us
         elif e.event == EVENT_TX_END_COLLISION:
-            tallies[e.link].collisions += 1
+            counts[e.link]["collisions"] += 1
         elif e.event == EVENT_TX_END_SUCCESS:
             k = min(1 + int((start % mac.ac_cycle_us) / width), deployment.slot_count)
             if (e.link, k) not in plans:
-                backed = [a for a in table.candidates(e.link, k)[:top_m] if a.secondary in tallies]
+                backed = [a for a in table.candidates(e.link, k)[:top_m] if a.secondary in counts]
                 alloc = min(backed, key=lambda a: (max(1, a.rank * wait), a.secondary.tx),
                             default=None)
                 full = spectrum_fraction(links[e.link], k, range(1, SUBCARRIER_COUNT + 1))
@@ -538,18 +539,18 @@ def ss_replay(off, deployment, table, mac, top_m, flows):
                             spectrum_fraction(links[e.link], k, complement))
                 plans[e.link, k] = full, plan
             full, plan = plans[e.link, k]
-            tally = tallies[e.link]
-            tally.successes_primary += 1
+            primary = counts[e.link]
+            primary["successes_primary"] += 1
             if plan is not None and start + plan[0] * mac.slot_duration_us < (
                 start + mac.success_duration_us
             ):
                 _, secondary, sf_secondary, sf_primary = plan
-                tallies[secondary].successes_secondary += 1
-                tallies[secondary].sf_secondary += sf_secondary
-                tally.sf_primary += sf_primary
+                counts[secondary]["successes_secondary"] += 1
+                counts[secondary]["sf_secondary"] += sf_secondary
+                primary["sf_primary"] += sf_primary
             else:
-                tally.sf_primary += full
-    return tallies
+                primary["sf_primary"] += full
+    return {f: LinkTally(**c) for f, c in counts.items()}
 
 
 class TestSSReplayOracle:

@@ -8,7 +8,6 @@ station's (stage, DC) follows the sensed-busy rule; every backoff counter a
 run draws is the next ``SplitMix64.randbelow`` draw of its seed's stream; and
 the memoized contention pass gives every run what a fresh pass gives."""
 
-import dataclasses
 import math
 import random
 
@@ -72,8 +71,10 @@ def scenarios(draw):
     if not flows:
         flows = [DirectedLink(nodes[0], nodes[1])]
     table_policy = SSPolicy(beta=draw(st.integers(0, 6)), top_m=draw(st.integers(1, 3)))
+    # builds() fills every NamedTuple field it is not given, defaults or not
     run_policy = draw(st.one_of(
-        st.none(), st.builds(SSPolicy, beta=st.just(0), top_m=st.integers(1, 3))
+        st.none(), st.builds(SSPolicy, beta=st.just(0), top_m=st.integers(1, 3),
+                             max_share_fraction=st.just(1.0))
     ))
     reeval = draw(st.one_of(st.none(), st.sampled_from([20_000.0, 50_000.0])))
     # 40 and 80 push rank-2 and rank-1 waits past the 70-boundary window
@@ -281,7 +282,7 @@ EXTRA_CW = ((1, 3, 5, 7), (1, 2, 4, 8))
 def test_backoff_draws_replay(scenario, seed, duration, cw):
     dep, flows, table_policy, run_policy, mac = scenario
     if cw is not None:
-        mac = dataclasses.replace(mac, cw_schedule=cw)
+        mac = mac._replace(cw_schedule=cw)
     table = build_decision_table(dep, table_policy)
     for t, policy in ((None, None), (table, run_policy)):
         report = run_simulation(dep, t, mac, policy, flows, duration, seed,

@@ -7,7 +7,6 @@ from hpavsim import (
     DirectedLink,
     GeneratorProfile,
     MacParams,
-    Tonemap,
     asymmetry_distribution,
     compare_runs,
     fairness_report,
@@ -18,7 +17,7 @@ from hpavsim import (
 from hpavsim.macsim import LinkTally, SimReportRaw, normalized_throughput
 from hpavsim.metrics import fairness_csv
 
-from conftest import deployment_from_levels
+from conftest import deployment_from_levels, filled_tonemap
 
 MAC = MacParams()
 
@@ -223,7 +222,7 @@ class TestAsymmetryDistribution:
         # the constructor refuses a deployment asymmetry_distribution could
         # not pair up
         with pytest.raises(ValueError, match="no reverse-direction tonemap"):
-            Deployment(("a", "b"), {DirectedLink("a", "b"): Tonemap.filled(1)})
+            Deployment(("a", "b"), {DirectedLink("a", "b"): filled_tonemap(1)})
 
     def test_values_within_unit_interval(self):
         dep = generate_deployment(

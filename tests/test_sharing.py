@@ -298,6 +298,14 @@ class TestAllocationTuple:
         with pytest.raises(ValueError, match="^rank is 1-based$"):
             SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 1, 1, 1, 0)
 
+    @pytest.mark.parametrize("slot", [0, -1])
+    def test_slot_below_one_rejected(self, slot):
+        # slot 0 read the last slot's planes through planes[-1]
+        with pytest.raises(ValueError, match="^slot is 1-based$"):
+            SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, slot, 1, 1, 1)
+        with pytest.raises(ValueError, match="^slot is 1-based$"):
+            SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 1, 1, 1, 1)._replace(slot=slot)
+
     def test_make_and_replace_check_their_fields(self):
         alloc = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 7, 1)
         assert SSAllocation._make(tuple(alloc)) == alloc

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from hpavsim import (
     Deployment, DirectedLink, SSPolicy, Tonemap, build_decision_table, decision_table_csv,
-    spectrum_fraction,
 )
 from hpavsim.sharing import SSAllocation
 from hpavsim.tonemap import MAX_MODULATION_TOTAL, SUBCARRIER_COUNT
 
-from conftest import brute_force_csv, brute_force_table, tables_equal
+from conftest import brute_force_csv, brute_force_table, spectrum_fraction, tables_equal
 
 NODES = ("n1", "n2", "n3", "n4")
 LINKS = tuple(DirectedLink(tx, rx) for tx in NODES for rx in NODES if tx != rx)

@@ -10,12 +10,17 @@ from hpavsim import (
     asymmetry,
     expected_throughput,
     phy_rate,
-    spectrum_fraction,
 )
 from hpavsim.rng import SplitMix64
 from hpavsim.tonemap import FEC_RATES, MAX_MODULATION_TOTAL, SUBCARRIER_COUNT
 
-from conftest import asymmetry_oracle, expected_throughput_oracle, phy_rate_oracle
+from conftest import (
+    asymmetry_oracle,
+    expected_throughput_oracle,
+    filled_tonemap,
+    phy_rate_oracle,
+    spectrum_fraction,
+)
 
 
 def rate_oracle(tmap, k, params):
@@ -37,7 +42,7 @@ def random_tonemap(rng, slot_count=5):
 
 class TestValidate:
     def test_maximal_map_ok(self):
-        assert Tonemap.filled(10).slot(1) == bytes([10]) * SUBCARRIER_COUNT
+        assert filled_tonemap(10).slot(1) == bytes([10]) * SUBCARRIER_COUNT
 
     def test_modulation_out_of_range(self):
         slots = [[10] * SUBCARRIER_COUNT for _ in range(5)]
@@ -138,7 +143,7 @@ class TestViews:
     def test_totals_are_slot_sums(self):
         tmap = random_tonemap(SplitMix64(29, 1))
         assert tmap.totals == tuple(map(sum, tmap.slots))
-        assert Tonemap.filled(10, 2).totals == (MAX_MODULATION_TOTAL,) * 2
+        assert filled_tonemap(10, 2).totals == (MAX_MODULATION_TOTAL,) * 2
 
     def test_filled_views_leave_equality_and_hash(self):
         rng = SplitMix64(31, 1)
@@ -155,12 +160,12 @@ class TestViews:
 class TestPhyRate:
     def test_full_modulation_reference_point(self):
         # 9170 bits * 16/21 / 46 us
-        rate = phy_rate(Tonemap.filled(10), 1, PhyParams())
+        rate = phy_rate(filled_tonemap(10), 1, PhyParams())
         assert round(rate) == 151_884_058
-        assert rate == pytest.approx(float(rate_oracle(Tonemap.filled(10), 1, PhyParams())), rel=1e-12)
+        assert rate == pytest.approx(float(rate_oracle(filled_tonemap(10), 1, PhyParams())), rel=1e-12)
 
     def test_zero_map(self):
-        assert phy_rate(Tonemap.filled(0), 3, PhyParams()) == 0.0
+        assert phy_rate(filled_tonemap(0), 3, PhyParams()) == 0.0
 
     def test_single_subcarrier_with_fec_and_errors(self):
         slots = [[0] * SUBCARRIER_COUNT]
@@ -171,9 +176,9 @@ class TestPhyRate:
 
     def test_slot_index_out_of_range(self):
         with pytest.raises(ValueError, match="slot index"):
-            phy_rate(Tonemap.filled(1), 6, PhyParams())
+            phy_rate(filled_tonemap(1), 6, PhyParams())
         with pytest.raises(ValueError, match="slot index"):
-            phy_rate(Tonemap.filled(1), 0, PhyParams())
+            phy_rate(filled_tonemap(1), 0, PhyParams())
 
     def test_matches_rational_oracle_on_random_maps(self):
         rng = SplitMix64(2024, 0)
@@ -199,11 +204,11 @@ class TestPhyRate:
 
 class TestExpectedThroughput:
     def test_uniform_slots_reference_point(self):
-        thr = expected_throughput(Tonemap.filled(10), PhyParams())
+        thr = expected_throughput(filled_tonemap(10), PhyParams())
         assert round(thr) == 91_130_435
 
     def test_zero_map(self):
-        assert expected_throughput(Tonemap.filled(0), PhyParams()) == 0.0
+        assert expected_throughput(filled_tonemap(0), PhyParams()) == 0.0
 
     def test_no_overhead_equals_slot_average(self):
         rng = SplitMix64(11, 0)
@@ -230,14 +235,14 @@ class TestAsymmetry:
         assert asymmetry(tmap, tmap) == 0
 
     def test_uniform_one_bit_difference(self):
-        assert asymmetry(Tonemap.filled(5), Tonemap.filled(4)) == 917
+        assert asymmetry(filled_tonemap(5), filled_tonemap(4)) == 917
 
     def test_documented_maximum(self):
-        assert asymmetry(Tonemap.filled(10), Tonemap.filled(0)) == 9170
+        assert asymmetry(filled_tonemap(10), filled_tonemap(0)) == 9170
 
     def test_slot_count_mismatch(self):
         with pytest.raises(ValueError, match="slot_count mismatch"):
-            asymmetry(Tonemap.filled(1, 5), Tonemap.filled(1, 4))
+            asymmetry(filled_tonemap(1, 5), filled_tonemap(1, 4))
 
     def test_metric_properties_on_random_maps(self):
         rng = SplitMix64(99, 0)
@@ -253,7 +258,7 @@ def pin_maps():
     """All-0, all-10 and random maps of every slot count, plus maps drawn
     from the two ends of the range only."""
     rng = SplitMix64(1010, 0)
-    maps = [Tonemap.filled(0), Tonemap.filled(10)]
+    maps = [filled_tonemap(0), filled_tonemap(10)]
     maps += [random_tonemap(rng, slot_count) for slot_count in range(1, 7)]
     maps += [
         Tonemap([[10 * rng.randbelow(2) for _ in range(SUBCARRIER_COUNT)]] * 3)
@@ -284,37 +289,37 @@ class TestKernelPins:
                     assert asymmetry(a, b) == asymmetry_oracle(a, b)
 
     def test_extreme_maps_in_both_orders(self):
-        top, bottom = Tonemap.filled(10, 6), Tonemap.filled(0, 6)
+        top, bottom = filled_tonemap(10, 6), filled_tonemap(0, 6)
         assert asymmetry(top, bottom) == asymmetry(bottom, top) == 9170
         assert asymmetry(top, top) == asymmetry(bottom, bottom) == 0
 
     def test_asymmetry_slot_count_mismatch(self):
         with pytest.raises(ValueError, match="slot_count mismatch: 6 vs 1"):
-            asymmetry(Tonemap.filled(10, 6), Tonemap.filled(0, 1))
+            asymmetry(filled_tonemap(10, 6), filled_tonemap(0, 1))
 
 
 class TestSpectrumFraction:
     def test_full_spectrum_maximum(self):
-        assert spectrum_fraction(Tonemap.filled(10), 1, range(1, 918)) == 1
+        assert spectrum_fraction(filled_tonemap(10), 1, range(1, 918)) == 1
 
     def test_empty_active_set(self):
-        assert spectrum_fraction(Tonemap.filled(10), 1, ()) == 0
+        assert spectrum_fraction(filled_tonemap(10), 1, ()) == 0
 
     def test_uniform_subset(self):
         # 100 subcarriers at 5 bits
-        value = spectrum_fraction(Tonemap.filled(5), 2, range(1, 101))
+        value = spectrum_fraction(filled_tonemap(5), 2, range(1, 101))
         assert value == Fraction(500, 9170)
         assert float(value) == pytest.approx(0.05453, abs=5e-6)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            spectrum_fraction(Tonemap.filled(1), 1, [918])
+            spectrum_fraction(filled_tonemap(1), 1, [918])
         with pytest.raises(ValueError, match="out of range"):
-            spectrum_fraction(Tonemap.filled(1), 1, [0])
+            spectrum_fraction(filled_tonemap(1), 1, [0])
 
     def test_negative_index_raises_rather_than_wrapping(self):
         # -1 would otherwise read the slot's last subcarrier
-        tmap = Tonemap.filled(3)
+        tmap = filled_tonemap(3)
         with pytest.raises(ValueError, match="subcarrier index -1 out of range"):
             spectrum_fraction(tmap, 1, [5, -1, 7])
         assert spectrum_fraction(tmap, 1, [5, 917, 7]) == Fraction(9, MAX_MODULATION_TOTAL)

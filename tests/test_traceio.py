@@ -19,7 +19,7 @@ from hpavsim import traceio
 from hpavsim.tonemap import SUBCARRIER_COUNT
 from hpavsim.traceio import LEGAL_MODULATIONS, snap_legal
 
-from conftest import deployment_from_levels
+from conftest import deployment_from_levels, filled_tonemap
 
 
 def minimal_trace(slot_count=5):
@@ -254,7 +254,7 @@ class TestSerialize:
     def test_invalid_deployment_rejected(self):
         # nothing invalid can reach serialize_trace: the constructor refuses it
         with pytest.raises(ValueError, match="reverse"):
-            Deployment(("a", "b"), {DirectedLink("a", "b"): Tonemap.filled(1)})
+            Deployment(("a", "b"), {DirectedLink("a", "b"): filled_tonemap(1)})
 
 
 class TestGenerator:
@@ -263,7 +263,7 @@ class TestGenerator:
             2, GeneratorProfile("uniform", base_quality=10, asymmetry_noise=0, seed=9)
         )
         for tmap in dep.links.values():
-            assert tmap == Tonemap.filled(10)
+            assert tmap == filled_tonemap(10)
 
     def test_same_seed_byte_identical(self):
         profile = GeneratorProfile("complementary", asymmetry_noise=2, seed=77)
@@ -414,8 +414,8 @@ class TestHelpers:
 
     def test_deployment_check_rejects_mixed_slot_counts(self):
         links = {
-            DirectedLink("a", "b"): Tonemap.filled(1, 5),
-            DirectedLink("b", "a"): Tonemap.filled(1, 4),
+            DirectedLink("a", "b"): filled_tonemap(1, 5),
+            DirectedLink("b", "a"): filled_tonemap(1, 4),
         }
         with pytest.raises(ValueError, match="slot_count"):
             Deployment(("a", "b"), links)
@@ -434,8 +434,8 @@ class TestHelpers:
     )
     def test_deployment_rejects_bad_node_list(self, nodes, message):
         links = {
-            DirectedLink("a", "b"): Tonemap.filled(1),
-            DirectedLink("b", "a"): Tonemap.filled(1),
+            DirectedLink("a", "b"): filled_tonemap(1),
+            DirectedLink("b", "a"): filled_tonemap(1),
         }
         with pytest.raises(ValueError, match=message):
             Deployment(nodes, links)
