@@ -568,6 +568,20 @@ MUTANTS = (
             "tests/test_sharing.py::TestDecisionTableCsv::test_eight_node_tables",
         ),
     ),
+    # the one _make of every checked tuple, through which _replace goes too
+    Mutant(
+        id="checked-make-unchecked",
+        file=TONEMAP,
+        old="    def _make(cls, iterable):\n        return cls(*iterable)\n",
+        new="    def _make(cls, iterable):\n        return tuple.__new__(cls, iterable)\n",
+        tests=(
+            "tests/test_sharing.py::TestAllocationTuple::"
+            "test_make_and_replace_check_their_fields",
+            "tests/test_tonemap.py::TestTypes::test_make_and_replace_reject_loops",
+            "tests/test_types.py::test_construction_make_and_replace_run_every_check",
+            "tests/test_types.py::test_make_and_replace_normalise_as_construction",
+        ),
+    ),
     # the SSAllocation checks in __new__
     Mutant(
         id="sharing-allocation-rx-overlap-unchecked",
@@ -591,17 +605,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        id="sharing-allocation-make-unchecked",
+        # a bool or float then reaches the decision-table CSV
+        id="sharing-allocation-int-types-unchecked",
         file=SHARING,
-        old="    def _make(cls, iterable) -> \"SSAllocation\":\n"
-            "        # the inherited _make builds the tuple directly, past __new__'s checks\n"
-            "        return cls(*iterable)\n",
-        new="    def _make(cls, iterable) -> \"SSAllocation\":\n"
-            "        return tuple.__new__(cls, iterable)\n",
-        tests=(
-            "tests/test_sharing.py::TestAllocationTuple::"
-            "test_make_and_replace_check_their_fields",
-        ),
+        old="                if not is_integer(value):\n",
+        new="                if False:\n",
+        tests=("tests/test_sharing.py::TestAllocationTuple::test_integer_fields_must_be_ints",),
     ),
     Mutant(
         # slot 0 then reads the last slot's planes through planes[-1]
@@ -779,29 +788,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        id="tonemap-link-make-unchecked",
-        file=TONEMAP,
-        old="    def _make(cls, iterable) -> \"DirectedLink\":\n"
-            "        # the inherited _make builds the tuple directly, past __new__'s check\n"
-            "        return cls(*iterable)\n",
-        new="    def _make(cls, iterable) -> \"DirectedLink\":\n"
-            "        return tuple.__new__(cls, iterable)\n",
-        tests=("tests/test_tonemap.py::TestTypes::test_make_and_replace_reject_loops",),
-    ),
-    Mutant(
-        id="tonemap-make-unchecked",
-        file=TONEMAP,
-        old="    def _make(cls, iterable) -> \"Tonemap\":\n"
-            "        # the inherited _make builds the tuple directly, past __new__'s checks\n"
-            "        return cls(*iterable)\n",
-        new="    def _make(cls, iterable) -> \"Tonemap\":\n"
-            "        return tuple.__new__(cls, iterable)\n",
-        tests=(
-            "tests/test_types.py::test_construction_make_and_replace_run_every_check",
-            "tests/test_types.py::test_make_and_replace_normalise_as_construction",
-        ),
-    ),
-    Mutant(
         # a field stays read-only through its descriptor, so only a new or
         # cached attribute shows the fault
         id="tonemap-setattr-let-through",
@@ -811,32 +797,6 @@ MUTANTS = (
         tests=(
             "tests/test_types.py::test_immutable",
             "tests/test_types.py::test_tonemap_caches_its_views_and_stays_immutable",
-        ),
-    ),
-    Mutant(
-        id="macsim-mac-params-make-unchecked",
-        file=MACSIM,
-        old="    def _make(cls, iterable) -> \"MacParams\":\n"
-            "        # the inherited _make builds the tuple directly, past __new__'s checks\n"
-            "        return cls(*iterable)\n",
-        new="    def _make(cls, iterable) -> \"MacParams\":\n"
-            "        return tuple.__new__(cls, iterable)\n",
-        tests=(
-            "tests/test_types.py::test_construction_make_and_replace_run_every_check",
-            "tests/test_types.py::test_make_and_replace_normalise_as_construction",
-        ),
-    ),
-    Mutant(
-        id="traceio-deployment-make-unchecked",
-        file=TRACEIO,
-        old="    def _make(cls, iterable) -> \"Deployment\":\n"
-            "        # the inherited _make builds the tuple directly, past __new__'s checks\n"
-            "        return cls(*iterable)\n",
-        new="    def _make(cls, iterable) -> \"Deployment\":\n"
-            "        return tuple.__new__(cls, iterable)\n",
-        tests=(
-            "tests/test_types.py::test_construction_make_and_replace_run_every_check",
-            "tests/test_types.py::test_make_and_replace_normalise_as_construction",
         ),
     ),
     # the SS-on over SS-off comparison and the route planner's figures
@@ -874,6 +834,17 @@ MUTANTS = (
         new="if rate > min_rate:",
         tests=(
             "tests/test_routing.py::TestBuildGraph::test_edge_at_exactly_the_threshold_kept",
+        ),
+    ),
+    Mutant(
+        # NaN then prunes every link, and the CLI reports it as unreachable
+        id="routing-min-rate-nan-accepted",
+        file=ROUTING,
+        old="if not is_number(min_rate) or math.isnan(min_rate):",
+        new="if not is_number(min_rate):",
+        tests=(
+            "tests/test_routing.py::TestBuildGraph::test_threshold_must_be_a_number_not_nan",
+            "tests/test_cli.py::TestRoute::test_nan_min_rate_invalid_input",
         ),
     ),
     Mutant(

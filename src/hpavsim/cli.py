@@ -259,7 +259,7 @@ def _scenario(args):
     return deployment, flows, MacParams(reeval_period_us=args.reeval_period_us)
 
 
-def _make_policy(args, beta: int) -> SSPolicy:
+def _ss_policy(args, beta: int) -> SSPolicy:
     try:
         return SSPolicy(beta=beta, top_m=args.top_m,
                         max_share_fraction=args.max_share_fraction)
@@ -296,7 +296,7 @@ def cmd_simulate(args) -> int:
     if args.table_out is not None and args.ss == "off":
         raise _UsageError("--table-out needs --ss on")
     deployment, flows, mac = _scenario(args)
-    policy = _make_policy(args, args.beta)
+    policy = _ss_policy(args, args.beta)
     table = build_decision_table(deployment, policy) if args.ss == "on" else None
     collect = bool(args.events or args.events_out)
     report = run_simulation(
@@ -332,7 +332,7 @@ def cmd_sweep(args) -> int:
     _require_throughput(base, args.duration_us)
     lines = ["beta,aggregate_gain_pct,jfi_delta,fsse_delta"]
     for beta in betas:
-        p = _make_policy(args, beta)
+        p = _ss_policy(args, beta)
         ss = run_simulation(
             deployment, build_decision_table(deployment, p), mac, p, flows,
             args.duration_us, args.seed,
@@ -359,7 +359,7 @@ def cmd_route(args) -> int:
     except ValueError as exc:
         # only unreachability is left once the endpoints are known nodes
         raise _RuntimeFailure(str(exc)) from None
-    _write(args.out, route_csv(route, args.src, args.dst))
+    _write(args.out, route_csv(route))
     return EXIT_OK
 
 

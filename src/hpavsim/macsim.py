@@ -102,10 +102,9 @@ which is tuple.__new__: it runs in C, past the NamedTuple's Python-level
 __new__ and its defaults, and gives a SimEvent equal to the one the
 NamedTuple constructor builds.
 
-Every type here is a tuple of its fields. MacParams is a checked one: it
-extends a typing.NamedTuple of its fields and runs its checks in __new__,
-through which _make and _replace also go. LinkTally, SimEvent and
-SimReportRaw are plain NamedTuples, each built once by the engine.
+Every type here is a tuple of its fields. MacParams is a checked tuple
+(tonemap.CheckedTuple); LinkTally, SimEvent and SimReportRaw are plain
+NamedTuples, each built once by the engine.
 
 Determinism: a run is a pure function of its arguments. All randomness comes
 from one splitmix64 stream (stream 0: global contention), stations are
@@ -121,7 +120,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rng import SplitMix64, below
 from .sharing import SSDecisionTable, SSPolicy
-from .tonemap import MAX_MODULATION_TOTAL, DirectedLink, is_integer, is_number
+from .tonemap import (
+    MAX_MODULATION_TOTAL, CheckedTuple, DirectedLink, is_integer, is_number,
+)
 from .traceio import Deployment
 
 EVENT_TX_START = "tx_start"
@@ -149,7 +150,7 @@ class _MacFields(NamedTuple):
     ac_cycle_us: float = 16666.67
 
 
-class MacParams(_MacFields):
+class MacParams(CheckedTuple, _MacFields):
     """MAC timing constants and schedules; defaults follow HPAV CSMA/CA.
 
     frame_length is the unitless multiplier of the normalized-throughput
@@ -191,11 +192,6 @@ class MacParams(_MacFields):
         if self.rank_wait_slots_per_rank < 0:
             raise ValueError("rank_wait_slots_per_rank must be >= 0")
         return tuple.__new__(cls, self[:3] + (cw_schedule, dc_schedule) + self[5:])
-
-    @classmethod
-    def _make(cls, iterable) -> "MacParams":
-        # the inherited _make builds the tuple directly, past __new__'s checks
-        return cls(*iterable)
 
 
 class LinkTally(NamedTuple):

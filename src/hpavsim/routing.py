@@ -6,16 +6,15 @@ time is additive because every hop shares the one PLC medium. The planner
 returns the path maximizing that estimate, with ties broken toward the
 lexicographically smallest node sequence.
 
-``LinkGraph`` is a checked tuple: it extends a ``typing.NamedTuple`` of its
-fields and checks its rates in ``__new__``, through which ``_make`` and
-``_replace`` also go. ``Route`` is a plain ``typing.NamedTuple``.
+``LinkGraph`` is a checked tuple (``tonemap.CheckedTuple``); ``Route`` is a
+plain ``typing.NamedTuple``.
 """
 
 import heapq
 import math
 from typing import Dict, NamedTuple, Tuple
 
-from .tonemap import DirectedLink, PhyParams, expected_throughput, is_number
+from .tonemap import CheckedTuple, DirectedLink, PhyParams, expected_throughput, is_number
 from .traceio import Deployment
 
 
@@ -24,7 +23,7 @@ class _GraphFields(NamedTuple):
     edges: Dict[DirectedLink, float]  # bits/second
 
 
-class LinkGraph(_GraphFields):
+class LinkGraph(CheckedTuple, _GraphFields):
     """Directed links and their rates in bits/second.
 
     A tuple of ``nodes`` (kept as a tuple) and ``edges`` (copied into a new
@@ -42,11 +41,6 @@ class LinkGraph(_GraphFields):
                 raise ValueError(f"rate of {link} must be a finite number >= 0, got {rate!r}")
         return tuple.__new__(cls, (tuple(nodes), edges))
 
-    @classmethod
-    def _make(cls, iterable) -> "LinkGraph":
-        # the inherited _make builds the tuple directly, past __new__'s checks
-        return cls(*iterable)
-
 
 class Route(NamedTuple):
     path: Tuple[str, ...]
@@ -61,7 +55,11 @@ def build_graph(
     deployment: Deployment, params: PhyParams, min_rate: float = 0.0
 ) -> LinkGraph:
     """Directed graph of all traced links whose expected throughput reaches
-    ``min_rate``."""
+    ``min_rate``. Raises ValueError for a ``min_rate`` that is not a number
+    or is NaN; any other value, infinite or negative, is a plain threshold."""
+    # NaN fails every comparison, so it would prune every link unreported
+    if not is_number(min_rate) or math.isnan(min_rate):
+        raise ValueError(f"min_rate must be a number other than NaN, got {min_rate!r}")
     edges = {}
     for link, tmap in deployment.links.items():
         rate = expected_throughput(tmap, params)
@@ -108,8 +106,10 @@ def best_route(graph: LinkGraph, src: str, dst: str) -> Route:
     raise ValueError(f"destination {dst!r} unreachable from {src!r}")
 
 
-def route_csv(route: Route, src: str, dst: str) -> str:
-    """Single-row route CSV: src,dst,hops,path,estimate_bps."""
+def route_csv(route: Route) -> str:
+    """Single-row route CSV: src,dst,hops,path,estimate_bps, the ends taken
+    from the route's own path."""
+    src, dst = route.path[0], route.path[-1]
     path = ">".join(route.path)
     return (
         "src,dst,hops,path,estimate_bps\n"

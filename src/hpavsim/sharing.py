@@ -53,11 +53,9 @@ map is read, four ``translate`` and ``int`` parses per (link, slot). A
 retained candidate keeps its shared set as a mask (``SSAllocation.shared``);
 ``shared_total`` sums a tonemap over it as
 ``sum_b 2**b * |shared & plane_b|``, and no library path builds its derived
-index tuple. ``SSPolicy``, ``SSAllocation`` and ``SSDecisionTable``, like a
-``DirectedLink``, are checked tuples: each extends a ``typing.NamedTuple``
-of its fields and runs its checks in ``__new__``, through which ``_make``
-and ``_replace`` also go, so an allocation hashes and compares in C and
-equals the plain tuple of its fields.
+index tuple. ``SSPolicy``, ``SSAllocation`` and ``SSDecisionTable`` are
+checked tuples (``tonemap.CheckedTuple``), so an allocation hashes and
+compares in C.
 
 ``decision_table_csv`` renders a row's indices from the mask's bytes
 between its lowest and its highest set bit: one lookup each in a table
@@ -76,7 +74,8 @@ from operator import getitem
 from typing import Dict, List, NamedTuple, Tuple
 
 from .tonemap import (
-    MAX_MODULATION, SUBCARRIER_COUNT, DirectedLink, Tonemap, is_integer, is_number,
+    MAX_MODULATION, SUBCARRIER_COUNT, CheckedTuple, DirectedLink, Tonemap, is_integer,
+    is_number,
 )
 from .traceio import Deployment
 
@@ -94,7 +93,7 @@ class _PolicyFields(NamedTuple):
     max_share_fraction: float = 1.0
 
 
-class SSPolicy(_PolicyFields):
+class SSPolicy(CheckedTuple, _PolicyFields):
     """Spectrum-sharing policy knobs.
 
     beta                minimum per-subcarrier advantage (bits) for a
@@ -125,11 +124,6 @@ class SSPolicy(_PolicyFields):
             raise ValueError("max_share_fraction must be in [0, 1]")
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> "SSPolicy":
-        # the inherited _make builds the tuple directly, past __new__'s checks
-        return cls(*iterable)
-
 
 class _AllocationFields(NamedTuple):
     primary: DirectedLink
@@ -140,15 +134,16 @@ class _AllocationFields(NamedTuple):
     rank: int
 
 
-class SSAllocation(_AllocationFields):
+class SSAllocation(CheckedTuple, _AllocationFields):
     """One ranked secondary candidate for a (primary link, slot) pair.
 
     ``shared`` is the shared subcarrier set as a bitmask, bit ``j - 1`` for
     subcarrier ``j``; ``shared_indices`` derives its ascending indices.
     A tuple of its six fields, so it equals the plain tuple of them.
     Construction, ``_make`` and ``_replace`` raise ValueError for a
-    secondary that shares a node with the primary, a slot < 1, a mask
-    outside 1 .. 2**917 - 1, a gain <= 0 or a rank < 1.
+    secondary that shares a node with the primary, a slot, mask, gain or
+    rank that is not an int (a bool is not), a slot < 1, a mask outside
+    1 .. 2**917 - 1, a gain <= 0 or a rank < 1.
     """
 
     __slots__ = ()
@@ -158,6 +153,13 @@ class SSAllocation(_AllocationFields):
         # a DirectedLink is the tuple (tx, rx), so ``in`` tests its two ends
         if secondary.tx in primary or secondary.rx in primary:
             raise ValueError(f"secondary {secondary} shares a node with primary {primary}")
+        # is_integer's rule, so a bool or float never reaches the CSV; the one
+        # type test keeps the builder's allocations cheap
+        if not type(slot) is type(shared) is type(gain) is type(rank) is int:
+            for name, value in (("slot", slot), ("shared", shared), ("gain", gain),
+                                ("rank", rank)):
+                if not is_integer(value):
+                    raise ValueError(f"{name} must be an integer")
         # slot 0 would read the last slot's planes through planes[-1]
         if slot < 1:
             raise ValueError("slot is 1-based")
@@ -168,11 +170,6 @@ class SSAllocation(_AllocationFields):
         if rank < 1:
             raise ValueError("rank is 1-based")
         return tuple.__new__(cls, (primary, secondary, slot, shared, gain, rank))
-
-    @classmethod
-    def _make(cls, iterable) -> "SSAllocation":
-        # the inherited _make builds the tuple directly, past __new__'s checks
-        return cls(*iterable)
 
     @property
     def shared_indices(self) -> Tuple[int, ...]:
@@ -192,7 +189,7 @@ class _TableFields(NamedTuple):
     entries: Dict[Tuple[DirectedLink, int], Tuple[SSAllocation, ...]]
 
 
-class SSDecisionTable(_TableFields):
+class SSDecisionTable(CheckedTuple, _TableFields):
     """Ranked candidate lists keyed by (primary link, 1-based slot).
 
     A tuple of its one field, ``entries``, which construction, ``_make``
@@ -203,11 +200,6 @@ class SSDecisionTable(_TableFields):
 
     def __new__(cls, entries):
         return tuple.__new__(cls, (dict(entries),))
-
-    @classmethod
-    def _make(cls, iterable) -> "SSDecisionTable":
-        # the inherited _make builds the tuple directly, past __new__'s copy
-        return cls(*iterable)
 
     def candidates(self, primary: DirectedLink, slot: int) -> Tuple[SSAllocation, ...]:
         return self.entries.get((primary, slot), ())

@@ -19,11 +19,9 @@ A map is valid by construction: every slot is 917 ``bytes`` in 0..10, so
 summing and indexing a slot run in C, and two maps are equal, and hash
 equal, exactly when they hold the same values.
 
-The three types are checked tuples: ``Tonemap``, ``DirectedLink`` and
-``PhyParams`` each extend a ``typing.NamedTuple`` of their fields and run
-their checks in ``__new__``, and ``_make`` and ``_replace`` go through it.
-So every link-keyed dict and sort hashes and compares a ``DirectedLink`` in
-C, and each value equals the plain tuple of its fields.
+``Tonemap``, ``DirectedLink`` and ``PhyParams`` are checked tuples
+(``CheckedTuple``, defined here for the whole library), so every link-keyed
+dict and sort hashes and compares a ``DirectedLink`` in C.
 """
 
 from fractions import Fraction
@@ -68,11 +66,34 @@ def is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+class CheckedTuple:
+    """Base of the library's checked tuples, the types that reject a
+    malformed value however it is built.
+
+    A checked type derives from this class first and then from a
+    ``typing.NamedTuple`` of its fields, as in
+    ``class MacParams(CheckedTuple, _MacFields)``. The fields class declares
+    the fields and their defaults; the checked type's ``__new__`` runs its
+    checks and normalisations and builds the value. The ``_make`` a
+    NamedTuple inherits builds the tuple directly, past ``__new__``, and its
+    ``_replace`` calls ``_make``; the ``_make`` here calls the class
+    instead, so construction, ``_make`` and ``_replace`` all run the same
+    checks. A checked value is still the tuple of its fields: it hashes,
+    compares and orders in C and equals that plain tuple.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _TonemapFields(NamedTuple):
     slots: Tuple[bytes, ...]
 
 
-class Tonemap(_TonemapFields):
+class Tonemap(CheckedTuple, _TonemapFields):
     """Per-subcarrier modulation map for one directed link.
 
     ``slots[k-1][j-1]`` is the modulation of subcarrier ``j`` during AC-cycle
@@ -104,11 +125,6 @@ class Tonemap(_TonemapFields):
         ):
             raise ValueError(_first_violation(rows))
         return tuple.__new__(cls, (checked,))
-
-    @classmethod
-    def _make(cls, iterable) -> "Tonemap":
-        # the inherited _make builds the tuple directly, past __new__'s checks
-        return cls(*iterable)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a Tonemap is immutable")
@@ -179,7 +195,7 @@ class _LinkEnds(NamedTuple):
     rx: str
 
 
-class DirectedLink(_LinkEnds):
+class DirectedLink(CheckedTuple, _LinkEnds):
     """Transmitter/receiver pair identifying one direction of a PLC link.
 
     A tuple ``(tx, rx)``, so hashing, equality and ordering run in C, and a
@@ -193,11 +209,6 @@ class DirectedLink(_LinkEnds):
         if tx == rx:
             raise ValueError(f"link endpoints must differ, got {tx!r} twice")
         return tuple.__new__(cls, (tx, rx))
-
-    @classmethod
-    def _make(cls, iterable) -> "DirectedLink":
-        # the inherited _make builds the tuple directly, past __new__'s check
-        return cls(*iterable)
 
     def reversed(self) -> "DirectedLink":
         return DirectedLink(self.rx, self.tx)
@@ -213,7 +224,7 @@ class _PhyFields(NamedTuple):
     protocol_overhead: float = 0.4
 
 
-class PhyParams(_PhyFields):
+class PhyParams(CheckedTuple, _PhyFields):
     """PHY constants entering the rate formulas.
 
     fec_rate          FEC code rate C; HPAV uses 1/2 or 16/21
@@ -247,11 +258,6 @@ class PhyParams(_PhyFields):
         if not 0.0 <= self.protocol_overhead < 1.0:
             raise ValueError("protocol_overhead must be in [0, 1)")
         return tuple.__new__(cls, (Fraction(self.fec_rate),) + self[1:])
-
-    @classmethod
-    def _make(cls, iterable) -> "PhyParams":
-        # the inherited _make builds the tuple directly, past __new__'s checks
-        return cls(*iterable)
 
 
 def phy_rate(t: Tonemap, slot_index: int, params: PhyParams) -> float:

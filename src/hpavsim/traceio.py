@@ -21,9 +21,8 @@ output is a pure function of (n_nodes, profile, slot_count) and survives any
 reordering of the generation loop. Emitted modulation values are restricted
 to the HPAV-legal ladder {0,1,2,3,4,6,8,10}.
 
-``Deployment`` and ``GeneratorProfile`` are checked tuples: each extends a
-``typing.NamedTuple`` of its fields and runs its checks in ``__new__``,
-through which ``_make`` and ``_replace`` also go.
+``Deployment`` and ``GeneratorProfile`` are checked tuples
+(``tonemap.CheckedTuple``).
 """
 
 import io
@@ -36,6 +35,7 @@ from .tonemap import (
     MAX_MODULATION,
     MAX_SLOT_COUNT,
     SUBCARRIER_COUNT,
+    CheckedTuple,
     DirectedLink,
     Tonemap,
     is_integer,
@@ -66,7 +66,7 @@ class _DeploymentFields(NamedTuple):
     metadata: Optional[Dict[str, str]] = None
 
 
-class Deployment(_DeploymentFields):
+class Deployment(CheckedTuple, _DeploymentFields):
     """Node set plus a tonemap for every traced directed link.
 
     A tuple of ``nodes`` (kept as a tuple), ``links`` and ``metadata``
@@ -100,11 +100,6 @@ class Deployment(_DeploymentFields):
                 raise ValueError(f"link {link} has no reverse-direction tonemap")
         return tuple.__new__(cls, (nodes, links, dict(metadata or {})))
 
-    @classmethod
-    def _make(cls, iterable) -> "Deployment":
-        # the inherited _make builds the tuple directly, past __new__'s checks
-        return cls(*iterable)
-
     @property
     def slot_count(self) -> int:
         return next(iter(self.links.values())).slot_count
@@ -125,7 +120,7 @@ class _ProfileFields(NamedTuple):
     seed: int = 0
 
 
-class GeneratorProfile(_ProfileFields):
+class GeneratorProfile(CheckedTuple, _ProfileFields):
     """Knobs of the synthetic deployment generator.
 
     profile_kind       uniform | complementary | interference-notched | asymmetric
@@ -171,11 +166,6 @@ class GeneratorProfile(_ProfileFields):
                 f"exceeds {SUBCARRIER_COUNT} subcarriers"
             )
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> "GeneratorProfile":
-        # the inherited _make builds the tuple directly, past __new__'s checks
-        return cls(*iterable)
 
 
 def snap_legal(value) -> int:

@@ -417,6 +417,14 @@ class TestRoute:
         assert rc == 3
         assert "unreachable" in capsys.readouterr().err
 
+    def test_nan_min_rate_invalid_input(self, trace_path, capsys):
+        # unchecked, NaN would prune every edge and read as unreachable (exit 3)
+        rc = run(["route", "--trace", str(trace_path), "--src", "n1", "--dst", "n3",
+                  "--min-rate", "nan"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid input: min_rate must be a number other than NaN" in err
+
 
 class TestConfig:
     def test_config_supplies_flags_and_cli_overrides(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hpavsim import (
     DirectedLink,
     LinkGraph,
     PhyParams,
+    Route,
     best_route,
     build_graph,
     expected_throughput,
@@ -65,6 +66,21 @@ class TestBuildGraph:
         g = build_graph(dep, params, 0.0)
         link = DirectedLink("b", "c")
         assert g.edges[link] == expected_throughput(dep.links[link], params)
+
+    # NaN fails every comparison, so it would prune every link unreported; a
+    # string would fail in the comparison with TypeError
+    @pytest.mark.parametrize("min_rate", [math.nan, "5", None, True])
+    def test_threshold_must_be_a_number_not_nan(self, min_rate):
+        with pytest.raises(ValueError, match="^min_rate must be a number other than NaN"):
+            build_graph(weak_direct_deployment(), PhyParams(), min_rate)
+
+    @pytest.mark.parametrize("min_rate", [-math.inf, -1.0])
+    def test_negative_threshold_keeps_every_link(self, min_rate):
+        dep = weak_direct_deployment()
+        assert set(build_graph(dep, PhyParams(), min_rate).edges) == set(dep.links)
+
+    def test_infinite_threshold_keeps_no_link(self):
+        assert build_graph(weak_direct_deployment(), PhyParams(), math.inf).edges == {}
 
 
 class TestBestRoute:
@@ -130,7 +146,7 @@ class TestRouteCsv:
     def test_single_row_format(self):
         g = graph({("a", "b"): 50e6, ("b", "c"): 50e6})
         route = best_route(g, "a", "c")
-        text = route_csv(route, "a", "c")
+        text = route_csv(route)
         assert text == "src,dst,hops,path,estimate_bps\na,c,2,a>b>c,25000000\n"
 
     def test_estimate_rounds_to_nearest(self):
@@ -138,5 +154,9 @@ class TestRouteCsv:
         g = graph({("a", "b"): 10e6, ("b", "c"): 20e6})
         route = best_route(g, "a", "c")
         assert route.throughput_bps == pytest.approx(20e6 / 3)
-        text = route_csv(route, "a", "c")
+        text = route_csv(route)
         assert text == "src,dst,hops,path,estimate_bps\na,c,2,a>b>c,6666667\n"
+
+    def test_ends_come_from_the_path(self):
+        text = route_csv(Route(("d", "a", "c"), 1e6))
+        assert text == "src,dst,hops,path,estimate_bps\nd,c,2,d>a>c,1000000\n"

@@ -306,6 +306,29 @@ class TestAllocationTuple:
         with pytest.raises(ValueError, match="^slot is 1-based$"):
             SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 1, 1, 1, 1)._replace(slot=slot)
 
+    # unchecked, a bool or float would reach the CSV through a hand-built
+    # table, and a string would fail in a comparison with TypeError
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    @pytest.mark.parametrize("field", ["slot", "shared", "gain", "rank"])
+    def test_integer_fields_must_be_ints(self, field, bad):
+        valid = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 1, 1, 1, 1)
+        fields = valid._asdict()
+        fields[field] = bad
+        message = f"^{field} must be an integer$"
+        with pytest.raises(ValueError, match=message):
+            SSAllocation(**fields)
+        with pytest.raises(ValueError, match=message):
+            valid._replace(**{field: bad})
+
+    def test_int_subclass_accepted(self):
+        # is_integer's rule: an int that is not a bool passes, exact type or not
+        class Count(int):
+            pass
+
+        alloc = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, Count(2), Count(5), Count(7),
+                             Count(1))
+        assert alloc == (ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 7, 1)
+
     def test_make_and_replace_check_their_fields(self):
         alloc = SSAllocation(ALLOC_PRIMARY, ALLOC_SECONDARY, 2, 5, 7, 1)
         assert SSAllocation._make(tuple(alloc)) == alloc

@@ -10,12 +10,15 @@ now also equals that tuple, and that ``LinkTally`` and ``SimReportRaw``,
 which were mutable and unhashable, are immutable, and a ``LinkTally``
 hashable."""
 
+import importlib
 import math
+import pkgutil
 import re
 from fractions import Fraction
 
 import pytest
 
+import hpavsim
 from hpavsim import (
     Deployment,
     DirectedLink,
@@ -33,7 +36,8 @@ from hpavsim import (
 )
 from hpavsim.macsim import LinkTally
 from hpavsim.metrics import LinkGain
-from hpavsim.tonemap import SUBCARRIER_COUNT
+from hpavsim.sharing import SSAllocation
+from hpavsim.tonemap import SUBCARRIER_COUNT, CheckedTuple
 
 from conftest import filled_tonemap
 
@@ -292,3 +296,31 @@ def test_make_and_replace_normalise_as_construction():
     assert Tonemap._make([[[2] * SUBCARRIER_COUNT]]).slots == (bytes([2]) * SUBCARRIER_COUNT,)
     assert SSPolicy()._replace(top_m=3) == SSPolicy(top_m=3)
     assert GeneratorProfile._make(["asymmetric"] + [6.0, 0, 0, 2, 5]).asymmetry_noise == 2
+
+
+def subclasses_of_fields_classes():
+    """Every class defined in an hpavsim module that derives from a
+    NamedTuple fields class (a class whose one base is ``tuple``) other
+    than itself."""
+    names = ["hpavsim"] + [f"hpavsim.{m.name}" for m in pkgutil.iter_modules(hpavsim.__path__)]
+    found = set()
+    for name in names:
+        module = importlib.import_module(name)
+        for value in vars(module).values():
+            if (isinstance(value, type) and value.__module__ == name
+                    and any(base.__bases__ == (tuple,) and hasattr(base, "_fields")
+                            for base in value.__mro__[1:])):
+                found.add(value)
+    return found
+
+
+def test_every_checked_type_shares_the_one_make():
+    checked = subclasses_of_fields_classes()
+    # a new checked type is added here on purpose, not by accident
+    assert checked == {Tonemap, DirectedLink, PhyParams, Deployment, GeneratorProfile,
+                       SSPolicy, SSAllocation, SSDecisionTable, MacParams, LinkGraph}
+    for kind in checked:
+        assert issubclass(kind, CheckedTuple), kind
+        assert "_make" not in vars(kind), kind
+        # before the fields class in the MRO, so its _make is the one found
+        assert kind._make.__func__ is vars(CheckedTuple)["_make"].__func__, kind
