@@ -732,6 +732,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # True then builds a one-slot deployment
+        id="traceio-slot-count-integer-unchecked",
+        file=TRACEIO,
+        old='(("n_nodes", n_nodes), ("slot_count", slot_count))',
+        new='(("n_nodes", n_nodes),)',
+        tests=("tests/test_traceio.py::TestGenerator::test_non_integer_count_rejected",),
+    ),
+    Mutant(
         id="tonemap-levels-range-check-dropped",
         file=TONEMAP,
         old="len(slot) != SUBCARRIER_COUNT or slot.translate(None, _LEVELS)",
@@ -799,6 +807,15 @@ MUTANTS = (
             "tests/test_types.py::test_tonemap_caches_its_views_and_stays_immutable",
         ),
     ),
+    Mutant(
+        # Fraction(inf) then raises OverflowError, Fraction(nan) ValueError
+        # with its own message
+        id="tonemap-fec-rate-converted-before-membership",
+        file=TONEMAP,
+        old="        if self.fec_rate not in FEC_RATES:\n",
+        new="        if Fraction(self.fec_rate) not in FEC_RATES:\n",
+        tests=("tests/test_types.py::test_construction_make_and_replace_run_every_check",),
+    ),
     # the SS-on over SS-off comparison and the route planner's figures
     Mutant(
         id="metrics-fsse-delta-self-subtracted",
@@ -807,6 +824,33 @@ MUTANTS = (
         new="fsse_delta=fair_ss.fsse - fair_ss.fsse,",
         tests=(
             "tests/test_metrics.py::TestCompareRuns::test_gains_and_deltas_from_known_tallies",
+        ),
+    ),
+    Mutant(
+        # a second flow from one station then overwrites the first's figure
+        id="metrics-one-flow-per-station-unchecked",
+        file=METRICS,
+        old="    if len(per_node) != len(report.tallies):\n",
+        new="    if False:\n",
+        tests=(
+            "tests/test_metrics.py::TestFairnessReport::test_two_flows_from_one_station_rejected",
+        ),
+    ),
+    Mutant(
+        id="metrics-link-throughput-from-receiver",
+        file=METRICS,
+        old=(
+            "        thr_base = fair_base.per_node_throughput[link.tx]\n"
+            "        thr_ss = fair_ss.per_node_throughput[link.tx]\n"
+        ),
+        new=(
+            "        thr_base = fair_base.per_node_throughput[link.rx]\n"
+            "        thr_ss = fair_ss.per_node_throughput[link.rx]\n"
+        ),
+        tests=(
+            "tests/test_metrics.py::TestCompareRuns::test_per_link_hand_arithmetic",
+            "tests/test_metrics.py::TestCompareRuns::test_gains_and_deltas_from_known_tallies",
+            "tests/test_metrics.py::TestCompareRuns::test_zero_base_links",
         ),
     ),
     Mutant(
@@ -855,7 +899,8 @@ MUTANTS = (
         new="rate >= 0",
         tests=("tests/test_routing.py::TestBestRoute::test_rates_must_be_finite_numbers",),
     ),
-    # the CLI's results CSV and its scenario and throughput checks
+    # the CLI's results CSV, its event-log output and its scenario and
+    # throughput checks
     Mutant(
         id="cli-sf-primary-in-sf-secondary-column",
         file=CLI,
@@ -863,6 +908,18 @@ MUTANTS = (
         new="{float(t.sf_primary)!r}",
         tests=(
             "tests/test_cli.py::TestSimulate::test_results_csv_is_the_run_tallies",
+        ),
+    ),
+    Mutant(
+        # the event log then goes to stdout when no --events-out is given,
+        # and is not written when one is
+        id="cli-events-collected-without-path",
+        file=CLI,
+        old="collect = args.events_out is not None",
+        new="collect = args.events_out is None",
+        tests=(
+            "tests/test_cli.py::TestSimulate::test_event_log_written",
+            "tests/test_cli.py::TestSimulate::test_events_flag_usage_error",
         ),
     ),
     Mutant(

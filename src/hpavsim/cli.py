@@ -118,7 +118,6 @@ def _build_parser() -> _Parser:
                    help="sharing threshold in bits (default %(default)s)")
     s.add_argument("--out", help="per-link result CSV path (stdout if omitted)")
     s.add_argument("--fairness-out", help="fairness CSV path")
-    s.add_argument("--events", action="store_true", help="also write the event log")
     s.add_argument("--events-out", help="event log CSV path")
     s.add_argument("--table-out", help="SS decision table CSV path (needs --ss on)")
 
@@ -298,7 +297,7 @@ def cmd_simulate(args) -> int:
     deployment, flows, mac = _scenario(args)
     policy = _ss_policy(args, args.beta)
     table = build_decision_table(deployment, policy) if args.ss == "on" else None
-    collect = bool(args.events or args.events_out)
+    collect = args.events_out is not None
     report = run_simulation(
         deployment, table, mac, policy, flows, args.duration_us, args.seed,
         collect_events=collect,

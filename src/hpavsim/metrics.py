@@ -49,10 +49,13 @@ class FairnessReport(NamedTuple):
 
 def fairness_report(report: SimReportRaw, mac: MacParams) -> FairnessReport:
     """Node-level fairness figures of one run: a node's throughput is its
-    one flow's (``run_simulation`` refuses two flows from one station)."""
+    one flow's. Raises ValueError for a report with two flows from one
+    station, which ``run_simulation`` refuses to run."""
     per_node: Dict[str, float] = {
         link.tx: normalized_throughput(report, link, mac) for link in report.tallies
     }
+    if len(per_node) != len(report.tallies):
+        raise ValueError("a station has more than one flow")
     return FairnessReport(
         jfi=jain_index(list(per_node.values())),
         fsse=fsse(per_node),
@@ -79,17 +82,14 @@ class LinkGain(NamedTuple):
 
 
 class GainReport(NamedTuple):
-    """SS-on vs SS-off comparison of two runs over the same scenario."""
+    """SS-on vs SS-off comparison of two runs over the same scenario; each
+    run's own JFI and FSSE come from ``fairness_report``."""
 
     per_link: Dict[DirectedLink, LinkGain]
     aggregate_base: float
     aggregate_ss: float
     aggregate_gain_pct: float
-    jfi_base: float
-    jfi_ss: float
     jfi_delta: float
-    fsse_base: float
-    fsse_ss: float
     fsse_delta: float
 
 
@@ -100,18 +100,20 @@ def _pct_gain(base: float, new: float) -> float:
 
 
 def compare_runs(base: SimReportRaw, ss: SimReportRaw, mac: MacParams) -> GainReport:
-    """Percentage throughput gains and fairness deltas of SS-on over SS-off."""
+    """Percentage throughput gains and fairness deltas of SS-on over SS-off.
+    A link's throughput is its transmitter's in each run's
+    ``fairness_report``."""
     if set(base.tallies) != set(ss.tallies):
         raise ValueError("link-set mismatch between the two reports")
     if base.requested_duration_us != ss.requested_duration_us:
         raise ValueError("reports were produced for different durations")
-    per_link = {}
-    for link in sorted(base.tallies):
-        thr_base = normalized_throughput(base, link, mac)
-        thr_ss = normalized_throughput(ss, link, mac)
-        per_link[link] = LinkGain(thr_base, thr_ss, _pct_gain(thr_base, thr_ss))
     fair_base = fairness_report(base, mac)
     fair_ss = fairness_report(ss, mac)
+    per_link = {}
+    for link in sorted(base.tallies):
+        thr_base = fair_base.per_node_throughput[link.tx]
+        thr_ss = fair_ss.per_node_throughput[link.tx]
+        per_link[link] = LinkGain(thr_base, thr_ss, _pct_gain(thr_base, thr_ss))
     return GainReport(
         per_link=per_link,
         aggregate_base=fair_base.aggregate_throughput,
@@ -119,11 +121,7 @@ def compare_runs(base: SimReportRaw, ss: SimReportRaw, mac: MacParams) -> GainRe
         aggregate_gain_pct=_pct_gain(
             fair_base.aggregate_throughput, fair_ss.aggregate_throughput
         ),
-        jfi_base=fair_base.jfi,
-        jfi_ss=fair_ss.jfi,
         jfi_delta=fair_ss.jfi - fair_base.jfi,
-        fsse_base=fair_base.fsse,
-        fsse_ss=fair_ss.fsse,
         fsse_delta=fair_ss.fsse - fair_base.fsse,
     )
 

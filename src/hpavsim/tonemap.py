@@ -246,7 +246,9 @@ class PhyParams(CheckedTuple, _PhyFields):
         # it with TypeError
         if not is_number(self.fec_rate):
             raise ValueError("fec_rate must be a number")
-        if Fraction(self.fec_rate) not in FEC_RATES:
+        # tested before the conversion, which raises on inf and nan; a
+        # Fraction equals a float exactly
+        if self.fec_rate not in FEC_RATES:
             raise ValueError(f"fec_rate must be one of {FEC_RATES}, got {self.fec_rate}")
         for name in ("bit_error_rate", "symbol_interval_us", "protocol_overhead"):
             if not is_number(getattr(self, name)):

@@ -184,21 +184,16 @@ def _ladder_shift(value: int, steps: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def parse_trace(source) -> Deployment:
-    """Parse PLCTM v1 text (a string or a text stream) into a Deployment.
+def parse_trace(text: str) -> Deployment:
+    """Parse PLCTM v1 text into a Deployment.
 
     Raises TraceFormatError naming the offending line for malformed input,
     or line 0 when the links, once read, break a Deployment invariant (a
     link without its reverse).
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source.read().splitlines()
-
     content = [
         (n, line.strip())
-        for n, line in enumerate(lines, start=1)
+        for n, line in enumerate(text.splitlines(), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if len(content) < 4:
@@ -385,7 +380,7 @@ def serialize_trace(deployment: Deployment) -> str:
 
 def load_trace(path) -> Deployment:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh)
+        return parse_trace(fh.read())
 
 
 def save_trace(deployment: Deployment, path) -> None:
@@ -424,6 +419,10 @@ def generate_deployment(
     independently by up to that many bits, then snaps back to the legal ladder;
     the notched profile's zeroed bands are the exception and stay 0.
     """
+    # a float count fails deep in the generator, and True builds one slot
+    for name, value in (("n_nodes", n_nodes), ("slot_count", slot_count)):
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer")
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
     if not 1 <= slot_count <= MAX_SLOT_COUNT:

@@ -239,7 +239,7 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
             "--flows", "n1>n3,n3>n2,n2>n4,n4>n1", "--duration-us", "200000",
             "--seed", "3", "--ss", "on", "--beta", "2", "--top-m", "2",
             "--out", str(d / "thr.csv"), "--fairness-out", str(d / "fair.csv"),
-            "--events", "--events-out", str(d / "events.csv"),
+            "--events-out", str(d / "events.csv"),
         ],
         "sweep": lambda d: [
             "sweep", "--trace", str(d / "trace.plctm"),

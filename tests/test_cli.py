@@ -5,6 +5,7 @@ from hpavsim import (
     save_trace,
 )
 from hpavsim.sharing import decision_table_csv
+from hpavsim.tonemap import SUBCARRIER_COUNT
 
 from conftest import deployment_from_levels
 
@@ -73,6 +74,21 @@ class TestGenerate:
         help_text = capsys.readouterr().out
         assert "output trace path (required)" in help_text
         assert "stdout" not in help_text
+
+    def test_notch_and_slot_flags(self, tmp_path, capsys):
+        path = tmp_path / "n.plctm"
+        assert run(["generate", "--nodes", "3", "--profile", "interference-notched",
+                    "--notch-count", "2", "--notch-width", "10", "--slots", "2",
+                    "--seed", "5", "--out", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert {"notch_count 2", "notch_width 10", "slots 2"} <= set(lines)
+        dep = load_trace(path)
+        assert dep.slot_count == 2
+        # two zeroed bands of ten subcarriers in every slot, base level elsewhere
+        for tmap in dep.links.values():
+            for slot in tmap.slots:
+                assert slot.count(0) == 20 and slot.count(6) == SUBCARRIER_COUNT - 20
+                assert all(len(band) % 10 == 0 for band in slot.split(b"\x06") if band)
 
     def test_noise_above_ladder_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.plctm"
@@ -221,10 +237,25 @@ class TestSimulate:
             "simulate", "--trace", str(trace_path), "--flows", FLOWS,
             "--duration-us", "50000", "--seed", "1", "--ss", "on",
             "--out", str(tmp_path / "t.csv"), "--fairness-out", str(tmp_path / "f.csv"),
-            "--events", "--events-out", str(events),
+            "--events-out", str(events),
         ]) == 0
         header = events.read_text().splitlines()[0]
         assert header == "time_us,event,node,link_tx,link_rx,role,stage,bc,dc,spectrum_fraction"
+
+    # the event log is written only to an --events-out path, never to stdout
+    @pytest.mark.parametrize("events", (["--events"], ["--events", "--events-out", "e.csv"]))
+    def test_events_flag_usage_error(self, trace_path, tmp_path, capsys, events):
+        argv = ["simulate", "--trace", str(trace_path), "--flows", FLOWS,
+                "--duration-us", "50000", "--out", str(tmp_path / "t.csv"),
+                "--fairness-out", str(tmp_path / "f.csv"), *events]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        assert "error: argument --events-out: expected one argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [trace_path]
+        assert run(argv[:-len(events)]) == 0
+        assert capsys.readouterr().out == ""
 
 
     def test_no_successful_frame_runtime_exit(self, tmp_path, capsys):

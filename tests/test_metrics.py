@@ -194,6 +194,17 @@ class TestFairnessReport:
             "b": normalized_throughput(report, b, MAC),
         }
 
+    def test_two_flows_from_one_station_rejected(self):
+        # the one flow's figure is each link's in compare_runs, so a second
+        # flow from a station may not overwrite the first
+        report = report_from_sf({DirectedLink("a", "b"): Fraction(1, 3),
+                                 DirectedLink("a", "c"): Fraction(2, 7),
+                                 DirectedLink("b", "a"): Fraction(1, 5)})
+        for call in (lambda: fairness_report(report, MAC),
+                     lambda: compare_runs(report, report, MAC)):
+            with pytest.raises(ValueError, match="^a station has more than one flow$"):
+                call()
+
 
 class TestAsymmetryDistribution:
     def test_symmetric_deployment_all_zero(self):

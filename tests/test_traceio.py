@@ -363,6 +363,16 @@ class TestGenerator:
         with pytest.raises(ValueError, match="n_nodes"):
             generate_deployment(1, GeneratorProfile("uniform"))
 
+    # True would build a one-slot deployment; a float or a string would fail
+    # inside the generator with a TypeError
+    @pytest.mark.parametrize("n_nodes, slot_count, name", [
+        (2, True, "slot_count"), (2, 2.0, "slot_count"), (2, "2", "slot_count"),
+        (2.0, 2, "n_nodes"), (True, 2, "n_nodes"), ("2", 2, "n_nodes"),
+    ])
+    def test_non_integer_count_rejected(self, n_nodes, slot_count, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            generate_deployment(n_nodes, GeneratorProfile("uniform"), slot_count)
+
     def test_metadata_records_recipe(self):
         dep = generate_deployment(2, GeneratorProfile("uniform", seed=31))
         assert dep.metadata["prng"] == "splitmix64/1"

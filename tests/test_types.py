@@ -6,9 +6,10 @@ messages from ``_make`` and ``_replace`` as from its constructor.
 Every repr string and literal hash below was recorded from the dataclass
 versions. A frozen dataclass hashed the tuple of its fields, so each hash
 equals the hash of the plain tuple; the declared changes are that a value
-now also equals that tuple, and that ``LinkTally`` and ``SimReportRaw``,
+now also equals that tuple, that ``LinkTally`` and ``SimReportRaw``,
 which were mutable and unhashable, are immutable, and a ``LinkTally``
-hashable."""
+hashable, and that ``GainReport`` has since lost its four per-run JFI and
+FSSE fields."""
 
 import importlib
 import math
@@ -95,12 +96,10 @@ def samples():
          "aggregate_throughput=2.0)"),
         ("LinkGain", LinkGain(1.0, 2.0, 100.0), "LinkGain(base=1.0, ss=2.0, gain_pct=100.0)"),
         ("GainReport",
-         GainReport({AB: LinkGain(1.0, 2.0, 100.0)}, 1.0, 2.0, 100.0, 0.5, 0.75, 0.25,
-                    1.0, 2.0, 1.0),
+         GainReport({AB: LinkGain(1.0, 2.0, 100.0)}, 1.0, 2.0, 100.0, 0.25, 1.0),
          "GainReport(per_link={DirectedLink(tx='a', rx='b'): LinkGain(base=1.0, ss=2.0, "
          "gain_pct=100.0)}, aggregate_base=1.0, aggregate_ss=2.0, aggregate_gain_pct=100.0, "
-         "jfi_base=0.5, jfi_ss=0.75, jfi_delta=0.25, fsse_base=1.0, fsse_ss=2.0, "
-         "fsse_delta=1.0)"),
+         "jfi_delta=0.25, fsse_delta=1.0)"),
         ("LinkGraph", LinkGraph(["a", "b"], {AB: 1.5}),
          "LinkGraph(nodes=('a', 'b'), edges={DirectedLink(tx='a', rx='b'): 1.5})"),
         ("Route", Route(("a", "b"), 1.5), "Route(path=('a', 'b'), throughput_bps=1.5)"),
@@ -259,6 +258,10 @@ CHECKS = [
      "rate of a->b must be a finite number >= 0, got -1.0"),
     (LinkGraph, "edges", {AB: math.inf},
      "rate of a->b must be a finite number >= 0, got inf"),
+    # appended, so that the ids above keep their numbers
+    *((PhyParams, "fec_rate", bad,
+       f"fec_rate must be one of {(Fraction(1, 2), Fraction(16, 21))}, got {bad}")
+      for bad in (math.inf, -math.inf, math.nan)),
 ]
 CHECK_IDS = [f"{kind.__name__}-{field}-{n}" for n, (kind, field, _, _) in enumerate(CHECKS)]
 
