@@ -634,14 +634,15 @@ MUTANTS = (
             "tests/test_sharing.py::TestDecisionTable::test_csv_shape",
         ),
     ),
-    # the PLCTM row reader, the Tonemap checks and views and the PHY rate
+    # the PLCTM row reader, its slot table and refusal diagnosis, the Tonemap
+    # checks and views and the PHY rate
     Mutant(
         id="traceio-colon-guard-dropped",
         file=TRACEIO,
         old='if b":" in row or b"#" in row:',
         new='if b"#" in row:',
         tests=(
-            "tests/test_traceio_property.py::test_parser_agrees_with_int_oracle",
+            "tests/test_traceio_property.py::test_parser_agrees_with_canonical_oracle",
         ),
     ),
     Mutant(
@@ -650,7 +651,7 @@ MUTANTS = (
         old='if b":" in row or b"#" in row:',
         new='if b":" in row:',
         tests=(
-            "tests/test_traceio_property.py::test_parser_agrees_with_int_oracle",
+            "tests/test_traceio_property.py::test_parser_agrees_with_canonical_oracle",
         ),
     ),
     Mutant(
@@ -659,8 +660,8 @@ MUTANTS = (
         old="    if len(row) > _ROW_LENGTH:\n",
         new="    if len(row) > _ROW_LENGTH + 1:\n",
         tests=(
-            # the row with one 10 is still read, by the int() token loop
-            "tests/test_traceio.py::TestParse::test_canonical_rows_take_the_fast_path",
+            # the row with one 10 is then refused
+            "tests/test_traceio.py::TestParse::test_writer_rows_round_trip",
         ),
     ),
     Mutant(
@@ -669,7 +670,7 @@ MUTANTS = (
         old="        if 255 not in values:\n",
         new="        if True:\n",
         tests=(
-            "tests/test_traceio_property.py::test_parser_agrees_with_int_oracle",
+            "tests/test_traceio_property.py::test_parser_agrees_with_canonical_oracle",
         ),
     ),
     Mutant(
@@ -678,7 +679,7 @@ MUTANTS = (
         old="if len(row) == _ROW_LENGTH and row[1::2] == _ROW_COMMAS:",
         new="if len(row) == _ROW_LENGTH:",
         tests=(
-            "tests/test_traceio_property.py::test_parser_agrees_with_int_oracle",
+            "tests/test_traceio_property.py::test_parser_agrees_with_canonical_oracle",
         ),
     ),
     Mutant(
@@ -687,7 +688,7 @@ MUTANTS = (
         old="if MAX_MODULATION not in slot:",
         new="if MAX_MODULATION in slot:",
         tests=(
-            "tests/test_traceio.py::TestParse::test_canonical_rows_take_the_fast_path",
+            "tests/test_traceio.py::TestParse::test_writer_rows_round_trip",
             "tests/test_traceio.py::test_generated_trace_bytes_pinned",
             "tests/test_traceio_property.py::test_round_trip_on_arbitrary_valid_deployments",
         ),
@@ -698,7 +699,7 @@ MUTANTS = (
         old='values = wide.translate(None, b"#").decode("ascii")',
         new='values = wide.decode("ascii")',
         tests=(
-            "tests/test_traceio.py::TestParse::test_canonical_rows_take_the_fast_path",
+            "tests/test_traceio.py::TestParse::test_writer_rows_round_trip",
             "tests/test_traceio.py::test_generated_trace_bytes_pinned",
             "tests/test_traceio_property.py::test_round_trip_on_arbitrary_valid_deployments",
         ),
@@ -711,6 +712,38 @@ MUTANTS = (
         tests=(
             "tests/test_traceio.py::TestLinkLineLayout::"
             "test_whitespace_in_the_values_is_a_sixth_field",
+        ),
+    ),
+    Mutant(
+        # slot 0 then reads as the last slot, and "slots 0" as no slots
+        id="traceio-slot-table-from-zero",
+        file=TRACEIO,
+        old="_SLOT_NUMBERS = {str(k): k for k in range(1, MAX_SLOT_COUNT + 1)}",
+        new="_SLOT_NUMBERS = {str(k): k for k in range(MAX_SLOT_COUNT + 1)}",
+        tests=(
+            "tests/test_traceio.py::TestParse::test_header_counts_only_in_the_writers_form",
+            "tests/test_traceio.py::TestLinkLineLayout::"
+            "test_field_count_and_trailing_comma_errors",
+        ),
+    ),
+    Mutant(
+        # a slot above the header's count then indexes past the link's rows
+        id="traceio-slot-checked-against-max",
+        file=TRACEIO,
+        old="if slot is None or slot > slot_count:",
+        new="if slot is None or slot > MAX_SLOT_COUNT:",
+        tests=("tests/test_traceio.py::TestParse::test_slot_out_of_header_range",),
+    ),
+    Mutant(
+        # a field of valid tokens but the wrong count then has no bad token
+        # to name
+        id="traceio-diagnosis-count-unchecked",
+        file=TRACEIO,
+        old="    if len(tokens) != SUBCARRIER_COUNT:\n",
+        new="    if False:\n",
+        tests=(
+            "tests/test_traceio.py::TestParse::test_wrong_value_count_names_line",
+            "tests/test_traceio_property.py::test_parser_agrees_with_canonical_oracle",
         ),
     ),
     Mutant(
@@ -920,6 +953,17 @@ MUTANTS = (
         tests=(
             "tests/test_cli.py::TestSimulate::test_event_log_written",
             "tests/test_cli.py::TestSimulate::test_events_flag_usage_error",
+        ),
+    ),
+    Mutant(
+        # --dur and --events are then read as --duration-us and --events-out
+        id="cli-flag-abbreviations-allowed",
+        file=CLI,
+        old="p = sub.add_parser(name, help=help, allow_abbrev=False)",
+        new="p = sub.add_parser(name, help=help)",
+        tests=(
+            "tests/test_cli.py::TestSimulate::test_events_flag_usage_error",
+            "tests/test_cli.py::TestSimulate::test_abbreviated_flag_rejected",
         ),
     ),
     Mutant(

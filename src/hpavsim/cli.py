@@ -72,7 +72,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, help):
-        p = sub.add_parser(name, help=help)
+        # a flag is taken only as spelled: no prefix of it stands in for it
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="key = value file, each line read as --key=value")
         return p
 

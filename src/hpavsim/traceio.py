@@ -13,7 +13,9 @@ endings so fixtures diff cleanly and golden files survive reimplementation:
 
 Comment lines start with ``#``. Canonical serialization lists links sorted by
 (tx, rx) with slots ascending; ``parse_trace(serialize_trace(d))`` is the
-identity and re-serializing is byte-identical.
+identity and re-serializing is byte-identical. The reader takes each number
+only in the form the writer writes it, a bare decimal: ``<N>`` and ``<slot>``
+in 1..6, each value in 0..10, and ``03``, ``+10`` or ``01`` is an error.
 
 The generator stands in for measured traces. It draws from the splittable
 splitmix64 stream of each directed link (stream index = link ordinal), so
@@ -27,7 +29,7 @@ to the HPAV-legal ladder {0,1,2,3,4,6,8,10}.
 
 import io
 from itertools import groupby
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, NoReturn, Optional, Tuple
 
 from .rng import ALGORITHM_NAME, ALGORITHM_VERSION, SplitMix64
 from .tonemap import (
@@ -185,11 +187,21 @@ def _ladder_shift(value: int, steps: int) -> int:
 
 
 def parse_trace(text: str) -> Deployment:
-    """Parse PLCTM v1 text into a Deployment.
+    r"""Parse PLCTM v1 text into a Deployment.
+
+    Every number is read as the text ``serialize_trace`` writes: ``slots``
+    and a slot index are one of ``1``..``6``, ``subcarriers`` is ``917`` and
+    each modulation value is one of ``0``..``10``, so ``03``, ``+10`` and
+    ``01`` are refused. Fields are split on any whitespace.
+
+    Lines are split by ``str.splitlines()``, so every Unicode line break
+    (``\r\n``, ``\x0b``, ``\u2028`` and the rest) ends a line and none
+    can hide inside a ``nodes`` or ``meta`` line: ``split("\n")`` would read
+    ``nodes a b\x0bmeta k v`` as five node ids.
 
     Raises TraceFormatError naming the offending line for malformed input,
     or line 0 when the links, once read, break a Deployment invariant (a
-    link without its reverse).
+    missing slot or a link without its reverse).
     """
     content = [
         (n, line.strip())
@@ -202,12 +214,12 @@ def parse_trace(text: str) -> Deployment:
     (n1, l1), (n2, l2), (n3, l3), (n4, l4) = content[:4]
     if l1.split() != [FORMAT_NAME, str(FORMAT_VERSION)]:
         raise TraceFormatError(n1, f"expected '{FORMAT_NAME} {FORMAT_VERSION}', got {l1!r}")
-    slot_count = _parse_header_int(n2, l2, "slots")
-    if not 1 <= slot_count <= MAX_SLOT_COUNT:
-        raise TraceFormatError(n2, f"slots must be 1..{MAX_SLOT_COUNT}, got {slot_count}")
-    subcarriers = _parse_header_int(n3, l3, "subcarriers")
-    if subcarriers != SUBCARRIER_COUNT:
-        raise TraceFormatError(n3, f"subcarriers must be {SUBCARRIER_COUNT}, got {subcarriers}")
+    slot_fields = l2.split()
+    slot_count = _SLOT_NUMBERS.get(slot_fields[-1]) if slot_fields[:-1] == ["slots"] else None
+    if slot_count is None:
+        raise TraceFormatError(n2, f"expected 'slots <1..{MAX_SLOT_COUNT}>', got {l2!r}")
+    if l3.split() != ["subcarriers", str(SUBCARRIER_COUNT)]:
+        raise TraceFormatError(n3, f"expected 'subcarriers {SUBCARRIER_COUNT}', got {l3!r}")
     node_fields = l4.split()
     if not node_fields or node_fields[0] != "nodes" or len(node_fields) < 3:
         raise TraceFormatError(n4, "expected 'nodes <id1> <id2> ...' with at least 2 ids")
@@ -217,7 +229,7 @@ def parse_trace(text: str) -> Deployment:
     known = set(nodes)
 
     metadata: Dict[str, str] = {}
-    slot_vectors: Dict[Tuple[str, str, int], bytes] = {}
+    link_rows: Dict[Tuple[str, str], list] = {}  # one row per slot, None until read
     for line_no, line in content[4:]:
         parts = line.split(None, 4)
         if parts[0] == "meta":
@@ -228,10 +240,11 @@ def parse_trace(text: str) -> Deployment:
                 raise TraceFormatError(line_no, f"duplicate meta key {parts[1]!r}")
             metadata[parts[1]] = parts[2]
         elif parts[0] == "link":
-            values = _canonical_values(parts[4]) if len(parts) == 5 else None
-            # a canonical value field holds no whitespace; any other line is
-            # split in full, so that a value field with whitespace in it
-            # fails as a sixth field would, before the checks below
+            values = _row_values(parts[4]) if len(parts) == 5 else None
+            # a value field the row read accepts holds no whitespace; any
+            # other line is split in full, so that a value field with
+            # whitespace in it fails as a sixth field would, before the
+            # checks below
             if values is None and len(line.split(None, 5)) != 5:
                 raise TraceFormatError(line_no, "expected 'link <tx> <rx> <slot> <values>'")
             _, tx, rx, slot_s, values_s = parts
@@ -241,35 +254,25 @@ def parse_trace(text: str) -> Deployment:
                 raise TraceFormatError(line_no, f"unknown node {rx!r}")
             if tx == rx:
                 raise TraceFormatError(line_no, f"link endpoints must differ, got {tx!r}")
-            try:
-                slot = int(slot_s)
-            except ValueError:
-                raise TraceFormatError(line_no, f"bad slot index {slot_s!r}") from None
-            if not 1 <= slot <= slot_count:
-                raise TraceFormatError(
-                    line_no, f"slot index {slot} disagrees with header slots {slot_count}"
-                )
+            slot = _SLOT_NUMBERS.get(slot_s)
+            if slot is None or slot > slot_count:
+                raise TraceFormatError(line_no, f"slot index {slot_s!r} not in 1..{slot_count}")
             if values is None:
-                values = _parse_tokens(line_no, values_s)
-            key = (tx, rx, slot)
-            if key in slot_vectors:
+                _refuse_values(line_no, values_s)
+            rows = link_rows.setdefault((tx, rx), [None] * slot_count)
+            if rows[slot - 1] is not None:
                 raise TraceFormatError(line_no, f"duplicate link line for {tx}->{rx} slot {slot}")
-            slot_vectors[key] = values
+            rows[slot - 1] = values
         else:
             raise TraceFormatError(line_no, f"unrecognized line {line!r}")
 
     links: Dict[DirectedLink, Tonemap] = {}
-    for tx, rx in sorted({(tx, rx) for tx, rx, _ in slot_vectors}):
+    for (tx, rx), rows in sorted(link_rows.items()):
         link = DirectedLink(tx, rx)
-        slots = []
-        for k in range(1, slot_count + 1):
-            try:
-                slots.append(slot_vectors[(tx, rx, k)])
-            except KeyError:
-                raise TraceFormatError(
-                    0, f"link {link} is missing slot {k} of {slot_count}"
-                ) from None
-        links[link] = Tonemap(slots)
+        if None in rows:
+            missing = rows.index(None) + 1
+            raise TraceFormatError(0, f"link {link} is missing slot {missing} of {slot_count}")
+        links[link] = Tonemap(rows)
     if not links:
         raise TraceFormatError(0, "trace contains no link lines")
     try:
@@ -278,16 +281,9 @@ def parse_trace(text: str) -> Deployment:
         raise TraceFormatError(0, str(exc)) from None
 
 
-def _parse_header_int(line_no: int, line: str, key: str) -> int:
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != key:
-        raise TraceFormatError(line_no, f"expected '{key} <n>', got {line!r}")
-    try:
-        return int(parts[1])
-    except ValueError:
-        raise TraceFormatError(line_no, f"bad integer {parts[1]!r}") from None
-
-
+# the writer's text of each slot count and slot index, and of each value
+_SLOT_NUMBERS = {str(k): k for k in range(1, MAX_SLOT_COUNT + 1)}
+_VALUE_TOKENS = frozenset(str(v) for v in range(MAX_MODULATION + 1))
 # reader: one character per value 0..10, ":" for "10", any other as 255;
 # writer: each value's first and second character, "#" where there is none
 _CHAR_VALUES = bytes(b"0123456789:".find(c) % 256 for c in range(256))
@@ -298,18 +294,16 @@ _ROW_LENGTH = 2 * SUBCARRIER_COUNT - 1
 _ROW_COMMAS = b"," * (SUBCARRIER_COUNT - 1)
 
 
-def _canonical_values(values_s: str) -> Optional[bytes]:
-    """The 917 modulation bytes of a canonical value field, else None.
+def _row_values(values_s: str) -> Optional[bytes]:
+    """The 917 modulation bytes of a value field in the writer's form (917
+    comma-separated tokens, each one of ``0``..``10``), else None.
 
-    A canonical row (bare decimals 0..10, the form ``serialize_trace``
-    writes) is read by C-level bytes operations. A field of exactly 1833
+    The read is C-level bytes operations. A field of exactly 1833
     characters holds no 10 (one of its characters would sit where a comma
     must be); in a longer one a same-length replace writes each "10" as "#:"
-    and one delete drops the "#"s, leaving one character per value. Any
-    other row, including a valid one that spells a value differently
-    (``03``, ``+10``) or holds a ":" or "#" of its own, is left to
-    ``_parse_tokens``; this read accepts only rows that it would read to the
-    same bytes, so the rows accepted and the errors raised are its own.
+    and one delete drops the "#"s, leaving one character per value. A field
+    holding a ":" or "#" of its own is refused first, since either would
+    read as part of a 10.
     """
     row = values_s.encode("ascii", "replace")
     if b":" in row or b"#" in row:  # else they would read as 10 or vanish
@@ -323,24 +317,17 @@ def _canonical_values(values_s: str) -> Optional[bytes]:
     return None
 
 
-def _parse_tokens(line_no: int, values_s: str) -> bytes:
-    """A value field read one ``int()`` per token, raising TraceFormatError
-    on a wrong token count or on the first bad value."""
+def _refuse_values(line_no: int, values_s: str) -> NoReturn:
+    """Raise TraceFormatError for a value field that ``_row_values``
+    refused: its token count if that is wrong, else its first token outside
+    ``0``..``10``."""
     tokens = values_s.split(",")
     if len(tokens) != SUBCARRIER_COUNT:
         raise TraceFormatError(
             line_no, f"subcarrier count {len(tokens)}, expected {SUBCARRIER_COUNT}"
         )
-    values = []
-    for tok in tokens:
-        try:
-            v = int(tok)
-        except ValueError:
-            raise TraceFormatError(line_no, f"bad modulation value {tok!r}") from None
-        if not 0 <= v <= MAX_MODULATION:
-            raise TraceFormatError(line_no, f"modulation value {v} out of range 0..{MAX_MODULATION}")
-        values.append(v)
-    return bytes(values)
+    bad = next(tok for tok in tokens if tok not in _VALUE_TOKENS)
+    raise TraceFormatError(line_no, f"bad modulation value {bad!r}, expected 0..{MAX_MODULATION}")
 
 
 def serialize_trace(deployment: Deployment) -> str:

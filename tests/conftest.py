@@ -1,8 +1,6 @@
 from collections import defaultdict
 from fractions import Fraction
 
-import pytest
-
 from hpavsim import Deployment, DirectedLink, Tonemap
 from hpavsim.macsim import (
     EVENT_SS_ABORT,
@@ -85,22 +83,18 @@ def asymmetry_oracle(t_ab, t_ba):
 
 
 def parse_values_oracle(values_s):
-    """``(values, None)`` or ``(None, message)``: the PLCTM rules for a link
-    line's value field applied one ``int()`` per token, with the message the
-    reader's TraceFormatError must carry."""
+    """``(values, None)`` or ``(None, message)``: the PLCTM rule for a link
+    line's value field, 917 comma-separated tokens each spelled as ``str(v)``
+    spells a value v in 0..10, with the message the reader's
+    TraceFormatError must carry."""
     tokens = values_s.split(",")
     if len(tokens) != SUBCARRIER_COUNT:
         return None, f"subcarrier count {len(tokens)}, expected {SUBCARRIER_COUNT}"
-    values = []
+    spellings = [str(v) for v in range(MAX_MODULATION + 1)]
     for tok in tokens:
-        try:
-            v = int(tok)
-        except ValueError:
-            return None, f"bad modulation value {tok!r}"
-        if not 0 <= v <= MAX_MODULATION:
-            return None, f"modulation value {v} out of range 0..{MAX_MODULATION}"
-        values.append(v)
-    return bytes(values), None
+        if tok not in spellings:
+            return None, f"bad modulation value {tok!r}, expected 0..{MAX_MODULATION}"
+    return bytes(spellings.index(tok) for tok in tokens), None
 
 
 def reference_generator_slots(n_nodes, profile, slot_count):
@@ -309,11 +303,6 @@ def report_spectrum_tallies(report):
         for link, t in report.tallies.items()
         if t.sf_primary or t.sf_secondary
     }
-
-
-@pytest.fixture
-def two_node_deployment():
-    return deployment_from_levels({("n1", "n2"): 10, ("n2", "n1"): 10})
 
 
 # Shared scenario for the spectrum-sharing acceptance corpus: 4 nodes on the

@@ -252,10 +252,24 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 1
-        assert "error: argument --events-out: expected one argument" in capsys.readouterr().err
+        assert "error: unrecognized arguments: --events" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [trace_path]
         assert run(argv[:-len(events)]) == 0
         assert capsys.readouterr().out == ""
+
+    # each is a unique prefix of --duration-us or --events-out, and is not
+    # read as that flag
+    @pytest.mark.parametrize("flag", (["--dur", "20000"], ["--events", "e.csv"]))
+    def test_abbreviated_flag_rejected(self, trace_path, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--trace", str(trace_path), "--flows", FLOWS,
+                "--out", "t.csv", "--fairness-out", "f.csv", *flag]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        assert f"error: unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [trace_path]
 
 
     def test_no_successful_frame_runtime_exit(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Property tests of PLCTM text and the generator. Text round-trips every
 valid deployment, not only generator output: parsing the canonical text gives
 the deployment back, and serializing again gives the same bytes. The reader
-accepts and rejects a value field exactly as one int() per token would. And
-the generator's batched draws give the bytes of one draw per entry."""
+accepts a value field exactly when it is in the writer's form, and rejects
+any other with the oracle's message. And the generator's batched draws give
+the bytes of one draw per entry."""
 
 import random
 import string
@@ -61,12 +62,22 @@ def test_round_trip_on_arbitrary_valid_deployments(dep):
     assert serialize_trace(parsed) == text
 
 
-# int() reads these as values in 0..10, but they are not the writer's form
+# int() reads these as values in 0..10, but they are not the writer's form,
+# so the reader refuses them
 NON_CANONICAL = ["03", "+10", "010", "-0", "00", "٣"]
 # ":" stands in for 10 inside the reader and "#" marks a dropped byte in the
 # reader and the writer; "3x3" puts a non-comma at a comma offset of a
 # 916-value row
 INVALID = [":", "#", "1:", "3#", "", "x", "11", "3x3"]
+
+
+def one_link_trace(values_s):
+    """A one-slot trace whose a->b line (line 5) carries ``values_s``."""
+    reverse = ",".join(["3"] * SUBCARRIER_COUNT)
+    return (
+        "plctm 1\nslots 1\nsubcarriers 917\nnodes a b\n"
+        f"link a b 1 {values_s}\nlink b a 1 {reverse}\n"
+    )
 
 
 @st.composite
@@ -97,13 +108,9 @@ def value_fields(draw):
 @example(values_s=",".join(["3"] * 400 + [":"] + ["3"] * 516))
 @example(values_s=",".join(["3#"] + ["10"] * 916))
 @example(values_s=",".join(["3"] * 916 + ["10"]))
-def test_parser_agrees_with_int_oracle(values_s):
-    reverse = ",".join(["3"] * SUBCARRIER_COUNT)
-    text = (
-        "plctm 1\nslots 1\nsubcarriers 917\nnodes a b\n"
-        f"link a b 1 {values_s}\nlink b a 1 {reverse}\n"
-    )
+def test_parser_agrees_with_canonical_oracle(values_s):
     values, message = parse_values_oracle(values_s)
+    text = one_link_trace(values_s)
     if message is None:
         assert parse_trace(text).links[DirectedLink("a", "b")].slot(1) == values
     else:
@@ -111,6 +118,20 @@ def test_parser_agrees_with_int_oracle(values_s):
             parse_trace(text)
         assert err.value.line_number == 5
         assert str(err.value) == f"line 5: {message}"
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True, database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+@given(values_s=value_fields())
+def test_accepted_value_field_is_the_writers_text(values_s):
+    # a property of the reader alone, whatever the oracle says
+    try:
+        values = parse_trace(one_link_trace(values_s)).links[DirectedLink("a", "b")].slot(1)
+    except TraceFormatError:
+        return
+    assert values_s == ",".join(map(str, values))
 
 
 @st.composite
