@@ -160,6 +160,36 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # an lru_cache over the key without the MacParams, so that the
+        # memo's counts stay readable
+        id="macsim-memo-key-ignores-mac",
+        file=MACSIM,
+        old="@lru_cache(maxsize=1)\ndef _contend(",
+        new=(
+            "def _memo_ignoring_mac(contend):\n"
+            "    mac = [None]\n"
+            "\n"
+            "    @lru_cache(maxsize=1)\n"
+            "    def memo(*key):\n"
+            "        return contend(key[0], mac[0], *key[1:])\n"
+            "\n"
+            "    def memoized(*key):\n"
+            "        mac[0] = key[1]\n"
+            "        return memo(*key[:1] + key[2:])\n"
+            "\n"
+            "    memoized.__wrapped__, memoized.cache_clear, memoized.cache_info = (\n"
+            "        contend, memo.cache_clear, memo.cache_info)\n"
+            "    return memoized\n"
+            "\n"
+            "\n"
+            "@_memo_ignoring_mac\n"
+            "def _contend("
+        ),
+        tests=(
+            "tests/test_macsim.py::TestContentionMemo::test_every_mac_field_keys_the_pass",
+        ),
+    ),
+    Mutant(
         id="macsim-engage-test-admits-window-end",
         file=MACSIM,
         old="e * mac.slot_duration_us < mac.success_duration_us",

@@ -28,16 +28,11 @@ collision block. That block serves both a window that opens with two or more
 transmitters and an SS window that a barger hits at its first slot boundary;
 either way the busy period is counted from the window's start.
 
-The pass keeps its last result, tuples only (lru_cache, one entry). Its key
-is the flows, the MacParams fields the pass reads (the CW and DC schedules,
-the slot, success and collision durations, ac_cycle_us and
-reeval_period_us), the duration, the seed, the slot count and whether SS is
-on. rank_wait_slots_per_rank enters only the accounting, and frame_length
-enters none of the run: only normalized_throughput reads it. Runs that
-differ only in those two, or only in the table, as a β sweep's SS-on runs
-do, share one pass: each after the first reuses it. A larger memo would
-serve only repeated identical runs. A run that collects events makes its
-own pass, past the memo.
+The pass keeps its last result, tuples only (lru_cache, one entry), keyed on
+its own arguments, which no table enters: the SS-on runs of a β sweep share
+one pass, each after the first reusing it. A larger memo would serve only
+repeated identical runs. A run that collects events makes its own pass,
+past the memo.
 
 Each backoff counter comes from the draw iterator of its stage, rng.below
 over the stage's CW, and all of them share the run's one word stream
@@ -256,11 +251,11 @@ def run_simulation(
     With ``table`` None the run is plain HPAV CSMA/CA; otherwise the SS
     mechanism applies. The result is a pure function of the arguments
     (`seed` included); independent runs may execute concurrently. The run
-    is a contention pass that no table enters, memoized with one entry so
-    that a sweep's SS-on runs, and runs that differ only in ``frame_length``
-    or ``rank_wait_slots_per_rank``, share it (an events run makes its own),
-    then accounting for the table, whose plans engage by the duration rule
-    ``e * slot_duration_us < success_duration_us``.
+    is a contention pass, memoized with one entry keyed on the flows, the
+    MacParams, the duration, the seed, the slot count and whether SS is on
+    (no table enters the key), so that a sweep's SS-on runs share it (an
+    events run makes its own), then accounting for the table, whose plans
+    engage by the duration rule ``e * slot_duration_us < success_duration_us``.
 
     ``policy`` only cuts each table entry to its first ``policy.top_m``
     candidates: None uses every candidate, and it is ignored when ``table``
@@ -325,14 +320,10 @@ def run_simulation(
                             full[i][k - 1] - alloc.shared_total(links[p]))
                            if e and e * mac.slot_duration_us < mac.success_duration_us else None)
             plans.append(row)
-    # the fields the pass reads, so that runs differing only in frame_length
-    # or rank_wait_slots_per_rank share one pass
-    key = (link, mac.cw_schedule, mac.dc_schedule, mac.slot_duration_us,
-           mac.success_duration_us, mac.collision_duration_us, mac.ac_cycle_us,
-           mac.reeval_period_us, duration_us, seed, slot_count, table is not None)
+    args = (link, mac, duration_us, seed, slot_count, table is not None)
     log: Optional[List[SimEvent]] = [] if collect_events else None
     collisions, wins, fulls, t, idle_us, busy_us = (
-        _contend(*key) if log is None else _contend.__wrapped__(*key, log, plans, full))
+        _contend(*args) if log is None else _contend.__wrapped__(*args, log, plans, full))
     # accounting; wins stay 0 with SS off, where there are no plans
     p_sum = [sum(map(mul, counts, totals)) for counts, totals in zip(fulls, full)]
     successes_secondary = [0] * len(link)
@@ -369,15 +360,15 @@ _new_event = tuple.__new__
 
 
 @lru_cache(maxsize=1)
-def _contend(link, cw, dcs, slot_us, success_us, collision_us, ac_cycle_us, reeval_period_us,
-             duration_us, seed, slot_count, ss, log=None, plans=None, full=None):
+def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None, full=None):
     """run_simulation's contention pass over ``link``, the flows in node
-    order, with the MacParams fields it reads (``cw``, ``dcs``: the CW and
-    DC schedules), as the tuples (collisions, wins, fulls) per station and
-    the floats (t, idle_us, busy_us). Called past the memo as
-    ``_contend.__wrapped__`` with ``log`` a list, it also logs the run's
-    events, with each window's plan and full-slot total from ``plans`` and
-    ``full``."""
+    order, as the tuples (collisions, wins, fulls) per station and the
+    floats (t, idle_us, busy_us). The memo's key is the flows, the
+    MacParams, the duration, the seed, the slot count and whether SS is
+    on; no table enters it. Called past the memo as ``_contend.__wrapped__``
+    with ``log`` a list, it also logs the run's events, with each window's
+    plan and full-slot total from ``plans`` and ``full``."""
+    collision_us, success_us, _, cw, dcs, slot_us, _, reeval_period_us, ac_cycle_us = mac
     words = SplitMix64(seed, 0).words()
     # per stage, the next backoff draw below its CW, all from the one stream
     draws = [below(c, words).__next__ for c in cw]

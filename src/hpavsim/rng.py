@@ -19,8 +19,8 @@ last word, giving the same values and leaving the same state as that many
 ``randbelow`` calls. ``words`` chains fixed batches into a C-level iterator,
 for a caller that draws many single words in a hot loop and cannot afford a
 method call per word, and ``below`` turns such an iterator into successive
-``randbelow(n)`` draws, also at C level. ``randbelow`` keeps its own loop:
-for one draw, building such an iterator costs more than the draw.
+``randbelow(n)`` draws, also at C level; ``randbelow`` is one draw of ``below``
+over ``next_u64``.
 
 Name/version recorded in trace metadata: ``splitmix64`` / ``1``.
 """
@@ -128,13 +128,7 @@ class SplitMix64:
         """Uniform integer in [0, n) via masked rejection (unbiased)."""
         if n <= 0:
             raise ValueError("randbelow() requires n >= 1")
-        if n == 1:
-            return 0
-        mask = (1 << (n - 1).bit_length()) - 1
-        while True:
-            v = self.next_u64() & mask
-            if v < n:
-                return v
+        return next(below(n, iter(self.next_u64, None)))
 
     def randbelow_bytes(self, n: int, count: int) -> bytes:
         """``count`` successive ``randbelow(n)`` draws as bytes, for

@@ -23,6 +23,19 @@ def filled_tonemap(value, slot_count=DEFAULT_SLOT_COUNT):
     return Tonemap(((value,) * SUBCARRIER_COUNT,) * slot_count)
 
 
+def masked_rejection(rng, n):
+    """``rng.randbelow(n)`` as its docstring states it, one word at a time:
+    ``next_u64`` words, masked to the bit length of n - 1, until one falls
+    below n."""
+    if n == 1:
+        return 0
+    mask = (1 << (n - 1).bit_length()) - 1
+    while True:
+        v = rng.next_u64() & mask
+        if v < n:
+            return v
+
+
 def spectrum_fraction(t, slot_index, active_subcarriers):
     """Fraction of the maximum modulation total carried by ``active_subcarriers``.
 
@@ -100,8 +113,9 @@ def parse_values_oracle(values_s):
 def reference_generator_slots(n_nodes, profile, slot_count):
     """``{link: [slot bytes]}`` of ``generate_deployment(n_nodes, profile,
     slot_count)``, written out plainly: base rows as lists, notch bands by
-    gap sampling, and one ``SplitMix64.randbelow(2 * noise + 1)`` per drawing
-    (slot, subcarrier) entry, in subcarrier order."""
+    gap sampling, and one ``masked_rejection(rng, 2 * noise + 1)`` draw, the
+    word-at-a-time ``randbelow``, per drawing (slot, subcarrier) entry, in
+    subcarrier order."""
     nodes = [f"n{i + 1}" for i in range(n_nodes)]
     links = sorted(DirectedLink(a, b) for a in nodes for b in nodes if a != b)
     pairs = sorted({tuple(sorted((link.tx, link.rx))) for link in links})
@@ -114,7 +128,8 @@ def reference_generator_slots(n_nodes, profile, slot_count):
         count, width = profile.notch_count, profile.notch_width
         if count == 0 or width == 0:
             return []
-        cuts = sorted(rng.randbelow(SUBCARRIER_COUNT - count * width + 1) for _ in range(count))
+        cuts = sorted(masked_rejection(rng, SUBCARRIER_COUNT - count * width + 1)
+                      for _ in range(count))
         return [(cut + i * width, width) for i, cut in enumerate(cuts)]
 
     out = {}
@@ -145,7 +160,7 @@ def reference_generator_slots(n_nodes, profile, slot_count):
                 if noise == 0 or (kind == "interference-notched" and b == 0):
                     values.append(b)
                 else:
-                    r = rng.randbelow(2 * noise + 1)
+                    r = masked_rejection(rng, 2 * noise + 1)
                     values.append(snap_legal(min(MAX_MODULATION, max(0, b + r - noise))))
             slots.append(bytes(values))
         out[link] = slots

@@ -616,25 +616,44 @@ class TestContentionMemo:
         info = macsim._contend.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (2, len(self.BETAS) - 1, 1)
 
-    def test_runs_differing_only_in_unread_fields_share_one_pass(self):
-        # the pass reads neither the rank wait nor frame_length, so SS-on
-        # runs that differ only there reuse the first one's contention
+    # one valid value per MacParams field, other than its default
+    ALTERNATES = {
+        "collision_duration_us": 3000.0,
+        "success_duration_us": 2600.0,
+        "frame_length": 1000.0,
+        "cw_schedule": (8, 16, 32, 128),
+        "dc_schedule": (0, 1, 3, 7),
+        "slot_duration_us": 40.0,
+        "rank_wait_slots_per_rank": 40,
+        "reeval_period_us": 100_000.0,
+        "ac_cycle_us": 20_000.0,
+    }
+
+    @pytest.mark.parametrize("field", MacParams._fields)
+    def test_every_mac_field_keys_the_pass(self, field):
         dep, table, policy = ss_scenario(seed=4)
         rest = (policy, list(CORPUS_FLOWS), 300_000, 3)
-        macs = [MacParams(rank_wait_slots_per_rank=wait) for wait in (0, 1, 2, 40)]
+        mac = MAC._replace(**{field: self.ALTERNATES[field]})
+        twin = MacParams(**mac._asdict())
+        assert twin == mac and twin is not mac
         macsim._contend.cache_clear()
-        reports = [run_simulation(dep, table, mac, *rest) for mac in macs]
-        info = macsim._contend.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
-        run_simulation(dep, table, MacParams(frame_length=1000.0), *rest)
-        assert macsim._contend.cache_info().hits == 4
-        for mac, report in zip(macs, reports):
-            macsim._contend.cache_clear()
-            fresh = run_simulation(dep, table, mac, *rest)
-            assert (report.tallies, run_times(report)) == (fresh.tallies, run_times(fresh))
-        # the shared pass is credited per wait: a rank-2 candidate engages
-        # at a wait of 1 slot per rank, but not at 40
-        assert reports[1].tallies != reports[3].tallies
+        run_simulation(dep, table, MAC, *rest)
+        report = run_simulation(dep, table, mac, *rest)
+        assert macsim._contend.cache_info()[:2] == (0, 2)  # (hits, misses)
+        again = run_simulation(dep, table, twin, *rest)
+        assert macsim._contend.cache_info()[:2] == (1, 2)
+        macsim._contend.cache_clear()
+        fresh = run_simulation(dep, table, mac, *rest)
+        outcome = (report.tallies, run_times(report))
+        assert outcome == (again.tallies, run_times(again)) == (fresh.tallies, run_times(fresh))
+
+    def test_rank_wait_is_credited_per_run(self):
+        # a rank-2 candidate engages at a wait of 1 slot per rank, but not at 40
+        dep, table, policy = ss_scenario(seed=4)
+        rest = (policy, list(CORPUS_FLOWS), 300_000, 3)
+        near, far = (run_simulation(dep, table, MacParams(rank_wait_slots_per_rank=wait), *rest)
+                     for wait in (1, 40))
+        assert near.tallies != far.tallies
 
     @pytest.mark.parametrize("wait, engages", [(2, False), (1, True)])
     def test_engagement_follows_the_duration_rule(self, wait, engages):

@@ -5,7 +5,7 @@ after its last tx_start with the colliders in node order, run each
 re-evaluation window as one success with no secondary, and tally spectrum as
 the event-log replay in ``conftest.rebuild_spectrum_tallies`` does; every
 station's (stage, DC) follows the sensed-busy rule; every backoff counter a
-run draws is the next ``SplitMix64.randbelow`` draw of its seed's stream; and
+run draws is the next masked-rejection draw of its seed's stream; and
 the memoized contention pass gives every run what a fresh pass gives."""
 
 import math
@@ -26,7 +26,9 @@ from hpavsim.macsim import (
 from hpavsim.rng import SplitMix64
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
-from conftest import rebuild_spectrum_tallies, report_spectrum_tallies, run_times
+from conftest import (
+    masked_rejection, rebuild_spectrum_tallies, report_spectrum_tallies, run_times,
+)
 
 SCHEDULES = (
     {},  # the HPAV default
@@ -240,8 +242,8 @@ def test_sensed_busy_rule(scenario, seed, duration):
 
 def replay_backoff(report, flows, mac, seed):
     """Replay every backoff counter a run draws from a fresh
-    ``SplitMix64(seed, 0).randbelow`` stream, independent of how the engine
-    draws them.
+    ``SplitMix64(seed, 0)`` stream by ``conftest.masked_rejection``,
+    independent of how the engine, or ``randbelow``, draws them.
 
     The run draws one initial BC per station, in node order; the stations
     with the least one open the first window. After that every draw is
@@ -251,7 +253,7 @@ def replay_backoff(report, flows, mac, seed):
     """
     rng = SplitMix64(seed, 0)
     cw = mac.cw_schedule
-    initial = {node: rng.randbelow(cw[0]) for node in sorted(f.tx for f in flows)}
+    initial = {node: masked_rejection(rng, cw[0]) for node in sorted(f.tx for f in flows)}
     starts = [e for e in report.events if e.event == EVENT_TX_START]
     if starts:
         least = min(initial.values())
@@ -262,7 +264,7 @@ def replay_backoff(report, flows, mac, seed):
         if e.event == EVENT_STAGE_ADVANCE or (
             e.event == EVENT_TX_END_SUCCESS and e.role == ROLE_PRIMARY
         ):
-            assert e.bc == rng.randbelow(cw[e.stage]), e
+            assert e.bc == masked_rejection(rng, cw[e.stage]), e
 
 
 # Stage 0 of both extra schedules draws no word; (1, 3, 5, 7) rejects words

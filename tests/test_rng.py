@@ -4,6 +4,8 @@ import pytest
 
 from hpavsim.rng import _BATCH, SplitMix64, _mixed_lanes, below
 
+from conftest import masked_rejection
+
 # (seed, stream) -> first 8 next_u64 words. Seed 0, stream 0 starts the state
 # at 0, so its words are the reference splitmix64 sequence for seed 0.
 FIRST_WORDS = {
@@ -48,18 +50,6 @@ def test_randbelow_draws_pinned(key):
     assert rng.next_u64() == next_word
 
 
-def _masked_rejection(rng, n):
-    """randbelow(n) as its docstring states it: next_u64 words, masked to the
-    bit length of n - 1, until one falls below n."""
-    if n == 1:
-        return 0
-    mask = (1 << (n - 1).bit_length()) - 1
-    while True:
-        v = rng.next_u64() & mask
-        if v < n:
-            return v
-
-
 # n = 1 never draws; 2, 8 and 256 are powers of two; 3, 5, 21 and 255 reject
 # words. Bounds above a byte have no batch call: 2^40 + 1 rejects words, and a
 # bound above 2^64 accepts every 64-bit word. 917 draws are a tonemap row;
@@ -75,7 +65,7 @@ def test_randbelow_many_is_successive_randbelow(n, count):
         rng.randbelow(7)
     # a second batch starts where the single draws left off
     for _ in range(2):
-        expected = [_masked_rejection(words, n) for _ in range(count)]
+        expected = [masked_rejection(words, n) for _ in range(count)]
         assert [one.randbelow(n) for _ in range(count)] == expected
         if n <= 256:
             assert batched.randbelow_bytes(n, count) == bytes(expected)
@@ -84,7 +74,7 @@ def test_randbelow_many_is_successive_randbelow(n, count):
             with pytest.raises(ValueError, match="1 <= n <= 256"):
                 batched.randbelow_bytes(n, count)
             assert [batched.randbelow(n) for _ in range(count)] == expected
-        assert batched.randbelow(n) == one.randbelow(n) == _masked_rejection(words, n)
+        assert batched.randbelow(n) == one.randbelow(n) == masked_rejection(words, n)
         assert batched.next_u64() == one.next_u64() == words.next_u64()
 
 
@@ -138,12 +128,12 @@ def test_reference_words_pinned(key):
 def test_buffered_draws_follow_the_word_stream(n, count):
     rng, ref = SplitMix64(2**64 + 7, 3), ReferenceWords(2**64 + 7, 3)
     for _ in range(3):
-        expected = [_masked_rejection(ref, n) for _ in range(count)]
+        expected = [masked_rejection(ref, n) for _ in range(count)]
         assert [rng.randbelow(n) for _ in range(count)] == expected
         assert rng.next_u64() == ref.next_u64()
         # a byte run starts at the first unconsumed word
         if n <= 256:
-            expected = bytes(_masked_rejection(ref, n) for _ in range(count))
+            expected = bytes(masked_rejection(ref, n) for _ in range(count))
             assert rng.randbelow_bytes(n, count) == expected
         assert [rng.next_u64() for _ in range(count)] == [ref.next_u64() for _ in range(count)]
 
@@ -189,13 +179,14 @@ BELOW_BOUNDS = [1, 2, 3, 5, 7, 8, 11, 64, 2**40 + 1]
 @pytest.mark.parametrize("n", BELOW_BOUNDS)
 def test_masked_rejection_over_words_is_randbelow(n):
     # below() starts at the first unconsumed word and takes exactly the words
-    # successive randbelow(n) calls would
+    # successive randbelow(n) calls would; randbelow itself is below() over
+    # next_u64, so the reference is the word-at-a-time oracle
     rng, twin = SplitMix64(0, 4), SplitMix64(0, 4)
     twin.next_u64()
     words = rng.words()
     next(words)
     draw = below(n, words).__next__
-    assert [draw() for _ in range(600)] == [twin.randbelow(n) for _ in range(600)]
+    assert [draw() for _ in range(600)] == [masked_rejection(twin, n) for _ in range(600)]
     assert next(words) == twin.next_u64()
 
 
@@ -207,5 +198,5 @@ def test_below_iterators_share_one_stream():
     draws = [below(n, words).__next__ for n in BELOW_BOUNDS]
     for _ in range(3000):
         i = order.randbelow(len(BELOW_BOUNDS))
-        assert draws[i]() == twin.randbelow(BELOW_BOUNDS[i])
+        assert draws[i]() == masked_rejection(twin, BELOW_BOUNDS[i])
     assert next(words) == twin.next_u64()
