@@ -233,6 +233,63 @@ MUTANTS = (
             "tests/test_macsim.py::TestEngineDigest::test_digest",
         ),
     ),
+    # the event-log renderer: one stamp per instant, one tail per distinct
+    # tail, zero fractions rendered on every row
+    Mutant(
+        id="macsim-event-tail-key-without-fraction",
+        file=MACSIM,
+        old="        key = e[1:]\n",
+        new="        key = e[1:8]\n",
+        tests=(
+            "tests/test_macsim.py::TestEventLog::test_matches_per_field_oracle",
+            "tests/test_macsim.py::TestEventLog::test_rows_sharing_a_tail_match_the_oracle",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_event_log_matches_per_field_oracle",
+        ),
+    ),
+    Mutant(
+        id="macsim-event-tail-key-without-event",
+        file=MACSIM,
+        old="        key = e[1:]\n",
+        new="        key = e[2:]\n",
+        tests=(
+            "tests/test_macsim.py::TestEventLog::test_matches_per_field_oracle",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_event_log_matches_per_field_oracle",
+        ),
+    ),
+    Mutant(
+        # the first zero's sign then renders on every later row of its tail
+        id="macsim-event-zero-fraction-tail-stored",
+        file=MACSIM,
+        old="            if sf != 0:\n",
+        new="            if True:\n",
+        tests=(
+            "tests/test_macsim.py::TestEventLog::test_rows_sharing_a_tail_match_the_oracle",
+        ),
+    ),
+    Mutant(
+        id="macsim-event-stamp-set-once",
+        file=MACSIM,
+        old="        if t is not last:\n",
+        new="        if last is None:\n",
+        tests=(
+            "tests/test_macsim.py::TestEventLog::test_matches_per_field_oracle",
+            "tests/test_macsim.py::TestEventLog::test_rows_sharing_a_tail_match_the_oracle",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_event_log_matches_per_field_oracle",
+        ),
+    ),
+    Mutant(
+        # -0.0 == 0.0, so a -0.0 instant after a 0.0 one keeps the stamp 0.0
+        id="macsim-event-stamp-by-equality",
+        file=MACSIM,
+        old="        if t is not last:\n",
+        new="        if t != last:\n",
+        tests=(
+            "tests/test_macsim.py::TestEventLog::test_matches_per_field_oracle",
+        ),
+    ),
     # faults first checked by hand when the one-step idle run and the
     # bit-plane build_decision_table were written
     Mutant(

@@ -95,7 +95,12 @@ SimEvent tuples, which event_log_csv renders; with it False the engine builds
 no event at all. Each event is built from all nine fields by _new_event,
 which is tuple.__new__: it runs in C, past the NamedTuple's Python-level
 __new__ and its defaults, and gives a SimEvent equal to the one the
-NamedTuple constructor builds.
+NamedTuple constructor builds. event_log_csv renders each instant's time
+once and each distinct tail (the fields after the time) once per call, so
+rows with equal tails share one rendered text; a tail with a zero
+spectrum_fraction is rendered on every row, as 0.0 and -0.0 render apart. A
+field outside SimEvent's declared types may therefore render as an earlier
+equal row's did: a stage of True after a row with stage 1 renders 1.
 
 Every type here is a tuple of its fields. MacParams is a checked tuple
 (tonemap.CheckedTuple); LinkTally, SimEvent and SimReportRaw are plain
@@ -535,26 +540,40 @@ def event_log_csv(report: SimReportRaw) -> str:
 
     A None field renders empty and any other value as str renders it (repr
     for time_us and spectrum_fraction), so a stage, bc or dc of 0 renders 0.
+
+    Each row is two pieces of the one joined text: its time stamp, rendered
+    once per instant, and its tail (every field after the time), rendered
+    once per call for each distinct tail, so rows with equal tails share one
+    rendered text. A tail whose spectrum_fraction is zero is rendered on
+    every row, since 0.0 and -0.0 are equal but render apart. The one
+    difference from rendering each row alone: a field outside SimEvent's
+    declared types may render as an earlier row's equal value did, for
+    example a stage of True after a row with stage 1 renders 1.
     """
     if report.events is None:
         raise ValueError("run_simulation(collect_events=True) required for an event log")
     rows = ["time_us,event,node,link_tx,link_rx,role,stage,bc,dc,spectrum_fraction\n"]
-    # Float repr dominates the cost. Events of one instant come in a row and
-    # share their time object, and a run has few distinct spectrum fractions:
-    # equal nonzero floats have one repr, but 0.0 and -0.0 do not.
-    fracs = {}
-    last = stamp = None
-    for t, event, node, link, role, stage, bc, dc, sf in report.events:
+    append = rows.append
+    # Events of one instant come in a row and share their time object, and a
+    # run has few distinct tails; (last, stamp) is always an object and its repr.
+    tails = {}
+    last, stamp = None, "None"
+    for e in report.events:
+        t = e[0]
         if t is not last:
             last, stamp = t, repr(t)
-        frac = "" if sf is None else fracs.get(sf)
-        if frac is None:
-            frac = repr(sf)
-            if sf:
-                fracs[sf] = frac
-        rows.append(
-            f"{stamp},{event},{node or ''},{link.tx if link else ''},"
-            f"{link.rx if link else ''},{role or ''},{'' if stage is None else stage},"
-            f"{'' if bc is None else bc},{'' if dc is None else dc},{frac}\n"
-        )
+        append(stamp)
+        key = e[1:]
+        tail = tails.get(key)
+        if tail is None:
+            _, event, node, link, role, stage, bc, dc, sf = e
+            tail = (
+                f",{event},{node or ''},{link.tx if link else ''},"
+                f"{link.rx if link else ''},{role or ''},{'' if stage is None else stage},"
+                f"{'' if bc is None else bc},{'' if dc is None else dc},"
+                f"{'' if sf is None else repr(sf)}\n"
+            )
+            if sf != 0:
+                tails[key] = tail
+        append(tail)
     return "".join(rows)

@@ -1,3 +1,4 @@
+import io
 from collections import defaultdict
 from fractions import Fraction
 
@@ -336,3 +337,28 @@ CORPUS_PROFILE_KW = dict(
 CORPUS_DURATION_US = 1_000_000
 CORPUS_BETAS = (2, 4, 6, 8)
 CORPUS_TOP_M = 2
+
+
+def oracle_event_log_csv(report):
+    """Independent event-log renderer: one str per field, joined per row."""
+    out = io.StringIO()
+    out.write("time_us,event,node,link_tx,link_rx,role,stage,bc,dc,spectrum_fraction\n")
+    for e in report.events:
+        out.write(
+            ",".join(
+                [
+                    repr(e.time_us),
+                    e.event,
+                    e.node or "",
+                    e.link.tx if e.link else "",
+                    e.link.rx if e.link else "",
+                    e.role or "",
+                    "" if e.stage is None else str(e.stage),
+                    "" if e.bc is None else str(e.bc),
+                    "" if e.dc is None else str(e.dc),
+                    "" if e.spectrum_fraction is None else repr(e.spectrum_fraction),
+                ]
+            )
+            + "\n"
+        )
+    return out.getvalue()

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 import sys
 import threading
@@ -43,6 +42,7 @@ from hpavsim.tonemap import SUBCARRIER_COUNT
 from conftest import (
     CORPUS_FLOWS,
     CORPUS_PROFILE_KW,
+    oracle_event_log_csv,
     rebuild_spectrum_tallies,
     report_spectrum_tallies,
     run_times,
@@ -867,31 +867,6 @@ class TestNormalizedThroughput:
         )
 
 
-def oracle_event_log_csv(report):
-    """Independent event-log renderer: one str per field, joined per row."""
-    out = io.StringIO()
-    out.write("time_us,event,node,link_tx,link_rx,role,stage,bc,dc,spectrum_fraction\n")
-    for e in report.events:
-        out.write(
-            ",".join(
-                [
-                    repr(e.time_us),
-                    e.event,
-                    e.node or "",
-                    e.link.tx if e.link else "",
-                    e.link.rx if e.link else "",
-                    e.role or "",
-                    "" if e.stage is None else str(e.stage),
-                    "" if e.bc is None else str(e.bc),
-                    "" if e.dc is None else str(e.dc),
-                    "" if e.spectrum_fraction is None else repr(e.spectrum_fraction),
-                ]
-            )
-            + "\n"
-        )
-    return out.getvalue()
-
-
 class TestEventLog:
     def test_csv_columns_and_event_vocabulary(self):
         dep, table, policy = ss_scenario(seed=1)
@@ -949,6 +924,25 @@ class TestEventLog:
             collect_events=True,
         )
         assert event_log_csv(report) == oracle_event_log_csv(report)
+
+    def test_rows_sharing_a_tail_match_the_oracle(self):
+        # every row has the fields of the first after the time, except for
+        # its fraction: zeros of either sign, NaNs, and equal floats that are
+        # other objects, at times that are equal floats but other objects
+        a = DirectedLink("n1", "n2")
+        nan = float("nan")
+        later = float("35.84")  # equal to the literal, but another object
+        times = [0.0, 0.0, 0.0, 0.0, 35.84, later, later, 71.68, 71.68, 71.68, 107.52]
+        fracs = [0.0, -0.0, -0.0, 0.0, nan, nan, float("nan"),
+                 0.25, float("0.25"), 0.0, 0.25]
+        events = [SimEvent(t, EVENT_TX_END_SUCCESS, "n1", a, ROLE_PRIMARY, 0, 3, 0, sf)
+                  for t, sf in zip(times, fracs)]
+        report = SimReportRaw({}, 107.52, 107.52, 0.0, 107.52, events=events)
+        text = event_log_csv(report)
+        assert text == oracle_event_log_csv(report)
+        assert [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]] == [
+            "0.0", "-0.0", "-0.0", "0.0", "nan", "nan", "nan", "0.25", "0.25", "0.0", "0.25",
+        ]
 
     def test_no_event_built_without_collection(self, monkeypatch):
         def refuse(*args):

@@ -5,8 +5,9 @@ after its last tx_start with the colliders in node order, run each
 re-evaluation window as one success with no secondary, and tally spectrum as
 the event-log replay in ``conftest.rebuild_spectrum_tallies`` does; every
 station's (stage, DC) follows the sensed-busy rule; every backoff counter a
-run draws is the next masked-rejection draw of its seed's stream; and
-the memoized contention pass gives every run what a fresh pass gives."""
+run draws is the next masked-rejection draw of its seed's stream; the
+memoized contention pass gives every run what a fresh pass gives; and
+event_log_csv renders each run's log as the per-field oracle does."""
 
 import math
 import random
@@ -27,7 +28,8 @@ from hpavsim.rng import SplitMix64
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
 from conftest import (
-    masked_rejection, rebuild_spectrum_tallies, report_spectrum_tallies, run_times,
+    masked_rejection, oracle_event_log_csv, rebuild_spectrum_tallies,
+    report_spectrum_tallies, run_times,
 )
 
 SCHEDULES = (
@@ -290,6 +292,21 @@ def test_backoff_draws_replay(scenario, seed, duration, cw):
         report = run_simulation(dep, t, mac, policy, flows, duration, seed,
                                 collect_events=True)
         replay_backoff(report, flows, mac, seed)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1),
+       duration=st.sampled_from([120_000, 3584]))
+@example(scenario=ring_scenario(SCHEDULES[0]), seed=1, duration=120_000)
+@example(scenario=ring_scenario(SCHEDULES[3]), seed=1, duration=120_000)
+def test_event_log_matches_per_field_oracle(scenario, seed, duration):
+    dep, flows, table_policy, run_policy, mac = scenario
+    table = build_decision_table(dep, table_policy)
+    for t, policy in ((None, None), (table, run_policy)):
+        report = run_simulation(dep, t, mac, policy, flows, duration, seed,
+                                collect_events=True)
+        assert event_log_csv(report) == oracle_event_log_csv(report)
 
 
 def fingerprint(report):
