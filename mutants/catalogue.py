@@ -309,11 +309,11 @@ MUTANTS = (
         id="macsim-idle-run-no-stop-after",
         file=MACSIM,
         old=(
-            "                bc[i] -= n\n"
+            "                bc[i] -= m\n"
             "            if t >= duration_us:\n"
             "                break\n"
         ),
-        new="                bc[i] -= n\n",
+        new="                bc[i] -= m\n",
         tests=(
             "tests/test_macsim.py::TestIdleRunDigest::test_digest",
         ),
@@ -321,11 +321,22 @@ MUTANTS = (
     Mutant(
         id="macsim-idle-run-one-slot-short",
         file=MACSIM,
-        old="for n in range(1, m + 1):",
-        new="for n in range(1, m):",
+        old="for _ in range(m):",
+        new="for _ in range(m - 1):",
         tests=(
             "tests/test_macsim.py::TestIdleRunDigest::test_digest",
             "tests/test_macsim.py::TestEngineDigest::test_digest",
+        ),
+    ),
+    # run_simulation reads its flows once, into node order, and checks the
+    # flows it read
+    Mutant(
+        id="macsim-flows-checked-after-reading",
+        file=MACSIM,
+        old="    for flow in link:\n        if flow not in links:\n",
+        new="    for flow in flows:\n        if flow not in links:\n",
+        tests=(
+            "tests/test_macsim.py::TestBasicContract::test_flow_validation",
         ),
     ),
     # the engine's backoff draws: rng.below, the masked rejection of
@@ -1075,6 +1086,28 @@ MUTANTS = (
             "tests/test_cli.py::TestSweep::test_ss_run_without_throughput_runtime_exit",
         ),
     ),
+    # main writes every output a command returns, each to its own path
+    Mutant(
+        id="cli-main-writes-first-output-only",
+        file=CLI,
+        old="for path, text in _COMMANDS[args.command](args):",
+        new="for path, text in _COMMANDS[args.command](args)[:1]:",
+        tests=(
+            "tests/test_cli.py::TestGenerate::test_output_parses_and_summarizes",
+            "tests/test_cli.py::TestAnalyze::test_symmetric_trace_zero_asymmetry",
+        ),
+    ),
+    Mutant(
+        id="cli-main-writes-every-output-to-stdout",
+        file=CLI,
+        old="            _write(path, text)\n",
+        new="            _write(None, text)\n",
+        tests=(
+            "tests/test_cli.py::TestGenerate::test_same_flags_identical_files",
+            "tests/test_cli.py::TestAnalyze::test_full_modulation_rate_column",
+            "tests/test_cli.py::TestSimulate::test_deterministic_csvs",
+        ),
+    ),
     # the splitmix64 counter, word iterator and byte runs
     Mutant(
         id="rng-byte-run-walk-back-one-short",
@@ -1133,16 +1166,6 @@ MUTANTS = (
 )
 
 EQUIVALENT = (
-    Mutant(
-        id="macsim-idle-run-subtracts-m",
-        file=MACSIM,
-        old="                bc[i] -= n\n",
-        new="                bc[i] -= m\n",
-        reason=(
-            "n differs from m only when the run's duration ends inside the "
-            "idle run, and then the loop stops and no BC is read again"
-        ),
-    ),
     Mutant(
         id="sharing-loop-bound-ties-deferred",
         file=SHARING,

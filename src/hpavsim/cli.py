@@ -4,9 +4,14 @@ Subcommands: generate, analyze, simulate, sweep, route. With --config, each
 ``key = value`` line of a flat file (keys in CONFIG_KEYS) is read as the flag
 ``--key=value`` placed before the command line's own flags: explicit flags
 win, and a config value gets the flag's type check, choices and default. A
-key the command has no flag for is skipped. The single ``seed`` value drives both the deployment generator (when
-simulate or sweep gets no --trace) and the MAC simulation, so a command line
-fully determines its outputs.
+key the command has no flag for is skipped. The single ``seed`` value drives
+both the deployment generator (when simulate or sweep gets no --trace) and
+the MAC simulation, so a command line fully determines its outputs.
+
+Each command returns its outputs as ``(path, text)`` pairs, a None path
+meaning stdout, and main writes them in order: every text is built before
+any is written, so a failure writes nothing (a failing write can still leave
+the outputs before it written).
 
 Exit codes: 0 success, 1 usage, 2 input parse/validation, 3 runtime failure.
 """
@@ -14,7 +19,7 @@ Exit codes: 0 success, 1 usage, 2 input parse/validation, 3 runtime failure.
 import argparse
 import sys
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .macsim import MacParams, event_log_csv, normalized_throughput, run_simulation
 from .metrics import compare_runs, fairness_csv, fairness_report, pair_asymmetries
@@ -33,7 +38,7 @@ from .traceio import (
     TraceFormatError,
     generate_deployment,
     load_trace,
-    save_trace,
+    serialize_trace,
 )
 
 EXIT_OK = 0
@@ -197,6 +202,9 @@ def _generate(args) -> Deployment:
         raise _UsageError(str(exc)) from None
 
 
+Outputs = List[Tuple[Optional[str], str]]
+
+
 def _write(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -210,20 +218,17 @@ def _write(path: Optional[str], text: str) -> None:
 # --------------------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> Outputs:
     if args.out is None:
         raise _UsageError("--out trace path is required")
     deployment = _generate(args)
-    save_trace(deployment, args.out)
-    for key in sorted(deployment.metadata):
-        print(f"{key} {deployment.metadata[key]}")
-    print(f"nodes {len(deployment.nodes)}")
-    print(f"links {len(deployment.links)}")
-    print(f"slots {deployment.slot_count}")
-    return EXIT_OK
+    summary = [f"{key} {deployment.metadata[key]}" for key in sorted(deployment.metadata)]
+    summary += [f"nodes {len(deployment.nodes)}", f"links {len(deployment.links)}",
+                f"slots {deployment.slot_count}"]
+    return [(args.out, serialize_trace(deployment)), (None, "\n".join(summary) + "\n")]
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> Outputs:
     deployment = load_trace(args.trace)
     params = PhyParams()
     slot_count = deployment.slot_count
@@ -236,14 +241,11 @@ def cmd_analyze(args) -> int:
         row = [link.tx, link.rx, str(round(expected_throughput(tmap, params)))]
         row += [str(round(phy_rate(tmap, k, params))) for k in range(1, slot_count + 1)]
         lines.append(",".join(row))
-    _write(args.out, "\n".join(lines) + "\n")
-
     asym_lines = ["node_a,node_b,asymmetry,normalized"]
     for a, b, value in pair_asymmetries(deployment):
         norm = float(value / MAX_MODULATION_TOTAL)
         asym_lines.append(f"{a},{b},{float(value)!r},{norm!r}")
-    _write(args.asym_out, "\n".join(asym_lines) + "\n")
-    return EXIT_OK
+    return [(args.out, "\n".join(lines) + "\n"), (args.asym_out, "\n".join(asym_lines) + "\n")]
 
 
 def _scenario(args):
@@ -292,7 +294,7 @@ def _link_results_csv(report, mac) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Outputs:
     if args.table_out is not None and args.ss == "off":
         raise _UsageError("--table-out needs --ss on")
     deployment, flows, mac = _scenario(args)
@@ -304,7 +306,6 @@ def cmd_simulate(args) -> int:
         collect_events=collect,
     )
     _require_throughput(report, args.duration_us)
-    # every text is built before any is written, so a failure writes nothing
     outputs = [
         (args.out, _link_results_csv(report, mac)),
         (args.fairness_out, fairness_csv(fairness_report(report, mac))),
@@ -313,12 +314,10 @@ def cmd_simulate(args) -> int:
         outputs.append((args.events_out, event_log_csv(report)))
     if args.table_out is not None:
         outputs.append((args.table_out, decision_table_csv(table)))
-    for path, text in outputs:
-        _write(path, text)
-    return EXIT_OK
+    return outputs
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> Outputs:
     deployment, flows, mac = _scenario(args)
     if not args.beta:
         raise _UsageError("--beta list is required, e.g. 2,4,6,8")
@@ -342,11 +341,10 @@ def cmd_sweep(args) -> int:
         lines.append(
             f"{beta},{gain.aggregate_gain_pct!r},{gain.jfi_delta!r},{gain.fsse_delta!r}"
         )
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return [(args.out, "\n".join(lines) + "\n")]
 
 
-def cmd_route(args) -> int:
+def cmd_route(args) -> Outputs:
     if args.src == args.dst:
         raise _UsageError("--src and --dst must differ")
     deployment = load_trace(args.trace)
@@ -359,8 +357,7 @@ def cmd_route(args) -> int:
     except ValueError as exc:
         # only unreachability is left once the endpoints are known nodes
         raise _RuntimeFailure(str(exc)) from None
-    _write(args.out, route_csv(route))
-    return EXIT_OK
+    return [(args.out, route_csv(route))]
 
 
 _COMMANDS = {
@@ -380,7 +377,9 @@ def main(argv=None) -> int:
         if args.config:
             # argv[0] is the command; the explicit flags come later and so win
             args = parser.parse_args(argv[:1] + _config_flags(args.config, args) + argv[1:])
-        return _COMMANDS[args.command](args)
+        for path, text in _COMMANDS[args.command](args):
+            _write(path, text)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"hpavsim {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

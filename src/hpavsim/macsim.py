@@ -19,14 +19,15 @@ pass (_contend) is one loop, one pass per window, over flat per-station
 lists: station i, the i-th in node order, is index i of the BC, DC and stage
 lists and of every count list. No table enters it: a plan decides who gets
 the spectrum, never who barges. It takes the idle run before the window in
-one step: with no BC at 0, every BC drops by the least one, or by fewer slots
-where the run's duration ends first. The run's times still add the slot
-duration one slot at a time, so each is the same float that stepping slot by
-slot gives. The window then logs the transmissions that start, runs the
-sensed-busy pass once and ends in one of two ways: a success or the one
-collision block. That block serves both a window that opens with two or more
-transmitters and an SS window that a barger hits at its first slot boundary;
-either way the busy period is counted from the window's start.
+one step: with no BC at 0, every BC drops by the least one, also where the
+run's duration ends inside the run, since no BC is read after that. The
+run's times still add the slot duration one slot at a time, so each is the
+same float that stepping slot by slot gives. The window then logs the
+transmissions that start, runs the sensed-busy pass once and ends in one of
+two ways: a success or the one collision block. That block serves both a
+window that opens with two or more transmitters and an SS window that a
+barger hits at its first slot boundary; either way the busy period is
+counted from the window's start.
 
 The pass keeps its last result, tuples only (lru_cache, one entry), keyed on
 its own arguments, which no table enters: the SS-on runs of a β sweep share
@@ -116,7 +117,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isfinite
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .rng import SplitMix64, below
 from .sharing import SSDecisionTable, SSPolicy
@@ -246,7 +247,7 @@ def run_simulation(
     table: Optional[SSDecisionTable],
     mac: MacParams,
     policy: Optional[SSPolicy],
-    flows: Sequence[DirectedLink],
+    flows: Iterable[DirectedLink],
     duration_us: float,
     seed: int,
     collect_events: bool = False,
@@ -272,12 +273,18 @@ def run_simulation(
     ``total_sim_time_us`` in the report may exceed the request by up to one
     busy period; all throughput figures normalize by the actual total.
 
+    ``flows`` may be any iterable of links; it is read once, into node
+    order by transmitter.
+
     Raises ValueError for an empty flow list, a duration that is not a
     finite number >= 0, a seed that is not an int (or is a bool), a flow
-    over an untraced link or two flows from one station; the deployment and
-    the table's allocations were checked when they were built.
+    over an untraced link or two flows from one station (of several bad
+    flows, the first in node order); the deployment and the table's
+    allocations were checked when they were built.
     """
-    if not flows:
+    # Station i, the i-th in node order, is index i of every per-station list.
+    link = tuple(sorted(flows))  # its saturated flow; a link sorts as (tx, rx)
+    if not link:
         raise ValueError("empty flow list")
     if not is_number(duration_us):
         raise ValueError("duration_us must be a number")
@@ -288,17 +295,15 @@ def run_simulation(
     # SplitMix64 with TypeError
     if not is_integer(seed):
         raise ValueError("seed must be an integer")
+    links = deployment.links
     seen_tx = set()
-    for flow in flows:
-        if flow not in deployment.links:
+    for flow in link:
+        if flow not in links:
             raise ValueError(f"flow over missing link {flow}")
         if flow.tx in seen_tx:
             raise ValueError(f"station {flow.tx!r} has more than one flow")
         seen_tx.add(flow.tx)
     duration_us = float(duration_us)
-    links = deployment.links
-    # Station i, the i-th in node order, is index i of every per-station list.
-    link = tuple(sorted(flows, key=lambda f: f.tx))  # its saturated flow
     slot_count = deployment.slot_count
     full = [links[f].totals for f in link]  # per AC slot
     plans = None
@@ -397,14 +402,15 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
     while t < duration_us:
         m = min(bc)
         if m:
-            # an idle run of n <= m slots, added up one slot at a time
-            for n in range(1, m + 1):
+            # an idle run of m slots, added up one slot at a time; the BCs
+            # are not read again when the run's duration ends inside it
+            for _ in range(m):
                 t += slot_us
                 idle_us += slot_us
                 if t >= duration_us:
                     break
             for i in stations:
-                bc[i] -= n
+                bc[i] -= m
             if t >= duration_us:
                 break
         start = t

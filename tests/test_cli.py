@@ -131,6 +131,20 @@ class TestAnalyze:
         assert header.split(",")[3] == "phy_rate_slot_1_bps"
         assert first.split(",")[3] == "151884058"
 
+    def test_failure_writes_no_output(self, trace_path, tmp_path, monkeypatch, capsys):
+        # the rate CSV is built before the asymmetry step fails, and is not
+        # written either
+        def fail(deployment):
+            raise ValueError("no asymmetry")
+
+        monkeypatch.setattr(cli, "pair_asymmetries", fail)
+        links_out, asym_out = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["analyze", "--trace", str(trace_path), "--out", str(links_out),
+                    "--asym-out", str(asym_out)]) == 2
+        assert capsys.readouterr().err == "hpavsim analyze: invalid input: no asymmetry\n"
+        assert not links_out.exists()
+        assert not asym_out.exists()
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = run(["analyze", "--trace", str(tmp_path / "missing.plctm"),
                   "--out", str(tmp_path / "x.csv")])

@@ -164,16 +164,35 @@ class TestBasicContract:
 
     def test_flow_validation(self):
         dep = uniform_two_node()
-        with pytest.raises(ValueError, match="empty flow list"):
-            run_simulation(dep, None, MAC, None, [], 1000, seed=1)
-        with pytest.raises(ValueError, match="missing link"):
-            run_simulation(dep, None, MAC, None, [DirectedLink("n1", "n9")], 1000, seed=1)
+        # flows are read once, so a one-shot iterable is checked as a list is
+        for given in (list, iter):
+            with pytest.raises(ValueError, match="^empty flow list$"):
+                run_simulation(dep, None, MAC, None, given([]), 1000, seed=1)
+            with pytest.raises(ValueError, match="^flow over missing link "):
+                run_simulation(dep, None, MAC, None, given([DirectedLink("n1", "n9")]), 1000,
+                               seed=1)
         with pytest.raises(ValueError, match="more than one flow"):
             dep4 = complementary_corpus(1)
             run_simulation(
                 dep4, None, MAC, None,
                 [DirectedLink("n1", "n2"), DirectedLink("n1", "n3")], 1000, seed=1,
             )
+
+    # flows are read once, so a one-shot iterable runs the stations a list
+    # does, at duration 0 as well as past it
+    @pytest.mark.parametrize("duration", [0, 120_000])
+    def test_flows_may_be_a_one_shot_iterable(self, duration):
+        dep, table, policy = ss_scenario(seed=4)
+        flows = list(CORPUS_FLOWS)
+        runs = [
+            run_simulation(dep, table, MAC, policy, given, duration, seed=9)
+            for given in (flows, iter(flows), (f for f in flows))
+        ]
+        assert set(runs[0].tallies) == set(flows)
+        for report in runs[1:]:
+            assert report.tallies == runs[0].tallies
+            assert report.total_sim_time_us == runs[0].total_sim_time_us
+            assert (report.idle_us, report.busy_us) == (runs[0].idle_us, runs[0].busy_us)
 
     # a NaN duration gave an empty 0 us report and True ran one slot
     @pytest.mark.parametrize("duration, message", [
