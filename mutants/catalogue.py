@@ -947,6 +947,49 @@ MUTANTS = (
         new="        if Fraction(self.fec_rate) not in FEC_RATES:\n",
         tests=("tests/test_types.py::test_construction_make_and_replace_run_every_check",),
     ),
+    # canonical order: a deployment's links and a table's entries iterate
+    # sorted, and the unordered node pairs are the links with tx < rx
+    Mutant(
+        id="traceio-deployment-keeps-insertion-order",
+        file=TRACEIO,
+        old='links = in_key_order(links, "node ids")',
+        new="links = dict(links)",
+        tests=(
+            "tests/test_traceio.py::TestSerialize::"
+            "test_links_iterate_in_node_order_however_inserted",
+            "tests/test_metrics.py::TestAsymmetryDistribution::"
+            "test_pairs_in_node_order_however_inserted",
+        ),
+    ),
+    Mutant(
+        id="sharing-table-keeps-insertion-order",
+        file=SHARING,
+        old='in_key_order(entries, "entry keys")',
+        new="dict(entries)",
+        tests=(
+            "tests/test_sharing.py::TestDecisionTableCsv::"
+            "test_entries_iterate_in_key_order_however_inserted",
+        ),
+    ),
+    Mutant(
+        id="metrics-pair-filter-reversed",
+        file=METRICS,
+        old="        if link.tx < link.rx:\n",
+        new="        if link.tx > link.rx:\n",
+        tests=(
+            "tests/test_metrics.py::TestAsymmetryDistribution::"
+            "test_pairs_in_node_order_however_inserted",
+        ),
+    ),
+    Mutant(
+        id="traceio-generator-pair-filter-reversed",
+        file=TRACEIO,
+        old="pairs = [link for link in ordered_links if link.tx < link.rx]",
+        new="pairs = [link for link in ordered_links if link.tx > link.rx]",
+        tests=(
+            "tests/test_traceio.py::test_generated_trace_bytes_pinned",
+        ),
+    ),
     # the SS-on over SS-off comparison and the route planner's figures
     Mutant(
         id="metrics-fsse-delta-self-subtracted",
@@ -1086,12 +1129,13 @@ MUTANTS = (
             "tests/test_cli.py::TestSweep::test_ss_run_without_throughput_runtime_exit",
         ),
     ),
-    # main writes every output a command returns, each to its own path
+    # main writes every output a command returns, each to its own path, all
+    # or none, and refuses two output flags that name one file
     Mutant(
         id="cli-main-writes-first-output-only",
         file=CLI,
-        old="for path, text in _COMMANDS[args.command](args):",
-        new="for path, text in _COMMANDS[args.command](args)[:1]:",
+        old="_write(_COMMANDS[args.command](args))",
+        new="_write(_COMMANDS[args.command](args)[:1])",
         tests=(
             "tests/test_cli.py::TestGenerate::test_output_parses_and_summarizes",
             "tests/test_cli.py::TestAnalyze::test_symmetric_trace_zero_asymmetry",
@@ -1100,12 +1144,75 @@ MUTANTS = (
     Mutant(
         id="cli-main-writes-every-output-to-stdout",
         file=CLI,
-        old="            _write(path, text)\n",
-        new="            _write(None, text)\n",
+        old="    temps = []  # (output, its temporary file)\n",
+        new=(
+            "    temps = []  # (output, its temporary file)\n"
+            "    outputs = [(None, text) for _, text in outputs]\n"
+        ),
         tests=(
             "tests/test_cli.py::TestGenerate::test_same_flags_identical_files",
             "tests/test_cli.py::TestAnalyze::test_full_modulation_rate_column",
             "tests/test_cli.py::TestSimulate::test_deterministic_csvs",
+        ),
+    ),
+    Mutant(
+        id="cli-write-replaces-before-all-are-written",
+        file=CLI,
+        old=(
+            "                temps.append((path, temp))\n"
+            "                fh.write(text)\n"
+        ),
+        new=(
+            "                fh.write(text)\n"
+            "            os.replace(temp, os.path.realpath(path))\n"
+        ),
+        tests=(
+            "tests/test_cli.py::TestAnalyze::test_unwritable_output_writes_nothing",
+        ),
+    ),
+    Mutant(
+        id="cli-write-missing-output-written-in-place",
+        file=CLI,
+        old="    except FileNotFoundError:\n        return True\n",
+        new="    except FileNotFoundError:\n        return False\n",
+        tests=(
+            "tests/test_cli.py::TestAnalyze::test_unwritable_output_writes_nothing",
+        ),
+    ),
+    Mutant(
+        id="cli-write-replaces-every-output",
+        file=CLI,
+        old="            if not _replaceable(path):\n",
+        new="            if False:\n",
+        tests=(
+            "tests/test_cli.py::TestAnalyze::test_fifo_output_receives_its_text",
+        ),
+    ),
+    Mutant(
+        id="cli-write-replaces-the-symlink",
+        file=CLI,
+        old="            os.replace(temp, os.path.realpath(path))\n",
+        new="            os.replace(temp, path)\n",
+        tests=(
+            "tests/test_cli.py::TestAnalyze::test_symlinked_output_written_through",
+        ),
+    ),
+    Mutant(
+        id="cli-write-failure-is-an-input-error",
+        file=CLI,
+        old="raise _RuntimeFailure(f\"cannot write",
+        new="raise ValueError(f\"cannot write",
+        tests=(
+            "tests/test_cli.py::TestAnalyze::test_unwritable_output_writes_nothing",
+        ),
+    ),
+    Mutant(
+        id="cli-output-paths-compared-unresolved",
+        file=CLI,
+        old="paths = [os.path.realpath(path) for",
+        new="paths = [path for",
+        tests=(
+            "tests/test_cli.py::TestAnalyze::test_two_outputs_naming_one_file_usage_error",
         ),
     ),
     # the splitmix64 counter, word iterator and byte runs

@@ -10,14 +10,19 @@ the MAC simulation, so a command line fully determines its outputs.
 
 Each command returns its outputs as ``(path, text)`` pairs, a None path
 meaning stdout, and main writes them in order: every text is built before
-any is written, so a failure writes nothing (a failing write can still leave
-the outputs before it written).
+any is written, and every regular file is written to a temporary file beside
+it before any is moved into place, so a failure writes no file (an output
+that is a device, a FIFO or a pipe is written in place). Two output flags
+that name one file are a usage error.
 
 Exit codes: 0 success, 1 usage, 2 input parse/validation, 3 runtime failure.
 """
 
 import argparse
+import os
+import stat
 import sys
+from contextlib import suppress
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -205,12 +210,55 @@ def _generate(args) -> Deployment:
 Outputs = List[Tuple[Optional[str], str]]
 
 
-def _write(path: Optional[str], text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _check_output_paths(args) -> None:
+    """Refuse two output flags (``--out`` and each ``--*-out``) that name
+    one file."""
+    paths = [os.path.realpath(path) for dest, path in vars(args).items()
+             if path is not None and (dest == "out" or dest.endswith("_out"))]
+    if len(set(paths)) != len(paths):
+        raise _UsageError("two output flags name one file")
+
+
+def _replaceable(path: str) -> bool:
+    """Whether ``path`` names a regular file, through symlinks, or nothing:
+    an output that a temporary file can be moved over."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return True
+
+
+def _write(outputs: Outputs) -> None:
+    """Write the file outputs in order, then the stdout texts. A regular or
+    missing file output is written to a new temporary file beside the file
+    it names (through symlinks), and these are moved into place in order
+    only once every output is written, so a failure leaves each such file
+    with its old bytes, if any. Any other output (a device, a FIFO, a pipe)
+    is written in place. An OSError fails naming the output."""
+    temps = []  # (output, its temporary file)
+    try:
+        for path, text in outputs:
+            if path is None:
+                continue
+            if not _replaceable(path):
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+                continue
+            temp = f"{os.path.realpath(path)}.{os.getpid()}.tmp"
+            # "x": a new file, never one this run did not make, with the
+            # mode a plain write gives it
+            with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+                temps.append((path, temp))
+                fh.write(text)
+        for path, temp in temps:
+            os.replace(temp, os.path.realpath(path))
+    except OSError as exc:
+        raise _RuntimeFailure(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        for _, temp in temps:
+            with suppress(OSError):  # a moved temporary file is gone
+                os.remove(temp)
+    sys.stdout.write("".join(text for path, text in outputs if path is None))
 
 
 # --------------------------------------------------------------------------
@@ -236,8 +284,7 @@ def cmd_analyze(args) -> Outputs:
         f"phy_rate_slot_{k}_bps" for k in range(1, slot_count + 1)
     ]
     lines = [",".join(header)]
-    for link in sorted(deployment.links):
-        tmap = deployment.links[link]
+    for link, tmap in deployment.links.items():
         row = [link.tx, link.rx, str(round(expected_throughput(tmap, params)))]
         row += [str(round(phy_rate(tmap, k, params))) for k in range(1, slot_count + 1)]
         lines.append(",".join(row))
@@ -377,8 +424,8 @@ def main(argv=None) -> int:
         if args.config:
             # argv[0] is the command; the explicit flags come later and so win
             args = parser.parse_args(argv[:1] + _config_flags(args.config, args) + argv[1:])
-        for path, text in _COMMANDS[args.command](args):
-            _write(path, text)
+        _check_output_paths(args)
+        _write(_COMMANDS[args.command](args))
         return EXIT_OK
     except _UsageError as exc:
         print(f"hpavsim {args.command}: error: {exc}", file=sys.stderr)

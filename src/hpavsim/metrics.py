@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .macsim import MacParams, SimReportRaw, normalized_throughput
-from .tonemap import MAX_MODULATION_TOTAL, DirectedLink, asymmetry
+from .tonemap import MAX_MODULATION_TOTAL, DirectedLink, asymmetry, float_sum
 from .traceio import Deployment
 
 
@@ -26,10 +26,10 @@ def jain_index(values: Sequence[float]) -> float:
         raise ValueError("jain_index needs at least one value")
     if any(v < 0 for v in values):
         raise ValueError("jain_index requires non-negative values")
-    square_sum = sum(v * v for v in values)
+    square_sum = float_sum(v * v for v in values)
     if square_sum == 0:
         raise ValueError("jain_index requires at least one positive value")
-    total = sum(values)
+    total = float_sum(values)
     return (total * total) / (len(values) * square_sum)
 
 
@@ -60,7 +60,7 @@ def fairness_report(report: SimReportRaw, mac: MacParams) -> FairnessReport:
         jfi=jain_index(list(per_node.values())),
         fsse=fsse(per_node),
         per_node_throughput=per_node,
-        aggregate_throughput=sum(per_node.values()),
+        aggregate_throughput=float_sum(per_node.values()),
     )
 
 
@@ -128,12 +128,11 @@ def compare_runs(base: SimReportRaw, ss: SimReportRaw, mac: MacParams) -> GainRe
 
 def pair_asymmetries(deployment: Deployment) -> Iterator[Tuple[str, str, Fraction]]:
     """``(a, b, asymmetry)`` of every traced unordered node pair, a < b,
-    ordered by pair identifiers; the asymmetry is exact."""
-    pairs = sorted({tuple(sorted((l.tx, l.rx))) for l in deployment.links})
-    for a, b in pairs:
-        forward = deployment.links[DirectedLink(a, b)]
-        backward = deployment.links[DirectedLink(b, a)]
-        yield a, b, asymmetry(forward, backward)
+    ordered by pair identifiers; the asymmetry is exact. Every link has its
+    reverse, so the pairs are the links with tx < rx, in the links' order."""
+    for link, forward in deployment.links.items():
+        if link.tx < link.rx:
+            yield link.tx, link.rx, asymmetry(forward, deployment.links[link.reversed()])
 
 
 def asymmetry_distribution(deployment: Deployment) -> List[float]:

@@ -74,8 +74,8 @@ from operator import getitem
 from typing import Dict, List, NamedTuple, Tuple
 
 from .tonemap import (
-    MAX_MODULATION, SUBCARRIER_COUNT, CheckedTuple, DirectedLink, Tonemap, is_integer,
-    is_number,
+    MAX_MODULATION, SUBCARRIER_COUNT, CheckedTuple, DirectedLink, Tonemap, in_key_order,
+    is_integer, is_number,
 )
 from .traceio import Deployment
 
@@ -193,13 +193,15 @@ class SSDecisionTable(CheckedTuple, _TableFields):
     """Ranked candidate lists keyed by (primary link, 1-based slot).
 
     A tuple of its one field, ``entries``, which construction, ``_make``
-    and ``_replace`` copy into a new dict.
+    and ``_replace`` copy into a new dict that iterates in (primary, slot)
+    order, so no reader sorts it again. They raise ValueError for keys that
+    do not order against each other.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries):
-        return tuple.__new__(cls, (dict(entries),))
+        return tuple.__new__(cls, (in_key_order(entries, "entry keys"),))
 
     def candidates(self, primary: DirectedLink, slot: int) -> Tuple[SSAllocation, ...]:
         return self.entries.get((primary, slot), ())
@@ -291,11 +293,10 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
     beta = policy.beta
     cap = int(policy.max_share_fraction * SUBCARRIER_COUNT)
     slots = range(1, deployment.slot_count + 1)
-    links = sorted(deployment.links)
     if beta > MAX_MODULATION:
         # no level is beta above another; the adder below would also lose
         # the bits of a beta of 16 or more
-        return SSDecisionTable({(link, slot): () for link in links for slot in slots})
+        return SSDecisionTable({(link, slot): () for link in deployment.links for slot in slots})
     beta_bits = [beta >> b & 1 for b in range(4)]
     # the differences a capped candidate may keep, largest first, with the
     # bits of R = d - beta that mark their buckets
@@ -304,13 +305,13 @@ def build_decision_table(deployment: Deployment, policy: SSPolicy) -> SSDecision
         for r in range(MAX_MODULATION - beta, -1, -1)
     ]
     top_m = policy.top_m
-    planes = [deployment.links[link].planes for link in links]
+    link_planes = [(link, tmap.planes) for link, tmap in deployment.links.items()]
     entries: Dict[Tuple[DirectedLink, int], Tuple[SSAllocation, ...]] = {}
-    for primary, p_planes in zip(links, planes):
+    for primary, p_planes in link_planes:
         ends = (primary.tx, primary.rx)
         secondaries = [
             (s, s_planes)
-            for s, s_planes in zip(links, planes)
+            for s, s_planes in link_planes
             if s.tx not in ends and s.rx not in ends
         ]
         for slot in slots:
@@ -426,7 +427,7 @@ def decision_table_csv(table: SSDecisionTable) -> str:
     pieces = [
         "primary_tx,primary_rx,slot,rank,secondary_tx,secondary_rx,gain,num_shared,indices\n"
     ]
-    for (primary, slot), allocations in sorted(table.entries.items()):
+    for (primary, slot), allocations in table.entries.items():
         for _, secondary, _, shared, gain, rank in allocations:
             pieces.append(
                 f"{primary.tx},{primary.rx},{slot},{rank},{secondary.tx},"

@@ -21,13 +21,15 @@ equal, exactly when they hold the same values.
 
 ``Tonemap``, ``DirectedLink`` and ``PhyParams`` are checked tuples
 (``CheckedTuple``, defined here for the whole library), so every link-keyed
-dict and sort hashes and compares a ``DirectedLink`` in C.
+dict and sort hashes and compares a ``DirectedLink`` in C. ``in_key_order``
+gives a checked type's dict field its canonical key order.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import isfinite
 from numbers import Real
+from operator import add
 from typing import Iterable, NamedTuple, Tuple
 from zlib import adler32
 
@@ -64,6 +66,26 @@ def is_number(value) -> bool:
     every duration, rate and fraction field: a string would fail in a
     comparison with TypeError, and True would pass as 1."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def float_sum(values) -> float:
+    """The left-to-right sum of ``values``, as ``sum()`` gave it before
+    Python 3.12, which rounds float sums in another way: every float output
+    is then the same on every supported Python version."""
+    return reduce(add, values, 0)
+
+
+def in_key_order(mapping, what: str) -> dict:
+    """A new dict of ``mapping`` (a dict or key-value pairs) in ascending key
+    order, the canonical order of a checked type's dict field. Raises
+    ValueError naming ``what`` when the keys do not order against each
+    other. Timsort takes an input already in order in one pass."""
+    items = dict(mapping).items()
+    try:
+        # keys are distinct, so no value is compared
+        return dict(sorted(items))
+    except TypeError:
+        raise ValueError(f"{what} do not order against each other") from None
 
 
 class CheckedTuple:
@@ -287,7 +309,7 @@ def expected_throughput(t: Tonemap, params: PhyParams) -> float:
     by the protocol overhead fraction.
     """
     rates = [phy_rate(t, k, params) for k in range(1, t.slot_count + 1)]
-    return (1.0 - params.protocol_overhead) * (sum(rates) / len(rates))
+    return (1.0 - params.protocol_overhead) * (float_sum(rates) / len(rates))
 
 
 def asymmetry(t_ab: Tonemap, t_ba: Tonemap) -> Fraction:

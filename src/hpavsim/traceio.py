@@ -40,6 +40,7 @@ from .tonemap import (
     CheckedTuple,
     DirectedLink,
     Tonemap,
+    in_key_order,
     is_integer,
     is_number,
 )
@@ -72,11 +73,13 @@ class Deployment(CheckedTuple, _DeploymentFields):
     """Node set plus a tonemap for every traced directed link.
 
     A tuple of ``nodes`` (kept as a tuple), ``links`` and ``metadata``
-    (each copied into a new dict, ``metadata`` empty when None).
-    Construction, ``_make`` and ``_replace`` raise ValueError on the first
-    broken invariant: fewer than 2 nodes, a duplicate node, no links,
+    (each copied into a new dict, ``metadata`` empty when None). ``links``
+    iterates in (tx, rx) order, the canonical order every reader walks, so
+    none sorts it again. Construction, ``_make`` and ``_replace`` raise
+    ValueError on the first broken invariant: node ids that do not order
+    against each other, fewer than 2 nodes, a duplicate node, no links,
     tonemaps that disagree on slot_count, a link naming an unlisted node or
-    a link without its reverse.
+    a link without its reverse (the first such link in (tx, rx) order).
     """
 
     __slots__ = ()
@@ -84,7 +87,7 @@ class Deployment(CheckedTuple, _DeploymentFields):
     def __new__(cls, *args, **kwargs):
         nodes, links, metadata = super().__new__(cls, *args, **kwargs)
         nodes = tuple(nodes)
-        links = dict(links)
+        links = in_key_order(links, "node ids")
         if len(nodes) < 2:
             raise ValueError("deployment needs at least 2 nodes")
         if len(set(nodes)) != len(nodes):
@@ -351,8 +354,7 @@ def serialize_trace(deployment: Deployment) -> str:
     row[1::2] = _ROW_COMMAS
     wide = bytearray(3 * SUBCARRIER_COUNT - 1)  # "d#," or "10," per value
     wide[2::3] = _ROW_COMMAS
-    for link in sorted(deployment.links):
-        tmap = deployment.links[link]
+    for link, tmap in deployment.links.items():
         for k, slot in enumerate(tmap.slots, 1):
             if MAX_MODULATION not in slot:
                 row[::2] = slot.translate(_HEAD_CHARS)
@@ -417,12 +419,12 @@ def generate_deployment(
 
     nodes = tuple(f"n{i + 1}" for i in range(n_nodes))
     node_index = {node: i for i, node in enumerate(nodes)}
-    ordered_links = [
-        DirectedLink(a, b) for a in nodes for b in nodes if a != b
-    ]
-    ordered_links.sort()
+    # the links in (tx, rx) order: a link's stream index is its ordinal here
+    ids = sorted(nodes)
+    ordered_links = [DirectedLink(a, b) for a in ids for b in ids if a != b]
     link_ordinal = {link: i for i, link in enumerate(ordered_links)}
-    pairs = sorted({tuple(sorted((l.tx, l.rx))) for l in ordered_links})
+    # each unordered node pair is its link with tx < rx, in (tx, rx) order
+    pairs = [link for link in ordered_links if link.tx < link.rx]
     # pair streams live above the directed-link streams so indices never clash
     pair_stream_base = len(ordered_links)
     pair_ordinal = {pair: pair_stream_base + i for i, pair in enumerate(pairs)}
@@ -459,7 +461,7 @@ def generate_deployment(
             if noise > 0:
                 notches = _draw_notches(rng, profile)
             else:
-                pair = tuple(sorted((link.tx, link.rx)))
+                pair = link if link.tx < link.rx else link.reversed()
                 if pair not in pair_notches:
                     pair_rng = SplitMix64(profile.seed, pair_ordinal[pair])
                     pair_notches[pair] = _draw_notches(pair_rng, profile)

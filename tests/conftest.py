@@ -82,7 +82,10 @@ def phy_rate_oracle(tmap, k, params):
 
 def expected_throughput_oracle(tmap, params):
     rates = [phy_rate_oracle(tmap, k, params) for k in range(1, tmap.slot_count + 1)]
-    return (1.0 - params.protocol_overhead) * (sum(rates) / len(rates))
+    total = 0.0
+    for rate in rates:  # left to right, as sum() added floats before Python 3.12
+        total += rate
+    return (1.0 - params.protocol_overhead) * (total / len(rates))
 
 
 def asymmetry_oracle(t_ab, t_ba):

@@ -1,3 +1,7 @@
+import glob
+import os
+import stat
+
 import pytest
 
 from hpavsim import (
@@ -144,6 +148,87 @@ class TestAnalyze:
         assert capsys.readouterr().err == "hpavsim analyze: invalid input: no asymmetry\n"
         assert not links_out.exists()
         assert not asym_out.exists()
+
+    @pytest.mark.parametrize("existing", [None, b"old rates\n"], ids=["new", "existing"])
+    def test_unwritable_output_writes_nothing(self, trace_path, tmp_path, capsys, existing):
+        # the rate CSV can be written, the asymmetry CSV's directory is
+        # missing: neither is moved into place and no temporary file is left
+        out = tmp_path / "out"
+        out.mkdir()
+        if existing is not None:
+            (out / "a.csv").write_bytes(existing)
+        missing = out / "nodir" / "b.csv"
+        assert run(["analyze", "--trace", str(trace_path), "--out", str(out / "a.csv"),
+                    "--asym-out", str(missing)]) == 3
+        assert capsys.readouterr().err == (
+            f"hpavsim analyze: cannot write {missing}: No such file or directory\n"
+        )
+        if existing is None:
+            assert list(out.iterdir()) == []
+        else:
+            assert list(out.iterdir()) == [out / "a.csv"]
+            assert (out / "a.csv").read_bytes() == existing
+
+    def test_outputs_have_the_mode_of_a_plain_write(self, trace_path, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("")
+        out = tmp_path / "a.csv"
+        assert run(["analyze", "--trace", str(trace_path), "--out", str(out),
+                    "--asym-out", str(tmp_path / "b.csv")]) == 0
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_device_output_written_in_place(self, trace_path, tmp_path, monkeypatch):
+        replace = os.replace
+
+        def guarded(src, dst):
+            # moving a temporary file over the device would replace it
+            assert dst != os.devnull
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", guarded)
+        assert run(["analyze", "--trace", str(trace_path), "--out", os.devnull,
+                    "--asym-out", str(tmp_path / "b.csv")]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert glob.glob(glob.escape(os.devnull) + ".*") == []
+        assert (tmp_path / "b.csv").read_text().startswith("node_a,node_b,")
+
+    def test_fifo_output_receives_its_text(self, trace_path, tmp_path, capsys):
+        fifo = tmp_path / "a.csv"
+        os.mkfifo(fifo)
+        # a reader opened first, non-blocking, lets the write open the FIFO
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(["analyze", "--trace", str(trace_path), "--out", str(fifo)]) == 0
+            received = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received.startswith("link_tx,link_rx,")
+        assert capsys.readouterr().out.startswith("node_a,node_b,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "d.plctm"]
+
+    def test_symlinked_output_written_through(self, trace_path, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("old rates\n")
+        link = tmp_path / "a.csv"
+        link.symlink_to(real)
+        assert run(["analyze", "--trace", str(trace_path), "--out", str(link),
+                    "--asym-out", str(tmp_path / "b.csv")]) == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("link_tx,link_rx,")
+        assert run(["analyze", "--trace", str(trace_path), "--out", str(link),
+                    "--asym-out", str(real)]) == 1
+
+    @pytest.mark.parametrize("second", ["x.csv", "./x.csv"])
+    def test_two_outputs_naming_one_file_usage_error(self, trace_path, tmp_path, monkeypatch,
+                                                     capsys, second):
+        monkeypatch.chdir(tmp_path)
+        assert run(["analyze", "--trace", str(trace_path), "--out", "x.csv",
+                    "--asym-out", second]) == 1
+        assert capsys.readouterr() == (
+            "", "hpavsim analyze: error: two output flags name one file\n"
+        )
+        assert list(tmp_path.iterdir()) == [trace_path]
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = run(["analyze", "--trace", str(tmp_path / "missing.plctm"),

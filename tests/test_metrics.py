@@ -1,9 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from hpavsim import (
+    Deployment,
     DirectedLink,
     GeneratorProfile,
     MacParams,
@@ -15,7 +17,8 @@ from hpavsim import (
     jain_index,
 )
 from hpavsim.macsim import LinkTally, SimReportRaw, normalized_throughput
-from hpavsim.metrics import fairness_csv
+from hpavsim.metrics import fairness_csv, pair_asymmetries
+from hpavsim.tonemap import asymmetry
 
 from conftest import deployment_from_levels, filled_tonemap
 
@@ -227,9 +230,18 @@ class TestAsymmetryDistribution:
             pytest.approx(0.2), pytest.approx(0.0), pytest.approx(0.5)
         ]
 
-    def test_missing_reverse_rejected(self):
-        from hpavsim import Deployment
+    def test_pairs_in_node_order_however_inserted(self):
+        dep = generate_deployment(
+            4, GeneratorProfile("asymmetric", base_quality=6, asymmetry_noise=3, seed=11)
+        )
+        backwards = Deployment(dep.nodes, dict(reversed(dep.links.items())))
+        expected = [
+            (a, b, asymmetry(dep.links[DirectedLink(a, b)], dep.links[DirectedLink(b, a)]))
+            for a, b in itertools.combinations(sorted(dep.nodes), 2)
+        ]
+        assert list(pair_asymmetries(backwards)) == list(pair_asymmetries(dep)) == expected
 
+    def test_missing_reverse_rejected(self):
         # the constructor refuses a deployment asymmetry_distribution could
         # not pair up
         with pytest.raises(ValueError, match="no reverse-direction tonemap"):

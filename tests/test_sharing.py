@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -650,6 +651,23 @@ class TestDecisionTableCsv:
     def test_empty_table_is_header_only(self):
         table = SSDecisionTable({(PRIMARY, 1): ()})
         assert decision_table_csv(table) == CSV_HEADER + "\n"
+
+    def test_entries_iterate_in_key_order_however_inserted(self):
+        dep = generate_deployment(
+            4, GeneratorProfile("complementary", base_quality=6, asymmetry_noise=2, seed=3)
+        )
+        table = build_decision_table(dep, SSPolicy(beta=2, top_m=2))
+        items = list(table.entries.items())
+        random.Random(7).shuffle(items)
+        shuffled = SSDecisionTable(dict(items))
+        assert list(shuffled.entries) == sorted(table.entries) == list(table.entries)
+        assert shuffled == table
+        assert decision_table_csv(shuffled) == decision_table_csv(table)
+
+    def test_entry_keys_that_do_not_order_rejected(self):
+        entries = {(DirectedLink(1, "a"), 1): (), (DirectedLink("a", 1), 1): ()}
+        with pytest.raises(ValueError, match="^entry keys do not order against each other$"):
+            SSDecisionTable(entries)
 
 
 class TestPolicy:

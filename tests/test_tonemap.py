@@ -12,7 +12,7 @@ from hpavsim import (
     phy_rate,
 )
 from hpavsim.rng import SplitMix64
-from hpavsim.tonemap import FEC_RATES, MAX_MODULATION_TOTAL, SUBCARRIER_COUNT
+from hpavsim.tonemap import FEC_RATES, MAX_MODULATION_TOTAL, SUBCARRIER_COUNT, float_sum
 
 from conftest import (
     asymmetry_oracle,
@@ -216,6 +216,14 @@ class TestExpectedThroughput:
         params = PhyParams(protocol_overhead=0.0)
         rates = [phy_rate(tmap, k, params) for k in range(1, 6)]
         assert expected_throughput(tmap, params) == pytest.approx(sum(rates) / 5)
+
+    def test_float_sum_adds_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16; the compensated float sum() of
+        # Python 3.12 and later would give 2.0 here
+        values = [1e16, 1.0, 1.0, -1e16]
+        assert float_sum(values) == 0.0
+        assert float_sum(iter(values)) == 0.0
+        assert float_sum([]) == 0
 
     def test_bounded_by_slot_extremes(self):
         rng = SplitMix64(12, 0)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,17 @@ class TestSerialize:
         link_lines = [l for l in text.splitlines() if l.startswith("link ")]
         assert len(link_lines) == 12 * dep.slot_count
 
+    def test_links_iterate_in_node_order_however_inserted(self):
+        dep = generate_deployment(
+            5, GeneratorProfile("asymmetric", asymmetry_noise=1, seed=4), slot_count=1
+        )
+        items = list(dep.links.items())
+        random.Random(7).shuffle(items)
+        shuffled = Deployment(dep.nodes, dict(items), dep.metadata)
+        assert list(shuffled.links) == sorted(dep.links) == list(dep.links)
+        assert shuffled == dep
+        assert serialize_trace(shuffled) == serialize_trace(dep)
+
     def test_invalid_deployment_rejected(self):
         # nothing invalid can reach serialize_trace: the constructor refuses it
         with pytest.raises(ValueError, match="reverse"):
@@ -478,6 +490,14 @@ class TestHelpers:
         }
         with pytest.raises(ValueError, match=message):
             Deployment(nodes, links)
+
+    def test_deployment_rejects_node_ids_that_do_not_order(self):
+        links = {
+            DirectedLink(1, "a"): filled_tonemap(1),
+            DirectedLink("a", 1): filled_tonemap(1),
+        }
+        with pytest.raises(ValueError, match="^node ids do not order against each other$"):
+            Deployment((1, "a"), links)
 
     def test_deployment_from_levels_fixture_valid(self):
         dep = deployment_from_levels({("a", "b"): 10, ("b", "a"): 2})
