@@ -239,7 +239,7 @@ MUTANTS = (
         id="macsim-event-tail-key-without-fraction",
         file=MACSIM,
         old="        key = e[1:]\n",
-        new="        key = e[1:8]\n",
+        new="        key = e[1:7]\n",
         tests=(
             "tests/test_macsim.py::TestEventLog::test_matches_per_field_oracle",
             "tests/test_macsim.py::TestEventLog::test_rows_sharing_a_tail_match_the_oracle",
@@ -252,6 +252,17 @@ MUTANTS = (
         file=MACSIM,
         old="        key = e[1:]\n",
         new="        key = e[2:]\n",
+        tests=(
+            "tests/test_macsim.py::TestEventLog::test_matches_per_field_oracle",
+            "tests/test_macsim.py::TestEngineDigest::test_digest",
+            "tests/test_macsim_property.py::test_event_log_matches_per_field_oracle",
+        ),
+    ),
+    Mutant(
+        id="macsim-event-node-column-from-receiver",
+        file=MACSIM,
+        old='f",{event},{tx},{tx},{rx},',
+        new='f",{event},{rx},{tx},{rx},',
         tests=(
             "tests/test_macsim.py::TestEventLog::test_matches_per_field_oracle",
             "tests/test_macsim.py::TestEngineDigest::test_digest",
@@ -962,6 +973,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        id="traceio-deployment-keeps-metadata-insertion-order",
+        file=TRACEIO,
+        old='in_key_order(metadata or {}, "meta keys")',
+        new="dict(metadata or {})",
+        tests=(
+            "tests/test_traceio.py::TestSerialize::"
+            "test_meta_keys_iterate_in_key_order_however_inserted",
+            "tests/test_traceio.py::test_generated_trace_bytes_pinned",
+            "tests/test_cli.py::TestGenerate::"
+            "test_summary_in_key_order_however_metadata_is_inserted",
+        ),
+    ),
+    Mutant(
         id="sharing-table-keeps-insertion-order",
         file=SHARING,
         old='in_key_order(entries, "entry keys")',
@@ -1159,12 +1183,12 @@ MUTANTS = (
         id="cli-write-replaces-before-all-are-written",
         file=CLI,
         old=(
-            "                temps.append((path, temp))\n"
-            "                fh.write(text)\n"
+            "                    temps.append((path, temp))\n"
+            "                    fh.write(text)\n"
         ),
         new=(
-            "                fh.write(text)\n"
-            "            os.replace(temp, os.path.realpath(path))\n"
+            "                    fh.write(text)\n"
+            "                os.replace(temp, os.path.realpath(path))\n"
         ),
         tests=(
             "tests/test_cli.py::TestAnalyze::test_unwritable_output_writes_nothing",
@@ -1173,8 +1197,8 @@ MUTANTS = (
     Mutant(
         id="cli-write-missing-output-written-in-place",
         file=CLI,
-        old="    except FileNotFoundError:\n        return True\n",
-        new="    except FileNotFoundError:\n        return False\n",
+        old="            elif st is not None and not stat.S_ISREG(st.st_mode):\n",
+        new="            elif st is None or not stat.S_ISREG(st.st_mode):\n",
         tests=(
             "tests/test_cli.py::TestAnalyze::test_unwritable_output_writes_nothing",
         ),
@@ -1182,10 +1206,19 @@ MUTANTS = (
     Mutant(
         id="cli-write-replaces-every-output",
         file=CLI,
-        old="            if not _replaceable(path):\n",
-        new="            if False:\n",
+        old="            elif st is not None and not stat.S_ISREG(st.st_mode):\n",
+        new="            elif False:\n",
         tests=(
             "tests/test_cli.py::TestAnalyze::test_fifo_output_receives_its_text",
+        ),
+    ),
+    Mutant(
+        id="cli-write-stdout-identity-skipped",
+        file=CLI,
+        old="and os.path.samestat(st, stdout)):",
+        new="and False):",
+        tests=(
+            "tests/test_cli.py::test_output_naming_stdout_goes_to_stdout_in_turn",
         ),
     ),
     Mutant(

@@ -12,8 +12,9 @@ Each command returns its outputs as ``(path, text)`` pairs, a None path
 meaning stdout, and main writes them in order: every text is built before
 any is written, and every regular file is written to a temporary file beside
 it before any is moved into place, so a failure writes no file (an output
-that is a device, a FIFO or a pipe is written in place). Two output flags
-that name one file are a usage error.
+that is a device, a FIFO or a pipe is written in place, and one that names
+stdout's own file goes to stdout in its turn). Two output flags that name
+one file are a usage error.
 
 Exit codes: 0 success, 1 usage, 2 input parse/validation, 3 runtime failure.
 """
@@ -182,8 +183,6 @@ def _parse_flows(text: str) -> List[DirectedLink]:
         if ends[0] == ends[1]:
             raise _UsageError(f"flow endpoints must differ in {part!r}")
         flows.append(DirectedLink(ends[0], ends[1]))
-    if not flows:
-        raise _UsageError("empty flow list")
     return flows
 
 
@@ -219,37 +218,40 @@ def _check_output_paths(args) -> None:
         raise _UsageError("two output flags name one file")
 
 
-def _replaceable(path: str) -> bool:
-    """Whether ``path`` names a regular file, through symlinks, or nothing:
-    an output that a temporary file can be moved over."""
-    try:
-        return stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        return True
-
-
 def _write(outputs: Outputs) -> None:
-    """Write the file outputs in order, then the stdout texts. A regular or
-    missing file output is written to a new temporary file beside the file
-    it names (through symlinks), and these are moved into place in order
-    only once every output is written, so a failure leaves each such file
-    with its old bytes, if any. Any other output (a device, a FIFO, a pipe)
-    is written in place. An OSError fails naming the output."""
+    """Write the file outputs in order, then the stdout texts in order. A
+    file output that names stdout's own file (``--out /dev/stdout``) is a
+    stdout text in its turn. A regular or missing file output is written to
+    a new temporary file beside the file it names (through symlinks), and
+    these are moved into place in order only once every output is written,
+    so a failure leaves each such file with its old bytes, if any. Any
+    other output (a device, a FIFO, a pipe) is written in place. An OSError
+    fails naming the output."""
+    try:
+        stdout = os.fstat(1)
+    except OSError:  # no stdout: no output names its file
+        stdout = None
+    texts = []  # for stdout
     temps = []  # (output, its temporary file)
     try:
         for path, text in outputs:
-            if path is None:
-                continue
-            if not _replaceable(path):
+            try:
+                st = None if path is None else os.stat(path)
+            except FileNotFoundError:
+                st = None  # a new file
+            if path is None or (st is not None and stdout is not None
+                                and os.path.samestat(st, stdout)):
+                texts.append(text)
+            elif st is not None and not stat.S_ISREG(st.st_mode):
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
                     fh.write(text)
-                continue
-            temp = f"{os.path.realpath(path)}.{os.getpid()}.tmp"
-            # "x": a new file, never one this run did not make, with the
-            # mode a plain write gives it
-            with open(temp, "x", encoding="utf-8", newline="\n") as fh:
-                temps.append((path, temp))
-                fh.write(text)
+            else:
+                temp = f"{os.path.realpath(path)}.{os.getpid()}.tmp"
+                # "x": a new file, never one this run did not make, with the
+                # mode a plain write gives it
+                with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+                    temps.append((path, temp))
+                    fh.write(text)
         for path, temp in temps:
             os.replace(temp, os.path.realpath(path))
     except OSError as exc:
@@ -258,7 +260,7 @@ def _write(outputs: Outputs) -> None:
         for _, temp in temps:
             with suppress(OSError):  # a moved temporary file is gone
                 os.remove(temp)
-    sys.stdout.write("".join(text for path, text in outputs if path is None))
+    sys.stdout.write("".join(texts))
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +272,7 @@ def cmd_generate(args) -> Outputs:
     if args.out is None:
         raise _UsageError("--out trace path is required")
     deployment = _generate(args)
-    summary = [f"{key} {deployment.metadata[key]}" for key in sorted(deployment.metadata)]
+    summary = [f"{key} {value}" for key, value in deployment.metadata.items()]
     summary += [f"nodes {len(deployment.nodes)}", f"links {len(deployment.links)}",
                 f"slots {deployment.slot_count}"]
     return [(args.out, serialize_trace(deployment)), (None, "\n".join(summary) + "\n")]
@@ -331,8 +333,7 @@ def _link_results_csv(report, mac) -> str:
         "link_tx,link_rx,successes_primary,successes_secondary,collisions,"
         "sf_primary,sf_secondary,normalized_throughput"
     ]
-    for link in sorted(report.tallies):
-        t = report.tallies[link]
+    for link, t in report.tallies.items():
         thr = normalized_throughput(report, link, mac)
         lines.append(
             f"{link.tx},{link.rx},{t.successes_primary},{t.successes_secondary},"

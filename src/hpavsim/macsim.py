@@ -93,7 +93,7 @@ total / 9170, the correctly rounded float of that fraction.
 
 With collect_events=True a run also returns its events in emission order as
 SimEvent tuples, which event_log_csv renders; with it False the engine builds
-no event at all. Each event is built from all nine fields by _new_event,
+no event at all. Each event is built from all eight fields by _new_event,
 which is tuple.__new__: it runs in C, past the NamedTuple's Python-level
 __new__ and its defaults, and gives a SimEvent equal to the one the
 NamedTuple constructor builds. event_log_csv renders each instant's time
@@ -214,15 +214,15 @@ class LinkTally(NamedTuple):
 
 
 class SimEvent(NamedTuple):
-    """One engine event; the fields are in event-log CSV column order.
+    """One engine event. Its station is ``link.tx``, since a station
+    transmits one flow; the re-evaluation events have no link.
 
     The engine builds events only when run_simulation is called with
-    collect_events=True, each through _new_event with all nine fields.
+    collect_events=True, each through _new_event with all eight fields.
     """
 
     time_us: float
     event: str
-    node: Optional[str] = None
     link: Optional[DirectedLink] = None
     role: Optional[str] = None
     stage: Optional[int] = None
@@ -232,7 +232,11 @@ class SimEvent(NamedTuple):
 
 
 class SimReportRaw(NamedTuple):
-    """Raw tallies of one run; input to the metrics layer."""
+    """Raw tallies of one run; input to the metrics layer.
+
+    run_simulation builds ``tallies`` in (tx, rx) order, the order in which
+    every reader walks it, so none sorts it again.
+    """
 
     tallies: Dict[DirectedLink, LinkTally]
     total_sim_time_us: float
@@ -273,8 +277,8 @@ def run_simulation(
     ``total_sim_time_us`` in the report may exceed the request by up to one
     busy period; all throughput figures normalize by the actual total.
 
-    ``flows`` may be any iterable of links; it is read once, into node
-    order by transmitter.
+    ``flows`` may be any iterable of links; it is read once, into (tx, rx)
+    order, the order of the report's ``tallies``.
 
     Raises ValueError for an empty flow list, a duration that is not a
     finite number >= 0, a seed that is not an int (or is a bool), a flow
@@ -364,7 +368,7 @@ def run_simulation(
     )
 
 
-# _new_event(SimEvent, fields) builds an event from a tuple of all nine
+# _new_event(SimEvent, fields) builds an event from a tuple of all eight
 # fields, in C; SimEvent's own __new__ is Python code that fills in defaults
 _new_event = tuple.__new__
 
@@ -384,7 +388,6 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
     draws = [below(c, words).__next__ for c in cw]
     last_stage = len(cw) - 1
     draw0, dc0 = draws[0], dcs[0]
-    node = [f.tx for f in link]
     stations = range(len(link))
     stage = [0] * len(link)
     dc = [dc0] * len(link)
@@ -425,12 +428,12 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
         if reeval:
             next_reeval = start + reeval_period_us
             if log is not None:
-                log.append(_new_event(SimEvent, (start, EVENT_REEVAL_START, None, None, None,
+                log.append(_new_event(SimEvent, (start, EVENT_REEVAL_START, None, None,
                                                  None, None, None, None)))
         if log is not None:
             for i in stations:
                 if not bc[i]:
-                    log.append(_new_event(SimEvent, (start, EVENT_TX_START, node[i], link[i],
+                    log.append(_new_event(SimEvent, (start, EVENT_TX_START, link[i],
                                                      ROLE_PRIMARY, stage[i], bc[i], dc[i], None)))
 
         # One sensed-busy event for every station not transmitting, before any
@@ -445,8 +448,8 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
                 bc[i] = b = draws[st]()
                 dc[i] = dcs[st]
                 if log is not None:
-                    log.append(_new_event(SimEvent, (start, EVENT_STAGE_ADVANCE, node[i], link[i],
-                                                     None, st, b, dc[i], None)))
+                    log.append(_new_event(SimEvent, (start, EVENT_STAGE_ADVANCE, link[i], None,
+                                                     st, b, dc[i], None)))
 
         hit = start  # where a collision begins
         if colliders is None:
@@ -464,8 +467,8 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
                     plan = plans[tx][k]
                     if plan is not None and (plan[0] == 1 or not barged):
                         log.append(_new_event(SimEvent, (
-                            start + plan[0] * slot_us, EVENT_SS_ENGAGE, node[plan[1]],
-                            link[plan[1]], ROLE_SECONDARY, None, None, None, None)))
+                            start + plan[0] * slot_us, EVENT_SS_ENGAGE, link[plan[1]],
+                            ROLE_SECONDARY, None, None, None, None)))
                     else:
                         plan = None
                 if barged:
@@ -476,12 +479,12 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
                     if log is not None:
                         if plan is not None:
                             log.append(_new_event(SimEvent, (
-                                first, EVENT_SS_ABORT, node[plan[1]], link[plan[1]],
-                                ROLE_SECONDARY, None, None, None, None)))
+                                first, EVENT_SS_ABORT, link[plan[1]], ROLE_SECONDARY,
+                                None, None, None, None)))
                         for i in colliders:
                             if i != tx:
                                 log.append(_new_event(SimEvent, (
-                                    first, EVENT_TX_START, node[i], link[i], ROLE_PRIMARY,
+                                    first, EVENT_TX_START, link[i], ROLE_PRIMARY,
                                     stage[i], bc[i], dc[i], None)))
                 else:
                     wins[tx][k] += 1
@@ -499,13 +502,13 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
                 if plan is not None:
                     _, s, s_total, p_total = plan
                     log.append(_new_event(SimEvent, (
-                        end, EVENT_TX_END_SUCCESS, node[s], link[s], ROLE_SECONDARY,
+                        end, EVENT_TX_END_SUCCESS, link[s], ROLE_SECONDARY,
                         None, None, None, s_total / MAX_MODULATION_TOTAL)))
                 log.append(_new_event(SimEvent, (
-                    end, EVENT_TX_END_SUCCESS, node[tx], link[tx], ROLE_PRIMARY,
+                    end, EVENT_TX_END_SUCCESS, link[tx], ROLE_PRIMARY,
                     0, b, dc0, p_total / MAX_MODULATION_TOTAL)))
                 if reeval:
-                    log.append(_new_event(SimEvent, (end, EVENT_REEVAL_END, None, None, None,
+                    log.append(_new_event(SimEvent, (end, EVENT_REEVAL_END, None, None,
                                                      None, None, None, None)))
         else:
             # Two or more transmitters at the window's start, or a barge at
@@ -514,16 +517,16 @@ def _contend(link, mac, duration_us, seed, slot_count, ss, log=None, plans=None,
             for i in colliders:
                 collisions[i] += 1
                 if log is not None:
-                    log.append(_new_event(SimEvent, (end, EVENT_TX_END_COLLISION, node[i],
-                                                     link[i], ROLE_PRIMARY, stage[i], bc[i],
-                                                     dc[i], None)))
+                    log.append(_new_event(SimEvent, (end, EVENT_TX_END_COLLISION, link[i],
+                                                     ROLE_PRIMARY, stage[i], bc[i], dc[i],
+                                                     None)))
             for i in colliders:
                 st = stage[i] = min(stage[i] + 1, last_stage)
                 bc[i] = b = draws[st]()
                 dc[i] = dcs[st]
                 if log is not None:
-                    log.append(_new_event(SimEvent, (end, EVENT_STAGE_ADVANCE, node[i], link[i],
-                                                     None, st, b, dc[i], None)))
+                    log.append(_new_event(SimEvent, (end, EVENT_STAGE_ADVANCE, link[i], None,
+                                                     st, b, dc[i], None)))
         busy_us += end - start
         t = end
 
@@ -546,6 +549,8 @@ def event_log_csv(report: SimReportRaw) -> str:
 
     A None field renders empty and any other value as str renders it (repr
     for time_us and spectrum_fraction), so a stage, bc or dc of 0 renders 0.
+    The node column is the event's station, its link's transmitter, so it
+    repeats link_tx.
 
     Each row is two pieces of the one joined text: its time stamp, rendered
     once per instant, and its tail (every field after the time), rendered
@@ -572,10 +577,10 @@ def event_log_csv(report: SimReportRaw) -> str:
         key = e[1:]
         tail = tails.get(key)
         if tail is None:
-            _, event, node, link, role, stage, bc, dc, sf = e
+            _, event, link, role, stage, bc, dc, sf = e
+            tx, rx = link or ("", "")
             tail = (
-                f",{event},{node or ''},{link.tx if link else ''},"
-                f"{link.rx if link else ''},{role or ''},{'' if stage is None else stage},"
+                f",{event},{tx},{tx},{rx},{role or ''},{'' if stage is None else stage},"
                 f"{'' if bc is None else bc},{'' if dc is None else dc},"
                 f"{'' if sf is None else repr(sf)}\n"
             )

@@ -41,6 +41,10 @@ def fsse(per_node: Dict[str, float]) -> float:
 
 
 class FairnessReport(NamedTuple):
+    """Node-level fairness figures of one run. ``fairness_report`` builds
+    ``per_node_throughput`` in the order of the report's ``tallies``, which
+    is node order, and ``fairness_csv`` writes it in that order."""
+
     jfi: float
     fsse: float
     per_node_throughput: Dict[str, float]
@@ -70,8 +74,8 @@ def fairness_csv(report: FairnessReport) -> str:
     out.write(f"jfi,{report.jfi!r}\n")
     out.write(f"fsse,{report.fsse!r}\n")
     out.write(f"aggregate_throughput,{report.aggregate_throughput!r}\n")
-    for node in sorted(report.per_node_throughput):
-        out.write(f"throughput_{node},{report.per_node_throughput[node]!r}\n")
+    for node, throughput in report.per_node_throughput.items():
+        out.write(f"throughput_{node},{throughput!r}\n")
     return out.getvalue()
 
 
@@ -83,7 +87,8 @@ class LinkGain(NamedTuple):
 
 class GainReport(NamedTuple):
     """SS-on vs SS-off comparison of two runs over the same scenario; each
-    run's own JFI and FSSE come from ``fairness_report``."""
+    run's own JFI and FSSE come from ``fairness_report``. ``per_link``
+    follows the order of the SS-off run's ``tallies``, (tx, rx) order."""
 
     per_link: Dict[DirectedLink, LinkGain]
     aggregate_base: float
@@ -110,7 +115,7 @@ def compare_runs(base: SimReportRaw, ss: SimReportRaw, mac: MacParams) -> GainRe
     fair_base = fairness_report(base, mac)
     fair_ss = fairness_report(ss, mac)
     per_link = {}
-    for link in sorted(base.tallies):
+    for link in base.tallies:
         thr_base = fair_base.per_node_throughput[link.tx]
         thr_ss = fair_ss.per_node_throughput[link.tx]
         per_link[link] = LinkGain(thr_base, thr_ss, _pct_gain(thr_base, thr_ss))

@@ -74,12 +74,14 @@ class Deployment(CheckedTuple, _DeploymentFields):
 
     A tuple of ``nodes`` (kept as a tuple), ``links`` and ``metadata``
     (each copied into a new dict, ``metadata`` empty when None). ``links``
-    iterates in (tx, rx) order, the canonical order every reader walks, so
-    none sorts it again. Construction, ``_make`` and ``_replace`` raise
-    ValueError on the first broken invariant: node ids that do not order
-    against each other, fewer than 2 nodes, a duplicate node, no links,
-    tonemaps that disagree on slot_count, a link naming an unlisted node or
-    a link without its reverse (the first such link in (tx, rx) order).
+    iterates in (tx, rx) order and ``metadata`` in key order, the canonical
+    orders every reader walks, so none sorts them again. Construction,
+    ``_make`` and ``_replace`` raise ValueError on the first broken
+    invariant: node ids that do not order against each other, fewer than 2
+    nodes, a duplicate node, no links, tonemaps that disagree on
+    slot_count, a link naming an unlisted node, a link without its reverse
+    (the first such link in (tx, rx) order) or meta keys that do not order
+    against each other.
     """
 
     __slots__ = ()
@@ -103,7 +105,7 @@ class Deployment(CheckedTuple, _DeploymentFields):
                 raise ValueError(f"link {link} uses a node missing from the node list")
             if link.reversed() not in links:
                 raise ValueError(f"link {link} has no reverse-direction tonemap")
-        return tuple.__new__(cls, (nodes, links, dict(metadata or {})))
+        return tuple.__new__(cls, (nodes, links, in_key_order(metadata or {}, "meta keys")))
 
     @property
     def slot_count(self) -> int:
@@ -348,8 +350,8 @@ def serialize_trace(deployment: Deployment) -> str:
     out.write(f"slots {deployment.slot_count}\n")
     out.write(f"subcarriers {SUBCARRIER_COUNT}\n")
     out.write("nodes " + " ".join(deployment.nodes) + "\n")
-    for key in sorted(deployment.metadata):
-        out.write(f"meta {key} {deployment.metadata[key]}\n")
+    for key, value in deployment.metadata.items():
+        out.write(f"meta {key} {value}\n")
     row = bytearray(_ROW_LENGTH)
     row[1::2] = _ROW_COMMAS
     wide = bytearray(3 * SUBCARRIER_COUNT - 1)  # "d#," or "10," per value

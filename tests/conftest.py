@@ -352,7 +352,7 @@ def oracle_event_log_csv(report):
                 [
                     repr(e.time_us),
                     e.event,
-                    e.node or "",
+                    e.link.tx if e.link else "",  # node: the event's station
                     e.link.tx if e.link else "",
                     e.link.rx if e.link else "",
                     e.role or "",

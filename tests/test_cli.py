@@ -1,13 +1,16 @@
 import glob
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
 from hpavsim import (
-    DirectedLink, MacParams, SSPolicy, build_decision_table, cli, load_trace, run_simulation,
-    save_trace,
+    Deployment, DirectedLink, MacParams, SSPolicy, build_decision_table, cli, compare_runs,
+    fairness_report, load_trace, run_simulation, save_trace,
 )
+from hpavsim.metrics import fairness_csv
 from hpavsim.sharing import decision_table_csv
 from hpavsim.tonemap import SUBCARRIER_COUNT
 
@@ -18,6 +21,20 @@ FLOWS = "n1>n3,n3>n2,n2>n4,n4>n1"
 
 def run(args):
     return cli.main(args)
+
+
+def run_process(args, stdout_path=None):
+    """The stdout bytes of ``hpavsim args`` run in a fresh interpreter whose
+    stdout is a pipe or, given ``stdout_path``, that file."""
+    # the fresh interpreter imports the package these tests import
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [sys.executable, "-m", "hpavsim.cli", *args]
+    if stdout_path is None:
+        return subprocess.run(argv, stdout=subprocess.PIPE, env=env, check=True,
+                              timeout=60).stdout
+    with open(stdout_path, "wb") as fh:
+        subprocess.run(argv, stdout=fh, env=env, check=True, timeout=60)
+    return stdout_path.read_bytes()
 
 
 def gen_args(out, profile="complementary", seed="7", extra=()):
@@ -102,6 +119,24 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err == "hpavsim generate: error: asymmetry_noise must be in 0..10\n"
         assert not out.exists()
+
+    def test_summary_in_key_order_however_metadata_is_inserted(self, tmp_path, monkeypatch,
+                                                               capsys):
+        path = tmp_path / "d.plctm"
+        assert run(gen_args(path)) == 0
+        expected = (capsys.readouterr().out, path.read_bytes())
+        generate = cli.generate_deployment
+
+        def backwards(*args):
+            dep = generate(*args)
+            return Deployment(dep.nodes, dep.links, dict(reversed(dep.metadata.items())))
+
+        monkeypatch.setattr(cli, "generate_deployment", backwards)
+        assert run(gen_args(path)) == 0
+        assert (capsys.readouterr().out, path.read_bytes()) == expected
+        summary = expected[0].splitlines()
+        assert summary[:8] == sorted(summary[:8])
+        assert summary[8:] == ["nodes 4", "links 12", "slots 5"]
 
     def test_noise_help_gives_range(self, capsys):
         with pytest.raises(SystemExit):
@@ -271,6 +306,23 @@ class TestSimulate:
             line = [l for l in fair.read_text().splitlines() if l.startswith("aggregate")][0]
             aggregates[mode] = float(line.split(",")[1])
         assert aggregates["on"] > aggregates["off"]
+
+    def test_reports_in_node_order_however_flows_are_given(self, trace_path):
+        dep = load_trace(trace_path)
+        mac = MacParams()
+        flows = sorted(DirectedLink(*f.split(">")) for f in FLOWS.split(","))
+        policy = SSPolicy(beta=2, top_m=2)
+        table = build_decision_table(dep, policy)
+        texts = []
+        for given in (flows, flows[::-1]):
+            base = run_simulation(dep, None, mac, None, given, 200_000, 3)
+            report = run_simulation(dep, table, mac, policy, given, 200_000, 3)
+            fair = fairness_report(report, mac)
+            assert list(report.tallies) == flows
+            assert list(fair.per_node_throughput) == [f.tx for f in flows]
+            assert list(compare_runs(base, report, mac).per_link) == flows
+            texts.append((cli._link_results_csv(report, mac), fairness_csv(fair)))
+        assert texts[0] == texts[1]
 
     def test_results_csv_is_the_run_tallies(self, trace_path, tmp_path):
         # each column read from its own LinkTally field, on an SS run whose
@@ -568,6 +620,28 @@ class TestRoute:
         assert rc == 2
         err = capsys.readouterr().err
         assert "invalid input: min_rate must be a number other than NaN" in err
+
+
+# An output flag naming stdout's own file writes to stdout in its turn:
+# moving a temporary file over a regular file that is stdout would lose
+# what is written to stdout after it.
+@pytest.mark.parametrize("command, flag, to_file", [
+    ("analyze", "--out", True),
+    ("analyze", "--asym-out", False),
+    ("route", "--out", False),
+], ids=["analyze-out-file", "analyze-asym-out-pipe", "route-out-pipe"])
+def test_output_naming_stdout_goes_to_stdout_in_turn(trace_path, tmp_path, command, flag,
+                                                     to_file):
+    args = [command, "--trace", str(trace_path)]
+    if command == "route":
+        args += ["--src", "n1", "--dst", "n3"]
+    stdout_paths = [tmp_path / "plain.txt", tmp_path / "o.txt"] if to_file else [None, None]
+    plain = run_process(args, stdout_paths[0])
+    named = run_process(args + [flag, "/dev/stdout"], stdout_paths[1])
+    assert named == plain
+    assert named.startswith(b"src,dst," if command == "route" else b"link_tx,link_rx,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["d.plctm", "o.txt", "plain.txt"] if to_file else ["d.plctm"])
 
 
 class TestConfig:

@@ -109,7 +109,7 @@ class TestGoldenTrace:
         assert [e.event for e in events] == [kind for _, kind, _ in expected]
         for event, (when, kind, sf) in zip(events, expected):
             assert event.time_us == when
-            assert event.node == "n1"
+            assert event.link.tx == "n1"
             assert event.stage == 0 and event.dc == 0
             if kind == EVENT_TX_START:
                 assert event.bc == 0
@@ -246,12 +246,12 @@ class TestDeferralCounters:
         report = run_simulation(dep, None, MAC, None, flows, 40_000, seed=19,
                                 collect_events=True)
         starts = [e for e in report.events if e.event == EVENT_TX_START]
-        assert all(e.node == "n1" for e in starts[:8])
+        assert all(e.link.tx == "n1" for e in starts[:8])
         assert not any(e.event == EVENT_TX_END_COLLISION for e in report.events)
         window_number = {e.time_us: i + 1 for i, e in enumerate(starts[:8])}
         advances = [
             e for e in report.events
-            if e.event == EVENT_STAGE_ADVANCE and e.node == "n2"
+            if e.event == EVENT_STAGE_ADVANCE and e.link.tx == "n2"
         ][:3]
         assert [window_number[e.time_us] for e in advances] == [1, 3, 7]
         assert [e.stage for e in advances] == [1, 2, 3]
@@ -913,19 +913,19 @@ class TestEventLog:
         later = float("35.84")  # equal to the literal, but another object
         events = [
             SimEvent(0.0, EVENT_REEVAL_START),
-            SimEvent(0.0, EVENT_TX_START, "n1", a, ROLE_PRIMARY, 0, 0, 0),
-            SimEvent(-0.0, EVENT_STAGE_ADVANCE, "n3", b, None, 1, 9, 1),
-            SimEvent(35.84, EVENT_SS_ENGAGE, "n3", b, ROLE_SECONDARY),
-            SimEvent(later, EVENT_SS_ABORT, "n3", b, ROLE_SECONDARY),
-            SimEvent(later, "custom", None, a, None, None, 0, None, 0.0),
-            SimEvent(later, "custom", "n1", None, ROLE_PRIMARY, 2, None, 0, -0.0),
-            SimEvent(2578.48, EVENT_TX_END_SUCCESS, "n3", b, ROLE_SECONDARY,
+            SimEvent(0.0, EVENT_TX_START, a, ROLE_PRIMARY, 0, 0, 0),
+            SimEvent(-0.0, EVENT_STAGE_ADVANCE, b, None, 1, 9, 1),
+            SimEvent(35.84, EVENT_SS_ENGAGE, b, ROLE_SECONDARY),
+            SimEvent(later, EVENT_SS_ABORT, b, ROLE_SECONDARY),
+            SimEvent(later, "custom", a, None, None, 0, None, 0.0),
+            SimEvent(later, "custom", a, ROLE_PRIMARY, 2, None, 0, -0.0),
+            SimEvent(2578.48, EVENT_TX_END_SUCCESS, b, ROLE_SECONDARY,
                      None, None, None, 0.25),
-            SimEvent(2578.48, EVENT_TX_END_SUCCESS, "n1", a, ROLE_PRIMARY,
+            SimEvent(2578.48, EVENT_TX_END_SUCCESS, a, ROLE_PRIMARY,
                      0, 3, 0, 0.4569247546346783),
-            SimEvent(2578.48, EVENT_TX_END_SUCCESS, "n1", a, ROLE_PRIMARY,
+            SimEvent(2578.48, EVENT_TX_END_SUCCESS, a, ROLE_PRIMARY,
                      0, 3, 0, 0.25),
-            SimEvent(2614.32, EVENT_TX_END_COLLISION, "n1", a, ROLE_PRIMARY,
+            SimEvent(2614.32, EVENT_TX_END_COLLISION, a, ROLE_PRIMARY,
                      3, 63, 15, 1e-05),
             SimEvent(2614.32, EVENT_REEVAL_END, spectrum_fraction=0.0),
         ]
@@ -954,7 +954,7 @@ class TestEventLog:
         times = [0.0, 0.0, 0.0, 0.0, 35.84, later, later, 71.68, 71.68, 71.68, 107.52]
         fracs = [0.0, -0.0, -0.0, 0.0, nan, nan, float("nan"),
                  0.25, float("0.25"), 0.0, 0.25]
-        events = [SimEvent(t, EVENT_TX_END_SUCCESS, "n1", a, ROLE_PRIMARY, 0, 3, 0, sf)
+        events = [SimEvent(t, EVENT_TX_END_SUCCESS, a, ROLE_PRIMARY, 0, 3, 0, sf)
                   for t, sf in zip(times, fracs)]
         report = SimReportRaw({}, 107.52, 107.52, 0.0, 107.52, events=events)
         text = event_log_csv(report)

@@ -152,8 +152,8 @@ def test_run_invariants(scenario, seed, duration):
                 assert not in_reeval
                 # the last tx_start is a barger's at the first boundary, if any
                 assert e.time_us == window_start + mac.collision_duration_us
-                assert last_collision_end < (e.time_us, e.node)
-                last_collision_end = (e.time_us, e.node)
+                assert last_collision_end < (e.time_us, e.link.tx)
+                last_collision_end = (e.time_us, e.link.tx)
             elif e.event in (EVENT_REEVAL_START, EVENT_REEVAL_END):
                 assert in_reeval == (e.event == EVENT_REEVAL_END)
                 in_reeval = not in_reeval
@@ -182,9 +182,9 @@ def replay_contention(report, flows, mac):
     dc = dict.fromkeys(nodes, dcs[0])
 
     def advance(e):
-        stage[e.node] = min(stage[e.node] + 1, last_stage)
-        dc[e.node] = dcs[stage[e.node]]
-        assert (e.stage, e.dc) == (stage[e.node], dc[e.node]), e
+        stage[e.link.tx] = min(stage[e.link.tx] + 1, last_stage)
+        dc[e.link.tx] = dcs[stage[e.link.tx]]
+        assert (e.stage, e.dc) == (stage[e.link.tx], dc[e.link.tx]), e
         assert 0 <= e.bc < cw[e.stage], e
 
     start = None  # the open window's start, None between windows
@@ -194,8 +194,8 @@ def replay_contention(report, flows, mac):
         if e.event == EVENT_TX_START and (start is None or e.time_us == start):
             if start is None:
                 start, transmitters = e.time_us, set()
-            transmitters.add(e.node)
-            assert (e.stage, e.bc, e.dc) == (stage[e.node], 0, dc[e.node]), e
+            transmitters.add(e.link.tx)
+            assert (e.stage, e.bc, e.dc) == (stage[e.link.tx], 0, dc[e.link.tx]), e
             continue
         if transmitters is not None:
             for node in nodes:
@@ -207,18 +207,18 @@ def replay_contention(report, flows, mac):
                     dc[node] -= 1
             transmitters = None
         if e.event == EVENT_STAGE_ADVANCE and e.time_us == start:
-            assert expected and e.node == expected.pop(0), e
+            assert expected and e.link.tx == expected.pop(0), e
             advance(e)
             continue
         assert not expected, (e, expected)
         if e.event == EVENT_TX_START:  # a barger at the first boundary
-            assert (e.stage, e.bc, e.dc) == (stage[e.node], 0, dc[e.node]), e
+            assert (e.stage, e.bc, e.dc) == (stage[e.link.tx], 0, dc[e.link.tx]), e
         elif e.event == EVENT_TX_END_SUCCESS and e.role == ROLE_PRIMARY:
-            stage[e.node], dc[e.node] = 0, dcs[0]
+            stage[e.link.tx], dc[e.link.tx] = 0, dcs[0]
             assert (e.stage, e.dc) == (0, dcs[0]) and 0 <= e.bc < cw[0], e
             start = None
         elif e.event == EVENT_TX_END_COLLISION:
-            assert (e.stage, e.bc, e.dc) == (stage[e.node], 0, dc[e.node]), e
+            assert (e.stage, e.bc, e.dc) == (stage[e.link.tx], 0, dc[e.link.tx]), e
             start = None
         elif e.event == EVENT_STAGE_ADVANCE:  # a collider's, at the window's end
             advance(e)
@@ -259,7 +259,7 @@ def replay_backoff(report, flows, mac, seed):
     starts = [e for e in report.events if e.event == EVENT_TX_START]
     if starts:
         least = min(initial.values())
-        assert {e.node for e in starts if e.time_us == starts[0].time_us} == {
+        assert {e.link.tx for e in starts if e.time_us == starts[0].time_us} == {
             node for node, bc in initial.items() if bc == least
         }
     for e in report.events:
@@ -306,7 +306,12 @@ def test_event_log_matches_per_field_oracle(scenario, seed, duration):
     for t, policy in ((None, None), (table, run_policy)):
         report = run_simulation(dep, t, mac, policy, flows, duration, seed,
                                 collect_events=True)
-        assert event_log_csv(report) == oracle_event_log_csv(report)
+        text = event_log_csv(report)
+        assert text == oracle_event_log_csv(report)
+        # the node column is the event's station, its link's transmitter
+        for row in text.splitlines()[1:]:
+            _, _, node, link_tx, _ = row.split(",", 4)
+            assert node == link_tx, row
 
 
 def fingerprint(report):

@@ -292,6 +292,13 @@ class TestSerialize:
         assert shuffled == dep
         assert serialize_trace(shuffled) == serialize_trace(dep)
 
+    def test_meta_keys_iterate_in_key_order_however_inserted(self):
+        dep = generate_deployment(3, GeneratorProfile("uniform", seed=4), slot_count=1)
+        backwards = Deployment(dep.nodes, dep.links, dict(reversed(dep.metadata.items())))
+        assert list(backwards.metadata) == sorted(dep.metadata) == list(dep.metadata)
+        assert backwards == dep
+        assert serialize_trace(backwards) == serialize_trace(dep)
+
     def test_invalid_deployment_rejected(self):
         # nothing invalid can reach serialize_trace: the constructor refuses it
         with pytest.raises(ValueError, match="reverse"):
@@ -498,6 +505,14 @@ class TestHelpers:
         }
         with pytest.raises(ValueError, match="^node ids do not order against each other$"):
             Deployment((1, "a"), links)
+
+    def test_deployment_rejects_meta_keys_that_do_not_order(self):
+        links = {
+            DirectedLink("a", "b"): filled_tonemap(1),
+            DirectedLink("b", "a"): filled_tonemap(1),
+        }
+        with pytest.raises(ValueError, match="^meta keys do not order against each other$"):
+            Deployment(("a", "b"), links, {1: "x", "a": "y"})
 
     def test_deployment_from_levels_fixture_valid(self):
         dep = deployment_from_levels({("a", "b"): 10, ("b", "a"): 2})
